@@ -15,7 +15,7 @@ from .equiv import EquivalenceTower, plan_equivalence, verify_equivalence
 from .errors import OddwalkError, ParseError
 from .gadget import (GadgetVertex, PathGadget, build_gadget,
                      check_odd_distance_lemma, endpoint_label, endpoints,
-                     parse_prefix)
+                     parse_prefix, vertex_at, vertex_position)
 from .graphs import Coloring, Walk, WitnessedGraph
 from .homset import (ExplicitHomSet, Hom, HomProfile, all_homs, double,
                      extend_witness, is_large, is_small, is_tiny, pin,
@@ -41,5 +41,5 @@ __all__ = [
     "phi_holds", "pin", "plan_equivalence", "preserve_largeness",
     "project_level", "pullback_coloring", "run_checks", "same_component",
     "two_color_from_cover", "verify_equivalence", "verify_tower",
-    "vertex_odd_girth",
+    "vertex_at", "vertex_odd_girth", "vertex_position",
 ]

@@ -11,6 +11,7 @@ these as oracles; production code never calls them.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .gadget import PathGadget, build_gadget
 from .graphs import WitnessedGraph
@@ -150,3 +151,15 @@ def projections_adjacent_everywhere(a: LcVertex, b: LcVertex, prefix,
         if abs(pa - pb) != 1:
             return False
     return True
+
+
+def same_component_wide_scan(a: LcVertex, b: LcVertex) -> bool:
+    """Component test by scanning relative shifts over the lcm of both period
+    lengths, without assuming that canonical periods are primitive."""
+    delta = b.m - a.m
+    window = max(len(b.x.prefix), len(a.x.prefix) - delta, 0)
+    window += math.lcm(len(a.x.period), len(b.x.period))
+    for j in range(max(0, -delta), window + 1):
+        if a.x.shift(j + delta) == b.x.shift(j):
+            return True
+    return False

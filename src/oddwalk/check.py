@@ -25,7 +25,8 @@ from .errors import (CoverIncomplete, GapInsufficient, InvalidIndex,
                      NonOddPrefix, NotHomomorphism, NotMember,
                      OutOfTruncation, ParseError, PieceNotTiny)
 from .gadget import (GadgetVertex, build_gadget, check_odd_distance_lemma,
-                     copy_embed, endpoint_label, endpoints, gadget_distance)
+                     copy_embed, endpoint_label, endpoints, gadget_distance,
+                     gadget_size, vertex_at, vertex_position)
 from .generators import (all_graphs_upto, complete_graph, cycle_graph,
                          disjoint_union, path_graph, petersen_graph,
                          random_bipartite_graph, random_ep_bits, random_graph,
@@ -181,6 +182,11 @@ def _suite_gadget(rng: random.Random, oracle: bool) -> SuiteResult:
                 f"size recursion off for {prefix}")
         s.check(len(set(g.vertices)) == g.vertex_count,
                 f"duplicate vertex labels in {prefix}")
+        s.check(gadget_size(prefix) == g.vertex_count,
+                f"closed-form size off for {prefix}")
+        s.check(all(vertex_position(prefix, v) == i and vertex_at(prefix, i) == v
+                    for i, v in enumerate(g.vertices)),
+                f"closed-form positions disagree with the built gadget {prefix}")
         lo, hi = endpoints(g)
         s.check(g.position[lo] == 0 and g.position[hi] == g.vertex_count - 1,
                 f"endpoints must sit at the path ends for {prefix}")

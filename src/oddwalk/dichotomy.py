@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidIndex, OutOfTruncation, ParseError
-from .gadget import GadgetVertex, build_gadget
+from .gadget import GadgetVertex, build_gadget, vertex_position
 from .graphs import Coloring, WitnessedGraph, vertex_pair
 from .homset import Hom, all_homs, double, extend_witness, pin, validate_hom
 from .limitgraph import level_quotient
@@ -124,9 +124,8 @@ def evaluate(t: Tower, m: int, k: int, tbits) -> str:
     level = m + len(tbits)
     if level > t.depth:
         raise OutOfTruncation(f"level {level} beyond tower depth {t.depth}")
-    gadget = build_gadget(t.prefix[:level])
-    vertex = GadgetVertex(k, tbits)
-    return t.levels[level].vertex_images[gadget.require_vertex(vertex)]
+    position = vertex_position(t.prefix[:level], GadgetVertex(k, tbits))
+    return t.levels[level].vertex_images[position]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import GapInsufficient, NonOddPrefix, ParseError, UnknownVertex
-from .gadget import GadgetVertex, PathGadget, build_gadget, check_prefix
+from .gadget import (GadgetVertex, PathGadget, build_gadget, check_prefix,
+                     gadget_size, position_finder, vertex_at)
 
 
 def _odd_prefix(prefix) -> tuple[int, ...]:
@@ -107,19 +108,17 @@ def plan_equivalence(c, d, depth: int) -> EquivalenceTower:
     walks = []
     for n in range(depth):
         length = c[n] + 2
-        src_small = build_gadget(c[:n])
-        src_big = build_gadget(c[:n + 1])
         glue_img = maps[n][-1]
         found = None
         for mm in range(level_map[n], len(d) + 1):
-            tgt = build_gadget(d[:mm])
+            position = position_finder(d[:mm])
             slen = mm - level_map[n]
             for s0, s1 in itertools.product(itertools.product((0, 1), repeat=slen),
                                             repeat=2):
-                a0 = tgt.position[_append_suffix(glue_img, s0)]
-                a1 = tgt.position[_append_suffix(glue_img, s1)]
+                a0 = position(_append_suffix(glue_img, s0))
+                a1 = position(_append_suffix(glue_img, s1))
                 if path_walk_exists(abs(a0 - a1), length):
-                    found = (mm, tgt, s0, s1, a0, a1)
+                    found = (mm, s0, s1, a0, a1)
                     break
             if found:
                 break
@@ -127,15 +126,12 @@ def plan_equivalence(c, d, depth: int) -> EquivalenceTower:
             raise GapInsufficient(
                 f"target prefix {d} cannot absorb level {n} "
                 f"(join length {length} from image {glue_img.label})")
-        mm, tgt, s0, s1, a0, a1 = found
-        walk = path_exact_walk(tgt.vertex_count, a0, a1, length)
-        images: list[GadgetVertex | None] = [None] * src_big.vertex_count
-        for v in src_small.vertices:
-            img = maps[n][src_small.position[v]]
-            images[src_big.position[v.append(0)]] = _append_suffix(img, s0)
-            images[src_big.position[v.append(1)]] = _append_suffix(img, s1)
-        for k in range(c[n] + 1):
-            images[src_big.position[GadgetVertex(k, ())]] = tgt.vertices[walk[k + 1]]
+        mm, s0, s1, a0, a1 = found
+        walk = path_exact_walk(gadget_size(d[:mm]), a0, a1, length)
+        # level n+1 of the source: copy 0, then the join, then copy 1 mirrored
+        images = ([_append_suffix(img, s0) for img in maps[n]]
+                  + [vertex_at(d[:mm], p) for p in walk[1:-1]]
+                  + [_append_suffix(img, s1) for img in reversed(maps[n])])
         level_map.append(mm)
         suffixes.append((s0, s1))
         walks.append(tuple(walk))
@@ -171,72 +167,72 @@ def verify_equivalence(t: EquivalenceTower) -> EquivReport:
     if any(a > b for a, b in zip(t.level_map, t.level_map[1:])):
         bad.append("level map must be nondecreasing")
     for n in range(depth + 1):
-        src = build_gadget(t.source_prefix[:n])
-        tgt = build_gadget(t.target_prefix[:t.level_map[n]])
+        tgt_prefix = t.target_prefix[:t.level_map[n]]
         images = t.maps[n]
         checks += 1
-        if len(images) != src.vertex_count:
+        if len(images) != gadget_size(t.source_prefix[:n]):
             bad.append(f"level {n}: wrong image count")
             continue
+        position = position_finder(tgt_prefix)
+        positions = []
         for img in images:
-            if img not in tgt.position:
+            try:
+                positions.append(position(img))
+            except UnknownVertex:
                 bad.append(f"level {n}: image {img.label} not in target gadget")
                 break
         else:
-            for j in range(src.edge_count):
+            for j in range(len(images) - 1):
                 checks += 1
-                pa = tgt.position[images[j]]
-                pb = tgt.position[images[j + 1]]
-                if abs(pa - pb) != 1:
+                if abs(positions[j] - positions[j + 1]) != 1:
                     bad.append(
                         f"level {n}, edge {j}: images {images[j].label}, "
                         f"{images[j + 1].label} not adjacent")
     for n in range(depth):
-        src_small = build_gadget(t.source_prefix[:n])
-        src_big = build_gadget(t.source_prefix[:n + 1])
+        # source positions: copy 0 keeps position i of level n, copy 1 sends
+        # it to big - 1 - i, and join vertex k sits at small + k
+        small = gadget_size(t.source_prefix[:n])
+        big = gadget_size(t.source_prefix[:n + 1])
         s0, s1 = t.suffixes[n]
         want_len = t.level_map[n + 1] - t.level_map[n]
         checks += 1
         if len(s0) != want_len or len(s1) != want_len:
             bad.append(f"level {n}: suffix lengths must be {want_len}")
             continue
-        for v in src_small.vertices:
-            for bit, suf in ((0, s0), (1, s1)):
+        for i in range(small):
+            for got_pos, bit, suf in ((i, 0, s0), (big - 1 - i, 1, s1)):
                 checks += 1
-                got = t.maps[n + 1][src_big.position[v.append(bit)]]
-                want = _append_suffix(t.maps[n][src_small.position[v]], suf)
+                got = t.maps[n + 1][got_pos]
+                want = _append_suffix(t.maps[n][i], suf)
                 if got != want:
+                    v = vertex_at(t.source_prefix[:n], i)
                     bad.append(
                         f"coherence broken at level {n + 1}, copy {bit}, "
                         f"vertex {v.label}: {got.label} vs {want.label}")
         walk = t.join_walks[n]
-        tgt = build_gadget(t.target_prefix[:t.level_map[n + 1]])
+        tgt_prefix = t.target_prefix[:t.level_map[n + 1]]
         checks += 1
         if len(walk) != t.source_prefix[n] + 3:
             bad.append(f"level {n}: join walk must have {t.source_prefix[n] + 3} stops")
             continue
         if any(abs(a - b) != 1 for a, b in zip(walk, walk[1:])):
             bad.append(f"level {n}: join walk is not a walk")
-        if any(not 0 <= p < tgt.vertex_count for p in walk):
+        tgt_size = gadget_size(tgt_prefix)
+        if any(not 0 <= p < tgt_size for p in walk):
             bad.append(f"level {n}: join walk leaves the target gadget")
             continue
-        left = endpoint_bit_image(t, n, src_small, src_big, 0)
-        right = endpoint_bit_image(t, n, src_small, src_big, 1)
-        if tgt.vertices[walk[0]] != left or tgt.vertices[walk[-1]] != right:
+        # images of the copy-0 and copy-1 relabelings of the right endpoint
+        left = t.maps[n + 1][small - 1]
+        right = t.maps[n + 1][big - small]
+        if (vertex_at(tgt_prefix, walk[0]) != left
+                or vertex_at(tgt_prefix, walk[-1]) != right):
             bad.append(f"level {n}: join walk endpoints disagree with the maps")
         for k in range(t.source_prefix[n] + 1):
             checks += 1
-            got = t.maps[n + 1][src_big.position[GadgetVertex(k, ())]]
-            if got != tgt.vertices[walk[k + 1]]:
+            got = t.maps[n + 1][small + k]
+            if got != vertex_at(tgt_prefix, walk[k + 1]):
                 bad.append(f"level {n}: join vertex p{k} off the recorded walk")
     return EquivReport(checks, tuple(bad))
-
-
-def endpoint_bit_image(t: EquivalenceTower, n: int, src_small: PathGadget,
-                       src_big: PathGadget, bit: int) -> GadgetVertex:
-    """Image under map n+1 of the copy-`bit` relabeling of the right endpoint."""
-    glue = src_small.vertices[-1]
-    return t.maps[n + 1][src_big.position[glue.append(bit)]]
 
 
 def search_hom(h: PathGadget, g: PathGadget, constraints: dict | None = None):

@@ -5,6 +5,16 @@ level n (append bit 0 / bit 1 to every copy history) by a fresh path of
 c(n)+2 edges through c(n)+1 new join vertices.  The result is always a
 simple path; vertices are identified by their structured label (join index
 k, copy-history bits t), and positions along the path are derived.
+
+Positions have a closed form.  The level-L gadget has V(L) vertices, with
+V(0) = 1 and V(L+1) = 2 V(L) + c(L) + 1: copy 0 fills positions
+[0, V(L)) in order, the join fills [V(L), V(L) + c(L)], and copy 1 fills
+the rest mirrored.  So vertex (k, t) born at level m = n - len(t) starts
+at V(m-1) + k (at 0 when m = 0), and each copy bit b appended at level L
+keeps the position when b = 0 and maps it to V(L+1) - 1 - pos when b = 1.
+vertex_position and vertex_at evaluate this in O(level) without building
+the gadget; build_gadget materializes the whole path for callers that list
+every vertex, and serves as the oracle the closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -127,6 +137,73 @@ def _build(prefix: tuple[int, ...]) -> PathGadget:
 def build_gadget(prefix) -> PathGadget:
     """Build the gadget for the given parameter prefix."""
     return _build(check_prefix(prefix))
+
+
+def _sizes(prefix: tuple[int, ...]) -> list[int]:
+    """V(0), ..., V(n) by the size recursion."""
+    sizes = [1]
+    for c in prefix:
+        sizes.append(2 * sizes[-1] + c + 1)
+    return sizes
+
+
+def gadget_size(prefix) -> int:
+    """Vertex count V(n) of the gadget, without building it."""
+    return _sizes(check_prefix(prefix))[-1]
+
+
+def position_finder(prefix):
+    """The map v -> path position for one prefix, in O(level) per vertex.
+
+    The prefix is validated and its sizes computed once, so bulk lookups
+    against one gadget pay only for the copy bits of each vertex.
+    """
+    prefix = check_prefix(prefix)
+    sizes = _sizes(prefix)
+    n = len(prefix)
+
+    def position(v: GadgetVertex) -> int:
+        m = n - len(v.t)
+        if (m < 0 or not 0 <= v.k <= (prefix[m - 1] if m else 0)
+                or any(b not in (0, 1) for b in v.t)):
+            raise UnknownVertex(f"vertex {v.label} is not in the level-{n} gadget")
+        pos = sizes[m - 1] + v.k if m else 0
+        for level, b in enumerate(v.t, m + 1):
+            if b:
+                pos = sizes[level] - 1 - pos
+        return pos
+
+    return position
+
+
+def vertex_position(prefix, v: GadgetVertex) -> int:
+    """Path position of v in the gadget for the prefix, in O(level).
+
+    Raises UnknownVertex, as PathGadget.require_vertex does, when v is not a
+    vertex of that gadget.
+    """
+    return position_finder(prefix)(v)
+
+
+def vertex_at(prefix, pos: int) -> GadgetVertex:
+    """The vertex at a path position of the gadget for the prefix, in O(level);
+    the inverse of vertex_position."""
+    prefix = check_prefix(prefix)
+    sizes = _sizes(prefix)
+    if not 0 <= pos < sizes[-1]:
+        raise UnknownVertex(
+            f"no vertex at position {pos} in the level-{len(prefix)} gadget")
+    bits: list[int] = []
+    for level in range(len(prefix), 0, -1):
+        half = sizes[level - 1]
+        if pos < half:
+            bits.append(0)
+        elif pos <= half + prefix[level - 1]:
+            return GadgetVertex(pos - half, tuple(reversed(bits)))
+        else:
+            bits.append(1)
+            pos = sizes[level] - 1 - pos
+    return GadgetVertex(0, tuple(reversed(bits)))
 
 
 def endpoints(g: PathGadget) -> tuple[GadgetVertex, GadgetVertex]:

@@ -11,13 +11,12 @@ brute-force gadget construction by the test suite rather than assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import (InvalidVertex, LevelOutOfRange, NonOddPrefix, ParseError,
                      UnknownVertex)
 from .gadget import (GadgetVertex, PathGadget, build_gadget, check_prefix,
-                     gadget_distance)
+                     vertex_position)
 
 
 @dataclass(frozen=True)
@@ -182,9 +181,8 @@ def adjacent(a: LcVertex, b: LcVertex, prefix) -> bool:
     n = max(a.m, b.m)
     if n == 0:
         return False
-    g = build_gadget(prefix[:n])
-    pa = g.position[project_level(a, n, prefix)]
-    pb = g.position[project_level(b, n, prefix)]
+    pa = vertex_position(prefix[:n], project_level(a, n, prefix))
+    pb = vertex_position(prefix[:n], project_level(b, n, prefix))
     if abs(pa - pb) != 1:
         return False
     return a.x.shift(n - a.m) == b.x.shift(n - b.m)
@@ -232,15 +230,19 @@ def same_component(a: LcVertex, b: LcVertex, prefix=None) -> bool:
     """True iff finite head strings t0, t1 with |t0| - |t1| = m_b - m_a turn
     both continuations into a common tail.
 
-    Decided by scanning relative shifts up to one period alignment window;
-    the answer never depends on the parameter values themselves.
+    Canonical periods are primitive, so tails can only coincide when the
+    period lengths are equal; otherwise relative shifts are scanned up to
+    one period past both prefixes.  The answer never depends on the
+    parameter values themselves.
     """
     if prefix is not None:
         validate_vertex(a, prefix)
         validate_vertex(b, prefix)
+    if len(a.x.period) != len(b.x.period):
+        return False
     delta = b.m - a.m
     window = max(len(b.x.prefix), len(a.x.prefix) - delta, 0)
-    window += math.lcm(len(a.x.period), len(b.x.period))
+    window += len(a.x.period)
     for j in range(max(0, -delta), window + 1):
         if a.x.shift(j + delta) == b.x.shift(j):
             return True
@@ -267,8 +269,7 @@ class LevelQuotient:
     def class_of(self, v: LcVertex) -> int:
         """Position of v's class, i.e. of its level-n projection."""
         n = len(self.prefix)
-        gv = project_level(v, n, self.prefix)
-        return self.gadget.position[gv]
+        return vertex_position(self.prefix, project_level(v, n, self.prefix))
 
     def representative(self, position: int, tail: EpBits = EP_ZERO) -> LcVertex:
         """A member of the class at the given position, default tail zeros."""
@@ -316,11 +317,14 @@ def odd_sibling_obstruction(prefix, k: int, t) -> SiblingObstruction:
     prefix = check_prefix(prefix)
     if any(c % 2 == 0 for c in prefix):
         raise NonOddPrefix(f"prefix {prefix} has an even value")
-    g = build_gadget(prefix)
     t = tuple(t)
     left = GadgetVertex(k, t + (0,))
     right = GadgetVertex(k, t + (1,))
+    positions = []
     for gv in (left, right):
-        if gv not in g.position:
-            raise UnknownVertex(f"{gv.label} is not a level-{len(prefix)} vertex")
-    return SiblingObstruction(left, right, gadget_distance(g, left, right))
+        try:
+            positions.append(vertex_position(prefix, gv))
+        except UnknownVertex:
+            raise UnknownVertex(
+                f"{gv.label} is not a level-{len(prefix)} vertex") from None
+    return SiblingObstruction(left, right, abs(positions[0] - positions[1]))

@@ -102,6 +102,14 @@ def test_dichotomy_triangle_schedules(tmp_path):
     assert data["verified"] is True
 
 
+def test_lc_same_component_long_periods():
+    a = "0:0::1" + "0" * 400
+    b = "0:0::1" + "0" * 396
+    proc = run_cli("lc", "--c", "1,3", "--same-component", a, b)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["sameComponent"] is False
+
+
 def test_malformed_graph_is_input_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{this is not json")

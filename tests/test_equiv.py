@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oddwalk import gadget
 from oddwalk.equiv import (EquivalenceTower, path_exact_walk, path_walk_exists,
                            plan_equivalence, search_hom, verify_equivalence)
 from oddwalk.errors import (GapInsufficient, NonOddPrefix, ParseError,
@@ -171,3 +172,47 @@ def test_random_planner_successes_verify():
         planned += 1
         assert verify_equivalence(t).ok
     assert planned > 0
+
+
+def _check_against_built_gadgets(t):
+    """Re-check a tower's maps and join walks on materialized gadgets."""
+    c, d = t.source_prefix, t.target_prefix
+    for n, images in enumerate(t.maps):
+        tgt = build_gadget(d[:t.level_map[n]])
+        assert len(images) == build_gadget(c[:n]).vertex_count
+        positions = [tgt.position[img] for img in images]
+        assert all(abs(p - q) == 1 for p, q in zip(positions, positions[1:]))
+    for n, walk in enumerate(t.join_walks):
+        small, big = build_gadget(c[:n]), build_gadget(c[:n + 1])
+        tgt = build_gadget(d[:t.level_map[n + 1]])
+        s0, s1 = t.suffixes[n]
+        for v in small.vertices:
+            img = t.maps[n][small.position[v]]
+            assert t.maps[n + 1][big.position[v.append(0)]] == GadgetVertex(
+                img.k, img.t + s0)
+            assert t.maps[n + 1][big.position[v.append(1)]] == GadgetVertex(
+                img.k, img.t + s1)
+        for k in range(c[n] + 1):
+            assert (t.maps[n + 1][big.position[GadgetVertex(k, ())]]
+                    == tgt.vertices[walk[k + 1]])
+
+
+def test_planner_and_verifier_build_no_gadget(monkeypatch):
+    cases = [((1, 3, 5), (1, 3, 5, 7), 3), ((3, 5), (1, 1, 1, 3, 5), 2),
+             ((3, 3, 3, 3, 3), (1, 3, 1, 3, 1, 1, 1), 5), ((5, 7), (1,), None)]
+    real_build = gadget._build
+
+    def refuse(prefix):
+        raise AssertionError("gadget materialized")
+
+    for c, d, depth in cases:
+        monkeypatch.setattr(gadget, "_build", refuse)
+        if depth is None:
+            with pytest.raises(GapInsufficient):
+                plan_equivalence(c, d, len(c))
+            continue
+        t = plan_equivalence(c, d, depth)
+        report = verify_equivalence(t)
+        assert report.ok and report.checks > 0
+        monkeypatch.setattr(gadget, "_build", real_build)
+        _check_against_built_gadgets(t)

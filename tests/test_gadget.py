@@ -1,13 +1,17 @@
+import itertools
 import random
+import time
 
 import pytest
 
+from oddwalk import gadget
 from oddwalk.errors import (NonOddPrefix, ParseError, PrefixMismatch,
                             UnknownVertex)
 from oddwalk.gadget import (GadgetVertex, build_gadget, check_odd_distance_lemma,
                             check_prefix, classify, copy_embed, endpoint_label,
-                            endpoints, gadget_distance, parse_prefix,
-                            sibling_pairs, NON_PATH_VERTEX, PATH_VERTEX)
+                            endpoints, gadget_distance, gadget_size,
+                            parse_prefix, sibling_pairs, vertex_at,
+                            vertex_position, NON_PATH_VERTEX, PATH_VERTEX)
 
 
 def test_base_gadget_is_single_vertex():
@@ -176,3 +180,75 @@ def test_traversal_order_copy_join_copy():
     assert [v.label for v in big.vertices[k:k + c + 1]] == ["p0", "p1", "p2", "p3"]
     assert [v.label for v in big.vertices[k + c + 1:]] == [
         v.append(1).label for v in reversed(small.vertices)]
+
+
+def _assert_closed_forms_match(prefix):
+    g = build_gadget(prefix)
+    assert gadget_size(prefix) == g.vertex_count
+    for v in g.vertices:
+        assert vertex_position(prefix, v) == g.position[v]
+    for i in range(g.vertex_count):
+        assert vertex_at(prefix, i) == g.vertices[i]
+
+
+def test_closed_forms_match_built_gadgets_exhaustive():
+    # every prefix over {1, 2, 3, 5} up to level 5; even values are legal
+    # gadget parameters, so they are covered too
+    for level in range(6):
+        for prefix in itertools.product((1, 2, 3, 5), repeat=level):
+            _assert_closed_forms_match(prefix)
+
+
+def test_closed_forms_match_built_gadgets_sampled():
+    # levels 6 and 7 hold 20k prefixes and 11M vertices, far too many to
+    # check in full; a seeded sample of each level is checked instead
+    rng = random.Random(21)
+    for level in (6, 7):
+        for _ in range(40):
+            _assert_closed_forms_match(
+                tuple(rng.choice((1, 2, 3, 5)) for _ in range(level)))
+
+
+@pytest.mark.parametrize("prefix, v", [
+    ((1, 3), GadgetVertex(4, ())),         # k above c(m-1)
+    ((1, 3), GadgetVertex(2, (0,))),       # k above c(0) = 1
+    ((1, 3), GadgetVertex(0, (0, 0, 1))),  # more bits than levels
+    ((1, 3), GadgetVertex(-1, (1,))),      # negative k
+    ((1, 3), GadgetVertex(1, (0, 1))),     # birth level 0 needs k = 0
+    ((), GadgetVertex(1, ())),
+    ((2,), GadgetVertex(0, (2,))),         # not a copy bit
+])
+def test_vertex_position_rejects_unknown_labels(prefix, v):
+    with pytest.raises(UnknownVertex) as want:
+        build_gadget(prefix).require_vertex(v)
+    with pytest.raises(UnknownVertex) as got:
+        vertex_position(prefix, v)
+    assert str(got.value) == str(want.value)
+
+
+def test_vertex_at_rejects_positions_off_the_path():
+    for pos in (-1, 4):
+        with pytest.raises(UnknownVertex):
+            vertex_at((1,), pos)
+    with pytest.raises(ParseError):
+        vertex_position((0,), GadgetVertex(0, ()))
+
+
+def test_closed_forms_at_level_60_build_nothing(monkeypatch):
+    def refuse(prefix):
+        raise AssertionError("gadget materialized")
+
+    monkeypatch.setattr(gadget, "_build", refuse)
+    prefix = (1, 3, 5) * 20
+    sizes = [1]
+    for c in prefix:
+        sizes.append(2 * sizes[-1] + c + 1)
+    # the right endpoint sits last; a join vertex born at level m followed by
+    # copy-0 bits keeps its birth position V(m-1) + k
+    assert vertex_position(prefix, endpoint_label(60, 1)) == sizes[60] - 1
+    v = GadgetVertex(2, (0,) * 30)
+    assert vertex_position(prefix, v) == sizes[29] + 2
+    start = time.perf_counter()
+    for i in (0, 1, sizes[59], sizes[59] + 5, sizes[60] - 1, 12345678901234567):
+        assert vertex_position(prefix, vertex_at(prefix, i)) == i
+    assert time.perf_counter() - start < 0.05

@@ -1,9 +1,10 @@
 import math
 import random
+import time
 
 import pytest
 
-from oddwalk import bruteforce
+from oddwalk import bruteforce, gadget
 from oddwalk.errors import (InvalidVertex, LevelOutOfRange, NonOddPrefix,
                             ParseError, UnknownVertex)
 from oddwalk.gadget import GadgetVertex, build_gadget, gadget_distance
@@ -271,3 +272,67 @@ def test_odd_sibling_obstruction_random_prefixes():
         gv = rng.choice(candidates)
         ob = odd_sibling_obstruction(prefix, gv.k, gv.t[:-1])
         assert ob.odd
+
+
+def _refuse_builds(monkeypatch):
+    def refuse(prefix):
+        raise AssertionError("gadget materialized")
+
+    monkeypatch.setattr(gadget, "_build", refuse)
+
+
+def test_adjacent_at_birth_level_60_builds_no_gadget(monkeypatch):
+    _refuse_builds(monkeypatch)
+    prefix = (1, 3, 5) * 20
+    x = EpBits((0, 1), (1, 0))
+    a = LcVertex(60, 2, x)
+    assert adjacent(a, LcVertex(60, 3, x), prefix)
+    assert not adjacent(a, LcVertex(60, 4, x), prefix)
+    assert not adjacent(a, LcVertex(60, 3, EpBits((1,), (1, 0))), prefix)
+    for v in (a, LcVertex(0, 0, EpBits((0,) * 57 + (1, 1), (0,))),
+              LcVertex(31, 0, x)):
+        for u in neighbors(v, prefix):
+            assert adjacent(v, u, prefix) and adjacent(u, v, prefix)
+    start = time.perf_counter()
+    for _ in range(100):
+        adjacent(a, LcVertex(60, 3, x), prefix)
+    assert (time.perf_counter() - start) / 100 < 1e-3
+
+
+def test_sibling_obstruction_at_level_60_builds_no_gadget(monkeypatch):
+    _refuse_builds(monkeypatch)
+    prefix = (1, 3, 5) * 20
+    sizes = [1]
+    for c in prefix:
+        sizes.append(2 * sizes[-1] + c + 1)
+    # (k, 0^j 0) keeps its birth position V(m-1) + k; its sibling
+    # (k, 0^j 1) is that position mirrored in the level-60 gadget
+    m, k = 42, 3  # c(41) = 5
+    ob = odd_sibling_obstruction(prefix, k, (0,) * (59 - m))
+    assert ob.distance == sizes[60] - 1 - 2 * (sizes[m - 1] + k)
+    assert ob.odd
+    with pytest.raises(UnknownVertex, match="p9.00 is not a level-60 vertex"):
+        odd_sibling_obstruction(prefix, 9, (0,))
+
+
+def test_same_component_agrees_with_wide_scan():
+    rng = random.Random(84)
+    for _ in range(400):
+        a = LcVertex(rng.randint(0, 4), 0, random_ep_bits(rng, 4, 6))
+        if rng.random() < 0.5:
+            # a shared tail behind random heads, so the answer is often True
+            x = a.x.shift(rng.randint(0, 5)).prepend(
+                rng.randint(0, 1) for _ in range(rng.randint(0, 5)))
+        else:
+            x = random_ep_bits(rng, 4, 6)
+        b = LcVertex(rng.randint(0, 4), 0, x)
+        assert same_component(a, b) == bruteforce.same_component_wide_scan(a, b)
+
+
+def test_same_component_long_coprime_periods_is_fast():
+    a = v(0, 0, (), (1,) + (0,) * 400)
+    b = v(0, 0, (), (1,) + (0,) * 396)
+    start = time.perf_counter()
+    assert not same_component(a, b, (1, 3))
+    assert same_component(a, v(1, 0, (), (0,) * 400 + (1,)), (1, 3))
+    assert time.perf_counter() - start < 0.5
