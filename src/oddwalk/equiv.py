@@ -240,7 +240,8 @@ def search_hom(h: PathGadget, g: PathGadget, constraints: dict | None = None):
     the partial vertex map, or None if none exists.
 
     Exhaustive depth-first search ordered by target position, pruned by the
-    distance/parity feasibility of every pinned later position.
+    distance/parity feasibility of every pinned later position, with an
+    explicit stack of per-position choice iterators.
     """
     constraints = dict(constraints or {})
     pinned: dict[int, int] = {}
@@ -258,29 +259,30 @@ def search_hom(h: PathGadget, g: PathGadget, constraints: dict | None = None):
 
     assignment: list[int] = []
 
-    def rec(pos: int):
-        if pos == t:
-            return True
+    def choices(pos: int):
+        prev = assignment[-1] if pos else None
         if pos in pinned:
-            options = [pinned[pos]]
-        elif pos == 0:
+            options = (pinned[pos],)
+        elif prev is None:
             options = range(g.vertex_count)
         else:
-            prev = assignment[-1]
-            options = [q for q in (prev - 1, prev + 1) if 0 <= q < g.vertex_count]
-        for q in options:
-            if pos > 0 and abs(q - assignment[-1]) != 1:
-                continue
-            if not 0 <= q < g.vertex_count:
-                continue
-            if not feasible(pos, q):
-                continue
-            assignment.append(q)
-            if rec(pos + 1):
-                return True
-            assignment.pop()
-        return False
+            options = (prev - 1, prev + 1)
+        return (q for q in options
+                if (prev is None or abs(q - prev) == 1)
+                and 0 <= q < g.vertex_count and feasible(pos, q))
 
-    if not rec(0):
-        return None
-    return tuple(g.vertices[q] for q in assignment)
+    # stack[i] yields the remaining choices for position i, so the search
+    # depth is bounded by memory, not by the interpreter's recursion limit
+    stack = [choices(0)]
+    while stack:
+        q = next(stack[-1], None)
+        if q is None:
+            stack.pop()
+            if assignment:
+                assignment.pop()
+            continue
+        assignment.append(q)
+        if len(assignment) == t:
+            return tuple(g.vertices[q] for q in assignment)
+        stack.append(choices(len(assignment)))
+    return None

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .errors import (NotHomomorphism, NotLarge, NotMember, OddwalkError,
-                     ParseError)
+                     ParseError, PrefixMismatch)
 from .gadget import GadgetVertex, PathGadget, build_gadget
 from .graphs import Walk, WitnessedGraph, vertex_pair
 from .parity import exact_walk, nonbipartite_vertices, phi_bound, vertex_odd_girth
@@ -67,16 +67,19 @@ def validate_hom(gadget: PathGadget, target: WitnessedGraph, hom: Hom) -> None:
 
 
 def copy_restriction(big: PathGadget, small: PathGadget, hom: Hom, bit: int) -> Hom:
-    """Restriction of a level-(n+1) homomorphism to copy `bit` of level n."""
-    vimgs = []
-    for v in small.vertices:
-        vimgs.append(hom.vertex_images[big.require_vertex(v.append(bit))])
-    wimgs = []
-    for j in range(small.edge_count):
-        u, v = small.vertices[j], small.vertices[j + 1]
-        jb = min(big.require_vertex(u.append(bit)), big.require_vertex(v.append(bit)))
-        wimgs.append(hom.witness_images[jb])
-    return Hom(tuple(vimgs), tuple(wimgs))
+    """Restriction of a level-(n+1) homomorphism to copy `bit` of level n.
+
+    Copy 0 is the head of the level-(n+1) path and copy 1 its tail reversed.
+    """
+    if bit not in (0, 1):
+        raise ParseError(f"copy bit must be 0 or 1, got {bit!r}")
+    if big.level != small.level + 1 or big.prefix[:small.level] != small.prefix:
+        raise PrefixMismatch(
+            f"prefix {big.prefix} does not extend {small.prefix} by one level")
+    vimgs, wimgs = hom.vertex_images, hom.witness_images
+    if bit:
+        vimgs, wimgs = vimgs[::-1], wimgs[::-1]
+    return Hom(vimgs[:small.vertex_count], wimgs[:small.edge_count])
 
 
 @dataclass(frozen=True)
@@ -357,26 +360,12 @@ def double(p: HomProfile, join_length: int) -> HomProfile:
     """
     if not isinstance(join_length, int) or join_length < 1:
         raise ParseError(f"join length must be an integer >= 1, got {join_length!r}")
-    small = p.gadget
-    big = build_gadget(small.prefix + (join_length,))
+    big = build_gadget(p.gadget.prefix + (join_length,))
     allv = (1 << len(p.target.vertices)) - 1
     allw = (1 << len(p.target.witnesses)) - 1
-    vmasks = []
-    for v in big.vertices:
-        if v.t:
-            parent = GadgetVertex(v.k, v.t[:-1])
-            vmasks.append(p.vmasks[small.position[parent]])
-        else:
-            vmasks.append(allv)
-    wmasks = []
-    for j in range(big.edge_count):
-        u, v = big.vertices[j], big.vertices[j + 1]
-        if u.t and v.t:
-            pu = GadgetVertex(u.k, u.t[:-1])
-            pv = GadgetVertex(v.k, v.t[:-1])
-            wmasks.append(p.wmasks[min(small.position[pu], small.position[pv])])
-        else:
-            wmasks.append(allw)
+    # level n+1 is copy 0, the join_length+1 join vertices, copy 1 reversed
+    vmasks = p.vmasks + (allv,) * (join_length + 1) + p.vmasks[::-1]
+    wmasks = p.wmasks + (allw,) * (join_length + 2) + p.wmasks[::-1]
     return HomProfile(big, p.target, vmasks, wmasks)
 
 
@@ -392,34 +381,16 @@ def pin(p: HomProfile, hom: Hom) -> HomProfile:
 def glue_hom(p: HomProfile, phi0: Hom, join_length: int, walk: Walk) -> Hom:
     """Level-(n+1) homomorphism with both copies equal to phi0 and the join
     path laid along the given closed walk at phi0's gluing image."""
-    small = p.gadget
-    big = build_gadget(small.prefix + (join_length,))
+    big = build_gadget(p.gadget.prefix + (join_length,))
     if walk.length != join_length + 2:
         raise ParseError("walk length must be the join length plus 2")
     glue_value = phi0.vertex_images[-1]
     if walk.vertices[0] != glue_value or walk.vertices[-1] != glue_value:
         raise ParseError("walk must be closed at the gluing image")
-    vimgs = []
-    for v in big.vertices:
-        if v.t:
-            parent = GadgetVertex(v.k, v.t[:-1])
-            vimgs.append(phi0.vertex_images[small.position[parent]])
-        else:
-            vimgs.append(walk.vertices[v.k + 1])
-    wimgs = []
-    for j in range(big.edge_count):
-        u, v = big.vertices[j], big.vertices[j + 1]
-        if u.t and v.t:
-            pu = GadgetVertex(u.k, u.t[:-1])
-            pv = GadgetVertex(v.k, v.t[:-1])
-            wimgs.append(phi0.witness_images[min(small.position[pu], small.position[pv])])
-        elif not u.t and not v.t:
-            wimgs.append(walk.witnesses[u.k + 1])
-        elif u.t:
-            wimgs.append(walk.witnesses[0])
-        else:
-            wimgs.append(walk.witnesses[join_length + 1])
-    hom = Hom(tuple(vimgs), tuple(wimgs))
+    # copy 0, the walk's inner vertices on the join, copy 1 reversed
+    vimgs = phi0.vertex_images + walk.vertices[1:-1] + phi0.vertex_images[::-1]
+    wimgs = phi0.witness_images + walk.witnesses + phi0.witness_images[::-1]
+    hom = Hom(vimgs, wimgs)
     validate_hom(big, p.target, hom)
     return hom
 

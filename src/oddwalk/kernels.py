@@ -1,19 +1,37 @@
-"""Pure-Python profile propagation kernel.
+"""Profile propagation kernel.
 
 Domains are bitmasks held in Python ints, so there is no size limit on the
-target graph.  The compiled kernel in _native.pyx implements the same
-contract for targets with at most 64 vertices and 64 witnesses.
+target graph.
+
+path_propagate, backend_for and native_available are also the provenance
+interface that benchmarks/e2e reads: it wraps path_propagate with all five
+positional arguments and charges each call to the backend that backend_for
+names.  There is one backend, so backend_for always answers "pure" and
+native_available always answers False.
 """
 
 from __future__ import annotations
 
 
-def path_propagate(vmasks, wmasks, wit_ends):
+def native_available() -> bool:
+    """Always False: there is no compiled kernel."""
+    return False
+
+
+def backend_for(n_vertices: int, n_witnesses: int) -> str:
+    """The kernel that runs for a target of this size: always "pure"."""
+    return "pure"
+
+
+def path_propagate(vmasks, wmasks, wit_ends, n_vertices: int, n_witnesses: int):
     """Make a path profile arc-consistent.
 
     vmasks: per-position vertex-domain bitmasks (length T).
     wmasks: per-edge witness-domain bitmasks (length T-1).
     wit_ends: per target witness index, its endpoint vertex indices (a, b).
+    n_vertices, n_witnesses: the target's sizes.  The sweep does not need
+    them; they are part of the call so that a wrapper can see the size of
+    every target without decoding masks.
 
     Returns new (vmasks, wmasks) lists.  One forward and one backward sweep
     reach full arc consistency because the constraint graph is a path; the

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import (InvalidVertex, LevelOutOfRange, NonOddPrefix, ParseError,
                      UnknownVertex)
 from .gadget import (GadgetVertex, PathGadget, build_gadget, check_prefix,
-                     vertex_position)
+                     vertex_at, vertex_position)
 
 
 @dataclass(frozen=True)
@@ -272,8 +272,11 @@ class LevelQuotient:
         return vertex_position(self.prefix, project_level(v, n, self.prefix))
 
     def representative(self, position: int, tail: EpBits = EP_ZERO) -> LcVertex:
-        """A member of the class at the given position, default tail zeros."""
-        gv = self.gadget.vertices[position]
+        """A member of the class at the given position, default tail zeros.
+
+        Raises UnknownVertex for a position off the level-n path.
+        """
+        gv = vertex_at(self.prefix, position)
         n = len(self.prefix)
         return LcVertex(n - len(gv.t), gv.k, tail.prepend(gv.t))
 

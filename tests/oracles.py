@@ -2,14 +2,17 @@
 
 Everything here works straight off the raw witness data with a different
 algorithm than the package uses: neighborhood iteration instead of parity
-BFS, integer matrix powers instead of path DP, and a direct properness
-scan.  Expected values in the tests come from these or from hand-checked
-literals, never from the code under test.
+BFS, integer matrix powers instead of path DP, a direct properness scan,
+and lookups of copy parents by gadget label instead of path layout
+slices.  Expected values in the tests come from these or from
+hand-checked literals, never from the code under test.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from oddwalk.gadget import GadgetVertex, build_gadget
 
 
 def adjacency(g) -> dict:
@@ -90,3 +93,55 @@ def all_subsets(items, max_size=None):
     top = len(items) if max_size is None else min(max_size, len(items))
     for size in range(top + 1):
         yield from itertools.combinations(items, size)
+
+
+def _parent_position(small, v):
+    """Position in `small` of the level-n vertex that v copies."""
+    return small.position[GadgetVertex(v.k, v.t[:-1])]
+
+
+def double_masks(p, join_length: int):
+    """Label-based homset.double: the level-(n+1) gadget and the masks it
+    propagates.  Copy vertices take their parent's domain; join vertices and
+    edges touching the join are unconstrained."""
+    small = p.gadget
+    big = build_gadget(small.prefix + (join_length,))
+    allv = (1 << len(p.target.vertices)) - 1
+    allw = (1 << len(p.target.witnesses)) - 1
+    vmasks = [p.vmasks[_parent_position(small, v)] if v.t else allv
+              for v in big.vertices]
+    wmasks = []
+    for u, v in big.edges():
+        if u.t and v.t:
+            j = min(_parent_position(small, u), _parent_position(small, v))
+            wmasks.append(p.wmasks[j])
+        else:
+            wmasks.append(allw)
+    return big, vmasks, wmasks
+
+
+def glue_images(small, phi0, join_length: int, walk):
+    """Label-based homset.glue_hom: (vertex images, witness images)."""
+    big = build_gadget(small.prefix + (join_length,))
+    vimgs = [phi0.vertex_images[_parent_position(small, v)] if v.t
+             else walk.vertices[v.k + 1] for v in big.vertices]
+    wimgs = []
+    for u, v in big.edges():
+        if u.t and v.t:
+            j = min(_parent_position(small, u), _parent_position(small, v))
+            wimgs.append(phi0.witness_images[j])
+        elif not u.t and not v.t:
+            wimgs.append(walk.witnesses[u.k + 1])
+        elif u.t:
+            wimgs.append(walk.witnesses[0])
+        else:
+            wimgs.append(walk.witnesses[join_length + 1])
+    return tuple(vimgs), tuple(wimgs)
+
+
+def restriction_images(big, small, hom, bit: int):
+    """Label-based homset.copy_restriction: (vertex images, witness images)."""
+    pos = [big.position[v.append(bit)] for v in small.vertices]
+    vimgs = tuple(hom.vertex_images[i] for i in pos)
+    wimgs = tuple(hom.witness_images[min(a, b)] for a, b in zip(pos, pos[1:]))
+    return vimgs, wimgs

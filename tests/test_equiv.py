@@ -149,6 +149,15 @@ def test_search_hom_agrees_with_parity_rule():
                 assert got[0] == g.vertices[i] and got[-1] == g.vertices[j]
 
 
+def test_search_hom_level_eight_is_a_walk():
+    # 1,276 positions: deeper than the interpreter's recursion limit
+    g = build_gadget((3,) * 8)
+    got = search_hom(g, g)
+    assert len(got) == g.vertex_count
+    positions = [g.position[img] for img in got]
+    assert all(abs(a - b) == 1 for a, b in zip(positions, positions[1:]))
+
+
 def test_search_hom_unknown_vertices():
     h = build_gadget((1,))
     g = build_gadget((1, 3))

@@ -4,17 +4,20 @@ import pytest
 
 import oracles
 from oddwalk import bruteforce
+from oddwalk.dichotomy import decide
 from oddwalk.errors import (NotHomomorphism, NotLarge, NotMember, OddwalkError,
-                            ParseError)
+                            ParseError, PrefixMismatch)
 from oddwalk.gadget import build_gadget
 from oddwalk.generators import (all_graphs_upto, complete_graph, cycle_graph,
-                                disjoint_union, path_graph, single_edge)
+                                disjoint_union, path_graph, random_graph,
+                                single_edge)
 from oddwalk.graphs import WitnessedGraph, Walk
-from oddwalk.homset import (ExplicitHomSet, Hom, all_homs, copy_restriction,
-                            double, edge_label, extend_witness, glue_hom,
+from oddwalk.homset import (ExplicitHomSet, Hom, HomProfile, all_homs,
+                            copy_restriction, double, edge_label,
+                            extend_witness, glue_hom,
                             is_large, is_small, is_tiny, pin,
                             preserve_largeness, validate_hom)
-from oddwalk.parity import nonbipartite_vertices
+from oddwalk.parity import exact_walk, nonbipartite_vertices
 
 
 def k3():
@@ -197,6 +200,78 @@ def test_double_join_length_validation():
     for bad in [0, -1, "3", 1.5]:
         with pytest.raises(ParseError):
             double(p, bad)
+
+
+def test_layout_slices_match_label_oracles():
+    # double, glue_hom and copy_restriction read the copy-0 / join / reversed
+    # copy-1 layout; the oracles look every copy parent up by its label
+    rng = random.Random(54)
+    nonempty = glued = 0
+    for _ in range(40):
+        g = random_graph(rng, 6, 0.5, multi=0.3)
+        for prefix in [(), (1,), (1, 3), (3, 1, 5)]:
+            full = all_homs(build_gadget(prefix), g)
+            # drop one random vertex from some domains, so copy 1 is not
+            # copy 0 read backwards
+            p = full.restricted(
+                [m & ~(1 << rng.randrange(len(g.vertices))) if rng.random() < 0.3
+                 else m for m in full.vmasks],
+                full.wmasks)
+            nonempty += not p.is_empty
+            small_homs = p.enumerate_homs(2)[0].homs
+            for c in (1, 2, 3):
+                big, vmasks, wmasks = oracles.double_masks(p, c)
+                want = HomProfile(big, g, vmasks, wmasks)
+                got = double(p, c)
+                assert got.gadget.prefix == big.prefix
+                assert (got.vmasks, got.wmasks) == (want.vmasks, want.wmasks)
+                for hom in got.enumerate_homs(3)[0].homs:
+                    for bit in (0, 1):
+                        r = copy_restriction(big, p.gadget, hom, bit)
+                        assert (r.vertex_images, r.witness_images) == \
+                            oracles.restriction_images(big, p.gadget, hom, bit)
+                for phi0 in small_homs:
+                    glue = phi0.vertex_images[-1]
+                    walk = exact_walk(g, glue, glue, c + 2)
+                    if walk is None:
+                        continue
+                    glued += 1
+                    hom = glue_hom(p, phi0, c, walk)
+                    assert (hom.vertex_images, hom.witness_images) == \
+                        oracles.glue_images(p.gadget, phi0, c, walk)
+    assert nonempty > 100 and glued > 100
+    for n in (3, 5, 7):
+        g = cycle_graph(n)
+        t = decide(g, 5)
+        for level in range(5):
+            small = build_gadget(t.prefix[:level])
+            big = build_gadget(t.prefix[:level + 1])
+            phi0, hom = t.levels[level], t.levels[level + 1]
+            for bit in (0, 1):
+                assert copy_restriction(big, small, hom, bit) == phi0
+                assert oracles.restriction_images(big, small, hom, bit) == \
+                    (phi0.vertex_images, phi0.witness_images)
+            glue = phi0.vertex_images[-1]
+            walk = exact_walk(g, glue, glue, t.prefix[level] + 2)
+            p = pin(all_homs(small, g), phi0)
+            assert glue_hom(p, phi0, t.prefix[level], walk) == hom
+            assert oracles.glue_images(small, phi0, t.prefix[level], walk) == \
+                (hom.vertex_images, hom.witness_images)
+            big, vmasks, wmasks = oracles.double_masks(p, t.prefix[level])
+            want = HomProfile(big, g, vmasks, wmasks)
+            got = double(p, t.prefix[level])
+            assert (got.vmasks, got.wmasks) == (want.vmasks, want.wmasks)
+
+
+def test_copy_restriction_rejects_foreign_levels():
+    small = build_gadget((1,))
+    hom = Hom((), ())  # rejected before any image is read
+    with pytest.raises(ParseError):
+        copy_restriction(build_gadget((1, 1)), small, hom, 2)
+    with pytest.raises(PrefixMismatch):
+        copy_restriction(build_gadget((3, 1)), small, hom, 0)
+    with pytest.raises(PrefixMismatch):
+        copy_restriction(build_gadget((1, 1, 1)), small, hom, 0)
 
 
 def test_pin_round_trip():

@@ -1,17 +1,10 @@
-import json
-import os
 import random
-import subprocess
-import sys
-
-import pytest
 
 import oracles
 from oddwalk import kernels
 from oddwalk.gadget import build_gadget
 from oddwalk.generators import cycle_graph, random_graph
 from oddwalk.homset import all_homs
-from oddwalk.kernels import pure
 
 
 def random_instance(rng, n_vertices, n_witnesses, length):
@@ -32,12 +25,12 @@ def test_pure_propagation_is_arc_consistent():
     for _ in range(100):
         n, w = rng.randint(2, 6), rng.randint(1, 8)
         vmasks, wmasks, wit_ends = random_instance(rng, n, w, rng.randint(1, 7))
-        out_v, out_w = pure.path_propagate(vmasks, wmasks, wit_ends)
+        out_v, out_w = kernels.path_propagate(vmasks, wmasks, wit_ends, n, w)
         # outputs shrink the inputs
         assert all(o & ~i == 0 for o, i in zip(out_v, vmasks))
         assert all(o & ~i == 0 for o, i in zip(out_w, wmasks))
         # a second pass is a fixpoint
-        again = pure.path_propagate(out_v, out_w, wit_ends)
+        again = kernels.path_propagate(out_v, out_w, wit_ends, n, w)
         assert (list(out_v), list(out_w)) == (list(again[0]), list(again[1]))
         # every surviving witness has both endpoints available
         for j, mask in enumerate(out_w):
@@ -55,7 +48,7 @@ def test_pure_propagation_preserves_denotation():
     for _ in range(50):
         n, w = rng.randint(2, 4), rng.randint(1, 5)
         vmasks, wmasks, wit_ends = random_instance(rng, n, w, rng.randint(1, 5))
-        out_v, out_w = pure.path_propagate(vmasks, wmasks, wit_ends)
+        out_v, out_w = kernels.path_propagate(vmasks, wmasks, wit_ends, n, w)
 
         def denotation(vm, wm):
             full = [[i] for i in range(n) if vm[0] >> i & 1]
@@ -76,53 +69,22 @@ def test_pure_propagation_preserves_denotation():
         assert denotation(vmasks, wmasks) == denotation(out_v, out_w)
 
 
-@pytest.mark.skipif(not kernels.native_available(),
-                    reason="compiled kernel not built")
-def test_native_matches_pure():
-    from oddwalk.kernels import _native
-    rng = random.Random(52)
-    for _ in range(200):
-        n, w = rng.randint(2, 8), rng.randint(1, 10)
-        vmasks, wmasks, wit_ends = random_instance(rng, n, w, rng.randint(1, 9))
-        got = _native.path_propagate(list(vmasks), list(wmasks), wit_ends)
-        want = pure.path_propagate(vmasks, wmasks, wit_ends)
-        assert (list(got[0]), list(got[1])) == (list(want[0]), list(want[1]))
-
-
 def test_backend_selection_limits():
-    if kernels.native_available():
-        assert kernels.backend_for(10, 10) == "native"
-        assert kernels.backend_for(kernels.NATIVE_LIMIT, kernels.NATIVE_LIMIT) == "native"
-    assert kernels.backend_for(kernels.NATIVE_LIMIT + 1, 3) == "pure"
-    assert kernels.backend_for(3, kernels.NATIVE_LIMIT + 1) == "pure"
+    # benchmarks/e2e reads these three names for its kernel provenance
+    for n_vertices, n_witnesses in ((10, 10), (64, 64), (65, 3), (3, 65), (500, 900)):
+        assert kernels.backend_for(n_vertices, n_witnesses) == "pure"
+    assert kernels.native_available() is False
+    # the only witness runs 0-1, so pinning position 0 to vertex 0 pins 1 to 1
+    vmasks, wmasks = kernels.path_propagate([0b01, 0b11], [0b1], [(0, 1)], 2, 1)
+    assert (list(vmasks), list(wmasks)) == ([0b01, 0b10], [0b1])
 
 
 def test_large_targets_use_pure_path_and_agree():
-    # 70 vertices exceeds the word limit, forcing the pure kernel
+    # 70 vertices is past any word-sized mask; the random multigraphs are small
     g = cycle_graph(70)
-    p = all_homs(build_gadget((1,)), g)
-    assert p.count() == oracles.walk_count(g, 3)
-
-
-def test_profile_counts_match_under_forced_pure_kernel():
+    assert all_homs(build_gadget((1,)), g).count() == oracles.walk_count(g, 3)
     rng = random.Random(53)
-    graphs = [random_graph(rng, 6, 0.5, multi=0.3) for _ in range(3)]
-    script = (
-        "from oddwalk.homset import all_homs\n"
-        "from oddwalk.gadget import build_gadget\n"
-        "from oddwalk.graphs import WitnessedGraph\n"
-        "import json, sys\n"
-        "g = WitnessedGraph.from_json_text(sys.stdin.read())\n"
-        "print(all_homs(build_gadget((1, 3)), g).count())\n"
-    )
-    for g in graphs:
-        payload = json.dumps(g.to_json_dict())
-        outs = []
-        for forced in ("0", "1"):
-            env = dict(os.environ, ODDWALK_PURE=forced)
-            run = subprocess.run([sys.executable, "-c", script],
-                                 input=payload, capture_output=True,
-                                 text=True, env=env, check=True)
-            outs.append(run.stdout)
-        assert outs[0] == outs[1]
-        assert int(outs[0]) == oracles.walk_count(g, build_gadget((1, 3)).edge_count)
+    for _ in range(3):
+        g = random_graph(rng, 6, 0.5, multi=0.3)
+        gadget = build_gadget((1, 3))
+        assert all_homs(gadget, g).count() == oracles.walk_count(g, gadget.edge_count)

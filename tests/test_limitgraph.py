@@ -233,6 +233,13 @@ def test_level_quotient_round_trip():
             assert q.class_of(q.representative(pos, tail)) == pos
 
 
+def test_level_quotient_representative_range():
+    q = level_quotient((1,))
+    for pos in (-1, len(q.classes)):
+        with pytest.raises(UnknownVertex):
+            q.representative(pos)
+
+
 def test_level_quotient_edges_are_adjacent_pairs():
     prefix = (1, 3)
     q = level_quotient(prefix)
