@@ -1,4 +1,7 @@
+import json
 import random
+import subprocess
+import sys
 
 import oracles
 from oddwalk import kernels
@@ -80,11 +83,32 @@ def test_backend_selection_limits():
 
 
 def test_large_targets_use_pure_path_and_agree():
-    # 70 vertices is past any word-sized mask; the random multigraphs are small
+    # 70 vertices is past any word-sized mask
     g = cycle_graph(70)
     assert all_homs(build_gadget((1,)), g).count() == oracles.walk_count(g, 3)
+
+
+def test_profile_counts_match_under_forced_pure_kernel():
+    # the pure kernel is the only one: a fresh process, given the graph as
+    # JSON, reports it as the backend and counts what this process counts
     rng = random.Random(53)
-    for _ in range(3):
-        g = random_graph(rng, 6, 0.5, multi=0.3)
-        gadget = build_gadget((1, 3))
-        assert all_homs(gadget, g).count() == oracles.walk_count(g, gadget.edge_count)
+    graphs = [random_graph(rng, 6, 0.5, multi=0.3) for _ in range(3)]
+    script = (
+        "from oddwalk import kernels\n"
+        "from oddwalk.homset import all_homs\n"
+        "from oddwalk.gadget import build_gadget\n"
+        "from oddwalk.graphs import WitnessedGraph\n"
+        "import sys\n"
+        "g = WitnessedGraph.from_json_text(sys.stdin.read())\n"
+        "print(kernels.backend_for(len(g.vertices), len(g.witnesses)))\n"
+        "print(all_homs(build_gadget((1, 3)), g).count())\n"
+    )
+    gadget = build_gadget((1, 3))
+    for g in graphs:
+        run = subprocess.run([sys.executable, "-c", script],
+                             input=json.dumps(g.to_json_dict()),
+                             capture_output=True, text=True, check=True)
+        backend, count = run.stdout.split()
+        assert backend == "pure"
+        assert int(count) == all_homs(gadget, g).count()
+        assert int(count) == oracles.walk_count(g, gadget.edge_count)
