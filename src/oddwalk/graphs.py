@@ -147,24 +147,29 @@ class WitnessedGraph:
         return self._windex[w]
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        self.require_vertices([v])
-        return self._neighbors[v]
+        try:
+            return self._neighbors[v]
+        except KeyError:
+            raise UnknownVertex(f"unknown vertex ids: {v!r}") from None
 
     def degree(self, v: str) -> int:
         """Number of incident witnesses (multigraph degree)."""
-        self.require_vertices([v])
-        return sum(len(self._between[vertex_pair(v, u)]) for u in self._neighbors[v])
+        between = self._between
+        return sum(len(between[vertex_pair(v, u)]) for u in self.neighbors(v))
 
     def max_neighbor_count(self) -> int:
         return max((len(self._neighbors[v]) for v in self.vertices), default=0)
 
     def adjacent(self, u: str, v: str) -> bool:
-        self.require_vertices([u, v])
-        return vertex_pair(u, v) in self._between
+        return bool(self.witnesses_between(u, v))
 
     def witnesses_between(self, u: str, v: str) -> tuple[str, ...]:
-        self.require_vertices([u, v])
-        return self._between.get(vertex_pair(u, v), ())
+        found = self._between.get(vertex_pair(u, v))
+        if found is None:
+            # not adjacent, or not both vertices of this graph
+            self.require_vertices([u, v])
+            return ()
+        return found
 
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components, each sorted, ordered by least member."""

@@ -21,7 +21,8 @@ from .errors import (NotHomomorphism, NotLarge, NotMember, OddwalkError,
                      ParseError, PrefixMismatch)
 from .gadget import GadgetVertex, PathGadget, build_gadget
 from .graphs import Walk, WitnessedGraph, vertex_pair
-from .parity import exact_walk, nonbipartite_vertices, phi_bound, vertex_odd_girth
+from .parity import (exact_walk, no_odd_walk_in, nonbipartite_vertices,
+                     parity_classes, vertex_odd_girth)
 
 
 @dataclass(frozen=True, order=True)
@@ -110,7 +111,7 @@ class HomProfile:
     gadget is a path.
     """
 
-    __slots__ = ("gadget", "target", "vmasks", "wmasks")
+    __slots__ = ("gadget", "target", "vmasks", "wmasks", "_count")
 
     def __init__(self, gadget: PathGadget, target: WitnessedGraph,
                  vmasks, wmasks, normalized: bool = False):
@@ -127,6 +128,7 @@ class HomProfile:
                 wmasks = [0] * len(wmasks)
         self.vmasks = tuple(vmasks)
         self.wmasks = tuple(wmasks)
+        self._count = None
 
     # -- construction ------------------------------------------------------
 
@@ -160,22 +162,31 @@ class HomProfile:
         return self._witness_ids(self.wmasks[j])
 
     def count(self) -> int:
-        """Exact size of the denoted set (big integers, path DP)."""
-        if self.is_empty:
-            return 0
-        ends_idx = self._ends_idx()
-        counts = {i: 1 for i in _bits(self.vmasks[0])}
-        for j in range(self.gadget.edge_count):
-            right = self.vmasks[j + 1]
-            new: dict[int, int] = {}
-            for w in _bits(self.wmasks[j]):
-                a, b = ends_idx[w]
-                if a in counts and right >> b & 1:
-                    new[b] = new.get(b, 0) + counts[a]
-                if b in counts and right >> a & 1:
-                    new[a] = new.get(a, 0) + counts[b]
-            counts = new
-        return sum(counts.values())
+        """Exact size of the denoted set (big integers, path DP).
+
+        Computed once per profile; later calls return the stored total.
+        """
+        if self._count is not None:
+            return self._count
+        total = 0
+        if not self.is_empty:
+            ends_idx = self._ends_idx()
+            arcs_of: dict = {}   # (witness mask, right mask) -> _arcs
+            counts = {i: 1 for i in _bits(self.vmasks[0])}
+            for j in range(self.gadget.edge_count):
+                key = (self.wmasks[j], self.vmasks[j + 1])
+                arcs = arcs_of.get(key)
+                if arcs is None:
+                    arcs = arcs_of[key] = _arcs(key[0], key[1], ends_idx)
+                new: dict[int, int] = {}
+                for a, b in arcs:
+                    c = counts.get(a)
+                    if c is not None:
+                        new[b] = new.get(b, 0) + c
+                counts = new
+            total = sum(counts.values())
+        self._count = total
+        return total
 
     def _ends_idx(self) -> list[tuple[int, int]]:
         t = self.target
@@ -189,6 +200,8 @@ class HomProfile:
         ends_idx = self._ends_idx()
         t = self.gadget.vertex_count
         acc: list[int] = []
+        # (witness mask, right mask) -> {vertex: sorted next vertices}
+        successors: dict = {}
 
         def rec(pos: int):
             if pos == t:
@@ -197,16 +210,15 @@ class HomProfile:
             if pos == 0:
                 options = _bits(self.vmasks[0])
             else:
-                prev = acc[-1]
-                right = self.vmasks[pos]
-                opts = set()
-                for w in _bits(self.wmasks[pos - 1]):
-                    a, b = ends_idx[w]
-                    if a == prev and right >> b & 1:
-                        opts.add(b)
-                    elif b == prev and right >> a & 1:
-                        opts.add(a)
-                options = sorted(opts)
+                key = (self.wmasks[pos - 1], self.vmasks[pos])
+                succ = successors.get(key)
+                if succ is None:
+                    succ = successors[key] = {}
+                    for a, b in _arcs(key[0], key[1], ends_idx):
+                        succ.setdefault(a, set()).add(b)
+                    for a in succ:
+                        succ[a] = sorted(succ[a])
+                options = succ.get(acc[-1], ())
             for choice in options:
                 acc.append(choice)
                 yield from rec(pos + 1)
@@ -214,33 +226,33 @@ class HomProfile:
 
         yield from rec(0)
 
+    def _homs(self):
+        """Yield the denoted homomorphisms in (vertex images, witness
+        images) lex order."""
+        ws = self.target.witnesses
+        vs = self.target.vertices
+        # witness ends (a, b), a < b as in target.ends -> ascending indices
+        by_pair: dict = {}
+        for w, ends in enumerate(self._ends_idx()):
+            by_pair.setdefault(ends, []).append(w)
+        for vpath in self._vertex_paths():
+            wit_options = []
+            for j, wmask in enumerate(self.wmasks):
+                a, b = vpath[j], vpath[j + 1]
+                wit_options.append([w for w in by_pair[(a, b) if a < b else (b, a)]
+                                    if wmask >> w & 1])
+            vimgs = tuple(vs[i] for i in vpath)
+            for combo in itertools.product(*wit_options):
+                yield Hom(vimgs, tuple(ws[w] for w in combo))
+
     def enumerate_homs(self, cap: int) -> tuple["ExplicitHomSet", int]:
         """First `cap` homomorphisms in (vertex images, witness images) lex
         order, plus the exact total count of the denoted set."""
         if not isinstance(cap, int) or cap < 0:
             raise ParseError(f"cap must be a natural number, got {cap!r}")
         total = self.count()
-        homs: list[Hom] = []
-        if total and cap:
-            ends_idx = self._ends_idx()
-            vs = self.target.vertices
-            ws = self.target.witnesses
-            done = False
-            for vpath in self._vertex_paths():
-                wit_options = []
-                for j in range(self.gadget.edge_count):
-                    opts = [w for w in _bits(self.wmasks[j])
-                            if {ends_idx[w][0], ends_idx[w][1]} == {vpath[j], vpath[j + 1]}]
-                    wit_options.append(opts)
-                vimgs = tuple(vs[i] for i in vpath)
-                for combo in itertools.product(*wit_options):
-                    homs.append(Hom(vimgs, tuple(ws[w] for w in combo)))
-                    if len(homs) >= cap:
-                        done = True
-                        break
-                if done:
-                    break
-        return ExplicitHomSet(self.gadget, self.target, tuple(homs)), total
+        homs = tuple(itertools.islice(self._homs(), cap)) if total else ()
+        return ExplicitHomSet(self.gadget, self.target, homs), total
 
     # -- restriction and membership ---------------------------------------
 
@@ -285,6 +297,21 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _arcs(wmask: int, right: int, ends_idx) -> list[tuple[int, int]]:
+    """Steps (a, b) across one edge: a witness in wmask joins a and b, and
+    b is in the right mask.  Listed in witness order."""
+    out = []
+    while wmask:
+        low = wmask & -wmask
+        wmask ^= low
+        a, b = ends_idx[low.bit_length() - 1]
+        if right >> b & 1:
+            out.append((a, b))
+        if right >> a & 1:
+            out.append((b, a))
+    return out
+
+
 @dataclass(frozen=True)
 class ExplicitHomSet:
     """A literal list of homomorphisms over one gadget and target."""
@@ -317,11 +344,21 @@ def all_homs(gadget: PathGadget, target: WitnessedGraph) -> HomProfile:
 def is_tiny(homs) -> TinyVerdict:
     """Some position's projection admits no odd walk; first such position wins.
 
-    Accepts a HomProfile or an ExplicitHomSet.
+    Accepts a HomProfile or an ExplicitHomSet.  The target is classified
+    once (parity_classes), and each distinct projection is tested once.
     """
     gadget, target = homs.gadget, homs.target
-    for u in gadget.vertices:
-        if phi_bound(target, homs.project(u)).no_odd_walk:
+    classes = parity_classes(target)
+    if isinstance(homs, HomProfile):
+        domains, decode = homs.vmasks, homs._vertex_ids
+    else:
+        domains, decode = [homs.project(u) for u in gadget.vertices], tuple
+    verdicts: dict = {}
+    for u, dom in zip(gadget.vertices, domains):
+        tiny = verdicts.get(dom)
+        if tiny is None:
+            tiny = verdicts[dom] = no_odd_walk_in(classes, decode(dom))
+        if tiny:
             return TinyVerdict(True, u)
     return TinyVerdict(False, None)
 
@@ -340,7 +377,11 @@ def is_small(s: ExplicitHomSet) -> bool:
 
 
 def is_large(p: HomProfile) -> LargeVerdict:
-    """True iff some member avoids the 2-colorable components entirely."""
+    """True iff some member avoids the 2-colorable components entirely.
+
+    The witness is the lexicographically least such member, the first one
+    the member generator yields; no count is taken.
+    """
     nb = nonbipartite_vertices(p.target)
     nbmask = 0
     for v in nb:
@@ -348,8 +389,12 @@ def is_large(p: HomProfile) -> LargeVerdict:
     restricted = p.restricted([m & nbmask for m in p.vmasks], list(p.wmasks))
     if restricted.is_empty:
         return LargeVerdict(False, None)
-    found, _ = restricted.enumerate_homs(1)
-    return LargeVerdict(True, found.homs[0])
+    # a for loop, not next(), so that no frame is added above the
+    # per-position recursion of _vertex_paths
+    for hom in restricted._homs():
+        break
+    validate_hom(p.gadget, p.target, hom)
+    return LargeVerdict(True, hom)
 
 
 def double(p: HomProfile, join_length: int) -> HomProfile:

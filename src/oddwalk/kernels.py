@@ -37,51 +37,63 @@ def path_propagate(vmasks, wmasks, wit_ends, n_vertices: int, n_witnesses: int):
     reach full arc consistency because the constraint graph is a path; the
     backward sweep also tightens each witness domain against both final
     endpoint domains.  The denoted homomorphism set never changes.
+
+    Each sweep step is a pure function of the masks it reads, so its result
+    is memoized for the rest of the call: a full profile, where nearly every
+    position has the same domains, decodes each distinct witness mask once.
     """
     vmasks = list(vmasks)
     wmasks = list(wmasks)
     edges = len(wmasks)
+    forward: dict = {}   # (left, wmask) -> (kept witnesses, allowed right)
     for i in range(edges):
-        left = vmasks[i]
-        allowed = 0
-        keep = 0
-        m = wmasks[i]
-        while m:
-            low = m & -m
-            m ^= low
-            a, b = wit_ends[low.bit_length() - 1]
-            hit = False
-            if left >> a & 1:
-                allowed |= 1 << b
-                hit = True
-            if left >> b & 1:
-                allowed |= 1 << a
-                hit = True
-            if hit:
-                keep |= low
-        wmasks[i] = keep
-        vmasks[i + 1] &= allowed
+        key = (vmasks[i], wmasks[i])
+        step = forward.get(key)
+        if step is None:
+            left, m = key
+            allowed = 0
+            keep = 0
+            while m:
+                low = m & -m
+                m ^= low
+                a, b = wit_ends[low.bit_length() - 1]
+                hit = False
+                if left >> a & 1:
+                    allowed |= 1 << b
+                    hit = True
+                if left >> b & 1:
+                    allowed |= 1 << a
+                    hit = True
+                if hit:
+                    keep |= low
+            step = forward[key] = (keep, allowed)
+        wmasks[i] = step[0]
+        vmasks[i + 1] &= step[1]
+    backward: dict = {}  # (left, right, wmask) -> (new left, kept witnesses)
     for i in range(edges - 1, -1, -1):
-        right = vmasks[i + 1]
-        allowed = 0
-        m = wmasks[i]
-        while m:
-            low = m & -m
-            m ^= low
-            a, b = wit_ends[low.bit_length() - 1]
-            if right >> a & 1:
-                allowed |= 1 << b
-            if right >> b & 1:
-                allowed |= 1 << a
-        vmasks[i] &= allowed
-        left = vmasks[i]
-        keep = 0
-        m = wmasks[i]
-        while m:
-            low = m & -m
-            m ^= low
-            a, b = wit_ends[low.bit_length() - 1]
-            if (left >> a & 1 and right >> b & 1) or (left >> b & 1 and right >> a & 1):
-                keep |= low
-        wmasks[i] = keep
+        key = (vmasks[i], vmasks[i + 1], wmasks[i])
+        step = backward.get(key)
+        if step is None:
+            left, right, wmask = key
+            allowed = 0
+            m = wmask
+            while m:
+                low = m & -m
+                m ^= low
+                a, b = wit_ends[low.bit_length() - 1]
+                if right >> a & 1:
+                    allowed |= 1 << b
+                if right >> b & 1:
+                    allowed |= 1 << a
+            left &= allowed
+            keep = 0
+            m = wmask
+            while m:
+                low = m & -m
+                m ^= low
+                a, b = wit_ends[low.bit_length() - 1]
+                if (left >> a & 1 and right >> b & 1) or (left >> b & 1 and right >> a & 1):
+                    keep |= low
+            step = backward[key] = (left, keep)
+        vmasks[i], wmasks[i] = step
     return vmasks, wmasks

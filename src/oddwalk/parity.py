@@ -106,12 +106,39 @@ def is_bipartite(g: WitnessedGraph) -> bool:
 
 def nonbipartite_vertices(g: WitnessedGraph) -> frozenset:
     """Union of all connected components containing an odd closed walk."""
-    out: set[str] = set()
-    for comp in g.components():
-        dist = parity_distances(g, [comp[0]])
-        if any((v, 0) in dist and (v, 1) in dist for v in comp):
-            out.update(comp)
-    return frozenset(out)
+    return frozenset(v for v, cls in parity_classes(g).items() if cls is None)
+
+
+def parity_classes(g: WitnessedGraph) -> dict:
+    """Every vertex's parity class, from one parity BFS per component.
+
+    A vertex on a component with an odd closed walk maps to None (the BFS
+    reaches it at both parities); any other vertex maps to (root, colour),
+    where root is the least vertex of its component and colour the parity
+    of its distance from root.
+    """
+    classes: dict = {}
+    for root in g.vertices:
+        if root in classes:
+            continue
+        dist = parity_distances(g, [root])
+        for v, p in dist:
+            classes[v] = None if (v, 1 - p) in dist else (root, p)
+    return classes
+
+
+def no_odd_walk_in(classes: dict, a) -> bool:
+    """phi_bound(g, a).no_odd_walk, read off g's parity_classes.
+
+    True iff no vertex of the set lies on a non-bipartite component and no
+    two vertices of one component have different colours.
+    """
+    colour_of: dict = {}
+    for v in a:
+        cls = classes[v]
+        if cls is None or colour_of.setdefault(cls[0], cls[1]) != cls[1]:
+            return False
+    return True
 
 
 def exact_reach(g: WitnessedGraph, end: str, length: int) -> list[set]:

@@ -6,6 +6,10 @@ BFS, integer matrix powers instead of path DP, a direct properness scan,
 and lookups of copy parents by gadget label instead of path layout
 slices.  Expected values in the tests come from these or from
 hand-checked literals, never from the code under test.
+
+Some are the straightforward forms of code the package now runs a faster
+way: the un-memoized two-sweep propagation, and tininess by one odd-walk
+BFS per gadget position.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import itertools
 
 from oddwalk.gadget import GadgetVertex, build_gadget
+from oddwalk.parity import phi_bound
 
 
 def adjacency(g) -> dict:
@@ -145,3 +150,50 @@ def restriction_images(big, small, hom, bit: int):
     vimgs = tuple(hom.vertex_images[i] for i in pos)
     wimgs = tuple(hom.witness_images[min(a, b)] for a, b in zip(pos, pos[1:]))
     return vimgs, wimgs
+
+
+def path_propagate_two_sweep(vmasks, wmasks, wit_ends):
+    """kernels.path_propagate without the step memo: every step of the
+    forward and the backward sweep decodes its witness mask afresh."""
+    vmasks = list(vmasks)
+    wmasks = list(wmasks)
+    for i in range(len(wmasks)):
+        left, allowed, keep = vmasks[i], 0, 0
+        for w in range(len(wit_ends)):
+            if wmasks[i] >> w & 1:
+                a, b = wit_ends[w]
+                if left >> a & 1:
+                    allowed |= 1 << b
+                if left >> b & 1:
+                    allowed |= 1 << a
+                if left >> a & 1 or left >> b & 1:
+                    keep |= 1 << w
+        wmasks[i] = keep
+        vmasks[i + 1] &= allowed
+    for i in range(len(wmasks) - 1, -1, -1):
+        right, allowed = vmasks[i + 1], 0
+        for w in range(len(wit_ends)):
+            if wmasks[i] >> w & 1:
+                a, b = wit_ends[w]
+                if right >> a & 1:
+                    allowed |= 1 << b
+                if right >> b & 1:
+                    allowed |= 1 << a
+        vmasks[i] &= allowed
+        left, keep = vmasks[i], 0
+        for w in range(len(wit_ends)):
+            if wmasks[i] >> w & 1:
+                a, b = wit_ends[w]
+                if (left >> a & 1 and right >> b & 1) or (left >> b & 1 and right >> a & 1):
+                    keep |= 1 << w
+        wmasks[i] = keep
+    return vmasks, wmasks
+
+
+def is_tiny_per_position(homs):
+    """homset.is_tiny by one phi_bound BFS per gadget position:
+    (tiny, first tiny gadget vertex or None)."""
+    for u in homs.gadget.vertices:
+        if phi_bound(homs.target, homs.project(u)).no_odd_walk:
+            return True, u
+    return False, None

@@ -5,6 +5,7 @@ import sys
 
 from oddwalk.generators import (complete_graph, cycle_graph, path_graph,
                                 petersen_graph)
+from oddwalk.graphs import WitnessedGraph
 from oddwalk.parity import phi_bound
 
 
@@ -209,3 +210,21 @@ def test_output_stable_across_hash_seeds(tmp_path):
         assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+    # a triangle with a doubled witness, joined to a square, beside a
+    # bipartite path: homset's memo and pair tables are dicts
+    mixed = write_graph(tmp_path, WitnessedGraph.make(
+        ["t0", "t1", "t2", "s0", "s1", "s2", "s3", "q0", "q1", "q2"],
+        [("t0", "t1"), ("t1", "t2"), ("t2", "t0"), ("t1", "t0"),
+         ("t2", "s0"), ("s0", "s1"), ("s1", "s2"), ("s2", "s3"), ("s3", "s0"),
+         ("q0", "q1"), ("q1", "q2"), ("q2", "q1")]), "mixed.json")
+    outs = []
+    for seed in ("0", "1"):
+        proc = run_cli("homset", "--c", "1,3", "--graph", mixed,
+                       "--enumerate", "5", "--project", "p0",
+                       "--project", "p0.0", "--project", "p0.11",
+                       env_extra={"PYTHONHASHSEED": seed})
+        assert proc.returncode == 0
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])["enumerated"]) == 5

@@ -109,3 +109,25 @@ def test_graph_equality_and_hash():
     a = WitnessedGraph.make(["u", "v"], [("u", "v")])
     b = WitnessedGraph.make(["v", "u"], [("v", "u")])
     assert a == b and hash(a) == hash(b)
+
+
+def test_unknown_vertex_messages():
+    g = WitnessedGraph.make(["u", "v", "x"], [("u", "v")])
+    cases = [
+        (lambda: g.neighbors("nope"), "unknown vertex ids: 'nope'"),
+        (lambda: g.degree("nope"), "unknown vertex ids: 'nope'"),
+        # both unknown ids, sorted, whichever argument they came in
+        (lambda: g.adjacent("zz", "aa"), "unknown vertex ids: 'aa', 'zz'"),
+        (lambda: g.adjacent("u", "nope"), "unknown vertex ids: 'nope'"),
+        (lambda: g.adjacent("nope", "nope"), "unknown vertex ids: 'nope'"),
+        (lambda: g.witnesses_between("zz", "aa"), "unknown vertex ids: 'aa', 'zz'"),
+        (lambda: g.witnesses_between("nope", "v"), "unknown vertex ids: 'nope'"),
+    ]
+    for call, message in cases:
+        with pytest.raises(UnknownVertex) as info:
+            call()
+        assert str(info.value) == message
+    # known but not adjacent is an answer, not an error
+    assert not g.adjacent("u", "x")
+    assert g.witnesses_between("x", "u") == ()
+    assert g.degree("x") == 0 and g.neighbors("x") == ()

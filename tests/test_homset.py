@@ -399,7 +399,13 @@ def test_profile_json_shape():
 
 def test_profile_agrees_with_enumeration_on_small_graphs():
     prefixes = [(), (1,), (1, 1), (1, 1, 1)]
-    for g in all_graphs_upto(3):
+    rng = random.Random(62)
+    # bipartite parts listed before the odd cycles, so the least member
+    # of the full profile is not a largeness witness
+    mixed = [disjoint_union(cycle_graph(4), complete_graph(3)),
+             disjoint_union(path_graph(2), cycle_graph(5))]
+    mixed += [mixed_multigraph(rng) for _ in range(6)]
+    for g in list(all_graphs_upto(3)) + mixed:
         for prefix in prefixes:
             gadget = build_gadget(prefix)
             p = all_homs(gadget, g)
@@ -416,3 +422,69 @@ def test_profile_agrees_with_enumeration_on_small_graphs():
             large_by_scan = any(all(v in nb for v in h.vertex_images)
                                 for h in explicit.homs)
             assert is_large(p).large == large_by_scan
+            # the witness is the least large member, as the first member
+            # the nb-restricted profile enumerates
+            witness = is_large(p).witness
+            if large_by_scan:
+                assert witness == min(h for h in explicit.homs
+                                      if all(v in nb for v in h.vertex_images))
+                nbmask = sum(1 << g.vertex_index(v) for v in nb)
+                restricted = p.restricted([m & nbmask for m in p.vmasks], p.wmasks)
+                assert witness == restricted.enumerate_homs(1)[0].homs[0]
+            else:
+                assert witness is None
+
+
+def mixed_multigraph(rng):
+    """Odd cycles, some joined by an edge to a random bipartite part,
+    isolated vertices and doubled witnesses."""
+    names, pairs = [], []
+    for part in range(rng.randint(1, 3)):
+        kind = rng.choice(("odd", "bip", "joined", "iso"))
+        if kind == "iso":
+            names.append(f"i{part}")
+            continue
+        cyc = [f"c{part}.{i}" for i in range(rng.choice((3, 5)))]
+        bip = [f"b{part}.{i}" for i in range(rng.randint(1, 4))]
+        if kind != "bip":
+            names += cyc
+            pairs += [(cyc[i], cyc[i - 1]) for i in range(len(cyc))]
+        if kind != "odd":
+            names += bip
+            pairs += [(u, v) for i, u in enumerate(bip) for v in bip[i + 1:]
+                      if i % 2 != bip.index(v) % 2 and rng.random() < 0.7]
+        if kind == "joined":
+            pairs.append((cyc[0], bip[0]))
+    pairs += [rng.choice(pairs) for _ in range(rng.randint(0, 2)) if pairs]
+    return WitnessedGraph.make(names, pairs)
+
+
+def test_is_tiny_matches_per_position_oracle():
+    rng = random.Random(61)
+    for _ in range(80):
+        g = mixed_multigraph(rng)
+        gadget = build_gadget(rng.choice(((), (1,), (1, 3), (3, 1))))
+        full = all_homs(gadget, g)
+        n = len(g.vertices)
+        narrowed = full.restricted(
+            [m & rng.choice((rng.randrange(1 << n), (1 << n) - 1))
+             for m in full.vmasks], full.wmasks)
+        # one position held to one vertex: one colour class per bipartite
+        # component at every position
+        at, v = rng.randrange(gadget.vertex_count), rng.randrange(n)
+        held = full.restricted([m & (1 << v) if i == at else m
+                                for i, m in enumerate(full.vmasks)], full.wmasks)
+        cases = [full, narrowed, held]
+        if full.count():
+            first = full.enumerate_homs(1)[0].homs[0]
+            cases.append(pin(full, first))
+        if full.count() <= 400:
+            explicit = bruteforce.explicit_homset(gadget, g)
+            k = rng.randint(0, len(explicit))
+            cases += [explicit,
+                      ExplicitHomSet(gadget, g, tuple(rng.sample(explicit.homs, k))),
+                      ExplicitHomSet(gadget, g, tuple(
+                          h for h in explicit.homs if h.vertex_images[at] == g.vertices[v]))]
+        for homs in cases:
+            got = is_tiny(homs)
+            assert (got.tiny, got.vertex) == oracles.is_tiny_per_position(homs)

@@ -112,3 +112,27 @@ def test_profile_counts_match_under_forced_pure_kernel():
         assert backend == "pure"
         assert int(count) == all_homs(gadget, g).count()
         assert int(count) == oracles.walk_count(g, gadget.edge_count)
+
+
+def test_memoized_steps_match_two_sweep_oracle():
+    # repeated domains are what the step memo keys on: uniform profiles,
+    # profiles with a few pinned positions, and profiles narrowed at random
+    # from a small pool of masks, so that steps repeat and also differ
+    rng = random.Random(54)
+    for trial in range(300):
+        n, w = rng.randint(2, 9), rng.randint(1, 14)
+        length = rng.randint(1, 30)
+        _, _, wit_ends = random_instance(rng, n, w, 1)
+        allv, allw = (1 << n) - 1, (1 << w) - 1
+        vmasks, wmasks = [allv] * length, [allw] * (length - 1)
+        if trial % 3 == 1:
+            for i in rng.sample(range(length), rng.randint(1, min(3, length))):
+                vmasks[i] = 1 << rng.randrange(n)
+        elif trial % 3 == 2:
+            vpool = [rng.randrange(1, 1 << n) for _ in range(3)] + [allv]
+            wpool = [rng.randrange(1, 1 << w) for _ in range(3)] + [allw]
+            vmasks = [rng.choice(vpool) for _ in range(length)]
+            wmasks = [rng.choice(wpool) for _ in range(length - 1)]
+        got = kernels.path_propagate(vmasks, wmasks, wit_ends, n, w)
+        want = oracles.path_propagate_two_sweep(vmasks, wmasks, wit_ends)
+        assert (list(got[0]), list(got[1])) == want

@@ -5,10 +5,12 @@ import pytest
 import oracles
 from oddwalk.errors import ParseError, UnknownVertex
 from oddwalk.generators import (complete_graph, cycle_graph, disjoint_union,
-                                path_graph, random_graph, single_edge)
+                                path_graph, random_bipartite_graph,
+                                random_graph, single_edge)
 from oddwalk.graphs import Coloring, Walk, WitnessedGraph
 from oddwalk.parity import (bipartite_certificate, exact_walk, is_bipartite,
-                            min_odd_closed_walk, nonbipartite_vertices,
+                            min_odd_closed_walk, no_odd_walk_in,
+                            nonbipartite_vertices, parity_classes,
                             parity_distances, phi_bound, phi_holds,
                             vertex_odd_girth)
 
@@ -144,3 +146,22 @@ def test_parity_distances_sources():
     assert dist[("p1", 1)] == 1
     assert dist[("p2", 0)] == 2
     assert ("p0", 1) not in dist  # bipartite: no odd walk back to the source
+
+
+def test_parity_classes_decide_phi_on_random_subsets():
+    rng = random.Random(14)
+    for trial in range(60):
+        parts = [random_graph(rng, rng.randint(1, 6), 0.4, multi=0.3),
+                 random_bipartite_graph(rng, rng.randint(1, 6), 0.5)]
+        g = disjoint_union(*parts)
+        if trial % 2:
+            g = disjoint_union(g, cycle_graph(rng.choice((3, 5))), ("", "c:"))
+        classes = parity_classes(g)
+        assert sorted(classes) == list(g.vertices)
+        assert nonbipartite_vertices(g) == frozenset(
+            v for v in g.vertices if phi_bound(g, [v]).min_odd_length is not None)
+        subsets = [(), tuple(g.vertices)]
+        subsets += [rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
+                    for _ in range(20)]
+        for a in subsets:
+            assert no_odd_walk_in(classes, a) == phi_bound(g, a).no_odd_walk
