@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidIndex, OutOfTruncation, ParseError
-from .gadget import GadgetVertex, build_gadget, vertex_position
+from .gadget import GadgetVertex, build_gadget, level_labels, vertex_position
 from .graphs import Coloring, WitnessedGraph, vertex_pair
 from .homset import Hom, all_homs, double, extend_witness, pin, validate_hom
 from .limitgraph import level_quotient
-from .parity import bipartite_certificate, nonbipartite_vertices
+from .parity import nonbipartite_vertices, parity_classes
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class Tower:
     def to_json_dict(self) -> dict:
         return {
             "c": list(self.prefix),
-            "levels": [hom.to_json_dict(build_gadget(self.prefix[:n]))
-                       for n, hom in enumerate(self.levels)],
+            "levels": [hom.labelled_json_dict(labels) for hom, labels
+                       in zip(self.levels, level_labels(self.prefix))],
             "schedule": list(self.schedule_values),
         }
 
@@ -75,25 +75,27 @@ def parse_schedule(text: str):
 def decide(g: WitnessedGraph, depth: int, schedule=None):
     """Proper 2-coloring if g is bipartite, else a Tower of the given depth.
 
-    Exactly one branch occurs.  Returns a Coloring or a Tower.
+    Exactly one branch occurs.  Returns a Coloring or a Tower.  The target
+    is classified once: a bipartite target is coloured by the parity of
+    each vertex's distance from the least vertex of its component, and
+    otherwise the root is the least vertex on an odd closed walk.
     """
-    if not isinstance(depth, int) or depth < 0:
+    if not _is_natural(depth):
         raise ParseError(f"depth must be a natural number, got {depth!r}")
     if schedule is None:
         schedule = unbounded_schedule_default()
-    cert = bipartite_certificate(g)
-    if isinstance(cert, Coloring):
-        return cert
-    root_value = min(nonbipartite_vertices(g))
-    gadget0 = build_gadget(())
-    phi = Hom((root_value,), ())
-    profile = pin(all_homs(gadget0, g), phi)
+    classes = parity_classes(g)
+    odd = [v for v in g.vertices if classes[v] is None]
+    if not odd:
+        return Coloring({v: classes[v][1] for v in g.vertices})
+    phi = Hom((odd[0],), ())
+    profile = pin(all_homs(build_gadget(()), g), phi)
     prefix: list[int] = []
     levels = [phi]
     bounds: list[int] = []
     for n in range(depth):
         bound = schedule(n)
-        if not isinstance(bound, int) or bound < 0:
+        if not _is_natural(bound):
             raise ParseError(f"schedule({n}) must be a natural number, got {bound!r}")
         d, phi = extend_witness(profile, bound)
         profile = pin(double(profile, d), phi)
@@ -101,6 +103,10 @@ def decide(g: WitnessedGraph, depth: int, schedule=None):
         bounds.append(bound)
         levels.append(phi)
     return Tower(tuple(prefix), tuple(levels), tuple(bounds))
+
+
+def _is_natural(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def evaluate(t: Tower, m: int, k: int, tbits) -> str:

@@ -13,8 +13,10 @@ the rest mirrored.  So vertex (k, t) born at level m = n - len(t) starts
 at V(m-1) + k (at 0 when m = 0), and each copy bit b appended at level L
 keeps the position when b = 0 and maps it to V(L+1) - 1 - pos when b = 1.
 vertex_position and vertex_at evaluate this in O(level) without building
-the gadget; build_gadget materializes the whole path for callers that list
-every vertex, and serves as the oracle the closed forms are checked against.
+the gadget, and level_labels lists every level's labels by the same
+doubling; build_gadget materializes the whole path for callers that need
+vertex objects, and serves as the oracle the closed forms are checked
+against.
 """
 
 from __future__ import annotations
@@ -137,6 +139,23 @@ def _build(prefix: tuple[int, ...]) -> PathGadget:
 def build_gadget(prefix) -> PathGadget:
     """Build the gadget for the given parameter prefix."""
     return _build(check_prefix(prefix))
+
+
+def level_labels(prefix):
+    """Yield the vertex labels of the gadget at each level 0..n, in path
+    order, without building a gadget.
+
+    Level n+1 is copy 0's labels with bit 0 appended, the join vertices
+    p0..pc, then copy 1's labels reversed with bit 1 appended; the first
+    copy bit of a label follows a '.'.
+    """
+    labels = ["p0"]
+    yield labels
+    for c in check_prefix(prefix):
+        base = [lab if "." in lab else lab + "." for lab in labels]
+        labels = ([lab + "0" for lab in base] + [f"p{k}" for k in range(c + 1)]
+                  + [lab + "1" for lab in reversed(base)])
+        yield labels
 
 
 def _sizes(prefix: tuple[int, ...]) -> list[int]:

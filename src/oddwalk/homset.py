@@ -36,11 +36,14 @@ class Hom:
         return self.vertex_images[gadget.require_vertex(v)]
 
     def to_json_dict(self, gadget: PathGadget) -> dict:
+        return self.labelled_json_dict([v.label for v in gadget.vertices])
+
+    def labelled_json_dict(self, labels) -> dict:
+        """to_json_dict from the gadget's vertex labels in path order."""
         return {
-            "vertexAssignments": {gadget.vertices[i].label: img
-                                  for i, img in enumerate(self.vertex_images)},
-            "witnessAssignments": {edge_label(gadget, j): wid
-                                   for j, wid in enumerate(self.witness_images)},
+            "vertexAssignments": dict(zip(labels, self.vertex_images)),
+            "witnessAssignments": {f"{a}--{b}": wid for a, b, wid
+                                   in zip(labels, labels[1:], self.witness_images)},
         }
 
 
@@ -342,24 +345,19 @@ def all_homs(gadget: PathGadget, target: WitnessedGraph) -> HomProfile:
 
 
 def is_tiny(homs) -> TinyVerdict:
-    """Some position's projection admits no odd walk; first such position wins.
+    """Some position's projection admits no odd walk; position 0 is tested.
 
-    Accepts a HomProfile or an ExplicitHomSet.  The target is classified
-    once (parity_classes), and each distinct projection is tested once.
+    Accepts a HomProfile or an ExplicitHomSet.  One position decides every
+    other: along the path each step sends every image to a neighbour, in
+    the same component and, on a bipartite component, in the other colour
+    class.  So the projection at position i lies in the bipartite
+    components, one colour class per component, exactly when the
+    projection at position 0 does (an empty set is tiny everywhere).  The
+    verdict names position 0 or no vertex.
     """
-    gadget, target = homs.gadget, homs.target
-    classes = parity_classes(target)
-    if isinstance(homs, HomProfile):
-        domains, decode = homs.vmasks, homs._vertex_ids
-    else:
-        domains, decode = [homs.project(u) for u in gadget.vertices], tuple
-    verdicts: dict = {}
-    for u, dom in zip(gadget.vertices, domains):
-        tiny = verdicts.get(dom)
-        if tiny is None:
-            tiny = verdicts[dom] = no_odd_walk_in(classes, decode(dom))
-        if tiny:
-            return TinyVerdict(True, u)
+    root = homs.gadget.vertices[0]
+    if no_odd_walk_in(parity_classes(homs.target), homs.project(root)):
+        return TinyVerdict(True, root)
     return TinyVerdict(False, None)
 
 
@@ -380,18 +378,21 @@ def is_large(p: HomProfile) -> LargeVerdict:
     """True iff some member avoids the 2-colorable components entirely.
 
     The witness is the lexicographically least such member, the first one
-    the member generator yields; no count is taken.
+    the member generator yields; no count is taken.  When every vertex
+    domain already avoids the 2-colorable components (a pinned tower
+    level, say), the profile is its own restriction and is not swept again.
     """
     nb = nonbipartite_vertices(p.target)
     nbmask = 0
     for v in nb:
         nbmask |= 1 << p.target.vertex_index(v)
-    restricted = p.restricted([m & nbmask for m in p.vmasks], list(p.wmasks))
-    if restricted.is_empty:
+    if any(m & ~nbmask for m in p.vmasks):
+        p = p.restricted([m & nbmask for m in p.vmasks], list(p.wmasks))
+    if p.is_empty:
         return LargeVerdict(False, None)
     # a for loop, not next(), so that no frame is added above the
     # per-position recursion of _vertex_paths
-    for hom in restricted._homs():
+    for hom in p._homs():
         break
     validate_hom(p.gadget, p.target, hom)
     return LargeVerdict(True, hom)
@@ -415,12 +416,17 @@ def double(p: HomProfile, join_length: int) -> HomProfile:
 
 
 def pin(p: HomProfile, hom: Hom) -> HomProfile:
-    """The singleton profile denoting exactly {hom}."""
+    """The singleton profile denoting exactly {hom}.
+
+    A member is a valid homomorphism, so each witness singleton joins its
+    two endpoint singletons: the singleton masks are already arc-consistent
+    and are not swept again.
+    """
     if not p.member(hom):
         raise NotMember("homomorphism is not in the profile's denotation")
     vmasks = [1 << p.target.vertex_index(img) for img in hom.vertex_images]
     wmasks = [1 << p.target.witness_index(wid) for wid in hom.witness_images]
-    return p.restricted(vmasks, wmasks)
+    return HomProfile(p.gadget, p.target, vmasks, wmasks, normalized=True)
 
 
 def glue_hom(p: HomProfile, phi0: Hom, join_length: int, walk: Walk) -> Hom:
@@ -466,7 +472,10 @@ def extend_witness(p: HomProfile, n_bound: int) -> tuple[int, Hom]:
     if walk is None:
         raise OddwalkError("no closed walk of the scheduled length")
     hom = glue_hom(p, phi0, d, walk)
-    if not double(p, d).member(hom):
+    # double(p, d) denotes the members whose copy restrictions lie in p;
+    # checking that definition here leaves building it to the caller
+    big = build_gadget(p.gadget.prefix + (d,))
+    if not all(p.member(copy_restriction(big, p.gadget, hom, bit)) for bit in (0, 1)):
         raise OddwalkError("glued homomorphism fell outside the doubled profile")
     return d, hom
 

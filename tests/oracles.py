@@ -8,16 +8,21 @@ slices.  Expected values in the tests come from these or from
 hand-checked literals, never from the code under test.
 
 Some are the straightforward forms of code the package now runs a faster
-way: the un-memoized two-sweep propagation, and tininess by one odd-walk
-BFS per gadget position.
+way: the un-memoized two-sweep propagation, tininess by one odd-walk BFS
+per gadget position, and the tower driver as a composition of profile
+operations with its JSON labels read off built gadgets.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from oddwalk.dichotomy import Tower, unbounded_schedule_default
 from oddwalk.gadget import GadgetVertex, build_gadget
-from oddwalk.parity import phi_bound
+from oddwalk.graphs import Coloring
+from oddwalk.homset import (Hom, all_homs, double, edge_label, extend_witness,
+                            pin)
+from oddwalk.parity import bipartite_certificate, nonbipartite_vertices, phi_bound
 
 
 def adjacency(g) -> dict:
@@ -197,3 +202,40 @@ def is_tiny_per_position(homs):
         if phi_bound(homs.target, homs.project(u)).no_odd_walk:
             return True, u
     return False, None
+
+
+def decide_via_profiles(g, depth: int, schedule=None):
+    """dichotomy.decide as the composition it replaces: bipartite_certificate
+    for the branch, then per level extend_witness and pin(double(...))."""
+    if schedule is None:
+        schedule = unbounded_schedule_default()
+    cert = bipartite_certificate(g)
+    if isinstance(cert, Coloring):
+        return cert
+    root_value = min(nonbipartite_vertices(g))
+    phi = Hom((root_value,), ())
+    profile = pin(all_homs(build_gadget(()), g), phi)
+    prefix, levels, bounds = [], [phi], []
+    for n in range(depth):
+        bound = schedule(n)
+        d, phi = extend_witness(profile, bound)
+        profile = pin(double(profile, d), phi)
+        prefix.append(d)
+        bounds.append(bound)
+        levels.append(phi)
+    return Tower(tuple(prefix), tuple(levels), tuple(bounds))
+
+
+def tower_json_via_gadgets(t) -> dict:
+    """Tower.to_json_dict with each level's labels read off build_gadget."""
+    levels = []
+    for n, hom in enumerate(t.levels):
+        gadget = build_gadget(t.prefix[:n])
+        levels.append({
+            "vertexAssignments": {gadget.vertices[i].label: img
+                                  for i, img in enumerate(hom.vertex_images)},
+            "witnessAssignments": {edge_label(gadget, j): wid
+                                   for j, wid in enumerate(hom.witness_images)},
+        })
+    return {"c": list(t.prefix), "levels": levels,
+            "schedule": list(t.schedule_values)}

@@ -203,6 +203,22 @@ def test_output_stable_across_hash_seeds(tmp_path):
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
 
+    # bipartite: the coloring comes from the parity classes, a dict
+    bip = write_graph(tmp_path, WitnessedGraph.make(
+        ["x3", "x1", "y2", "x0", "y0", "z1", "y1", "z0", "x2"],
+        [("x3", "x0"), ("x0", "x1"), ("x1", "x2"), ("x2", "x3"), ("x1", "x2"),
+         ("y2", "y0"), ("y0", "y1"), ("z0", "z1")]), "bip.json")
+    outs = []
+    for seed in ("0", "1"):
+        proc = run_cli("dichotomy", "--graph", bip, "--depth", "3",
+                       env_extra={"PYTHONHASHSEED": seed})
+        assert proc.returncode == 0
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["coloring"] == {
+        "x0": 0, "x1": 1, "x2": 0, "x3": 1,
+        "y0": 0, "y1": 1, "y2": 1, "z0": 0, "z1": 1}
+
     outs = []
     for seed in ("0", "1"):
         proc = run_cli("check", "--only", "graph-core", "--seed", "7",

@@ -1,15 +1,22 @@
+import contextlib
 import dataclasses
+import io
+import itertools
+import json
 import random
 
 import pytest
 
+import oracles
+from oddwalk import cli
 from oddwalk.dichotomy import (Tower, decide, evaluate, parse_schedule,
                                unbounded_schedule_default, verify_tower)
 from oddwalk.errors import InvalidIndex, OutOfTruncation, ParseError
 from oddwalk.gadget import build_gadget
 from oddwalk.generators import (all_graphs_upto, complete_graph, cycle_graph,
-                                disjoint_union, random_graph)
-from oddwalk.graphs import Coloring
+                                disjoint_union, path_graph, random_bipartite_graph,
+                                random_graph)
+from oddwalk.graphs import Coloring, WitnessedGraph
 from oddwalk.homset import Hom
 from oddwalk.parity import is_bipartite, nonbipartite_vertices
 
@@ -95,6 +102,16 @@ def test_decide_argument_validation():
         decide(g, 1, schedule=lambda n: -2)
     with pytest.raises(ParseError):
         decide(g, 1, schedule=lambda n: "1")
+    # bools are ints to Python, but neither a depth nor a schedule value
+    for depth in (True, False):
+        with pytest.raises(ParseError, match="depth must be a natural number"):
+            decide(g, depth)
+        with pytest.raises(ParseError, match="depth must be a natural number"):
+            decide(cycle_graph(4), depth)
+    with pytest.raises(ParseError, match=r"schedule\(0\) must be a natural number"):
+        decide(g, 2, schedule=lambda n: True)
+    with pytest.raises(ParseError, match=r"schedule\(1\) must be a natural number"):
+        decide(g, 2, schedule=lambda n: 1 if n == 0 else False)
 
 
 def test_branch_matches_bipartiteness():
@@ -202,3 +219,71 @@ def test_tower_json_shape():
     assert d["schedule"] == [1]
     assert d["levels"][0]["vertexAssignments"] == {"p0": "k0"}
     assert set(d["levels"][1]["vertexAssignments"]) == {"p0.0", "p0", "p1", "p0.1"}
+
+
+def _odd_multigraph(rng):
+    """An odd cycle with chords, some witnesses doubled or tripled."""
+    n = rng.choice((3, 5, 7))
+    names = [f"m{i}" for i in range(n)]
+    pairs = [(names[i], names[i - 1]) for i in range(n)]
+    pairs += [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, 2))]
+    pairs += [rng.choice(pairs) for _ in range(rng.randint(1, 4))]
+    return WitnessedGraph.make(names, pairs)
+
+
+def _decide_corpus(rng):
+    graphs = []
+    for i in range(16):
+        graphs.append(rng.choice((
+            random_bipartite_graph(rng, rng.randint(1, 10), 0.4),
+            cycle_graph(2 * rng.randint(1, 6)),
+            path_graph(rng.randint(1, 6)))))
+        graphs.append(cycle_graph(2 * (i % 6) + 3))
+        graphs.append(rng.choice((_odd_multigraph(rng),
+                                  random_graph(rng, rng.randint(3, 8), 0.5, multi=0.5))))
+        odd = rng.choice((cycle_graph(rng.choice((3, 5, 7))), _odd_multigraph(rng)))
+        bip = random_bipartite_graph(rng, rng.randint(1, 8), 0.5, tag="u")
+        # the bipartite part sorts first half of the time, so the root is
+        # not the least vertex
+        graphs.append(disjoint_union(bip, odd) if i % 2 else disjoint_union(odd, bip))
+    return graphs
+
+
+def test_decide_matches_profile_composition(tmp_path):
+    rng = random.Random(83)
+    graphs = _decide_corpus(rng)
+    assert len(graphs) >= 60
+    for i, g in enumerate(graphs):
+        depth = rng.randint(0, 6)
+        spec = "default"
+        if depth and rng.random() < 0.5:
+            spec = ",".join(str(rng.randint(0, 7)) for _ in range(depth))
+        want = oracles.decide_via_profiles(g, depth, parse_schedule(spec))
+        got = decide(g, depth, parse_schedule(spec))
+        assert got == want
+        if isinstance(want, Coloring):
+            body = {"formatVersion": 1, "coloring": want.to_json_dict()}
+        else:
+            assert verify_tower(want, g).ok
+            body = {"formatVersion": 1, "tower": oracles.tower_json_via_gadgets(want),
+                    "verified": True}
+        path = tmp_path / f"g{i}.json"
+        path.write_text(json.dumps(g.to_json_dict()))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["dichotomy", "--graph", str(path), "--depth", str(depth),
+                             "--schedule", spec])
+        assert code == 0
+        assert out.getvalue() == json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+def test_tower_labels_by_recurrence_match_gadgets():
+    for level in range(6):
+        for prefix in itertools.product((1, 3, 5), repeat=level):
+            sizes = [build_gadget(prefix[:n]).vertex_count for n in range(level + 1)]
+            # images name their position, so a label at the wrong place shows
+            levels = tuple(Hom(tuple(f"v{i}" for i in range(size)),
+                               tuple(f"w{j}" for j in range(size - 1)))
+                           for size in sizes)
+            t = Tower(prefix, levels, prefix)
+            assert t.to_json_dict() == oracles.tower_json_via_gadgets(t)

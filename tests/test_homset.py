@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from oddwalk import bruteforce
+from oddwalk import bruteforce, kernels
 from oddwalk.dichotomy import decide
 from oddwalk.errors import (NotHomomorphism, NotLarge, NotMember, OddwalkError,
                             ParseError, PrefixMismatch)
@@ -488,3 +488,57 @@ def test_is_tiny_matches_per_position_oracle():
         for homs in cases:
             got = is_tiny(homs)
             assert (got.tiny, got.vertex) == oracles.is_tiny_per_position(homs)
+
+
+def test_pin_masks_are_arc_consistent():
+    # pin builds its singleton profile without a sweep: a sweep must leave
+    # the masks as they are
+    rng = random.Random(84)
+    cases = []
+    for _ in range(40):
+        g = mixed_multigraph(rng)
+        full = all_homs(build_gadget(rng.choice(((), (1,), (1, 3), (3, 1), (1, 1, 3)))), g)
+        homs = full.enumerate_homs(50)[0].homs
+        cases += [(full, hom) for hom in rng.sample(homs, min(3, len(homs)))]
+    for g in (cycle_graph(5), complete_graph(4), disjoint_union(path_graph(3), cycle_graph(7))):
+        t = decide(g, 4)
+        cases += [(all_homs(build_gadget(t.prefix[:n]), g), hom)
+                  for n, hom in enumerate(t.levels)]
+    for p, hom in cases:
+        g = p.target
+        pinned = pin(p, hom)
+        swept = kernels.path_propagate(pinned.vmasks, pinned.wmasks, pinned._ends_idx(),
+                                       len(g.vertices), len(g.witnesses))
+        assert swept == (list(pinned.vmasks), list(pinned.wmasks))
+        assert pinned.enumerate_homs(2) == (ExplicitHomSet(p.gadget, g, (hom,)), 1)
+
+
+def test_is_large_skip_path_matches_restricted_witness(monkeypatch):
+    rng = random.Random(85)
+    skipped = 0
+    for _ in range(60):
+        g = mixed_multigraph(rng)
+        full = all_homs(build_gadget(rng.choice(((), (1,), (1, 3), (3, 1)))), g)
+        nbmask = sum(1 << g.vertex_index(v) for v in nonbipartite_vertices(g))
+        inside = full.restricted([m & nbmask for m in full.vmasks], full.wmasks)
+        narrowed = inside.restricted(
+            [m & rng.randrange(1 << len(g.vertices)) for m in inside.vmasks],
+            inside.wmasks)
+        cases = [full, inside, narrowed]
+        homs = inside.enumerate_homs(20)[0].homs
+        cases += [pin(inside, hom) for hom in rng.sample(homs, min(2, len(homs)))]
+        for p in cases:
+            restricted = p.restricted([m & nbmask for m in p.vmasks], p.wmasks)
+            want = restricted.enumerate_homs(1)[0].homs
+            calls = []
+            monkeypatch.setattr(kernels, "path_propagate",
+                                lambda *a, f=kernels.path_propagate: calls.append(1) or f(*a))
+            got = is_large(p)
+            monkeypatch.undo()
+            assert (got.large, got.witness) == (bool(want), want[0] if want else None)
+            if all(m & ~nbmask == 0 for m in p.vmasks):
+                # every domain already avoids the 2-colorable components:
+                # no restriction is swept
+                assert calls == []
+                skipped += 1
+    assert skipped >= 100
