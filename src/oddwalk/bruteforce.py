@@ -4,8 +4,9 @@ Everything here recomputes quantities of the main modules by a different
 method (set iteration instead of double-cover BFS, backtracking instead of
 profile propagation, matrix powers instead of path DP, subset search instead
 of the component characterization, level-by-level gadget construction
-instead of symbolic adjacency).  The check harness and the test suite use
-these as oracles; production code never calls them.
+instead of symbolic adjacency, exhaustive search instead of the equivalence
+planner).  The check harness and the test suite use these as oracles;
+production code never calls them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from .equiv import path_walk_exists
 from .gadget import PathGadget, build_gadget
 from .graphs import WitnessedGraph
 from .homset import ExplicitHomSet, Hom
@@ -51,22 +53,6 @@ def count_walks_matrix(g: WitnessedGraph, length: int) -> int:
     for _ in range(length):
         vec = [sum(mat[i][j] * vec[j] for j in range(n)) for i in range(n)]
     return sum(vec)
-
-
-def closed_walk_count_at(g: WitnessedGraph, v: str, length: int) -> int:
-    """Closed walks of the given length at v, counting witness choices."""
-    n = len(g.vertices)
-    index = {u: i for i, u in enumerate(g.vertices)}
-    mat = [[0] * n for _ in range(n)]
-    for w in g.witnesses:
-        a, b = g.ends[w]
-        mat[index[a]][index[b]] += 1
-        mat[index[b]][index[a]] += 1
-    vec = [0] * n
-    vec[index[v]] = 1
-    for _ in range(length):
-        vec = [sum(mat[i][j] * vec[j] for j in range(n)) for i in range(n)]
-    return vec[index[v]]
 
 
 def enumerate_homs_backtracking(gadget: PathGadget, target: WitnessedGraph,
@@ -163,3 +149,56 @@ def same_component_wide_scan(a: LcVertex, b: LcVertex) -> bool:
         if a.x.shift(j + delta) == b.x.shift(j):
             return True
     return False
+
+
+def search_hom(h: PathGadget, g: PathGadget, constraints: dict | None = None):
+    """Lexicographically least homomorphism between path gadgets extending
+    the partial vertex map, or None if none exists.
+
+    Exhaustive depth-first search ordered by target position, pruned by the
+    distance/parity feasibility of every pinned later position, with an
+    explicit stack of per-position choice iterators.
+    """
+    constraints = dict(constraints or {})
+    pinned: dict[int, int] = {}
+    for src, img in constraints.items():
+        pinned[h.require_vertex(src)] = g.require_vertex(img)
+    t = h.vertex_count
+    order = sorted(pinned)
+
+    def feasible(pos: int, at: int) -> bool:
+        for j in order:
+            if j >= pos:
+                if not path_walk_exists(abs(at - pinned[j]), j - pos):
+                    return False
+        return True
+
+    assignment: list[int] = []
+
+    def choices(pos: int):
+        prev = assignment[-1] if pos else None
+        if pos in pinned:
+            options = (pinned[pos],)
+        elif prev is None:
+            options = range(g.vertex_count)
+        else:
+            options = (prev - 1, prev + 1)
+        return (q for q in options
+                if (prev is None or abs(q - prev) == 1)
+                and 0 <= q < g.vertex_count and feasible(pos, q))
+
+    # stack[i] yields the remaining choices for position i, so the search
+    # depth is bounded by memory, not by the interpreter's recursion limit
+    stack = [choices(0)]
+    while stack:
+        q = next(stack[-1], None)
+        if q is None:
+            stack.pop()
+            if assignment:
+                assignment.pop()
+            continue
+        assignment.append(q)
+        if len(assignment) == t:
+            return tuple(g.vertices[q] for q in assignment)
+        stack.append(choices(len(assignment)))
+    return None

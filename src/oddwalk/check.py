@@ -20,7 +20,7 @@ from .coloring import (bipartite_superset_coloring, check_homomorphism,
 from .dichotomy import (Tower, decide, evaluate, parse_schedule,
                         unbounded_schedule_default, verify_tower)
 from .equiv import (EquivalenceTower, path_exact_walk, path_walk_exists,
-                    plan_equivalence, search_hom, verify_equivalence)
+                    plan_equivalence, verify_equivalence)
 from .errors import (CoverIncomplete, GapInsufficient, InvalidIndex,
                      NonOddPrefix, NotHomomorphism, NotMember,
                      OutOfTruncation, ParseError, PieceNotTiny)
@@ -572,8 +572,9 @@ def _suite_equiv(rng: random.Random, oracle: bool) -> SuiteResult:
     last = hsrc.vertex_count - 1
     for p0 in range(htgt.vertex_count):
         for p1 in range(htgt.vertex_count):
-            res = search_hom(hsrc, htgt, {hsrc.vertices[0]: htgt.vertices[p0],
-                                          hsrc.vertices[last]: htgt.vertices[p1]})
+            res = bruteforce.search_hom(
+                hsrc, htgt, {hsrc.vertices[0]: htgt.vertices[p0],
+                             hsrc.vertices[last]: htgt.vertices[p1]})
             want = path_walk_exists(abs(p0 - p1), last)
             s.check((res is not None) == want,
                     f"pinned search existence off at ({p0}, {p1})")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import CoverIncomplete, NotHomomorphism, PhiFails, PieceNotTiny
 from .graphs import Coloring, WitnessedGraph
-from .parity import phi_bound, two_color_components
+from .parity import no_odd_walk_in, parity_classes, phi_bound
 
 
 def invariant_closure(g: WitnessedGraph, a) -> tuple[str, ...]:
@@ -29,16 +29,20 @@ def bipartite_superset_coloring(g: WitnessedGraph, a) -> tuple[tuple[str, ...], 
 
     If some member of the set sat in a non-bipartite component it would have
     an odd closed walk through it, so odd-walk-freeness makes every touched
-    component bipartite and the parity coloring proper.
+    component bipartite and the parity coloring proper.  Both come from
+    parity_classes: the closure is every vertex whose class shares a
+    member's root, coloured by its class parity.
     """
-    verdict = phi_bound(g, a)
-    if not verdict.no_odd_walk:
+    aset = sorted(set(a))
+    g.require_vertices(aset)
+    classes = parity_classes(g)
+    if not no_odd_walk_in(classes, aset):
         raise PhiFails(
-            f"set admits an odd walk of length {verdict.min_odd_length}")
-    aset = set(a)
-    comps = [comp for comp in g.components() if aset.intersection(comp)]
-    closure = tuple(sorted(v for comp in comps for v in comp))
-    return closure, two_color_components(g, comps)
+            f"set admits an odd walk of length {phi_bound(g, aset).min_odd_length}")
+    roots = {classes[v][0] for v in aset}
+    closure = tuple(sorted(v for v, cls in classes.items()
+                           if cls is not None and cls[0] in roots))
+    return closure, Coloring({v: classes[v][1] for v in closure})
 
 
 def two_color_from_cover(g: WitnessedGraph, pieces) -> Coloring:

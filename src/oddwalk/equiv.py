@@ -16,8 +16,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import GapInsufficient, NonOddPrefix, ParseError, UnknownVertex
-from .gadget import (GadgetVertex, PathGadget, build_gadget, check_prefix,
-                     gadget_size, position_finder, vertex_at)
+from .gadget import (GadgetVertex, check_prefix, gadget_size, level_labels,
+                     position_finder, vertex_at)
 
 
 def _odd_prefix(prefix) -> tuple[int, ...]:
@@ -79,10 +79,9 @@ class EquivalenceTower:
             "suffixes": [["".join(map(str, s)) for s in pair]
                          for pair in self.suffixes],
             "joinWalks": [list(w) for w in self.join_walks],
-            "maps": [{src.label: img.label
-                      for src, img in zip(build_gadget(self.source_prefix[:n]).vertices,
-                                          images)}
-                     for n, images in enumerate(self.maps)],
+            "maps": [{src: img.label for src, img in zip(labels, images)}
+                     for labels, images in zip(
+                         level_labels(self.source_prefix[:self.depth]), self.maps)],
         }
 
 
@@ -233,56 +232,3 @@ def verify_equivalence(t: EquivalenceTower) -> EquivReport:
             if got != vertex_at(tgt_prefix, walk[k + 1]):
                 bad.append(f"level {n}: join vertex p{k} off the recorded walk")
     return EquivReport(checks, tuple(bad))
-
-
-def search_hom(h: PathGadget, g: PathGadget, constraints: dict | None = None):
-    """Lexicographically least homomorphism between path gadgets extending
-    the partial vertex map, or None if none exists.
-
-    Exhaustive depth-first search ordered by target position, pruned by the
-    distance/parity feasibility of every pinned later position, with an
-    explicit stack of per-position choice iterators.
-    """
-    constraints = dict(constraints or {})
-    pinned: dict[int, int] = {}
-    for src, img in constraints.items():
-        pinned[h.require_vertex(src)] = g.require_vertex(img)
-    t = h.vertex_count
-    order = sorted(pinned)
-
-    def feasible(pos: int, at: int) -> bool:
-        for j in order:
-            if j >= pos:
-                if not path_walk_exists(abs(at - pinned[j]), j - pos):
-                    return False
-        return True
-
-    assignment: list[int] = []
-
-    def choices(pos: int):
-        prev = assignment[-1] if pos else None
-        if pos in pinned:
-            options = (pinned[pos],)
-        elif prev is None:
-            options = range(g.vertex_count)
-        else:
-            options = (prev - 1, prev + 1)
-        return (q for q in options
-                if (prev is None or abs(q - prev) == 1)
-                and 0 <= q < g.vertex_count and feasible(pos, q))
-
-    # stack[i] yields the remaining choices for position i, so the search
-    # depth is bounded by memory, not by the interpreter's recursion limit
-    stack = [choices(0)]
-    while stack:
-        q = next(stack[-1], None)
-        if q is None:
-            stack.pop()
-            if assignment:
-                assignment.pop()
-            continue
-        assignment.append(q)
-        if len(assignment) == t:
-            return tuple(g.vertices[q] for q in assignment)
-        stack.append(choices(len(assignment)))
-    return None

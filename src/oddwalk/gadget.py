@@ -13,10 +13,15 @@ the rest mirrored.  So vertex (k, t) born at level m = n - len(t) starts
 at V(m-1) + k (at 0 when m = 0), and each copy bit b appended at level L
 keeps the position when b = 0 and maps it to V(L+1) - 1 - pos when b = 1.
 vertex_position and vertex_at evaluate this in O(level) without building
-the gadget, and level_labels lists every level's labels by the same
-doubling; build_gadget materializes the whole path for callers that need
+the gadget; build_gadget materializes the whole path for callers that need
 vertex objects, and serves as the oracle the closed forms are checked
 against.
+
+Labels follow the same doubling: level_labels lists every level's labels,
+each from the previous level's, and PathGadget.labels keeps the last level
+on the gadget.  Every emitter that lists a whole gadget reads one of the
+two; GadgetVertex.label formats a single vertex, for messages and queries,
+and is the oracle the recurrence is checked against.
 """
 
 from __future__ import annotations
@@ -87,13 +92,24 @@ def parse_prefix(text: str) -> tuple[int, ...]:
 class PathGadget:
     """The level-n gadget: a labeled simple path."""
 
-    __slots__ = ("prefix", "vertices", "position", "odd_prefix")
+    __slots__ = ("prefix", "vertices", "position", "odd_prefix", "_labels")
 
     def __init__(self, prefix: tuple[int, ...], vertices: tuple[GadgetVertex, ...]):
         self.prefix = prefix
         self.vertices = vertices
         self.position = {v: i for i, v in enumerate(vertices)}
         self.odd_prefix = all(c % 2 == 1 for c in prefix)
+        self._labels = None
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Vertex labels in path order: the last level of level_labels,
+        computed on first use and kept on the (cached) gadget."""
+        if self._labels is None:
+            for labels in level_labels(self.prefix):
+                pass
+            self._labels = tuple(labels)
+        return self._labels
 
     @property
     def level(self) -> int:

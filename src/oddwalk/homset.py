@@ -32,11 +32,8 @@ class Hom:
     vertex_images: tuple[str, ...]
     witness_images: tuple[str, ...]
 
-    def image_of(self, gadget: PathGadget, v: GadgetVertex) -> str:
-        return self.vertex_images[gadget.require_vertex(v)]
-
     def to_json_dict(self, gadget: PathGadget) -> dict:
-        return self.labelled_json_dict([v.label for v in gadget.vertices])
+        return self.labelled_json_dict(gadget.labels)
 
     def labelled_json_dict(self, labels) -> dict:
         """to_json_dict from the gadget's vertex labels in path order."""
@@ -276,13 +273,13 @@ class HomProfile:
         return True
 
     def to_json_dict(self) -> dict:
-        gv = self.gadget.vertices
+        labels = self.gadget.labels
         return {
             "c": list(self.gadget.prefix),
-            "vertexDomains": {gv[i].label: list(self._vertex_ids(m))
-                              for i, m in enumerate(self.vmasks)},
-            "witnessDomains": {edge_label(self.gadget, j): list(self._witness_ids(m))
-                               for j, m in enumerate(self.wmasks)},
+            "vertexDomains": {label: list(self._vertex_ids(m))
+                              for label, m in zip(labels, self.vmasks)},
+            "witnessDomains": {f"{a}--{b}": list(self._witness_ids(m))
+                               for a, b, m in zip(labels, labels[1:], self.wmasks)},
         }
 
     def __repr__(self) -> str:

@@ -179,12 +179,19 @@ def exact_walk(g: WitnessedGraph, start: str, end: str, length: int) -> Walk | N
 
 
 def min_odd_closed_walk(g: WitnessedGraph) -> Walk | None:
-    """Minimum-length odd closed walk, lexicographically least; None if bipartite."""
+    """Minimum-length odd closed walk, lexicographically least; None if bipartite.
+
+    Only a vertex of a non-bipartite component (parity class None) lies on
+    an odd closed walk, so only those vertices get a BFS of their own.
+    """
+    classes = parity_classes(g)
     best_len = None
     best_v = None
     for v in g.vertices:
+        if classes[v] is not None:
+            continue
         d = vertex_odd_girth(g, v)
-        if d is not None and (best_len is None or d < best_len):
+        if best_len is None or d < best_len:
             best_len = d
             best_v = v
     if best_len is None:
@@ -192,31 +199,14 @@ def min_odd_closed_walk(g: WitnessedGraph) -> Walk | None:
     return exact_walk(g, best_v, best_v, best_len)
 
 
-def two_color_components(g: WitnessedGraph, comps) -> Coloring:
-    """Parity 2-coloring of the given components via BFS from least vertices.
-
-    Caller guarantees the components are bipartite.
-    """
-    colors: dict[str, int] = {}
-    for comp in comps:
-        root = comp[0]
-        colors[root] = 0
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in g.neighbors(x):
-                if y not in colors:
-                    colors[y] = 1 - colors[x]
-                    queue.append(y)
-    return Coloring(colors)
-
-
 def bipartite_certificate(g: WitnessedGraph):
     """Proper 2-coloring if g has no odd closed walk, else a minimum one.
 
-    Returns either a Coloring covering all vertices or a Walk.
+    Returns either a Coloring covering all vertices or a Walk.  The
+    coloring is read off parity_classes: each vertex takes the parity of
+    its distance from the least vertex of its component.
     """
-    walk = min_odd_closed_walk(g)
-    if walk is not None:
-        return walk
-    return two_color_components(g, g.components())
+    classes = parity_classes(g)
+    if any(cls is None for cls in classes.values()):
+        return min_odd_closed_walk(g)
+    return Coloring({v: cls[1] for v, cls in classes.items()})

@@ -44,9 +44,9 @@ def gadget_to_dot(g: PathGadget) -> str:
     lines = _gadget_header(g, "//")
     lines += ["graph gadget {", "  rankdir=LR;",
               '  node [style=filled, fontcolor=white];']
-    for i, v in enumerate(g.vertices):
+    for i, (v, label) in enumerate(zip(g.vertices, g.labels)):
         color = PALETTE[g.birth_level(v) % len(PALETTE)]
-        lines.append(f'  n{i} [label="{v.label}", fillcolor="{color}"];')
+        lines.append(f'  n{i} [label="{label}", fillcolor="{color}"];')
     for i in range(g.edge_count):
         lines.append(f"  n{i} -- n{i + 1};")
     lines.append("}")
@@ -60,11 +60,11 @@ def gadget_to_tikz(g: PathGadget) -> str:
         color = PALETTE[m % len(PALETTE)].lstrip("#").upper()
         lines.append(f"\\definecolor{{lvl{m}}}{{HTML}}{{{color}}}")
     lines.append("\\begin{tikzpicture}[x=0.9cm]")
-    for i, v in enumerate(g.vertices):
+    for i, (v, label) in enumerate(zip(g.vertices, g.labels)):
         m = g.birth_level(v)
         lines.append(
             f"  \\node[circle, draw, fill=lvl{m}, text=white, "
-            f"inner sep=1pt, font=\\tiny] (n{i}) at ({i}, 0) {{{v.label}}};")
+            f"inner sep=1pt, font=\\tiny] (n{i}) at ({i}, 0) {{{label}}};")
     for i in range(g.edge_count):
         lines.append(f"  \\draw (n{i}) -- (n{i + 1});")
     lines.append("\\end{tikzpicture}")
@@ -72,6 +72,7 @@ def gadget_to_tikz(g: PathGadget) -> str:
 
 
 def gadget_to_json_dict(g: PathGadget) -> dict:
+    labels = g.labels
     return {
         "c": list(g.prefix),
         "oddPrefix": g.odd_prefix,
@@ -79,19 +80,23 @@ def gadget_to_json_dict(g: PathGadget) -> dict:
         "edgeCount": g.edge_count,
         "sizeNote": ("single-vertex base recursion; an edge-based variant "
                      f"yields {_edge_base_count(g.prefix)} vertices"),
-        "vertices": [{"label": v.label, "k": v.k,
-                      "t": "".join(map(str, v.t)),
+        "vertices": [{"label": label, "k": v.k,
+                      "t": label.partition(".")[2],
                       "birthLevel": g.birth_level(v)}
-                     for v in g.vertices],
-        "edges": [[g.vertices[i].label, g.vertices[i + 1].label]
-                  for i in range(g.edge_count)],
+                     for v, label in zip(g.vertices, labels)],
+        "edges": [[a, b] for a, b in zip(labels, labels[1:])],
     }
 
 
 def gadget_to_text(g: PathGadget) -> str:
     lines = _gadget_header(g, "#")
-    lines.append(" -- ".join(v.label for v in g.vertices))
+    lines.append(" -- ".join(g.labels))
     return "\n".join(lines) + "\n"
+
+
+def _dot_quote(text: str) -> str:
+    """A DOT quoted string: backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def graph_to_dot(g: WitnessedGraph) -> str:
@@ -99,10 +104,10 @@ def graph_to_dot(g: WitnessedGraph) -> str:
              f"{len(g.witnesses)} witnesses",
              "graph g {"]
     for v in g.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_quote(v)};")
     for w in g.witnesses:
         u, v = g.ends[w]
-        lines.append(f'  "{u}" -- "{v}" [label="{w}"];')
+        lines.append(f"  {_dot_quote(u)} -- {_dot_quote(v)} [label={_dot_quote(w)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

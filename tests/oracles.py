@@ -9,13 +9,15 @@ hand-checked literals, never from the code under test.
 
 Some are the straightforward forms of code the package now runs a faster
 way: the un-memoized two-sweep propagation, tininess by one odd-walk BFS
-per gadget position, and the tower driver as a composition of profile
-operations with its JSON labels read off built gadgets.
+per gadget position, component 2-colorings by a BFS of their own, the
+tower driver as a composition of profile operations, and tower and
+equivalence-tower JSON with labels read off built gadgets.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from oddwalk.dichotomy import Tower, unbounded_schedule_default
 from oddwalk.gadget import GadgetVertex, build_gadget
@@ -157,6 +159,24 @@ def restriction_images(big, small, hom, bit: int):
     return vimgs, wimgs
 
 
+def two_color_components(g, comps) -> Coloring:
+    """Parity 2-coloring of the given bipartite components by BFS from each
+    component's least vertex."""
+    nbr = adjacency(g)
+    colors: dict[str, int] = {}
+    for comp in comps:
+        root = min(comp)
+        colors[root] = 0
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for y in nbr[x]:
+                if y not in colors:
+                    colors[y] = 1 - colors[x]
+                    queue.append(y)
+    return Coloring(colors)
+
+
 def path_propagate_two_sweep(vmasks, wmasks, wit_ends):
     """kernels.path_propagate without the step memo: every step of the
     forward and the backward sweep decodes its witness mask afresh."""
@@ -239,3 +259,17 @@ def tower_json_via_gadgets(t) -> dict:
         })
     return {"c": list(t.prefix), "levels": levels,
             "schedule": list(t.schedule_values)}
+
+
+def equiv_json_via_gadgets(t) -> dict:
+    """EquivalenceTower.to_json_dict with each level's source labels read
+    off build_gadget."""
+    maps = []
+    for n, images in enumerate(t.maps):
+        gadget = build_gadget(t.source_prefix[:n])
+        maps.append({v.label: img.label for v, img in zip(gadget.vertices, images)})
+    return {"c": list(t.source_prefix), "d": list(t.target_prefix),
+            "levelMap": list(t.level_map),
+            "suffixes": [["".join(map(str, s)) for s in pair] for pair in t.suffixes],
+            "joinWalks": [list(w) for w in t.join_walks],
+            "maps": maps}

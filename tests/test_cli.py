@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
+from oddwalk import cli
 from oddwalk.generators import (complete_graph, cycle_graph, path_graph,
                                 petersen_graph)
 from oddwalk.graphs import WitnessedGraph
@@ -244,3 +250,22 @@ def test_output_stable_across_hash_seeds(tmp_path):
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert len(json.loads(outs[0])["enumerated"]) == 5
+
+
+def test_readme_command_line_examples(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    edges = re.search(r"printf '(.*)' > tri\.txt", block).group(1)
+    tri = tmp_path / "tri.txt"
+    tri.write_text(edges.replace("\\n", "\n"))
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("oddwalk ")]
+    assert len(commands) >= 9
+    for argv in commands:
+        argv = [str(tri) if arg == "tri.txt" else arg for arg in argv]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        assert code == 0, argv
+        if "--format" not in argv or argv[argv.index("--format") + 1] == "json":
+            assert isinstance(json.loads(out.getvalue()), dict), argv

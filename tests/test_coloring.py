@@ -10,8 +10,44 @@ from oddwalk.errors import (CoverIncomplete, NotHomomorphism, PhiFails,
                             PieceNotTiny, UnknownVertex)
 from oddwalk.generators import (complete_graph, cycle_graph, disjoint_union,
                                 path_graph, random_bipartite_graph,
-                                single_edge)
-from oddwalk.graphs import Coloring, WitnessedGraph
+                                random_graph, single_edge)
+from oddwalk.graphs import Coloring, Walk, WitnessedGraph
+from oddwalk.parity import bipartite_certificate, is_bipartite, phi_bound
+
+
+def test_colorings_match_component_bfs_oracle():
+    # both colorings are read off parity_classes; the oracle colours each
+    # component by a BFS of its own from the least vertex
+    rng = random.Random(47)
+    bipartite = closures = 0
+    for i in range(400):
+        if i % 2:
+            g = random_graph(rng, rng.randint(1, 9), rng.random() * 0.6, multi=0.3)
+        else:
+            other = rng.choice((path_graph(rng.randint(1, 5)),
+                                cycle_graph(rng.choice((3, 4, 5, 6)))))
+            bip = random_bipartite_graph(rng, rng.randint(1, 7), 0.5, tag="u")
+            g = disjoint_union(bip, other) if i % 4 else disjoint_union(other, bip)
+        comps = g.components()
+        cert = bipartite_certificate(g)
+        if is_bipartite(g):
+            bipartite += 1
+            assert cert == oracles.two_color_components(g, comps)
+        else:
+            assert isinstance(cert, Walk)
+        for _ in range(3):
+            a = rng.sample(g.vertices, rng.randint(0, min(3, len(g.vertices))))
+            verdict = phi_bound(g, a)
+            if not verdict.no_odd_walk:
+                with pytest.raises(PhiFails, match=f"length {verdict.min_odd_length}$"):
+                    bipartite_superset_coloring(g, a)
+                continue
+            closures += 1
+            touched = [comp for comp in comps if set(a).intersection(comp)]
+            closure, col = bipartite_superset_coloring(g, a)
+            assert closure == tuple(sorted(v for comp in touched for v in comp))
+            assert col == oracles.two_color_components(g, touched)
+    assert bipartite > 100 and closures > 300
 
 
 def test_invariant_closure_meets_components():

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+import oracles
 from oddwalk import gadget
+from oddwalk.bruteforce import search_hom
 from oddwalk.equiv import (EquivalenceTower, path_exact_walk, path_walk_exists,
-                           plan_equivalence, search_hom, verify_equivalence)
+                           plan_equivalence, verify_equivalence)
 from oddwalk.errors import (GapInsufficient, NonOddPrefix, ParseError,
                             UnknownVertex)
 from oddwalk.gadget import GadgetVertex, build_gadget
@@ -180,6 +182,7 @@ def test_random_planner_successes_verify():
             continue
         planned += 1
         assert verify_equivalence(t).ok
+        assert t.to_json_dict() == oracles.equiv_json_via_gadgets(t)
     assert planned > 0
 
 
@@ -223,5 +226,7 @@ def test_planner_and_verifier_build_no_gadget(monkeypatch):
         t = plan_equivalence(c, d, depth)
         report = verify_equivalence(t)
         assert report.ok and report.checks > 0
+        got = t.to_json_dict()
         monkeypatch.setattr(gadget, "_build", real_build)
         _check_against_built_gadgets(t)
+        assert got == oracles.equiv_json_via_gadgets(t)

@@ -185,6 +185,7 @@ def test_traversal_order_copy_join_copy():
 def _assert_closed_forms_match(prefix):
     g = build_gadget(prefix)
     assert gadget_size(prefix) == g.vertex_count
+    assert g.labels == tuple(v.label for v in g.vertices)
     for v in g.vertices:
         assert vertex_position(prefix, v) == g.position[v]
     for i in range(g.vertex_count):

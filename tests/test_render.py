@@ -2,6 +2,7 @@ import json
 
 from oddwalk.gadget import build_gadget
 from oddwalk.generators import complete_graph
+from oddwalk.graphs import WitnessedGraph
 from oddwalk.limitgraph import level_quotient
 from oddwalk.render import (_edge_base_count, gadget_to_dot, gadget_to_json_dict,
                             gadget_to_text, gadget_to_tikz, graph_to_dot,
@@ -68,6 +69,17 @@ def test_graph_dot_output():
     assert lines[0] == "// witnessed graph: 3 vertices, 3 witnesses"
     assert '  "k0" -- "k1" [label="w0"];' in lines
     assert sum(1 for ln in lines if ln.endswith('";')) == 3
+
+
+def test_graph_dot_escapes_quotes_and_backslashes():
+    g = WitnessedGraph.from_text('a"x b\nc\\ d\n')
+    lines = graph_to_dot(g).splitlines()
+    assert '  "a\\"x" -- "b" [label="w0"];' in lines
+    assert '  "c\\\\" -- "d" [label="w1"];' in lines
+    assert '  "a\\"x";' in lines
+    g = WitnessedGraph.from_json_dict(
+        {"vertices": ["u", "v"], "witnesses": [{"id": 'e"\\', "ends": ["u", "v"]}]})
+    assert '  "u" -- "v" [label="e\\"\\\\"];' in graph_to_dot(g).splitlines()
 
 
 def test_graph_tikz_output():
