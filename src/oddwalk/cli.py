@@ -1,14 +1,20 @@
 """Command-line surface for the oddwalk toolkit.
 
 Exit codes: 0 success, 1 property failure (failed verification or check
-suite), 2 input error.  All JSON goes to stdout with sorted keys, so a
-fixed invocation is byte-identical across runs.
+suite), 2 input error or a closed stdout.  All JSON goes to stdout with
+sorted keys, so a fixed invocation is byte-identical across runs.  It is
+written by _dumps, which equals json.dumps(data, indent=2, sort_keys=True)
+byte for byte but leaves the encoding to the standard library's C encoder,
+which json.dumps gives up as soon as it is asked to indent.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -42,8 +48,54 @@ def _load_graph(path: str) -> WitnessedGraph:
     return WitnessedGraph.from_text(_read_text(path))
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.lru_cache(maxsize=None)
+def _encoder(item_sep: str):
+    """Compact sorted-key encoding with the given item separator; the C
+    encoder runs because no indent is set."""
+    return json.JSONEncoder(sort_keys=True, separators=(item_sep, ": ")).encode
+
+
+def _is_flat(data) -> bool:
+    items = data.values() if isinstance(data, dict) else data
+    return not any(map(isinstance, items, itertools.repeat(_CONTAINERS)))
+
+
+def _dumps(data, indent: str = "\n") -> str:
+    """json.dumps(data, indent=2, sort_keys=True), byte for byte.
+
+    indent is a newline plus the indentation of the line data starts on.
+    """
+    if not isinstance(data, _CONTAINERS) or not data:
+        return _encoder(",")(data)
+    inner = indent + "  "
+    opening, closing = ("{", "}") if isinstance(data, dict) else ("[", "]")
+    if _is_flat(data):
+        body = _encoder("," + inner)(data)[1:-1]
+    elif not isinstance(data, dict) and all(
+            isinstance(v, _CONTAINERS) and v and _is_flat(v)
+            and isinstance(v, dict) == isinstance(data[0], dict) for v in data):
+        # one call for the whole list: ASCII-escaped output holds no raw
+        # control character, so every "\x00" is a separator, and an outer
+        # one is exactly a "\x00" right after a "}" or "]"
+        o, c = ("{", "}") if isinstance(data[0], dict) else ("[", "]")
+        deeper = inner + "  "
+        body = (o + deeper + _encoder("\x00")(data)[2:-2]
+                .replace(c + "\x00" + o, inner + c + "," + inner + o + deeper)
+                .replace("\x00", "," + deeper) + inner + c)
+    elif isinstance(data, dict):
+        body = ("," + inner).join(
+            _encoder(",")(k if isinstance(k, str) else _encoder(",")(k))
+            + ": " + _dumps(data[k], inner) for k in sorted(data))
+    else:
+        body = ("," + inner).join(_dumps(v, inner) for v in data)
+    return opening + inner + body + indent + closing
+
+
 def _emit(data: dict) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+    print(_dumps(data))
 
 
 def _cmd_gadget(args) -> int:
@@ -293,9 +345,23 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # flushed here, so that a closed stdout shows up below and not in
+        # the interpreter's final flush
+        sys.stdout.flush()
+        return code
     except (OddwalkError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the final
+        # flush of what is still buffered stays quiet (the SIGPIPE note in
+        # the signal module's documentation)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before all output was written",
+              file=sys.stderr)
         return 2
 
 

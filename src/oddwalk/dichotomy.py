@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from .errors import InvalidIndex, OutOfTruncation, ParseError
 from .gadget import GadgetVertex, build_gadget, level_labels, vertex_position
 from .graphs import Coloring, WitnessedGraph, vertex_pair
-from .homset import Hom, all_homs, double, extend_witness, pin, validate_hom
+from .homset import (Hom, HomProfile, all_homs, extend_witness, pin,
+                     validate_hom)
 from .limitgraph import level_quotient
 from .parity import nonbipartite_vertices, parity_classes
 
@@ -79,6 +80,11 @@ def decide(g: WitnessedGraph, depth: int, schedule=None):
     is classified once: a bipartite target is coloured by the parity of
     each vertex's distance from the least vertex of its component, and
     otherwise the root is the least vertex on an odd closed walk.
+
+    Only the root profile is swept.  Each later level is pinned straight
+    from the glued homomorphism: extend_witness has checked that it lies in
+    double(profile, d), and pinning that doubled profile would keep exactly
+    this singleton, so the doubled profile is never built.
     """
     if not _is_natural(depth):
         raise ParseError(f"depth must be a natural number, got {depth!r}")
@@ -98,8 +104,8 @@ def decide(g: WitnessedGraph, depth: int, schedule=None):
         if not _is_natural(bound):
             raise ParseError(f"schedule({n}) must be a natural number, got {bound!r}")
         d, phi = extend_witness(profile, bound)
-        profile = pin(double(profile, d), phi)
         prefix.append(d)
+        profile = HomProfile.pinned(build_gadget(tuple(prefix)), g, phi)
         bounds.append(bound)
         levels.append(phi)
     return Tower(tuple(prefix), tuple(levels), tuple(bounds))

@@ -140,6 +140,20 @@ class HomProfile:
                    [allv] * gadget.vertex_count,
                    [allw] * gadget.edge_count)
 
+    @classmethod
+    def pinned(cls, gadget: PathGadget, target: WitnessedGraph,
+               hom: Hom) -> "HomProfile":
+        """The singleton profile denoting exactly {hom}, without a sweep.
+
+        hom must be a valid homomorphism (validate_hom): each witness
+        singleton then joins its two endpoint singletons, so the singleton
+        masks are already arc-consistent.
+        """
+        return cls(gadget, target,
+                   [1 << target.vertex_index(img) for img in hom.vertex_images],
+                   [1 << target.witness_index(wid) for wid in hom.witness_images],
+                   normalized=True)
+
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -264,13 +278,18 @@ class HomProfile:
             validate_hom(self.gadget, self.target, hom)
         except NotHomomorphism:
             return False
-        for i, img in enumerate(hom.vertex_images):
-            if not self.vmasks[i] >> self.target.vertex_index(img) & 1:
-                return False
-        for j, wid in enumerate(hom.witness_images):
-            if not self.wmasks[j] >> self.target.witness_index(wid) & 1:
-                return False
-        return True
+        return self._admits(hom)
+
+    def _admits(self, hom: Hom) -> bool:
+        """The mask half of member: every image lies in its domain.
+
+        hom must already be a valid homomorphism over this gadget and target.
+        """
+        t = self.target
+        return (all(m >> t.vertex_index(img) & 1
+                    for m, img in zip(self.vmasks, hom.vertex_images))
+                and all(m >> t.witness_index(wid) & 1
+                        for m, wid in zip(self.wmasks, hom.witness_images)))
 
     def to_json_dict(self) -> dict:
         labels = self.gadget.labels
@@ -415,15 +434,12 @@ def double(p: HomProfile, join_length: int) -> HomProfile:
 def pin(p: HomProfile, hom: Hom) -> HomProfile:
     """The singleton profile denoting exactly {hom}.
 
-    A member is a valid homomorphism, so each witness singleton joins its
-    two endpoint singletons: the singleton masks are already arc-consistent
-    and are not swept again.
+    A member is a valid homomorphism, so its singleton masks are not swept
+    again (HomProfile.pinned).
     """
     if not p.member(hom):
         raise NotMember("homomorphism is not in the profile's denotation")
-    vmasks = [1 << p.target.vertex_index(img) for img in hom.vertex_images]
-    wmasks = [1 << p.target.witness_index(wid) for wid in hom.witness_images]
-    return HomProfile(p.gadget, p.target, vmasks, wmasks, normalized=True)
+    return HomProfile.pinned(p.gadget, p.target, hom)
 
 
 def glue_hom(p: HomProfile, phi0: Hom, join_length: int, walk: Walk) -> Hom:
@@ -451,6 +467,12 @@ def extend_witness(p: HomProfile, n_bound: int) -> tuple[int, Hom]:
     length is the least odd value >= max(n_bound, m - 2) where m is the
     least odd closed-walk length at the witness's gluing image; the join is
     laid along the lexicographically least closed walk of length d + 2.
+
+    Membership in double(p, d) is checked here, without building that
+    profile: glue_hom has validated the glued homomorphism, so each copy
+    restriction, a sub-path of it, is valid too and only p's masks are
+    tested.  A caller that pins the result may therefore build the pinned
+    profile directly (HomProfile.pinned) instead of pin(double(p, d), hom).
     """
     if not isinstance(n_bound, int) or n_bound < 0:
         raise ParseError(f"bound must be a natural number, got {n_bound!r}")
@@ -469,10 +491,9 @@ def extend_witness(p: HomProfile, n_bound: int) -> tuple[int, Hom]:
     if walk is None:
         raise OddwalkError("no closed walk of the scheduled length")
     hom = glue_hom(p, phi0, d, walk)
-    # double(p, d) denotes the members whose copy restrictions lie in p;
-    # checking that definition here leaves building it to the caller
+    # double(p, d) denotes the members whose copy restrictions lie in p
     big = build_gadget(p.gadget.prefix + (d,))
-    if not all(p.member(copy_restriction(big, p.gadget, hom, bit)) for bit in (0, 1)):
+    if not all(p._admits(copy_restriction(big, p.gadget, hom, bit)) for bit in (0, 1)):
         raise OddwalkError("glued homomorphism fell outside the doubled profile")
     return d, hom
 

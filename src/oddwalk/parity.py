@@ -184,7 +184,11 @@ def min_odd_closed_walk(g: WitnessedGraph) -> Walk | None:
     Only a vertex of a non-bipartite component (parity class None) lies on
     an odd closed walk, so only those vertices get a BFS of their own.
     """
-    classes = parity_classes(g)
+    return _min_odd_closed_walk(g, parity_classes(g))
+
+
+def _min_odd_closed_walk(g: WitnessedGraph, classes: dict) -> Walk | None:
+    """min_odd_closed_walk from g's parity_classes."""
     best_len = None
     best_v = None
     for v in g.vertices:
@@ -208,5 +212,5 @@ def bipartite_certificate(g: WitnessedGraph):
     """
     classes = parity_classes(g)
     if any(cls is None for cls in classes.values()):
-        return min_odd_closed_walk(g)
+        return _min_odd_closed_walk(g, classes)
     return Coloring({v: cls[1] for v, cls in classes.items()})

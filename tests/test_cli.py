@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -269,3 +270,100 @@ def test_readme_command_line_examples(tmp_path):
         assert code == 0, argv
         if "--format" not in argv or argv[argv.index("--format") + 1] == "json":
             assert isinstance(json.loads(out.getvalue()), dict), argv
+
+
+_CHARS = ("a", "Z", "0", " ", "\x00", "\n", '"', "\\", "]", "}", "[", "{", ",",
+          ":", "\u00e9", "\u2603", "\U0001f600")
+
+
+def _random_str(rng):
+    return "".join(rng.choices(_CHARS, k=rng.randint(0, 5)))
+
+
+def _random_scalar(rng):
+    return rng.choice((
+        lambda: _random_str(rng),
+        lambda: rng.randint(-10 ** 20, 10 ** 20),
+        lambda: rng.choice((True, False, None)),
+        lambda: rng.choice((rng.uniform(-1e6, 1e6), 0.1, -0.0, 1e300,
+                            float("inf"), float("nan"))),
+    ))()
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return _random_scalar(rng)
+    kind = rng.choice((dict, list, tuple, "rows"))
+    if kind == "rows":
+        # flat containers of one type, now and then an empty one
+        kind = rng.choice((dict, list, tuple))
+        return [_random_container(rng, kind, 1) for _ in range(rng.randint(1, 4))]
+    return _random_container(rng, kind, depth)
+
+
+def _random_container(rng, kind, depth):
+    items = [_random_tree(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if kind is dict:
+        return {_random_str(rng): item for item in items}
+    return kind(items)
+
+
+def test_emit_matches_json_dumps(tmp_path, monkeypatch):
+    rng = random.Random(91)
+    trees = [{}, [], (), [[]], [{}], {"a": {}}, [[], {}], [[1], {}],
+             [{"a": 1}, [1]], [[1], [2, [3]]], [{"k": "]\x00["}, {"k": "}\x00{"}],
+             [["]", "\x00"], [",", ":"]], ({"x": (1, 2)}, {"y": ()}),
+             # json.dumps sorts other key types first and then writes them
+             # as strings
+             {2: [1], 10: {}}, {True: [1], False: []}, {None: [[]]},
+             {1.5: [{}], -0.5: [1]}]
+    trees += [_random_tree(rng, rng.randint(1, 4)) for _ in range(500)]
+    for tree in trees:
+        assert cli._dumps(tree) == json.dumps(tree, indent=2, sort_keys=True), tree
+
+    tri = tmp_path / "tri.txt"
+    tri.write_text("a b\nb c\nc a\nc d\n")
+    square = tmp_path / "square.txt"
+    square.write_text("a b\nb c\nc d\nd a\na b\n")
+    commands = [
+        ["gadget", "--c", ""], ["gadget", "--c", "1,3"],
+        ["phi", "--graph", tri, "--set", "a", "b", "--k", "2", "--certificate"],
+        ["phi", "--graph", square, "--set", "a", "c", "--certificate"],
+        ["homset", "--graph", tri, "--c", "1", "--enumerate", "3",
+         "--project", "p0", "--project", "p0.1"],
+        ["homset", "--graph", square, "--c", "1,1", "--enumerate", "0"],
+        ["dichotomy", "--graph", tri, "--depth", "3"],
+        ["dichotomy", "--graph", square, "--depth", "3"],
+        ["lc", "--c", "1,3", "--quotient"],
+        ["lc", "--c", "1,3", "--neighbors", "1:0::0"],
+        ["lc", "--c", "1", "--adjacent", "0:0::0", "1:0::0"],
+        ["lc", "--c", "1", "--same-component", "0:0::0", "0:0:1:0"],
+        ["lc", "--c", "1,3", "--project", "0:0::0", "--level", "2"],
+        ["lc", "--c", "1,3", "--sibling", "0:0"],
+        ["equiv", "--c", "3,5", "--d", "1,3,5,7", "--depth", "2"],
+        ["equiv", "--c", "1", "--d", "9", "--depth", "1"],
+        ["check", "--seed", "1", "--only", "gadget", "--only", "homset"],
+    ]
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda data: emitted.append(data) or emit(data))
+    for argv in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main([str(arg) for arg in argv]) == 0, argv
+        assert out.getvalue() == json.dumps(emitted[-1], indent=2, sort_keys=True) + "\n"
+    assert len(emitted) == len(commands)
+
+
+def test_closed_stdout_is_one_error_line():
+    for argv in (["gadget", "--c", "1,3,3,3"], ["gadget", "--c", "1"]):
+        read, write = os.pipe()
+        os.close(read)   # no reader, before the child writes anything
+        try:
+            proc = subprocess.run([sys.executable, "-m", "oddwalk.cli", *argv],
+                                  stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:"), proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -8,16 +8,17 @@ import random
 import pytest
 
 import oracles
-from oddwalk import cli
+from oddwalk import cli, homset, kernels
 from oddwalk.dichotomy import (Tower, decide, evaluate, parse_schedule,
                                unbounded_schedule_default, verify_tower)
-from oddwalk.errors import InvalidIndex, OutOfTruncation, ParseError
+from oddwalk.errors import (InvalidIndex, OddwalkError, OutOfTruncation,
+                            ParseError)
 from oddwalk.gadget import build_gadget
 from oddwalk.generators import (all_graphs_upto, complete_graph, cycle_graph,
-                                disjoint_union, path_graph, random_bipartite_graph,
-                                random_graph)
+                                disjoint_union, path_graph, petersen_graph,
+                                random_bipartite_graph, random_graph)
 from oddwalk.graphs import Coloring, WitnessedGraph
-from oddwalk.homset import Hom
+from oddwalk.homset import Hom, LargeVerdict, all_homs, extend_witness, pin
 from oddwalk.parity import is_bipartite, nonbipartite_vertices
 
 
@@ -275,6 +276,43 @@ def test_decide_matches_profile_composition(tmp_path):
                              "--schedule", spec])
         assert code == 0
         assert out.getvalue() == json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+def test_decide_sweeps_only_the_root(monkeypatch):
+    # a triangle with a doubled and a tripled witness, beside a pendant
+    multi = WitnessedGraph.make(
+        ["a", "b", "c", "d"],
+        [("a", "b"), ("b", "c"), ("c", "a"), ("a", "b"), ("c", "d"),
+         ("b", "c"), ("b", "c")])
+    for g, depth in ((cycle_graph(5), 6), (petersen_graph(), 5), (multi, 6)):
+        calls = []
+        monkeypatch.setattr(kernels, "path_propagate",
+                            lambda *a, f=kernels.path_propagate: calls.append(1) or f(*a))
+        monkeypatch.setattr(homset, "double", lambda *a: pytest.fail("double called"))
+        got = decide(g, depth)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert got == oracles.decide_via_profiles(g, depth)
+        assert verify_tower(got, g).ok
+
+    # extend_witness still tests both copy restrictions against p's masks:
+    # a witness outside p, at a vertex or only at a parallel witness, is
+    # glued without complaint and then refused
+    c5 = cycle_graph(5)
+    p = pin(all_homs(build_gadget(()), c5), Hom(("c0",), ()))
+    _, level1 = extend_witness(p, 1)
+    p1 = pin(all_homs(build_gadget((3,)), c5), level1)
+    triangle = pin(all_homs(build_gadget((1,)), multi),
+                   Hom(("a", "b", "c", "a"), ("w0", "w1", "w2")))
+    for q, outside in ((p, Hom(("c1",), ())),
+                       (p1, Hom(level1.vertex_images[::-1], level1.witness_images[::-1])),
+                       (triangle, Hom(("a", "b", "c", "a"), ("w3", "w1", "w2")))):
+        assert not q.member(outside)
+        with monkeypatch.context() as m:
+            m.setattr(homset, "is_large", lambda _, h=outside: LargeVerdict(True, h))
+            with pytest.raises(OddwalkError, match="outside the doubled profile"):
+                extend_witness(q, 1)
+        extend_witness(q, 1)
 
 
 def test_tower_labels_by_recurrence_match_gadgets():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+from oddwalk import parity
 from oddwalk.errors import ParseError, UnknownVertex
 from oddwalk.generators import (complete_graph, cycle_graph, disjoint_union,
                                 path_graph, random_bipartite_graph,
@@ -107,6 +108,23 @@ def test_bipartite_certificate_single_vertex():
     col = bipartite_certificate(g)
     assert isinstance(col, Coloring)
     assert col.covers(g) and col.colors_used == 1
+
+
+def test_bipartite_certificate_classifies_once(monkeypatch):
+    calls = []
+    classify = parity.parity_classes
+    monkeypatch.setattr(parity, "parity_classes",
+                        lambda g: calls.append(g) or classify(g))
+    for g in (cycle_graph(5), cycle_graph(6),
+              disjoint_union(path_graph(3), complete_graph(3))):
+        want = min_odd_closed_walk(g)
+        calls.clear()
+        cert = bipartite_certificate(g)
+        assert len(calls) == 1
+        if want is None:
+            assert isinstance(cert, Coloring)
+        else:
+            assert cert == want
 
 
 def test_exact_walk_lex_least():
