@@ -23,7 +23,7 @@ from .coloring import bipartite_superset_coloring
 from .dichotomy import decide, parse_schedule, verify_tower
 from .equiv import plan_equivalence, verify_equivalence
 from .errors import GapInsufficient, OddwalkError, ParseError
-from .gadget import GadgetVertex, build_gadget, parse_prefix
+from .gadget import GadgetVertex, ascii_int, build_gadget, parse_prefix
 from .graphs import Coloring, WitnessedGraph
 from .homset import all_homs, is_large, is_tiny
 from .limitgraph import (LcVertex, adjacent, level_quotient, neighbors,
@@ -224,12 +224,11 @@ def _cmd_lc(args) -> int:
         return 0
     if args.sibling is not None:
         k_text, _, t_text = args.sibling.partition(":")
-        try:
-            k = int(k_text)
-            bits = tuple(int(b) for b in t_text)
-        except ValueError:
+        k = ascii_int(k_text)
+        if k is None or not all(ch.isascii() and ch.isdigit() for ch in t_text):
             raise ParseError(f"bad sibling spec {args.sibling!r}; "
-                             f"expected K:BITS like 0:01") from None
+                             f"expected K:BITS like 0:01")
+        bits = tuple(map(int, t_text))
         if any(b not in (0, 1) for b in bits):
             raise ParseError("sibling bits must be 0/1")
         rep = odd_sibling_obstruction(prefix, k, bits)
@@ -308,16 +307,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lc", help="queries on the limit graph")
     p.add_argument("--c", required=True)
-    p.add_argument("--quotient", action="store_true",
-                   help="depth-n class structure as a path")
-    p.add_argument("--neighbors", metavar="V",
-                   help="vertex syntax m:k:prefix:period, e.g. 1:0:01:10")
-    p.add_argument("--adjacent", nargs=2, metavar=("U", "V"))
-    p.add_argument("--same-component", nargs=2, metavar=("U", "V"))
-    p.add_argument("--project", metavar="V")
-    p.add_argument("--level", type=int, default=None)
-    p.add_argument("--sibling", metavar="K:BITS",
-                   help="odd-distance obstruction for one sibling pair")
+    query = p.add_mutually_exclusive_group()
+    query.add_argument("--quotient", action="store_true",
+                       help="depth-n class structure as a path")
+    query.add_argument("--neighbors", metavar="V",
+                       help="vertex syntax m:k:prefix:period, e.g. 1:0:01:10")
+    query.add_argument("--adjacent", nargs=2, metavar=("U", "V"))
+    query.add_argument("--same-component", nargs=2, metavar=("U", "V"))
+    query.add_argument("--project", metavar="V")
+    query.add_argument("--sibling", metavar="K:BITS",
+                       help="odd-distance obstruction for one sibling pair")
+    p.add_argument("--level", type=int, default=None,
+                   help="the gadget level for --project")
     p.set_defaults(fn=_cmd_lc)
 
     p = sub.add_parser("equiv", help="plan and verify an equivalence tower")

@@ -15,7 +15,11 @@ keeps the position when b = 0 and maps it to V(L+1) - 1 - pos when b = 1.
 vertex_position and vertex_at evaluate this in O(level) without building
 the gadget; build_gadget materializes the whole path for callers that need
 vertex objects, and serves as the oracle the closed forms are checked
-against.
+against.  It builds by the same doubling: level n+1 is the cached level n
+with bit 0 appended, the join, then level n reversed with bit 1 appended,
+so the cache holds the levels below a gadget as well.  A GadgetVertex is
+a named tuple equal to (k, t), so these vertices are created (appended),
+hashed and compared in C.
 
 Labels follow the same doubling: level_labels lists every level's labels,
 each from the previous level's, and PathGadget.labels keeps the last level
@@ -27,14 +31,20 @@ and is the oracle the recurrence is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
+from operator import add, itemgetter
+from typing import NamedTuple
 
 from .errors import NonOddPrefix, ParseError, PrefixMismatch, UnknownVertex
 
 
-@dataclass(frozen=True, order=True)
-class GadgetVertex:
-    """Structured label (k, t): join index at birth, then copy-history bits."""
+class GadgetVertex(NamedTuple):
+    """Structured label (k, t): join index at birth, then copy-history bits.
+
+    A named tuple equal to the plain tuple (k, t), so vertices are created,
+    hashed, compared and ordered in C.
+    """
 
     k: int
     t: tuple[int, ...] = ()
@@ -47,25 +57,48 @@ class GadgetVertex:
 
     @classmethod
     def from_label(cls, text: str) -> "GadgetVertex":
+        """Parse a canonical label, the form .label writes: p, the join
+        index in ASCII digits, then '.' and the history bits if any."""
         body = text.strip()
         if not body.startswith("p"):
             raise ParseError(f"vertex label must look like p2 or p0.011, got {text!r}")
         head, _, bits = body[1:].partition(".")
-        try:
-            k = int(head)
-        except ValueError:
-            raise ParseError(f"bad join index in label {text!r}") from None
+        k = ascii_int(head)
+        if k is None:
+            raise ParseError(f"bad join index in label {text!r}")
         if k < 0:
             raise ParseError(f"negative join index in label {text!r}")
         if not all(ch in "01" for ch in bits):
             raise ParseError(f"bad history bits in label {text!r}")
-        return cls(k, tuple(int(ch) for ch in bits))
+        v = cls(k, tuple(int(ch) for ch in bits))
+        if v.label != body:
+            raise ParseError(f"label {text!r} is not in canonical form {v.label!r}")
+        return v
 
     def append(self, bit: int) -> "GadgetVertex":
         return GadgetVertex(self.k, self.t + (bit,))
 
     def __str__(self) -> str:
         return self.label
+
+
+# GadgetVertex from a (k, t) pair without a Python-level __new__ call
+_vertex = partial(tuple.__new__, GadgetVertex)
+
+
+def appended(vertices, bit: int):
+    """The vertices, in order, each with one copy bit appended; a sequence
+    in, an iterator out, created in C (GadgetVertex.append in bulk)."""
+    return map(_vertex, zip(map(itemgetter(0), vertices),
+                            map(add, map(itemgetter(1), vertices), repeat((bit,)))))
+
+
+def ascii_int(text: str) -> int | None:
+    """The integer written in text as ASCII digits after an optional '-',
+    else None.  Unlike int(), no sign '+', no spaces, no '_' separators and
+    no other script's digits."""
+    digits = text[1:] if text.startswith("-") else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
 
 
 def check_prefix(prefix) -> tuple[int, ...]:
@@ -97,7 +130,7 @@ class PathGadget:
     def __init__(self, prefix: tuple[int, ...], vertices: tuple[GadgetVertex, ...]):
         self.prefix = prefix
         self.vertices = vertices
-        self.position = {v: i for i, v in enumerate(vertices)}
+        self.position = dict(zip(vertices, range(len(vertices))))
         self.odd_prefix = all(c % 2 == 1 for c in prefix)
         self._labels = None
 
@@ -143,13 +176,14 @@ class PathGadget:
 
 @lru_cache(maxsize=16)
 def _build(prefix: tuple[int, ...]) -> PathGadget:
-    verts: tuple[GadgetVertex, ...] = (GadgetVertex(0, ()),)
-    for c in prefix:
-        copy0 = tuple(v.append(0) for v in verts)
-        join = tuple(GadgetVertex(k, ()) for k in range(c + 1))
-        copy1 = tuple(v.append(1) for v in reversed(verts))
-        verts = copy0 + join + copy1
-    return PathGadget(prefix, verts)
+    """The gadget for a checked prefix: copy 0 of the cached level below,
+    the join, then copy 1 reversed."""
+    if not prefix:
+        return PathGadget(prefix, (GadgetVertex(0, ()),))
+    below = _build(prefix[:-1]).vertices
+    join = [GadgetVertex(k, ()) for k in range(prefix[-1] + 1)]
+    return PathGadget(prefix, (*appended(below, 0), *join,
+                               *appended(below[::-1], 1)))
 
 
 def build_gadget(prefix) -> PathGadget:

@@ -26,7 +26,7 @@ class WitnessedGraph:
     """Immutable finite multigraph with witness-presented edges."""
 
     __slots__ = ("vertices", "witnesses", "ends", "_neighbors", "_between",
-                 "_vindex", "_windex")
+                 "_vindex", "_windex", "_steps", "_facts")
 
     def __init__(self, vertices, ends):
         vs = []
@@ -62,6 +62,8 @@ class WitnessedGraph:
         self._between = {p: tuple(sorted(ws)) for p, ws in between.items()}
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
         self._windex = {w: i for i, w in enumerate(self.witnesses)}
+        self._steps = None
+        self._facts: dict = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -145,6 +147,42 @@ class WitnessedGraph:
         if w not in self._windex:
             raise UnknownVertex(f"unknown witness id: {w!r}")
         return self._windex[w]
+
+    def vertex_indices(self, ids) -> tuple[int, ...]:
+        """vertex_index of every id, looked up in one pass."""
+        try:
+            return tuple(map(self._vindex.__getitem__, ids))
+        except KeyError as exc:
+            raise UnknownVertex(f"unknown vertex id: {exc.args[0]!r}") from None
+
+    def witness_indices(self, ids) -> tuple[int, ...]:
+        """witness_index of every id, looked up in one pass."""
+        try:
+            return tuple(map(self._windex.__getitem__, ids))
+        except KeyError as exc:
+            raise UnknownVertex(f"unknown witness id: {exc.args[0]!r}") from None
+
+    @property
+    def steps(self) -> frozenset:
+        """Every oriented step (witness, u, v) along a witness joining u and
+        v, both ways round; built on first use."""
+        if self._steps is None:
+            self._steps = frozenset(
+                step for w, (u, v) in self.ends.items()
+                for step in ((w, u, v), (w, v, u)))
+        return self._steps
+
+    def memo(self, key, compute):
+        """compute(), kept on this graph under key.
+
+        The graph is immutable, so a fact derived from it alone (its parity
+        classes, the odd girth at a vertex, a least walk) is computed once
+        per graph.  Callers must not mutate a value they get back.
+        """
+        facts = self._facts
+        if key not in facts:
+            facts[key] = compute()
+        return facts[key]
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         try:

@@ -9,12 +9,19 @@ consistency) and ExplicitHomSet (a plain list, used as an oracle form).
 On top of these sit the odd-walk smallness notions (tiny, small, large), the
 doubling operator to the next gadget level, and the gluing construction that
 extends a pinned homomorphism one level up along an odd closed walk.
+
+validate_hom is one set pass over the edges against the target's oriented
+steps; it walks a hom edge by edge only to name the fault of an invalid
+one.  Pinning and the membership mask test read the target's index tables
+for all positions at once (vertex_indices, witness_indices).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from . import kernels
 from .errors import (NotHomomorphism, NotLarge, NotMember, OddwalkError,
@@ -49,7 +56,25 @@ def edge_label(gadget: PathGadget, j: int) -> str:
 
 
 def validate_hom(gadget: PathGadget, target: WitnessedGraph, hom: Hom) -> None:
-    """Raise NotHomomorphism unless hom is a valid witnessed homomorphism."""
+    """Raise NotHomomorphism unless hom is a valid witnessed homomorphism.
+
+    A valid hom passes one set pass: every edge's (witness, image, image)
+    is an oriented step of the target (and on a one-vertex gadget the image
+    is a target vertex).  Only a failing hom is walked edge by edge, to
+    name the first fault.
+    """
+    images = hom.vertex_images
+    if (len(images) == gadget.vertex_count
+            and len(hom.witness_images) == gadget.edge_count
+            and (all(map(target.steps.__contains__,
+                         zip(hom.witness_images, images, images[1:])))
+                 if len(images) > 1 else target.has_vertex(images[0]))):
+        return
+    _explain_invalid(gadget, target, hom)
+
+
+def _explain_invalid(gadget: PathGadget, target: WitnessedGraph, hom: Hom) -> None:
+    """Raise NotHomomorphism for the first fault of hom, edge by edge."""
     if len(hom.vertex_images) != gadget.vertex_count:
         raise NotHomomorphism("wrong number of vertex images")
     if len(hom.witness_images) != gadget.edge_count:
@@ -150,15 +175,15 @@ class HomProfile:
         masks are already arc-consistent.
         """
         return cls(gadget, target,
-                   [1 << target.vertex_index(img) for img in hom.vertex_images],
-                   [1 << target.witness_index(wid) for wid in hom.witness_images],
+                   list(map(_bit, target.vertex_indices(hom.vertex_images))),
+                   list(map(_bit, target.witness_indices(hom.witness_images))),
                    normalized=True)
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def is_empty(self) -> bool:
-        return any(m == 0 for m in self.vmasks)
+        return 0 in self.vmasks
 
     def _vertex_ids(self, mask: int) -> tuple[str, ...]:
         vs = self.target.vertices
@@ -286,10 +311,10 @@ class HomProfile:
         hom must already be a valid homomorphism over this gadget and target.
         """
         t = self.target
-        return (all(m >> t.vertex_index(img) & 1
-                    for m, img in zip(self.vmasks, hom.vertex_images))
-                and all(m >> t.witness_index(wid) & 1
-                        for m, wid in zip(self.wmasks, hom.witness_images)))
+        return (all(map(and_, self.vmasks,
+                        map(_bit, t.vertex_indices(hom.vertex_images))))
+                and all(map(and_, self.wmasks,
+                            map(_bit, t.witness_indices(hom.witness_images)))))
 
     def to_json_dict(self) -> dict:
         labels = self.gadget.labels
@@ -305,6 +330,9 @@ class HomProfile:
         state = "empty" if self.is_empty else "nonempty"
         return (f"HomProfile(level={self.gadget.level}, "
                 f"target={len(self.target.vertices)}v, {state})")
+
+
+_bit = (1).__lshift__   # i -> 1 << i
 
 
 def _bits(mask: int) -> list[int]:
@@ -398,11 +426,8 @@ def is_large(p: HomProfile) -> LargeVerdict:
     domain already avoids the 2-colorable components (a pinned tower
     level, say), the profile is its own restriction and is not swept again.
     """
-    nb = nonbipartite_vertices(p.target)
-    nbmask = 0
-    for v in nb:
-        nbmask |= 1 << p.target.vertex_index(v)
-    if any(m & ~nbmask for m in p.vmasks):
+    nbmask = sum(map(_bit, p.target.vertex_indices(nonbipartite_vertices(p.target))))
+    if reduce(or_, p.vmasks) & ~nbmask:
         p = p.restricted([m & nbmask for m in p.vmasks], list(p.wmasks))
     if p.is_empty:
         return LargeVerdict(False, None)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .errors import (InvalidVertex, LevelOutOfRange, NonOddPrefix, ParseError,
                      UnknownVertex)
-from .gadget import (GadgetVertex, PathGadget, build_gadget, check_prefix,
-                     vertex_at, vertex_position)
+from .gadget import (GadgetVertex, PathGadget, ascii_int, build_gadget,
+                     check_prefix, vertex_at, vertex_position)
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,10 @@ class EpBits:
 
     @classmethod
     def from_strings(cls, prefix: str, period: str) -> "EpBits":
-        try:
-            return cls(tuple(int(ch) for ch in prefix.strip()),
-                       tuple(int(ch) for ch in period.strip()))
-        except ValueError:
-            raise ParseError(f"bad bit strings {prefix!r}, {period!r}") from None
+        pre, per = prefix.strip(), period.strip()
+        if not all(ch.isascii() and ch.isdigit() for ch in pre + per):
+            raise ParseError(f"bad bit strings {prefix!r}, {period!r}")
+        return cls(tuple(map(int, pre)), tuple(map(int, per)))
 
     @classmethod
     def constant(cls, bit: int) -> "EpBits":
@@ -141,10 +140,9 @@ class LcVertex:
         parts = text.split(":")
         if len(parts) != 4:
             raise ParseError(f"vertex must look like m:k:prefix:period, got {text!r}")
-        try:
-            m, k = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"bad m or k in {text!r}") from None
+        m, k = ascii_int(parts[0]), ascii_int(parts[1])
+        if m is None or k is None:
+            raise ParseError(f"bad m or k in {text!r}")
         return cls(m, k, EpBits.from_strings(parts[2], parts[3]))
 
 

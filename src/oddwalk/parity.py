@@ -9,6 +9,11 @@ Because walks may repeat vertices and witnesses, an odd walk of length m can
 be padded to any odd length >= m by bouncing on its first edge.  The
 operations here rely on that padding fact; the test suite checks it against
 brute-force walk enumeration rather than assuming it.
+
+A graph is immutable, so the facts of one graph are computed once and kept
+on it (WitnessedGraph.memo): parity_classes, nonbipartite_vertices, the
+vertex_odd_girth of each vertex asked about, and each exact_walk.  A tower
+on a connected target thus runs two parity BFS in all, whatever its depth.
 """
 
 from __future__ import annotations
@@ -95,9 +100,10 @@ def phi_holds(g: WitnessedGraph, a, k: int) -> bool:
 
 
 def vertex_odd_girth(g: WitnessedGraph, v: str) -> int | None:
-    """Least odd length of a closed walk at v, or None."""
+    """Least odd length of a closed walk at v, or None; one BFS per graph
+    and vertex."""
     g.require_vertices([v])
-    return parity_distances(g, [v]).get((v, 1))
+    return g.memo(("odd girth", v), lambda: parity_distances(g, [v]).get((v, 1)))
 
 
 def is_bipartite(g: WitnessedGraph) -> bool:
@@ -106,7 +112,8 @@ def is_bipartite(g: WitnessedGraph) -> bool:
 
 def nonbipartite_vertices(g: WitnessedGraph) -> frozenset:
     """Union of all connected components containing an odd closed walk."""
-    return frozenset(v for v, cls in parity_classes(g).items() if cls is None)
+    return g.memo("nonbipartite", lambda: frozenset(
+        v for v, cls in parity_classes(g).items() if cls is None))
 
 
 def parity_classes(g: WitnessedGraph) -> dict:
@@ -115,8 +122,13 @@ def parity_classes(g: WitnessedGraph) -> dict:
     A vertex on a component with an odd closed walk maps to None (the BFS
     reaches it at both parities); any other vertex maps to (root, colour),
     where root is the least vertex of its component and colour the parity
-    of its distance from root.
+    of its distance from root.  The table is computed once per graph and
+    shared, so callers must not mutate it.
     """
+    return g.memo("parity classes", lambda: _parity_classes(g))
+
+
+def _parity_classes(g: WitnessedGraph) -> dict:
     classes: dict = {}
     for root in g.vertices:
         if root in classes:
@@ -156,10 +168,16 @@ def exact_walk(g: WitnessedGraph, start: str, end: str, length: int) -> Walk | N
     """Lexicographically least walk of exactly the given length, or None.
 
     Walks are compared by their vertex sequence, then by witness choices.
+    Each is found once per graph, so the levels of one tower share it.
     """
     g.require_vertices([start, end])
     if length < 0:
         raise ParseError("walk length must be nonnegative")
+    return g.memo(("exact walk", start, end, length),
+                  lambda: _exact_walk(g, start, end, length))
+
+
+def _exact_walk(g: WitnessedGraph, start: str, end: str, length: int) -> Walk | None:
     reach = exact_reach(g, end, length)
     if start not in reach[length]:
         return None

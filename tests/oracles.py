@@ -8,10 +8,12 @@ slices.  Expected values in the tests come from these or from
 hand-checked literals, never from the code under test.
 
 Some are the straightforward forms of code the package now runs a faster
-way: the un-memoized two-sweep propagation, tininess by one odd-walk BFS
-per gadget position, component 2-colorings by a BFS of their own, the
-tower driver as a composition of profile operations, and tower and
-equivalence-tower JSON with labels read off built gadgets.
+way: gadgets replayed level by level from the root, homomorphism
+validation one vertex and one edge at a time, the un-memoized two-sweep
+propagation, tininess by one odd-walk BFS per gadget position, component
+2-colorings by a BFS of their own, the tower driver as a composition of
+profile operations, and tower and equivalence-tower JSON with labels read
+off built gadgets.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import itertools
 from collections import deque
 
 from oddwalk.dichotomy import Tower, unbounded_schedule_default
+from oddwalk.errors import NotHomomorphism
 from oddwalk.gadget import GadgetVertex, build_gadget
-from oddwalk.graphs import Coloring
+from oddwalk.graphs import Coloring, vertex_pair
 from oddwalk.homset import (Hom, all_homs, double, edge_label, extend_witness,
                             pin)
 from oddwalk.parity import bipartite_certificate, nonbipartite_vertices, phi_bound
@@ -105,6 +108,38 @@ def all_subsets(items, max_size=None):
     top = len(items) if max_size is None else min(max_size, len(items))
     for size in range(top + 1):
         yield from itertools.combinations(items, size)
+
+
+def gadget_vertices_from_root(prefix) -> tuple:
+    """The gadget's vertices in path order, every level replayed from the
+    root: copy 0, the join, copy 1 reversed."""
+    verts = (GadgetVertex(0, ()),)
+    for c in prefix:
+        copy0 = tuple(v.append(0) for v in verts)
+        join = tuple(GadgetVertex(k, ()) for k in range(c + 1))
+        copy1 = tuple(v.append(1) for v in reversed(verts))
+        verts = copy0 + join + copy1
+    return verts
+
+
+def validate_hom_per_edge(gadget, target, hom) -> None:
+    """homset.validate_hom one vertex and one edge at a time: raises the
+    NotHomomorphism that names the first fault."""
+    if len(hom.vertex_images) != gadget.vertex_count:
+        raise NotHomomorphism("wrong number of vertex images")
+    if len(hom.witness_images) != gadget.edge_count:
+        raise NotHomomorphism("wrong number of witness images")
+    for img in hom.vertex_images:
+        if not target.has_vertex(img):
+            raise NotHomomorphism(f"image {img!r} is not a target vertex")
+    for j, wid in enumerate(hom.witness_images):
+        if wid not in target.ends:
+            raise NotHomomorphism(f"unknown witness id {wid!r} at edge {j}")
+        want = vertex_pair(hom.vertex_images[j], hom.vertex_images[j + 1])
+        if target.ends[wid] != want:
+            raise NotHomomorphism(
+                f"edge {edge_label(gadget, j)}: witness {wid!r} joins "
+                f"{target.ends[wid]}, images are {want}")
 
 
 def _parent_position(small, v):

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -8,6 +9,8 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from oddwalk import cli
 from oddwalk.generators import (complete_graph, cycle_graph, path_graph,
@@ -165,6 +168,34 @@ def test_lc_requires_a_mode():
     proc = run_cli("lc", "--c", "1")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
+
+
+def test_lc_answers_one_query_only():
+    queries = [["--quotient"], ["--neighbors", "1:0::0"],
+               ["--adjacent", "0:0::0", "1:0::0"],
+               ["--same-component", "0:0::0", "0:0:1:0"],
+               ["--project", "0:0::0", "--level", "2"], ["--sibling", "0:0"]]
+    for first, second in itertools.permutations(queries, 2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["lc", "--c", "1,3", *first, *second])
+        assert exc.value.code == 2
+        assert out.getvalue() == ""
+        assert "not allowed with argument" in err.getvalue()
+
+
+def test_loose_labels_exit_2(tmp_path):
+    k3 = write_graph(tmp_path, complete_graph(3))
+    for label in ("p1_0", "p01", "p0."):
+        proc = run_cli("homset", "--graph", k3, "--c", "1,11", "--project", label)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+    for vertex in ("1_0:0::0", "+1:0::0"):
+        proc = run_cli("lc", "--c", "1,3", "--neighbors", vertex)
+        assert proc.returncode == 2 and proc.stderr.startswith("error:")
+    proc = run_cli("lc", "--c", "1,3", "--sibling", "0:0_1")
+    assert proc.returncode == 2 and proc.stderr.startswith("error:")
 
 
 def test_equiv_planned_and_gap():

@@ -8,7 +8,7 @@ import random
 import pytest
 
 import oracles
-from oddwalk import cli, homset, kernels
+from oddwalk import cli, homset, kernels, parity
 from oddwalk.dichotomy import (Tower, decide, evaluate, parse_schedule,
                                unbounded_schedule_default, verify_tower)
 from oddwalk.errors import (InvalidIndex, OddwalkError, OutOfTruncation,
@@ -276,6 +276,23 @@ def test_decide_matches_profile_composition(tmp_path):
                              "--schedule", spec])
         assert code == 0
         assert out.getvalue() == json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+def test_decide_computes_target_facts_once(monkeypatch):
+    # one parity BFS classifies the target (one component) and one finds the
+    # odd girth at the root; each distinct closed-walk length is searched once
+    for g in (cycle_graph(5), petersen_graph()):
+        bfs, reach = [], []
+        monkeypatch.setattr(parity, "parity_distances",
+                            lambda *a, f=parity.parity_distances: bfs.append(1) or f(*a))
+        monkeypatch.setattr(parity, "exact_reach",
+                            lambda *a, f=parity.exact_reach: reach.append(a[2]) or f(*a))
+        t = decide(g, 8)
+        monkeypatch.undo()
+        assert len(bfs) == 2
+        assert sorted(reach) == sorted({d + 2 for d in t.prefix})
+        assert len(set(t.prefix)) < len(t.prefix)
+        assert t == oracles.decide_via_profiles(g, 8)
 
 
 def test_decide_sweeps_only_the_root(monkeypatch):

@@ -4,7 +4,9 @@ import time
 
 import pytest
 
+import oracles
 from oddwalk import gadget
+from oddwalk.dichotomy import decide
 from oddwalk.errors import (NonOddPrefix, ParseError, PrefixMismatch,
                             UnknownVertex)
 from oddwalk.gadget import (GadgetVertex, build_gadget, check_odd_distance_lemma,
@@ -12,6 +14,7 @@ from oddwalk.gadget import (GadgetVertex, build_gadget, check_odd_distance_lemma
                             endpoints, gadget_distance, gadget_size,
                             parse_prefix, sibling_pairs, vertex_at,
                             vertex_position, NON_PATH_VERTEX, PATH_VERTEX)
+from oddwalk.generators import complete_graph, cycle_graph, petersen_graph
 
 
 def test_base_gadget_is_single_vertex():
@@ -169,6 +172,57 @@ def test_vertex_labels_round_trip():
         GadgetVertex.from_label("q1")
     with pytest.raises(ParseError):
         GadgetVertex.from_label("p0.21")
+
+
+def test_vertex_contract():
+    # a named tuple that keeps the frozen dataclass's repr, order and hash
+    v = GadgetVertex(2, (0, 1))
+    assert repr(v) == "GadgetVertex(k=2, t=(0, 1))"
+    assert repr(GadgetVertex(0)) == "GadgetVertex(k=0, t=())"
+    assert (v.k, v.t) == (2, (0, 1)) and v == (2, (0, 1))
+    g = build_gadget((1, 2, 3))
+    for u in g.vertices:
+        assert type(u) is GadgetVertex
+        assert hash(u) == hash((u.k, u.t))
+        assert GadgetVertex.from_label(u.label) == u
+        assert GadgetVertex.from_label(f"  {u.label}\n") == u
+    assert sorted(g.vertices) == sorted(g.vertices, key=lambda u: (u.k, u.t))
+    assert GadgetVertex(1, (1,)) < GadgetVertex(2, ()) < GadgetVertex(2, (0,))
+
+
+@pytest.mark.parametrize("text", [
+    "p1_0", "p+1", "p 1", "p01", "p\u0663", "p0.", "p1.", "p", "p.01",
+    "p1.0_1", "p1. 01", "p1.\uff10", "p\uff11", "q1", "p-1", "P1",
+])
+def test_vertex_labels_must_be_canonical(text):
+    # int() would read p1_0 as p10, p+1 and p01 as p1, and an Arabic-Indic
+    # or fullwidth digit as its value
+    with pytest.raises(ParseError):
+        GadgetVertex.from_label(text)
+
+
+def _assert_matches_replay(prefix):
+    g = build_gadget(prefix)
+    want = oracles.gadget_vertices_from_root(prefix)
+    assert g.vertices == want
+    assert all(type(v) is GadgetVertex for v in g.vertices)
+    assert g.position == {v: i for i, v in enumerate(want)}
+    assert g.labels == tuple(v.label for v in want)
+
+
+def test_doubled_builds_match_replay_from_root():
+    for level in range(6):
+        for prefix in itertools.product((1, 2, 3, 5), repeat=level):
+            _assert_matches_replay(prefix)
+    for g in (complete_graph(3), cycle_graph(5), petersen_graph()):
+        prefix = decide(g, 8).prefix
+        gadget._build.cache_clear()
+        for n in range(len(prefix) + 1):
+            _assert_matches_replay(prefix[:n])
+        # and straight from an empty cache, top level first
+        gadget._build.cache_clear()
+        for n in range(len(prefix), -1, -1):
+            _assert_matches_replay(prefix[:n])
 
 
 def test_traversal_order_copy_join_copy():

@@ -374,6 +374,48 @@ def test_validate_hom_errors():
         validate_hom(gadget, g, Hom(("k0", "k1", "k0", "k1"), ("w0", "w1", "w0")))
 
 
+def _validation_outcome(check, gadget, target, hom):
+    try:
+        check(gadget, target, hom)
+    except NotHomomorphism as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_validate_hom_matches_per_edge_oracle():
+    rng = random.Random(81)
+    multi = WitnessedGraph.make(
+        ["a", "b", "c", "d"],
+        [("a", "b"), ("b", "c"), ("c", "a"), ("a", "b"), ("c", "d"), ("b", "c")])
+    cases = [(k3(), ()), (k3(), (1,)), (k3(), (1, 3)), (cycle_graph(5), (3, 1)),
+             (multi, ()), (multi, (1,)), (multi, (2, 1)), (path_graph(3), (1, 1))]
+    tried = 0
+    for g, prefix in cases:
+        gadget = build_gadget(prefix)
+        members, _ = all_homs(gadget, g).enumerate_homs(60)
+        assert members.homs
+        for hom in members.homs:
+            validate_hom(gadget, g, hom)
+            oracles.validate_hom_per_edge(gadget, g, hom)
+        for hom in rng.sample(members.homs, min(8, len(members.homs))):
+            vimgs, wimgs = hom.vertex_images, hom.witness_images
+            i = rng.randrange(len(vimgs))
+            bad = [Hom(vimgs[:i] + ("zz",) + vimgs[i + 1:], wimgs),
+                   Hom(vimgs, wimgs[::-1])]
+            if wimgs:
+                j = rng.randrange(len(wimgs))
+                pair = g.ends[wimgs[j]]
+                wrong = [w for w in g.witnesses if g.ends[w] != pair]
+                bad.append(Hom(vimgs, wimgs[:j] + ("zz",) + wimgs[j + 1:]))
+                bad.append(Hom(vimgs, wimgs[:j] + (rng.choice(wrong),) + wimgs[j + 1:]))
+            for corrupt in bad:
+                want = _validation_outcome(oracles.validate_hom_per_edge, gadget, g, corrupt)
+                assert _validation_outcome(validate_hom, gadget, g, corrupt) == want
+                tried += want is not None
+    # every corruption but a reversal of a palindromic witness tuple is caught
+    assert tried > 100
+
+
 def test_explicit_homset_rejects_duplicates():
     g = k3()
     gadget = build_gadget(())

@@ -75,6 +75,17 @@ def test_lc_vertex_parsing():
         LcVertex.from_json_dict({"m": 0, "k": 0})
 
 
+@pytest.mark.parametrize("text", [
+    "1_0:0::0", "+1:0::0", " 1:0::0", "1:0 ::0", "01_:0::0", "\u0661:0::0",
+    "1:\uff10::0", "0:0::\uff11", "0:0:\u0660:1", "0:0::1_0",
+])
+def test_lc_vertex_parsing_takes_ascii_digits_only(text):
+    # int() would read 1_0 as 10, +1 and " 1" as 1, and other scripts'
+    # digits by their value
+    with pytest.raises(ParseError):
+        LcVertex.from_text(text)
+
+
 def test_validate_vertex():
     prefix = (1, 3)
     validate_vertex(v(0, 0), prefix)
