@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 from .equiv import path_walk_exists
 from .gadget import PathGadget, build_gadget
@@ -131,12 +132,19 @@ def projections_adjacent_everywhere(a: LcVertex, b: LcVertex, prefix,
     to up_to, built gadget by gadget."""
     start = max(a.m, b.m)
     for n in range(start, up_to + 1):
-        g = build_gadget(prefix[:n])
+        g = _memo_gadget(tuple(prefix[:n]))
         pa = g.position[project_level(a, n, prefix)]
         pb = g.position[project_level(b, n, prefix)]
         if abs(pa - pb) != 1:
             return False
     return True
+
+
+@lru_cache(maxsize=16)
+def _memo_gadget(prefix: tuple[int, ...]) -> PathGadget:
+    """build_gadget kept between calls of this oracle, which asks for the
+    same few gadgets, and their position maps, thousands of times."""
+    return build_gadget(prefix)
 
 
 def same_component_wide_scan(a: LcVertex, b: LcVertex) -> bool:

@@ -98,6 +98,15 @@ def _emit(data: dict) -> None:
     print(_dumps(data))
 
 
+def _int_arg(text: str) -> int:
+    """argparse type for integer options: ASCII digits after an optional
+    '-' (ascii_int), so 1_0, +2 and other scripts' digits are refused."""
+    value = ascii_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return value
+
+
 def _cmd_gadget(args) -> int:
     g = build_gadget(parse_prefix(args.c))
     if args.format == "json":
@@ -195,6 +204,8 @@ def _parse_lc_vertex(text: str, prefix) -> LcVertex:
 
 def _cmd_lc(args) -> int:
     prefix = parse_prefix(args.c)
+    if args.level is not None and args.project is None:
+        raise ParseError("--level is read only with --project")
     if args.quotient:
         q = level_quotient(prefix)
         _emit({"formatVersion": 1, **q.to_json_dict()})
@@ -283,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phi", help="odd-walk test for a vertex set")
     p.add_argument("--graph", required=True, help="graph file or - for stdin")
     p.add_argument("--set", required=True, nargs="+", metavar="VERTEX")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_int_arg, default=None,
                    help="also report the bounded form for this k")
     p.add_argument("--certificate", action="store_true",
                    help="attach a closure coloring or a least odd walk")
@@ -294,13 +305,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--project", action="append", metavar="LABEL",
                    help="emit the projection at this gadget vertex label")
-    p.add_argument("--enumerate", type=int, default=None, metavar="N",
+    p.add_argument("--enumerate", type=_int_arg, default=None, metavar="N",
                    help="emit the first N homomorphisms in lex order")
     p.set_defaults(fn=_cmd_homset)
 
     p = sub.add_parser("dichotomy", help="2-coloring or homomorphism tower")
     p.add_argument("--graph", required=True)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=_int_arg, default=6)
     p.add_argument("--schedule", default="default",
                    help='"default" or comma-separated lower bounds')
     p.set_defaults(fn=_cmd_dichotomy)
@@ -317,14 +328,14 @@ def _build_parser() -> argparse.ArgumentParser:
     query.add_argument("--project", metavar="V")
     query.add_argument("--sibling", metavar="K:BITS",
                        help="odd-distance obstruction for one sibling pair")
-    p.add_argument("--level", type=int, default=None,
+    p.add_argument("--level", type=_int_arg, default=None,
                    help="the gadget level for --project")
     p.set_defaults(fn=_cmd_lc)
 
     p = sub.add_parser("equiv", help="plan and verify an equivalence tower")
     p.add_argument("--c", required=True, help="source prefix")
     p.add_argument("--d", required=True, help="target prefix")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_int_arg, required=True)
     p.set_defaults(fn=_cmd_equiv)
 
     p = sub.add_parser("render", help="render a witnessed graph")
@@ -333,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_render)
 
     p = sub.add_parser("check", help="seeded property-check suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--oracle", action="store_true",
                    help="add brute-force cross-checks")
     p.add_argument("--only", action="append", metavar="SUITE",

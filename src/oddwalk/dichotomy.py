@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidIndex, OutOfTruncation, ParseError
-from .gadget import (GadgetVertex, appended, build_gadget, level_labels,
-                     vertex_position)
+from .gadget import (GadgetVertex, appended, ascii_int, build_gadget,
+                     level_labels, vertex_position)
 from .graphs import Coloring, WitnessedGraph, vertex_pair
 from .homset import (Hom, HomProfile, all_homs, extend_witness, pin,
                      validate_hom)
@@ -55,14 +55,14 @@ def unbounded_schedule_default():
 
 
 def parse_schedule(text: str):
-    """Schedule spec: "default" or an explicit comma-separated list."""
+    """Schedule spec: "default" or an explicit comma-separated list of
+    ASCII integers (ascii_int), spaces allowed around each."""
     body = text.strip()
     if body == "default":
         return unbounded_schedule_default()
-    try:
-        vals = [int(part) for part in body.split(",")]
-    except ValueError:
-        raise ParseError(f"bad schedule {text!r}; expected default or e.g. 1,3,5") from None
+    vals = [ascii_int(part.strip()) for part in body.split(",")]
+    if None in vals:
+        raise ParseError(f"bad schedule {text!r}; expected default or e.g. 1,3,5")
     if any(v < 0 for v in vals):
         raise ParseError("schedule values must be nonnegative")
 
@@ -200,8 +200,9 @@ def verify_tower(t: Tower, g: WitnessedGraph) -> TowerReport:
             bad.append(
                 f"level {n}: largeness precondition fails, images "
                 f"{', '.join(map(repr, outside))} lie in 2-colorable components")
+    # each level's vertex list is built once: level n+1 is the next `small`
+    small = build_gadget(())
     for n in range(t.depth):
-        small = build_gadget(t.prefix[:n])
         big = build_gadget(t.prefix[:n + 1])
         # every vertex v of level n against its copy v.append(bit) one level
         # up, looked up by label
@@ -219,6 +220,7 @@ def verify_tower(t: Tower, g: WitnessedGraph) -> TowerReport:
                     bad.append(
                         f"coherence broken at level {n + 1}, copy {bit}, "
                         f"vertex {v.label}: {got_v!r} vs {want_v!r}")
+        small = big
     if not bad:
         quotient = level_quotient(t.prefix) if t.prefix else None
         top = t.levels[-1]

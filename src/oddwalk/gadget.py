@@ -6,20 +6,22 @@ c(n)+2 edges through c(n)+1 new join vertices.  The result is always a
 simple path; vertices are identified by their structured label (join index
 k, copy-history bits t), and positions along the path are derived.
 
-Positions have a closed form.  The level-L gadget has V(L) vertices, with
-V(0) = 1 and V(L+1) = 2 V(L) + c(L) + 1: copy 0 fills positions
-[0, V(L)) in order, the join fills [V(L), V(L) + c(L)], and copy 1 fills
-the rest mirrored.  So vertex (k, t) born at level m = n - len(t) starts
-at V(m-1) + k (at 0 when m = 0), and each copy bit b appended at level L
-keeps the position when b = 0 and maps it to V(L+1) - 1 - pos when b = 1.
-vertex_position and vertex_at evaluate this in O(level) without building
-the gadget; build_gadget materializes the whole path for callers that need
-vertex objects, and serves as the oracle the closed forms are checked
-against.  It builds by the same doubling: level n+1 is the cached level n
-with bit 0 appended, the join, then level n reversed with bit 1 appended,
-so the cache holds the levels below a gadget as well.  A GadgetVertex is
-a named tuple equal to (k, t), so these vertices are created (appended),
-hashed and compared in C.
+Sizes and positions have a closed form.  The level-L gadget has V(L)
+vertices, with V(0) = 1 and V(L+1) = 2 V(L) + c(L) + 1: copy 0 fills
+positions [0, V(L)) in order, the join fills [V(L), V(L) + c(L)], and copy 1
+fills the rest mirrored.  So vertex (k, t) born at level m = n - len(t)
+starts at V(m-1) + k (at 0 when m = 0), and each copy bit b appended at
+level L keeps the position when b = 0 and maps it to V(L+1) - 1 - pos when
+b = 1.  vertex_position and vertex_at evaluate this in O(level).
+
+A PathGadget holds only its prefix and sizes, so counts, vertex lookups and
+birth levels never build the path.  Its vertex list, position map and labels
+are built on first read and kept on that gadget object, never shared
+between calls: the vertices by the same doubling from the root (level n+1
+is level n with bit 0 appended, the join, then level n reversed with bit 1
+appended), which is the oracle the closed forms are checked against.  A
+GadgetVertex is a named tuple equal to (k, t), so these vertices are
+created (appended), hashed and compared in C.
 
 Labels follow the same doubling: level_labels lists every level's labels,
 each from the previous level's, and PathGadget.labels keeps the last level
@@ -31,7 +33,7 @@ and is the oracle the recurrence is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import repeat
 from operator import add, itemgetter
 from typing import NamedTuple
@@ -111,33 +113,49 @@ def check_prefix(prefix) -> tuple[int, ...]:
 
 
 def parse_prefix(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated prefix; the empty string means level 0."""
+    """Parse a comma-separated prefix of ASCII integers (ascii_int), spaces
+    allowed around each; the empty string means level 0."""
     body = text.strip()
     if not body:
         return ()
-    try:
-        vals = tuple(int(part) for part in body.split(","))
-    except ValueError:
-        raise ParseError(f"bad prefix {text!r}; expected e.g. 1,3,5") from None
+    vals = tuple(ascii_int(part.strip()) for part in body.split(","))
+    if None in vals:
+        raise ParseError(f"bad prefix {text!r}; expected e.g. 1,3,5")
     return check_prefix(vals)
 
 
 class PathGadget:
-    """The level-n gadget: a labeled simple path."""
+    """The level-n gadget: a labeled simple path.
 
-    __slots__ = ("prefix", "vertices", "position", "odd_prefix", "_labels")
+    Equal, and hashed, by prefix.  The vertex list, position map and labels
+    are built on first read and kept on this object.
+    """
 
-    def __init__(self, prefix: tuple[int, ...], vertices: tuple[GadgetVertex, ...]):
+    __slots__ = ("prefix", "sizes", "_vertices", "_position", "_labels", "_find")
+
+    def __init__(self, prefix: tuple[int, ...]):
         self.prefix = prefix
-        self.vertices = vertices
-        self.position = dict(zip(vertices, range(len(vertices))))
-        self.odd_prefix = all(c % 2 == 1 for c in prefix)
-        self._labels = None
+        self.sizes = _sizes(prefix)
+        self._vertices = self._position = self._labels = self._find = None
+
+    @property
+    def vertices(self) -> tuple[GadgetVertex, ...]:
+        """Vertices in path order."""
+        if self._vertices is None:
+            self._vertices = _materialize(self.prefix)
+        return self._vertices
+
+    @property
+    def position(self) -> dict:
+        """The map vertex -> path position, over the whole vertex list."""
+        if self._position is None:
+            vertices = self.vertices
+            self._position = dict(zip(vertices, range(len(vertices))))
+        return self._position
 
     @property
     def labels(self) -> tuple[str, ...]:
-        """Vertex labels in path order: the last level of level_labels,
-        computed on first use and kept on the (cached) gadget."""
+        """Vertex labels in path order: the last level of level_labels."""
         if self._labels is None:
             for labels in level_labels(self.prefix):
                 pass
@@ -149,12 +167,16 @@ class PathGadget:
         return len(self.prefix)
 
     @property
+    def odd_prefix(self) -> bool:
+        return all(c % 2 == 1 for c in self.prefix)
+
+    @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return self.sizes[-1]
 
     @property
     def edge_count(self) -> int:
-        return len(self.vertices) - 1
+        return self.sizes[-1] - 1
 
     def edges(self):
         """Consecutive vertex pairs along the path."""
@@ -162,33 +184,41 @@ class PathGadget:
             yield self.vertices[i], self.vertices[i + 1]
 
     def require_vertex(self, v: GadgetVertex) -> int:
-        if v not in self.position:
-            raise UnknownVertex(f"vertex {v.label} is not in the level-{self.level} gadget")
-        return self.position[v]
+        """Path position of v; UnknownVertex if v is not in this gadget."""
+        if self._find is None:
+            self._find = position_finder(self.prefix)
+        return self._find(v)
 
     def birth_level(self, v: GadgetVertex) -> int:
         self.require_vertex(v)
         return self.level - len(v.t)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PathGadget):
+            return NotImplemented
+        return self.prefix == other.prefix
+
+    def __hash__(self) -> int:
+        return hash(self.prefix)
+
     def __repr__(self) -> str:
         return f"PathGadget(prefix={self.prefix}, vertices={self.vertex_count})"
 
 
-@lru_cache(maxsize=16)
-def _build(prefix: tuple[int, ...]) -> PathGadget:
-    """The gadget for a checked prefix: copy 0 of the cached level below,
-    the join, then copy 1 reversed."""
-    if not prefix:
-        return PathGadget(prefix, (GadgetVertex(0, ()),))
-    below = _build(prefix[:-1]).vertices
-    join = [GadgetVertex(k, ()) for k in range(prefix[-1] + 1)]
-    return PathGadget(prefix, (*appended(below, 0), *join,
-                               *appended(below[::-1], 1)))
+def _materialize(prefix: tuple[int, ...]) -> tuple[GadgetVertex, ...]:
+    """The gadget's vertices in path order, doubled level by level from the
+    root: copy 0, the join, then copy 1 reversed."""
+    vertices = (GadgetVertex(0, ()),)
+    for c in prefix:
+        vertices = (*appended(vertices, 0), *map(GadgetVertex, range(c + 1)),
+                    *appended(vertices[::-1], 1))
+    return vertices
 
 
 def build_gadget(prefix) -> PathGadget:
-    """Build the gadget for the given parameter prefix."""
-    return _build(check_prefix(prefix))
+    """The gadget for the given parameter prefix; nothing is materialized
+    until a caller reads its vertices, positions or labels."""
+    return PathGadget(check_prefix(prefix))
 
 
 def level_labels(prefix):

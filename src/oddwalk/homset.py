@@ -26,7 +26,7 @@ from operator import and_, or_
 from . import kernels
 from .errors import (NotHomomorphism, NotLarge, NotMember, OddwalkError,
                      ParseError, PrefixMismatch)
-from .gadget import GadgetVertex, PathGadget, build_gadget
+from .gadget import GadgetVertex, PathGadget, build_gadget, endpoint_label
 from .graphs import Walk, WitnessedGraph, vertex_pair
 from .parity import (exact_walk, no_odd_walk_in, nonbipartite_vertices,
                      parity_classes, vertex_odd_girth)
@@ -399,7 +399,7 @@ def is_tiny(homs) -> TinyVerdict:
     projection at position 0 does (an empty set is tiny everywhere).  The
     verdict names position 0 or no vertex.
     """
-    root = homs.gadget.vertices[0]
+    root = endpoint_label(homs.gadget.level, 0)
     if no_odd_walk_in(parity_classes(homs.target), homs.project(root)):
         return TinyVerdict(True, root)
     return TinyVerdict(False, None)

@@ -127,11 +127,15 @@ class LcVertex:
 
     @classmethod
     def from_json_dict(cls, data) -> "LcVertex":
+        """The vertex to_json_dict writes; m and k must be JSON integers."""
         try:
-            x = data["x"]
-            return cls(int(data["m"]), int(data["k"]),
-                       EpBits.from_strings(x.get("prefix", ""), x["period"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            m, k, x = data["m"], data["k"], data["x"]
+            for name, value in (("m", m), ("k", k)):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ParseError(f"bad limit-graph vertex: {name} must be "
+                                     f"an integer, got {value!r}")
+            return cls(m, k, EpBits.from_strings(x.get("prefix", ""), x["period"]))
+        except (KeyError, TypeError, AttributeError) as exc:
             raise ParseError(f"bad limit-graph vertex: {exc}") from None
 
     @classmethod

@@ -2,11 +2,12 @@
 
 Gadget renderings color vertices by birth level: the top-level join path
 gets the current level's color, copied vertices keep the color of the level
-they were born at.  Headers record the parameter prefix and a size note:
-this recursion is based at a single vertex, and an otherwise identical
-recursion based at a single edge yields larger counts (38 instead of 30
-vertices for the prefix 1,3,5), so both totals are stated to avoid
-confusion when comparing drawings from elsewhere.
+they were born at, the gadget level less the length of their copy history.
+Headers record the parameter prefix and a size note: this recursion is
+based at a single vertex, and an otherwise identical recursion based at a
+single edge yields larger counts (38 instead of 30 vertices for the prefix
+1,3,5), so both totals are stated to avoid confusion when comparing
+drawings from elsewhere.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ def gadget_to_dot(g: PathGadget) -> str:
     lines = _gadget_header(g, "//")
     lines += ["graph gadget {", "  rankdir=LR;",
               '  node [style=filled, fontcolor=white];']
+    n = g.level
     for i, (v, label) in enumerate(zip(g.vertices, g.labels)):
-        color = PALETTE[g.birth_level(v) % len(PALETTE)]
+        color = PALETTE[(n - len(v.t)) % len(PALETTE)]
         lines.append(f'  n{i} [label="{label}", fillcolor="{color}"];')
     for i in range(g.edge_count):
         lines.append(f"  n{i} -- n{i + 1};")
@@ -55,13 +57,14 @@ def gadget_to_dot(g: PathGadget) -> str:
 
 def gadget_to_tikz(g: PathGadget) -> str:
     lines = _gadget_header(g, "%")
-    used = sorted({g.birth_level(v) for v in g.vertices})
+    n = g.level
+    used = sorted({n - len(v.t) for v in g.vertices})
     for m in used:
         color = PALETTE[m % len(PALETTE)].lstrip("#").upper()
         lines.append(f"\\definecolor{{lvl{m}}}{{HTML}}{{{color}}}")
     lines.append("\\begin{tikzpicture}[x=0.9cm]")
     for i, (v, label) in enumerate(zip(g.vertices, g.labels)):
-        m = g.birth_level(v)
+        m = n - len(v.t)
         lines.append(
             f"  \\node[circle, draw, fill=lvl{m}, text=white, "
             f"inner sep=1pt, font=\\tiny] (n{i}) at ({i}, 0) {{{label}}};")
@@ -73,6 +76,7 @@ def gadget_to_tikz(g: PathGadget) -> str:
 
 def gadget_to_json_dict(g: PathGadget) -> dict:
     labels = g.labels
+    n = g.level
     return {
         "c": list(g.prefix),
         "oddPrefix": g.odd_prefix,
@@ -82,7 +86,7 @@ def gadget_to_json_dict(g: PathGadget) -> dict:
                      f"yields {_edge_base_count(g.prefix)} vertices"),
         "vertices": [{"label": label, "k": v.k,
                       "t": label.partition(".")[2],
-                      "birthLevel": g.birth_level(v)}
+                      "birthLevel": n - len(v.t)}
                      for v, label in zip(g.vertices, labels)],
         "edges": [[a, b] for a, b in zip(labels, labels[1:])],
     }

@@ -27,6 +27,17 @@ def run_cli(*args, stdin_text=None, env_extra=None):
                           env=env)
 
 
+def run_main(*args):
+    """cli.main in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def write_graph(tmp_path, g, name="graph.json"):
     path = tmp_path / name
     path.write_text(json.dumps(g.to_json_dict()))
@@ -196,6 +207,29 @@ def test_loose_labels_exit_2(tmp_path):
         assert proc.returncode == 2 and proc.stderr.startswith("error:")
     proc = run_cli("lc", "--c", "1,3", "--sibling", "0:0_1")
     assert proc.returncode == 2 and proc.stderr.startswith("error:")
+    # int() would read 1_0 as 10, +2 as 2 and the Arabic-Indic digit as 3;
+    # --depth 1_0 ran a depth-10 tower into a RecursionError
+    for args in (["gadget", "--c", "1_0"], ["gadget", "--c", "1,+3"],
+                 ["dichotomy", "--graph", k3, "--schedule", "1_0"]):
+        code, out, err = run_main(*args)
+        assert code == 2 and out == "" and err.startswith("error:"), args
+    for args in (["dichotomy", "--graph", k3, "--depth", "\u0663"],
+                 ["dichotomy", "--graph", k3, "--depth", "1_0"],
+                 ["homset", "--graph", k3, "--c", "1", "--enumerate", "+2"],
+                 ["phi", "--graph", k3, "--set", "c0", "--k", " 3"],
+                 ["lc", "--c", "1", "--project", "0:0::0", "--level", "1_0"],
+                 ["equiv", "--c", "1", "--d", "1", "--depth", "+1"],
+                 ["check", "--seed", "\uff11"]):
+        code, out, err = run_main(*args)
+        assert code == 2 and out == "" and "expected an integer" in err, args
+
+
+def test_lc_level_needs_project():
+    for args in (["--quotient", "--level", "99"],
+                 ["--neighbors", "0:0::0", "--level", "-5"]):
+        code, out, err = run_main("lc", "--c", "1", *args)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_equiv_planned_and_gap():

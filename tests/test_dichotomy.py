@@ -8,7 +8,7 @@ import random
 import pytest
 
 import oracles
-from oddwalk import cli, homset, kernels, parity
+from oddwalk import cli, gadget, homset, kernels, parity
 from oddwalk.dichotomy import (Tower, decide, evaluate, parse_schedule,
                                unbounded_schedule_default, verify_tower)
 from oddwalk.errors import (InvalidIndex, OddwalkError, OutOfTruncation,
@@ -43,6 +43,11 @@ def test_parse_schedule():
         parse_schedule("oops")
     with pytest.raises(ParseError):
         parse_schedule("1,-3")
+    assert parse_schedule(" 1 , 3")(1) == 3
+    # int() would read these as 10, 2 and the Arabic-Indic 3
+    for text in ("1_0", "1,+2", "\u0663", "1,,3"):
+        with pytest.raises(ParseError):
+            parse_schedule(text)
 
 
 def test_decide_bipartite_square():
@@ -330,6 +335,29 @@ def test_decide_sweeps_only_the_root(monkeypatch):
             with pytest.raises(OddwalkError, match="outside the doubled profile"):
                 extend_witness(q, 1)
         extend_witness(q, 1)
+
+
+def test_decide_materializes_no_gadget(monkeypatch):
+    def refuse(prefix):
+        raise AssertionError(f"gadget {prefix} materialized")
+
+    c5 = cycle_graph(5)
+    want = oracles.decide_via_profiles(c5, 6)
+    monkeypatch.setattr(gadget, "_materialize", refuse)
+    t = decide(c5, 6)
+    assert t == want
+    assert t.to_json_dict()["c"] == list(want.prefix)
+
+
+def test_verify_tower_materializes_each_level_once(monkeypatch):
+    for g, depth in ((cycle_graph(5), 6), (petersen_graph(), 5)):
+        t = decide(g, depth)
+        built = []
+        monkeypatch.setattr(gadget, "_materialize",
+                            lambda p, f=gadget._materialize: built.append(p) or f(p))
+        assert verify_tower(t, g).ok
+        monkeypatch.undo()
+        assert len(built) == len(set(built)) <= depth + 1
 
 
 def test_tower_labels_by_recurrence_match_gadgets():

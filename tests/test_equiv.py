@@ -212,13 +212,13 @@ def _check_against_built_gadgets(t):
 def test_planner_and_verifier_build_no_gadget(monkeypatch):
     cases = [((1, 3, 5), (1, 3, 5, 7), 3), ((3, 5), (1, 1, 1, 3, 5), 2),
              ((3, 3, 3, 3, 3), (1, 3, 1, 3, 1, 1, 1), 5), ((5, 7), (1,), None)]
-    real_build = gadget._build
+    real_materialize = gadget._materialize
 
     def refuse(prefix):
         raise AssertionError("gadget materialized")
 
     for c, d, depth in cases:
-        monkeypatch.setattr(gadget, "_build", refuse)
+        monkeypatch.setattr(gadget, "_materialize", refuse)
         if depth is None:
             with pytest.raises(GapInsufficient):
                 plan_equivalence(c, d, len(c))
@@ -227,6 +227,6 @@ def test_planner_and_verifier_build_no_gadget(monkeypatch):
         report = verify_equivalence(t)
         assert report.ok and report.checks > 0
         got = t.to_json_dict()
-        monkeypatch.setattr(gadget, "_build", real_build)
+        monkeypatch.setattr(gadget, "_materialize", real_materialize)
         _check_against_built_gadgets(t)
         assert got == oracles.equiv_json_via_gadgets(t)

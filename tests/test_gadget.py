@@ -15,6 +15,7 @@ from oddwalk.gadget import (GadgetVertex, build_gadget, check_odd_distance_lemma
                             parse_prefix, sibling_pairs, vertex_at,
                             vertex_position, NON_PATH_VERTEX, PATH_VERTEX)
 from oddwalk.generators import complete_graph, cycle_graph, petersen_graph
+from oddwalk.limitgraph import level_quotient
 
 
 def test_base_gadget_is_single_vertex():
@@ -161,6 +162,11 @@ def test_prefix_parsing():
         check_prefix((1, 0))
     with pytest.raises(ParseError):
         check_prefix((True,))
+    assert parse_prefix(" 1, 3 ,5") == (1, 3, 5)
+    # int() would read these as 10, 3 and the Arabic-Indic 3
+    for text in ("1_0", "+3", "\u0663", "1,,3", "1, 3 5"):
+        with pytest.raises(ParseError):
+            parse_prefix(text)
 
 
 def test_vertex_labels_round_trip():
@@ -216,13 +222,18 @@ def test_doubled_builds_match_replay_from_root():
             _assert_matches_replay(prefix)
     for g in (complete_graph(3), cycle_graph(5), petersen_graph()):
         prefix = decide(g, 8).prefix
-        gadget._build.cache_clear()
-        for n in range(len(prefix) + 1):
-            _assert_matches_replay(prefix[:n])
-        # and straight from an empty cache, top level first
-        gadget._build.cache_clear()
         for n in range(len(prefix), -1, -1):
             _assert_matches_replay(prefix[:n])
+
+
+def test_gadgets_equal_and_hash_by_prefix():
+    for prefix in ((), (1,), (1, 3), (3, 1, 5)):
+        a, b = build_gadget(prefix), build_gadget(list(prefix))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a.vertices == b.vertices
+        assert level_quotient(prefix) == level_quotient(prefix)
+    assert build_gadget((1, 3)) != build_gadget((3, 1))
+    assert build_gadget((1,)) != (1,)
 
 
 def test_traversal_order_copy_join_copy():
@@ -293,7 +304,7 @@ def test_closed_forms_at_level_60_build_nothing(monkeypatch):
     def refuse(prefix):
         raise AssertionError("gadget materialized")
 
-    monkeypatch.setattr(gadget, "_build", refuse)
+    monkeypatch.setattr(gadget, "_materialize", refuse)
     prefix = (1, 3, 5) * 20
     sizes = [1]
     for c in prefix:
@@ -303,6 +314,13 @@ def test_closed_forms_at_level_60_build_nothing(monkeypatch):
     assert vertex_position(prefix, endpoint_label(60, 1)) == sizes[60] - 1
     v = GadgetVertex(2, (0,) * 30)
     assert vertex_position(prefix, v) == sizes[29] + 2
+    # the gadget itself answers sizes and lookups from the same closed forms
+    g = build_gadget(prefix)
+    assert (g.level, g.vertex_count, g.edge_count) == (60, sizes[60], sizes[60] - 1)
+    assert g.odd_prefix
+    assert g.require_vertex(v) == sizes[29] + 2 and g.birth_level(v) == 30
+    with pytest.raises(UnknownVertex, match="not in the level-60 gadget"):
+        g.require_vertex(GadgetVertex(0, (0,) * 61))
     start = time.perf_counter()
     for i in (0, 1, sizes[59], sizes[59] + 5, sizes[60] - 1, 12345678901234567):
         assert vertex_position(prefix, vertex_at(prefix, i)) == i

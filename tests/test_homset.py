@@ -3,11 +3,11 @@ import random
 import pytest
 
 import oracles
-from oddwalk import bruteforce, kernels
+from oddwalk import bruteforce, gadget, kernels
 from oddwalk.dichotomy import decide
 from oddwalk.errors import (NotHomomorphism, NotLarge, NotMember, OddwalkError,
                             ParseError, PrefixMismatch)
-from oddwalk.gadget import build_gadget
+from oddwalk.gadget import GadgetVertex, build_gadget
 from oddwalk.generators import (all_graphs_upto, complete_graph, cycle_graph,
                                 disjoint_union, path_graph, random_graph,
                                 single_edge)
@@ -584,3 +584,23 @@ def test_is_large_skip_path_matches_restricted_witness(monkeypatch):
                 assert calls == []
                 skipped += 1
     assert skipped >= 100
+
+
+def test_profiles_and_gluing_materialize_no_gadget(monkeypatch):
+    def refuse(prefix):
+        raise AssertionError(f"gadget {prefix} materialized")
+
+    monkeypatch.setattr(gadget, "_materialize", refuse)
+    g = cycle_graph(5)
+    full = all_homs(build_gadget((1, 3)), g)
+    assert full.count() == oracles.walk_count(g, full.gadget.edge_count)
+    assert not is_tiny(full) and is_large(full)
+    explicit, total = full.enumerate_homs(3)
+    assert len(explicit) == 3 and total == full.count()
+    assert full.project(GadgetVertex(2, ())) == g.vertices
+    p = pin(all_homs(build_gadget(()), g), Hom(("c0",), ()))
+    for _ in range(4):
+        d, hom = extend_witness(p, 1)
+        p = HomProfile.pinned(build_gadget(p.gadget.prefix + (d,)), g, hom)
+        assert p.count() == 1 and p.member(hom)
+    assert p.to_json_dict()["c"] == list(p.gadget.prefix)

@@ -75,6 +75,16 @@ def test_lc_vertex_parsing():
         LcVertex.from_json_dict({"m": 0, "k": 0})
 
 
+@pytest.mark.parametrize("m, k", [
+    (1.9, 0), (1, "0"), (True, 0), (1, False), (1.0, 0), (None, 0),
+])
+def test_lc_vertex_from_json_takes_integers_only(m, k):
+    # int() would read 1.9 as 1, "0" as 0 and true as 1
+    with pytest.raises(ParseError):
+        LcVertex.from_json_dict({"m": m, "k": k, "x": {"period": "0"}})
+    assert LcVertex.from_json_dict({"m": 1, "k": 0, "x": {"period": "0"}}) == v(1, 0)
+
+
 @pytest.mark.parametrize("text", [
     "1_0:0::0", "+1:0::0", " 1:0::0", "1:0 ::0", "01_:0::0", "\u0661:0::0",
     "1:\uff10::0", "0:0::\uff11", "0:0:\u0660:1", "0:0::1_0",
@@ -296,7 +306,7 @@ def _refuse_builds(monkeypatch):
     def refuse(prefix):
         raise AssertionError("gadget materialized")
 
-    monkeypatch.setattr(gadget, "_build", refuse)
+    monkeypatch.setattr(gadget, "_materialize", refuse)
 
 
 def test_adjacent_at_birth_level_60_builds_no_gadget(monkeypatch):
