@@ -31,8 +31,7 @@ from .limitgraph import (LcVertex, adjacent, level_quotient, neighbors,
                          same_component, validate_vertex)
 from .parity import exact_walk, phi_bound, phi_holds
 from .render import (gadget_to_dot, gadget_to_json_dict, gadget_to_text,
-                     gadget_to_tikz, graph_to_dot, graph_to_tikz,
-                     quotient_to_dot)
+                     gadget_to_tikz, graph_to_dot, graph_to_tikz)
 
 
 def _read_text(path: str) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidIndex, OutOfTruncation, ParseError
 from .gadget import (GadgetVertex, appended, ascii_int, build_gadget,
-                     level_labels, vertex_position)
+                     is_natural, level_labels)
 from .graphs import Coloring, WitnessedGraph, vertex_pair
 from .homset import (Hom, HomProfile, all_homs, extend_witness, pin,
                      validate_hom)
@@ -87,7 +87,7 @@ def decide(g: WitnessedGraph, depth: int, schedule=None):
     double(profile, d), and pinning that doubled profile would keep exactly
     this singleton, so the doubled profile is never built.
     """
-    if not _is_natural(depth):
+    if not is_natural(depth):
         raise ParseError(f"depth must be a natural number, got {depth!r}")
     if schedule is None:
         schedule = unbounded_schedule_default()
@@ -102,7 +102,7 @@ def decide(g: WitnessedGraph, depth: int, schedule=None):
     bounds: list[int] = []
     for n in range(depth):
         bound = schedule(n)
-        if not _is_natural(bound):
+        if not is_natural(bound):
             raise ParseError(f"schedule({n}) must be a natural number, got {bound!r}")
         d, phi = extend_witness(profile, bound)
         prefix.append(d)
@@ -112,10 +112,6 @@ def decide(g: WitnessedGraph, depth: int, schedule=None):
     return Tower(tuple(prefix), tuple(levels), tuple(bounds))
 
 
-def _is_natural(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def evaluate(t: Tower, m: int, k: int, tbits) -> str:
     """Finite limit-map evaluation: the pinned image of (k, tbits) at level
     m + len(tbits).  Coherence makes the value stable under appending bits
@@ -123,7 +119,7 @@ def evaluate(t: Tower, m: int, k: int, tbits) -> str:
     tbits = tuple(tbits)
     if not all(b in (0, 1) for b in tbits):
         raise ParseError(f"tbits must be 0/1, got {tbits!r}")
-    if m < 0 or k < 0:
+    if not (is_natural(m) and is_natural(k)):
         raise InvalidIndex("m and k must be nonnegative")
     if m == 0:
         if k != 0:
@@ -137,7 +133,7 @@ def evaluate(t: Tower, m: int, k: int, tbits) -> str:
     level = m + len(tbits)
     if level > t.depth:
         raise OutOfTruncation(f"level {level} beyond tower depth {t.depth}")
-    position = vertex_position(t.prefix[:level], GadgetVertex(k, tbits))
+    position = build_gadget(t.prefix[:level]).require_vertex(GadgetVertex(k, tbits))
     return t.levels[level].vertex_images[position]
 
 

@@ -15,16 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import GapInsufficient, NonOddPrefix, ParseError, UnknownVertex
-from .gadget import (GadgetVertex, check_prefix, gadget_size, level_labels,
-                     position_finder, vertex_at)
-
-
-def _odd_prefix(prefix) -> tuple[int, ...]:
-    prefix = check_prefix(prefix)
-    if any(c % 2 == 0 for c in prefix):
-        raise NonOddPrefix(f"prefix {prefix} has an even value")
-    return prefix
+from .errors import GapInsufficient, ParseError, UnknownVertex
+from .gadget import (GadgetVertex, build_gadget, check_odd_prefix, is_natural,
+                     level_labels)
 
 
 def path_walk_exists(distance: int, length: int) -> bool:
@@ -95,9 +88,9 @@ def plan_equivalence(c, d, depth: int) -> EquivalenceTower:
     Raises GapInsufficient when the target prefix is too short to absorb
     the requested levels; a longer target prefix may still succeed.
     """
-    c = _odd_prefix(c)
-    d = _odd_prefix(d)
-    if not isinstance(depth, int) or depth < 0:
+    c = check_odd_prefix(c)
+    d = check_odd_prefix(d)
+    if not is_natural(depth):
         raise ParseError(f"depth must be a natural number, got {depth!r}")
     if depth > len(c):
         raise ParseError(f"depth {depth} exceeds source prefix length {len(c)}")
@@ -110,12 +103,12 @@ def plan_equivalence(c, d, depth: int) -> EquivalenceTower:
         glue_img = maps[n][-1]
         found = None
         for mm in range(level_map[n], len(d) + 1):
-            position = position_finder(d[:mm])
+            target = build_gadget(d[:mm])
             slen = mm - level_map[n]
             for s0, s1 in itertools.product(itertools.product((0, 1), repeat=slen),
                                             repeat=2):
-                a0 = position(_append_suffix(glue_img, s0))
-                a1 = position(_append_suffix(glue_img, s1))
+                a0 = target.require_vertex(_append_suffix(glue_img, s0))
+                a1 = target.require_vertex(_append_suffix(glue_img, s1))
                 if path_walk_exists(abs(a0 - a1), length):
                     found = (mm, s0, s1, a0, a1)
                     break
@@ -126,10 +119,10 @@ def plan_equivalence(c, d, depth: int) -> EquivalenceTower:
                 f"target prefix {d} cannot absorb level {n} "
                 f"(join length {length} from image {glue_img.label})")
         mm, s0, s1, a0, a1 = found
-        walk = path_exact_walk(gadget_size(d[:mm]), a0, a1, length)
+        walk = path_exact_walk(target.vertex_count, a0, a1, length)
         # level n+1 of the source: copy 0, then the join, then copy 1 mirrored
         images = ([_append_suffix(img, s0) for img in maps[n]]
-                  + [vertex_at(d[:mm], p) for p in walk[1:-1]]
+                  + [target.vertex_at(p) for p in walk[1:-1]]
                   + [_append_suffix(img, s1) for img in reversed(maps[n])])
         level_map.append(mm)
         suffixes.append((s0, s1))
@@ -165,18 +158,19 @@ def verify_equivalence(t: EquivalenceTower) -> EquivReport:
         bad.append("level map must start at 0")
     if any(a > b for a, b in zip(t.level_map, t.level_map[1:])):
         bad.append("level map must be nondecreasing")
+    sources = []
     for n in range(depth + 1):
-        tgt_prefix = t.target_prefix[:t.level_map[n]]
         images = t.maps[n]
         checks += 1
-        if len(images) != gadget_size(t.source_prefix[:n]):
+        sources.append(build_gadget(t.source_prefix[:n]))
+        if len(images) != sources[n].vertex_count:
             bad.append(f"level {n}: wrong image count")
             continue
-        position = position_finder(tgt_prefix)
+        target = build_gadget(t.target_prefix[:t.level_map[n]])
         positions = []
         for img in images:
             try:
-                positions.append(position(img))
+                positions.append(target.require_vertex(img))
             except UnknownVertex:
                 bad.append(f"level {n}: image {img.label} not in target gadget")
                 break
@@ -190,8 +184,8 @@ def verify_equivalence(t: EquivalenceTower) -> EquivReport:
     for n in range(depth):
         # source positions: copy 0 keeps position i of level n, copy 1 sends
         # it to big - 1 - i, and join vertex k sits at small + k
-        small = gadget_size(t.source_prefix[:n])
-        big = gadget_size(t.source_prefix[:n + 1])
+        small = sources[n].vertex_count
+        big = sources[n + 1].vertex_count
         s0, s1 = t.suffixes[n]
         want_len = t.level_map[n + 1] - t.level_map[n]
         checks += 1
@@ -204,31 +198,30 @@ def verify_equivalence(t: EquivalenceTower) -> EquivReport:
                 got = t.maps[n + 1][got_pos]
                 want = _append_suffix(t.maps[n][i], suf)
                 if got != want:
-                    v = vertex_at(t.source_prefix[:n], i)
+                    v = sources[n].vertex_at(i)
                     bad.append(
                         f"coherence broken at level {n + 1}, copy {bit}, "
                         f"vertex {v.label}: {got.label} vs {want.label}")
         walk = t.join_walks[n]
-        tgt_prefix = t.target_prefix[:t.level_map[n + 1]]
         checks += 1
         if len(walk) != t.source_prefix[n] + 3:
             bad.append(f"level {n}: join walk must have {t.source_prefix[n] + 3} stops")
             continue
         if any(abs(a - b) != 1 for a, b in zip(walk, walk[1:])):
             bad.append(f"level {n}: join walk is not a walk")
-        tgt_size = gadget_size(tgt_prefix)
-        if any(not 0 <= p < tgt_size for p in walk):
+        target = build_gadget(t.target_prefix[:t.level_map[n + 1]])
+        if not all(is_natural(p) and p < target.vertex_count for p in walk):
             bad.append(f"level {n}: join walk leaves the target gadget")
             continue
         # images of the copy-0 and copy-1 relabelings of the right endpoint
         left = t.maps[n + 1][small - 1]
         right = t.maps[n + 1][big - small]
-        if (vertex_at(tgt_prefix, walk[0]) != left
-                or vertex_at(tgt_prefix, walk[-1]) != right):
+        if (target.vertex_at(walk[0]) != left
+                or target.vertex_at(walk[-1]) != right):
             bad.append(f"level {n}: join walk endpoints disagree with the maps")
         for k in range(t.source_prefix[n] + 1):
             checks += 1
             got = t.maps[n + 1][small + k]
-            if got != vertex_at(tgt_prefix, walk[k + 1]):
+            if got != target.vertex_at(walk[k + 1]):
                 bad.append(f"level {n}: join vertex p{k} off the recorded walk")
     return EquivReport(checks, tuple(bad))

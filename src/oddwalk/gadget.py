@@ -12,7 +12,10 @@ positions [0, V(L)) in order, the join fills [V(L), V(L) + c(L)], and copy 1
 fills the rest mirrored.  So vertex (k, t) born at level m = n - len(t)
 starts at V(m-1) + k (at 0 when m = 0), and each copy bit b appended at
 level L keeps the position when b = 0 and maps it to V(L+1) - 1 - pos when
-b = 1.  vertex_position and vertex_at evaluate this in O(level).
+b = 1.  PathGadget.require_vertex evaluates this in O(level) from the
+gadget's prefix and sizes, and PathGadget.vertex_at is its inverse; the
+free functions vertex_position, vertex_at and gadget_size are shorthands
+over build_gadget(prefix).
 
 A PathGadget holds only its prefix and sizes, so counts, vertex lookups and
 birth levels never build the path.  Its vertex list, position map and labels
@@ -28,6 +31,10 @@ each from the previous level's, and PathGadget.labels keeps the last level
 on the gadget.  Every emitter that lists a whole gadget reads one of the
 two; GadgetVertex.label formats a single vertex, for messages and queries,
 and is the oracle the recurrence is checked against.
+
+The prefix rules live here once: check_prefix (integers >= 1),
+check_odd_prefix (every value odd) and check_next_level (one gadget is the
+next level of another).
 """
 
 from __future__ import annotations
@@ -103,12 +110,25 @@ def ascii_int(text: str) -> int | None:
     return int(text) if digits.isascii() and digits.isdigit() else None
 
 
+def is_natural(value) -> bool:
+    """An int >= 0 and not a bool: a count, index or length."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def check_prefix(prefix) -> tuple[int, ...]:
     """Validate a parameter prefix: a tuple of integers >= 1."""
     vals = tuple(prefix)
     for c in vals:
         if not isinstance(c, int) or isinstance(c, bool) or c < 1:
             raise ParseError(f"prefix values must be integers >= 1, got {c!r}")
+    return vals
+
+
+def check_odd_prefix(prefix) -> tuple[int, ...]:
+    """check_prefix, then NonOddPrefix unless every value is odd."""
+    vals = check_prefix(prefix)
+    if any(c % 2 == 0 for c in vals):
+        raise NonOddPrefix(f"prefix {vals} has an even value")
     return vals
 
 
@@ -127,16 +147,21 @@ def parse_prefix(text: str) -> tuple[int, ...]:
 class PathGadget:
     """The level-n gadget: a labeled simple path.
 
-    Equal, and hashed, by prefix.  The vertex list, position map and labels
-    are built on first read and kept on this object.
+    Equal, and hashed, by prefix.  Positions and vertices come from the
+    prefix and sizes by closed form (require_vertex, vertex_at); the vertex
+    list, position map and labels are built on first read and kept on this
+    object.
     """
 
-    __slots__ = ("prefix", "sizes", "_vertices", "_position", "_labels", "_find")
+    __slots__ = ("prefix", "sizes", "_vertices", "_position", "_labels")
 
     def __init__(self, prefix: tuple[int, ...]):
         self.prefix = prefix
-        self.sizes = _sizes(prefix)
-        self._vertices = self._position = self._labels = self._find = None
+        # V(0), ..., V(n) by the size recursion
+        self.sizes = sizes = [1]
+        for c in prefix:
+            sizes.append(2 * sizes[-1] + c + 1)
+        self._vertices = self._position = self._labels = None
 
     @property
     def vertices(self) -> tuple[GadgetVertex, ...]:
@@ -184,10 +209,39 @@ class PathGadget:
             yield self.vertices[i], self.vertices[i + 1]
 
     def require_vertex(self, v: GadgetVertex) -> int:
-        """Path position of v; UnknownVertex if v is not in this gadget."""
-        if self._find is None:
-            self._find = position_finder(self.prefix)
-        return self._find(v)
+        """Path position of v in O(level); UnknownVertex if v is not in
+        this gadget."""
+        prefix, sizes = self.prefix, self.sizes
+        n = len(prefix)
+        m = n - len(v.t)
+        if (m < 0 or not 0 <= v.k <= (prefix[m - 1] if m else 0)
+                or any(b not in (0, 1) for b in v.t)):
+            raise UnknownVertex(f"vertex {v.label} is not in the level-{n} gadget")
+        pos = sizes[m - 1] + v.k if m else 0
+        for level, b in enumerate(v.t, m + 1):
+            if b:
+                pos = sizes[level] - 1 - pos
+        return pos
+
+    def vertex_at(self, pos: int) -> GadgetVertex:
+        """The vertex at a path position in O(level), the inverse of
+        require_vertex; UnknownVertex for anything but an int position
+        on the path."""
+        prefix, sizes = self.prefix, self.sizes
+        if not (is_natural(pos) and pos < sizes[-1]):
+            raise UnknownVertex(
+                f"no vertex at position {pos} in the level-{len(prefix)} gadget")
+        bits: list[int] = []
+        for level in range(len(prefix), 0, -1):
+            half = sizes[level - 1]
+            if pos < half:
+                bits.append(0)
+            elif pos <= half + prefix[level - 1]:
+                return GadgetVertex(pos - half, tuple(reversed(bits)))
+            else:
+                bits.append(1)
+                pos = sizes[level] - 1 - pos
+        return GadgetVertex(0, tuple(reversed(bits)))
 
     def birth_level(self, v: GadgetVertex) -> int:
         self.require_vertex(v)
@@ -238,71 +292,21 @@ def level_labels(prefix):
         yield labels
 
 
-def _sizes(prefix: tuple[int, ...]) -> list[int]:
-    """V(0), ..., V(n) by the size recursion."""
-    sizes = [1]
-    for c in prefix:
-        sizes.append(2 * sizes[-1] + c + 1)
-    return sizes
-
-
 def gadget_size(prefix) -> int:
-    """Vertex count V(n) of the gadget, without building it."""
-    return _sizes(check_prefix(prefix))[-1]
-
-
-def position_finder(prefix):
-    """The map v -> path position for one prefix, in O(level) per vertex.
-
-    The prefix is validated and its sizes computed once, so bulk lookups
-    against one gadget pay only for the copy bits of each vertex.
-    """
-    prefix = check_prefix(prefix)
-    sizes = _sizes(prefix)
-    n = len(prefix)
-
-    def position(v: GadgetVertex) -> int:
-        m = n - len(v.t)
-        if (m < 0 or not 0 <= v.k <= (prefix[m - 1] if m else 0)
-                or any(b not in (0, 1) for b in v.t)):
-            raise UnknownVertex(f"vertex {v.label} is not in the level-{n} gadget")
-        pos = sizes[m - 1] + v.k if m else 0
-        for level, b in enumerate(v.t, m + 1):
-            if b:
-                pos = sizes[level] - 1 - pos
-        return pos
-
-    return position
+    """Vertex count V(n) of the gadget for the prefix."""
+    return build_gadget(prefix).vertex_count
 
 
 def vertex_position(prefix, v: GadgetVertex) -> int:
-    """Path position of v in the gadget for the prefix, in O(level).
-
-    Raises UnknownVertex, as PathGadget.require_vertex does, when v is not a
-    vertex of that gadget.
-    """
-    return position_finder(prefix)(v)
+    """Path position of v in the gadget for the prefix, in O(level)
+    (PathGadget.require_vertex)."""
+    return build_gadget(prefix).require_vertex(v)
 
 
 def vertex_at(prefix, pos: int) -> GadgetVertex:
-    """The vertex at a path position of the gadget for the prefix, in O(level);
-    the inverse of vertex_position."""
-    prefix = check_prefix(prefix)
-    sizes = _sizes(prefix)
-    if not 0 <= pos < sizes[-1]:
-        raise UnknownVertex(
-            f"no vertex at position {pos} in the level-{len(prefix)} gadget")
-    bits: list[int] = []
-    for level in range(len(prefix), 0, -1):
-        half = sizes[level - 1]
-        if pos < half:
-            bits.append(0)
-        elif pos <= half + prefix[level - 1]:
-            return GadgetVertex(pos - half, tuple(reversed(bits)))
-        else:
-            bits.append(1)
-            pos = sizes[level] - 1 - pos
-    return GadgetVertex(0, tuple(reversed(bits)))
+    """The vertex at a path position of the gadget for the prefix, in
+    O(level) (PathGadget.vertex_at)."""
+    return build_gadget(prefix).vertex_at(pos)
 
 
 def endpoints(g: PathGadget) -> tuple[GadgetVertex, GadgetVertex]:
@@ -327,13 +331,19 @@ def classify(g: PathGadget, v: GadgetVertex) -> str:
     return PATH_VERTEX if not v.t else NON_PATH_VERTEX
 
 
-def copy_embed(g_small: PathGadget, g_big: PathGadget, bit: int) -> dict:
-    """The injective embedding of a gadget onto copy `bit` of the next level."""
+def check_next_level(small: PathGadget, big: PathGadget, bit: int) -> None:
+    """ParseError unless bit is a copy bit, PrefixMismatch unless big is
+    the level above small."""
     if bit not in (0, 1):
         raise ParseError(f"copy bit must be 0 or 1, got {bit!r}")
-    if g_big.level != g_small.level + 1 or g_big.prefix[:g_small.level] != g_small.prefix:
+    if big.level != small.level + 1 or big.prefix[:small.level] != small.prefix:
         raise PrefixMismatch(
-            f"prefix {g_big.prefix} does not extend {g_small.prefix} by one level")
+            f"prefix {big.prefix} does not extend {small.prefix} by one level")
+
+
+def copy_embed(g_small: PathGadget, g_big: PathGadget, bit: int) -> dict:
+    """The injective embedding of a gadget onto copy `bit` of the next level."""
+    check_next_level(g_small, g_big, bit)
     return {v: v.append(bit) for v in g_small.vertices}
 
 
@@ -364,8 +374,7 @@ def sibling_pairs(g: PathGadget):
 
 def check_odd_distance_lemma(g: PathGadget) -> SiblingReport:
     """Verify every last-bit sibling pair sits at odd distance."""
-    if not g.odd_prefix:
-        raise NonOddPrefix(f"prefix {g.prefix} has an even value")
+    check_odd_prefix(g.prefix)
     checked = 0
     bad = []
     for a, b in sibling_pairs(g):

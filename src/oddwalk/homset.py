@@ -24,9 +24,9 @@ from functools import reduce
 from operator import and_, or_
 
 from . import kernels
-from .errors import (NotHomomorphism, NotLarge, NotMember, OddwalkError,
-                     ParseError, PrefixMismatch)
-from .gadget import GadgetVertex, PathGadget, build_gadget, endpoint_label
+from .errors import NotHomomorphism, NotLarge, NotMember, OddwalkError, ParseError
+from .gadget import (GadgetVertex, PathGadget, build_gadget, check_next_level,
+                     endpoint_label, is_natural)
 from .graphs import Walk, WitnessedGraph, vertex_pair
 from .parity import (exact_walk, no_odd_walk_in, nonbipartite_vertices,
                      parity_classes, vertex_odd_girth)
@@ -52,7 +52,8 @@ class Hom:
 
 
 def edge_label(gadget: PathGadget, j: int) -> str:
-    return f"{gadget.vertices[j].label}--{gadget.vertices[j + 1].label}"
+    """The label a--b of edge j, by closed form (no vertex list)."""
+    return f"{gadget.vertex_at(j).label}--{gadget.vertex_at(j + 1).label}"
 
 
 def validate_hom(gadget: PathGadget, target: WitnessedGraph, hom: Hom) -> None:
@@ -97,11 +98,7 @@ def copy_restriction(big: PathGadget, small: PathGadget, hom: Hom, bit: int) -> 
 
     Copy 0 is the head of the level-(n+1) path and copy 1 its tail reversed.
     """
-    if bit not in (0, 1):
-        raise ParseError(f"copy bit must be 0 or 1, got {bit!r}")
-    if big.level != small.level + 1 or big.prefix[:small.level] != small.prefix:
-        raise PrefixMismatch(
-            f"prefix {big.prefix} does not extend {small.prefix} by one level")
+    check_next_level(small, big, bit)
     vimgs, wimgs = hom.vertex_images, hom.witness_images
     if bit:
         vimgs, wimgs = vimgs[::-1], wimgs[::-1]
@@ -287,7 +284,7 @@ class HomProfile:
     def enumerate_homs(self, cap: int) -> tuple["ExplicitHomSet", int]:
         """First `cap` homomorphisms in (vertex images, witness images) lex
         order, plus the exact total count of the denoted set."""
-        if not isinstance(cap, int) or cap < 0:
+        if not is_natural(cap):
             raise ParseError(f"cap must be a natural number, got {cap!r}")
         total = self.count()
         homs = tuple(itertools.islice(self._homs(), cap)) if total else ()
@@ -445,7 +442,7 @@ def double(p: HomProfile, join_length: int) -> HomProfile:
     The two copies inherit p's domains; the fresh join path of join_length+2
     edges is unconstrained.
     """
-    if not isinstance(join_length, int) or join_length < 1:
+    if not (is_natural(join_length) and join_length >= 1):
         raise ParseError(f"join length must be an integer >= 1, got {join_length!r}")
     big = build_gadget(p.gadget.prefix + (join_length,))
     allv = (1 << len(p.target.vertices)) - 1
@@ -499,7 +496,7 @@ def extend_witness(p: HomProfile, n_bound: int) -> tuple[int, Hom]:
     tested.  A caller that pins the result may therefore build the pinned
     profile directly (HomProfile.pinned) instead of pin(double(p, d), hom).
     """
-    if not isinstance(n_bound, int) or n_bound < 0:
+    if not is_natural(n_bound):
         raise ParseError(f"bound must be a natural number, got {n_bound!r}")
     verdict = is_large(p)
     if not verdict.large:

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (InvalidVertex, LevelOutOfRange, NonOddPrefix, ParseError,
-                     UnknownVertex)
+from .errors import InvalidVertex, LevelOutOfRange, ParseError, UnknownVertex
 from .gadget import (GadgetVertex, PathGadget, ascii_int, build_gadget,
-                     check_prefix, vertex_at, vertex_position)
+                     check_odd_prefix, check_prefix, endpoint_label)
 
 
 @dataclass(frozen=True)
@@ -183,18 +182,12 @@ def adjacent(a: LcVertex, b: LcVertex, prefix) -> bool:
     n = max(a.m, b.m)
     if n == 0:
         return False
-    pa = vertex_position(prefix[:n], project_level(a, n, prefix))
-    pb = vertex_position(prefix[:n], project_level(b, n, prefix))
+    g = build_gadget(prefix[:n])
+    pa = g.require_vertex(project_level(a, n, prefix))
+    pb = g.require_vertex(project_level(b, n, prefix))
     if abs(pa - pb) != 1:
         return False
     return a.x.shift(n - a.m) == b.x.shift(n - b.m)
-
-
-def _e1_bits(level: int) -> tuple[int, ...]:
-    """Copy-history bits of the right endpoint label at the given level."""
-    if level == 0:
-        return ()
-    return (0,) * (level - 1) + (1,)
 
 
 def neighbors(v: LcVertex, prefix) -> tuple[LcVertex, ...]:
@@ -213,10 +206,12 @@ def neighbors(v: LcVertex, prefix) -> tuple[LcVertex, ...]:
         for kk in (v.k - 1, v.k + 1):
             if 0 <= kk <= c:
                 out.append(LcVertex(v.m, kk, v.x))
+        # the join ends attach to copy 0 and copy 1 of the right endpoint
+        e1 = endpoint_label(v.m - 1, 1).t
         if v.k == 0:
-            out.append(LcVertex(0, 0, v.x.prepend(_e1_bits(v.m - 1) + (0,))))
+            out.append(LcVertex(0, 0, v.x.prepend(e1 + (0,))))
         if v.k == c:
-            out.append(LcVertex(0, 0, v.x.prepend(_e1_bits(v.m - 1) + (1,))))
+            out.append(LcVertex(0, 0, v.x.prepend(e1 + (1,))))
     else:
         if len(prefix) >= 1:
             i = v.x.bit(0)
@@ -271,14 +266,15 @@ class LevelQuotient:
     def class_of(self, v: LcVertex) -> int:
         """Position of v's class, i.e. of its level-n projection."""
         n = len(self.prefix)
-        return vertex_position(self.prefix, project_level(v, n, self.prefix))
+        return self.gadget.require_vertex(project_level(v, n, self.prefix))
 
     def representative(self, position: int, tail: EpBits = EP_ZERO) -> LcVertex:
         """A member of the class at the given position, default tail zeros.
 
-        Raises UnknownVertex for a position off the level-n path.
+        Raises UnknownVertex for a position off the level-n path or not an
+        int.
         """
-        gv = vertex_at(self.prefix, position)
+        gv = self.gadget.vertex_at(position)
         n = len(self.prefix)
         return LcVertex(n - len(gv.t), gv.k, tail.prepend(gv.t))
 
@@ -319,17 +315,15 @@ def odd_sibling_obstruction(prefix, k: int, t) -> SiblingObstruction:
     An odd distance for every such pair is what rules out a 2-coloring that
     is stable under the copy maps.
     """
-    prefix = check_prefix(prefix)
-    if any(c % 2 == 0 for c in prefix):
-        raise NonOddPrefix(f"prefix {prefix} has an even value")
+    g = build_gadget(check_odd_prefix(prefix))
     t = tuple(t)
     left = GadgetVertex(k, t + (0,))
     right = GadgetVertex(k, t + (1,))
     positions = []
     for gv in (left, right):
         try:
-            positions.append(vertex_position(prefix, gv))
+            positions.append(g.require_vertex(gv))
         except UnknownVertex:
             raise UnknownVertex(
-                f"{gv.label} is not a level-{len(prefix)} vertex") from None
+                f"{gv.label} is not a level-{g.level} vertex") from None
     return SiblingObstruction(left, right, abs(positions[0] - positions[1]))

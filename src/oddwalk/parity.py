@@ -22,7 +22,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .graphs import Coloring, Walk, WitnessedGraph, vertex_pair
+from .gadget import is_natural
+from .graphs import Coloring, Walk, WitnessedGraph
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def phi_holds(g: WitnessedGraph, a, k: int) -> bool:
     With walk padding this is independent of k: it holds iff no odd walk
     with endpoints in the set exists at all.
     """
-    if not isinstance(k, int) or k < 0:
+    if not is_natural(k):
         raise ParseError(f"k must be a natural number, got {k!r}")
     return phi_bound(g, a).no_odd_walk
 
@@ -171,7 +172,7 @@ def exact_walk(g: WitnessedGraph, start: str, end: str, length: int) -> Walk | N
     Each is found once per graph, so the levels of one tower share it.
     """
     g.require_vertices([start, end])
-    if length < 0:
+    if not is_natural(length):
         raise ParseError("walk length must be nonnegative")
     return g.memo(("exact walk", start, end, length),
                   lambda: _exact_walk(g, start, end, length))

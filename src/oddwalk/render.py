@@ -7,7 +7,8 @@ Headers record the parameter prefix and a size note: this recursion is
 based at a single vertex, and an otherwise identical recursion based at a
 single edge yields larger counts (38 instead of 30 vertices for the prefix
 1,3,5), so both totals are stated to avoid confusion when comparing
-drawings from elsewhere.
+drawings from elsewhere.  The edge-based count E(n) follows the same
+recursion from E(0) = 2, so E(n) = V(n) + 2^n.
 """
 
 from __future__ import annotations
@@ -20,13 +21,6 @@ PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 
-def _edge_base_count(prefix) -> int:
-    count = 2
-    for c in prefix:
-        count = 2 * count + c + 1
-    return count
-
-
 def _prefix_text(prefix) -> str:
     return ",".join(map(str, prefix)) if prefix else "(empty)"
 
@@ -36,7 +30,7 @@ def _gadget_header(g: PathGadget, comment: str) -> list[str]:
         f"{comment} path gadget for c={_prefix_text(g.prefix)}: "
         f"{g.vertex_count} vertices, {g.edge_count} edges",
         f"{comment} size note: recursion based at a single vertex; an "
-        f"edge-based variant yields {_edge_base_count(g.prefix)} vertices "
+        f"edge-based variant yields {g.vertex_count + 2 ** g.level} vertices "
         f"for this prefix",
     ]
 
@@ -83,7 +77,7 @@ def gadget_to_json_dict(g: PathGadget) -> dict:
         "vertexCount": g.vertex_count,
         "edgeCount": g.edge_count,
         "sizeNote": ("single-vertex base recursion; an edge-based variant "
-                     f"yields {_edge_base_count(g.prefix)} vertices"),
+                     f"yields {g.vertex_count + 2 ** g.level} vertices"),
         "vertices": [{"label": label, "k": v.k,
                       "t": label.partition(".")[2],
                       "birthLevel": n - len(v.t)}

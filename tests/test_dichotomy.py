@@ -11,6 +11,7 @@ import oracles
 from oddwalk import cli, gadget, homset, kernels, parity
 from oddwalk.dichotomy import (Tower, decide, evaluate, parse_schedule,
                                unbounded_schedule_default, verify_tower)
+from oddwalk.equiv import plan_equivalence
 from oddwalk.errors import (InvalidIndex, OddwalkError, OutOfTruncation,
                             ParseError)
 from oddwalk.gadget import build_gadget
@@ -168,6 +169,44 @@ def test_evaluate_errors():
         evaluate(t, 0, 5, (0, 0, 0, 0))
     with pytest.raises(OutOfTruncation):
         evaluate(t, 3, 99, ())
+
+
+def _c5_root_profile():
+    return pin(all_homs(build_gadget(()), cycle_graph(5)), Hom(("c0",), ()))
+
+
+# every public count, index or length takes an int >= 0 that is not a bool;
+# each site raises its own class and message for True and for 1.0
+_NATURAL_SITES = {
+    "decide": (lambda v: decide(cycle_graph(5), v), ParseError,
+               "depth must be a natural number"),
+    "evaluate m": (lambda v: evaluate(decide(cycle_graph(5), 2), v, 0, ()),
+                   InvalidIndex, "m and k must be nonnegative"),
+    "evaluate k": (lambda v: evaluate(decide(cycle_graph(5), 2), 1, v, ()),
+                   InvalidIndex, "m and k must be nonnegative"),
+    "extend_witness": (lambda v: extend_witness(_c5_root_profile(), v),
+                       ParseError, "bound must be a natural number"),
+    "double": (lambda v: homset.double(_c5_root_profile(), v), ParseError,
+               "join length must be an integer >= 1"),
+    "enumerate_homs": (lambda v: _c5_root_profile().enumerate_homs(v),
+                       ParseError, "cap must be a natural number"),
+    "phi_holds": (lambda v: parity.phi_holds(cycle_graph(5), ["c0"], v),
+                  ParseError, "k must be a natural number"),
+    "plan_equivalence": (lambda v: plan_equivalence((1,), (1,), v), ParseError,
+                         "depth must be a natural number"),
+    # a memo hit on length 1 must not answer for True or 1.0
+    "exact_walk": (lambda v: [parity.exact_walk(g, "c0", "c1", n)
+                              for g in [cycle_graph(5)] for n in (1, v)],
+                   ParseError, "walk length must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+@pytest.mark.parametrize("site", sorted(_NATURAL_SITES))
+def test_counts_reject_bools_and_floats(site, value):
+    call, exc, message = _NATURAL_SITES[site]
+    with pytest.raises(exc, match=message):
+        call(value)
 
 
 def test_verify_tower_detects_incoherent_pin():

@@ -249,12 +249,12 @@ def test_traversal_order_copy_join_copy():
 
 def _assert_closed_forms_match(prefix):
     g = build_gadget(prefix)
-    assert gadget_size(prefix) == g.vertex_count
+    assert gadget_size(prefix) == len(g.vertices)
     assert g.labels == tuple(v.label for v in g.vertices)
     for v in g.vertices:
-        assert vertex_position(prefix, v) == g.position[v]
+        assert vertex_position(prefix, v) == g.require_vertex(v) == g.position[v]
     for i in range(g.vertex_count):
-        assert vertex_at(prefix, i) == g.vertices[i]
+        assert vertex_at(prefix, i) == g.vertex_at(i) == g.vertices[i]
 
 
 def test_closed_forms_match_built_gadgets_exhaustive():
@@ -293,9 +293,11 @@ def test_vertex_position_rejects_unknown_labels(prefix, v):
 
 
 def test_vertex_at_rejects_positions_off_the_path():
-    for pos in (-1, 4):
+    for pos in (-1, 4, 2.0, True):
         with pytest.raises(UnknownVertex):
             vertex_at((1,), pos)
+        with pytest.raises(UnknownVertex):
+            build_gadget((1,)).vertex_at(pos)
     with pytest.raises(ParseError):
         vertex_position((0,), GadgetVertex(0, ()))
 

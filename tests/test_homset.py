@@ -586,6 +586,33 @@ def test_is_large_skip_path_matches_restricted_witness(monkeypatch):
     assert skipped >= 100
 
 
+def test_invalid_hom_named_without_materializing(monkeypatch):
+    prefix = (1, 3, 5) * 4
+    g = single_edge()
+    size = build_gadget(prefix).vertex_count
+    images = ["u", "v"] * (size // 2) + ["u"] * (size % 2)
+    # the image after edge j repeats the one before it, so edge j's witness
+    # no longer joins its two images: the first fault is edge j
+    j = size // 2 + 7
+    images[j + 1] = images[j]
+    hom = Hom(tuple(images), ("w0",) * (size - 1))
+
+    def message():
+        with pytest.raises(NotHomomorphism) as err:
+            validate_hom(build_gadget(prefix), g, hom)
+        return str(err.value)
+
+    want = message()
+
+    def refuse(prefix):
+        raise AssertionError(f"gadget {prefix} materialized")
+
+    monkeypatch.setattr(gadget, "_materialize", refuse)
+    assert message() == want
+    vertices = oracles.gadget_vertices_from_root(prefix)
+    assert want.startswith(f"edge {vertices[j].label}--{vertices[j + 1].label}: ")
+
+
 def test_profiles_and_gluing_materialize_no_gadget(monkeypatch):
     def refuse(prefix):
         raise AssertionError(f"gadget {prefix} materialized")

@@ -256,7 +256,7 @@ def test_level_quotient_round_trip():
 
 def test_level_quotient_representative_range():
     q = level_quotient((1,))
-    for pos in (-1, len(q.classes)):
+    for pos in (-1, len(q.classes), 2.0, True):
         with pytest.raises(UnknownVertex):
             q.representative(pos)
 

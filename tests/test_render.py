@@ -4,16 +4,16 @@ from oddwalk.gadget import build_gadget
 from oddwalk.generators import complete_graph
 from oddwalk.graphs import WitnessedGraph
 from oddwalk.limitgraph import level_quotient
-from oddwalk.render import (_edge_base_count, gadget_to_dot, gadget_to_json_dict,
+from oddwalk.render import (gadget_to_dot, gadget_to_json_dict,
                             gadget_to_text, gadget_to_tikz, graph_to_dot,
                             graph_to_tikz, quotient_to_dot)
 
 
 def test_edge_base_count():
     # an edge-based recursion starts at 2 and doubles-plus-joins the same way
-    assert _edge_base_count(()) == 2
-    assert _edge_base_count((1,)) == 6
-    assert _edge_base_count((1, 3, 5)) == 38
+    for prefix, want in (((), 2), ((1,), 6), ((1, 3, 5), 38)):
+        note = gadget_to_json_dict(build_gadget(prefix))["sizeNote"]
+        assert note.endswith(f"yields {want} vertices")
 
 
 def test_gadget_dot_output():
