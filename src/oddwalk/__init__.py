@@ -4,9 +4,11 @@ Witnessed multigraphs, the parity double cover, recursive path gadgets,
 homomorphism profiles with exact counting, the 2-coloring / tower
 dichotomy driver, the symbolic limit graph, and equivalence-tower
 planning, plus a seeded property-check harness.
+
+The harness (run_checks) and the brute-force oracles and generators it
+runs are imported on first use of oddwalk.run_checks, not with the package.
 """
 
-from .check import run_checks
 from .coloring import (bipartite_superset_coloring, greedy_coloring,
                        invariant_closure, pullback_coloring,
                        two_color_from_cover)
@@ -27,6 +29,14 @@ from .parity import (bipartite_certificate, is_bipartite, phi_bound,
                      phi_holds, vertex_odd_girth)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name == "run_checks":
+        from .check import run_checks
+        return run_checks
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Coloring", "EpBits", "EquivalenceTower", "ExplicitHomSet",

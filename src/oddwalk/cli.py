@@ -6,6 +6,11 @@ sorted keys, so a fixed invocation is byte-identical across runs.  It is
 written by _dumps, which equals json.dumps(data, indent=2, sort_keys=True)
 byte for byte but leaves the encoding to the standard library's C encoder,
 which json.dumps gives up as soon as it is asked to indent.
+
+main builds a parser once per process and per subcommand: every
+subcommand is listed, but only the one named in argv gets its arguments.
+The check suites (oddwalk.check) are imported only when `check` is parsed
+or run.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import os
 import sys
 from pathlib import Path
 
-from .check import run_checks, suite_names
 from .coloring import bipartite_superset_coloring
 from .dichotomy import decide, parse_schedule, verify_tower
 from .equiv import plan_equivalence, verify_equivalence
@@ -272,25 +276,21 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .check import run_checks
     report = run_checks(seed=args.seed, oracle=args.oracle, only=args.only)
     _emit(report)
     return 0 if report["ok"] else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="oddwalk",
-        description="Finite workbench for the odd-walk coloring dichotomy.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gadget", help="build and render a path gadget")
+def _gadget_arguments(p) -> None:
     p.add_argument("--c", required=True,
                    help="comma-separated parameter prefix; empty for level 0")
     p.add_argument("--format", choices=("dot", "tikz", "json", "text"),
                    default="json")
     p.set_defaults(fn=_cmd_gadget)
 
-    p = sub.add_parser("phi", help="odd-walk test for a vertex set")
+
+def _phi_arguments(p) -> None:
     p.add_argument("--graph", required=True, help="graph file or - for stdin")
     p.add_argument("--set", required=True, nargs="+", metavar="VERTEX")
     p.add_argument("--k", type=_int_arg, default=None,
@@ -299,7 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="attach a closure coloring or a least odd walk")
     p.set_defaults(fn=_cmd_phi)
 
-    p = sub.add_parser("homset", help="profile of gadget homomorphisms")
+
+def _homset_arguments(p) -> None:
     p.add_argument("--c", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--project", action="append", metavar="LABEL",
@@ -308,14 +309,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit the first N homomorphisms in lex order")
     p.set_defaults(fn=_cmd_homset)
 
-    p = sub.add_parser("dichotomy", help="2-coloring or homomorphism tower")
+
+def _dichotomy_arguments(p) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--depth", type=_int_arg, default=6)
     p.add_argument("--schedule", default="default",
                    help='"default" or comma-separated lower bounds')
     p.set_defaults(fn=_cmd_dichotomy)
 
-    p = sub.add_parser("lc", help="queries on the limit graph")
+
+def _lc_arguments(p) -> None:
     p.add_argument("--c", required=True)
     query = p.add_mutually_exclusive_group()
     query.add_argument("--quotient", action="store_true",
@@ -331,29 +334,69 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="the gadget level for --project")
     p.set_defaults(fn=_cmd_lc)
 
-    p = sub.add_parser("equiv", help="plan and verify an equivalence tower")
+
+def _equiv_arguments(p) -> None:
     p.add_argument("--c", required=True, help="source prefix")
     p.add_argument("--d", required=True, help="target prefix")
     p.add_argument("--depth", type=_int_arg, required=True)
     p.set_defaults(fn=_cmd_equiv)
 
-    p = sub.add_parser("render", help="render a witnessed graph")
+
+def _render_arguments(p) -> None:
     p.add_argument("--graph", required=True)
     p.add_argument("--format", choices=("dot", "tikz"), default="dot")
     p.set_defaults(fn=_cmd_render)
 
-    p = sub.add_parser("check", help="seeded property-check suites")
+
+def _check_arguments(p) -> None:
+    from .check import suite_names
     p.add_argument("--seed", type=_int_arg, default=0)
     p.add_argument("--oracle", action="store_true",
                    help="add brute-force cross-checks")
     p.add_argument("--only", action="append", metavar="SUITE",
                    help=f"limit to a suite: {', '.join(suite_names())}")
     p.set_defaults(fn=_cmd_check)
+
+
+# name -> (help line, function adding the subcommand's arguments), in the
+# order the top-level help lists them
+_SUBCOMMANDS = {
+    "gadget": ("build and render a path gadget", _gadget_arguments),
+    "phi": ("odd-walk test for a vertex set", _phi_arguments),
+    "homset": ("profile of gadget homomorphisms", _homset_arguments),
+    "dichotomy": ("2-coloring or homomorphism tower", _dichotomy_arguments),
+    "lc": ("queries on the limit graph", _lc_arguments),
+    "equiv": ("plan and verify an equivalence tower", _equiv_arguments),
+    "render": ("render a witnessed graph", _render_arguments),
+    "check": ("seeded property-check suites", _check_arguments),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The top-level parser, listing every subcommand, with arguments added
+    to the named subcommand only (None: to none of them).
+
+    The top-level help and its usage errors read only the subcommand names
+    and help lines, so they are the same whichever parser prints them.
+    """
+    parser = argparse.ArgumentParser(
+        prog="oddwalk",
+        description="Finite workbench for the odd-walk coloring dichotomy.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the subcommand is the first item that is not an option: the top-level
+    # parser has no option that takes a value
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = _build_parser(command if command in _SUBCOMMANDS else None)
     args = parser.parse_args(argv)
     try:
         code = args.fn(args)

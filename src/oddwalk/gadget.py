@@ -91,6 +91,9 @@ class GadgetVertex(NamedTuple):
         return self.label
 
 
+# the copy bits; a set test, so that checking a label's history runs in C
+_BITS = frozenset((0, 1))
+
 # GadgetVertex from a (k, t) pair without a Python-level __new__ call
 _vertex = partial(tuple.__new__, GadgetVertex)
 
@@ -210,12 +213,12 @@ class PathGadget:
 
     def require_vertex(self, v: GadgetVertex) -> int:
         """Path position of v in O(level); UnknownVertex if v is not in
-        this gadget."""
+        this gadget, a join index that is not an int included."""
         prefix, sizes = self.prefix, self.sizes
         n = len(prefix)
         m = n - len(v.t)
-        if (m < 0 or not 0 <= v.k <= (prefix[m - 1] if m else 0)
-                or any(b not in (0, 1) for b in v.t)):
+        if (m < 0 or not is_natural(v.k) or v.k > (prefix[m - 1] if m else 0)
+                or not _BITS.issuperset(v.t)):
             raise UnknownVertex(f"vertex {v.label} is not in the level-{n} gadget")
         pos = sizes[m - 1] + v.k if m else 0
         for level, b in enumerate(v.t, m + 1):

@@ -150,7 +150,17 @@ class LcVertex:
 
 
 def validate_vertex(v: LcVertex, prefix) -> tuple[int, ...]:
+    """The checked prefix; InvalidVertex unless v is a vertex over it."""
     prefix = check_prefix(prefix)
+    _check_vertex(v, prefix)
+    return prefix
+
+
+def _check_vertex(v: LcVertex, prefix: tuple[int, ...]) -> None:
+    """validate_vertex over an already checked prefix."""
+    for value in (v.m, v.k):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InvalidVertex(f"{v.label}: m and k must be integers")
     if v.m < 0 or v.k < 0:
         raise InvalidVertex(f"{v.label}: m and k must be nonnegative")
     if v.m == 0:
@@ -163,7 +173,6 @@ def validate_vertex(v: LcVertex, prefix) -> tuple[int, ...]:
         if v.k > prefix[v.m - 1]:
             raise InvalidVertex(
                 f"{v.label}: k = {v.k} exceeds c({v.m - 1}) = {prefix[v.m - 1]}")
-    return prefix
 
 
 def project_level(v: LcVertex, n: int, prefix) -> GadgetVertex:
@@ -178,13 +187,15 @@ def project_level(v: LcVertex, n: int, prefix) -> GadgetVertex:
 def adjacent(a: LcVertex, b: LcVertex, prefix) -> bool:
     """Projections adjacent at level max(m_a, m_b) and tails equal onward."""
     prefix = validate_vertex(a, prefix)
-    validate_vertex(b, prefix)
+    _check_vertex(b, prefix)
     n = max(a.m, b.m)
     if n == 0:
         return False
-    g = build_gadget(prefix[:n])
-    pa = g.require_vertex(project_level(a, n, prefix))
-    pb = g.require_vertex(project_level(b, n, prefix))
+    # the prefix is checked once, above, and both projections are to
+    # level n >= m, as project_level would check
+    g = PathGadget(prefix[:n])
+    pa = g.require_vertex(GadgetVertex(a.k, a.x.take(n - a.m)))
+    pb = g.require_vertex(GadgetVertex(b.k, b.x.take(n - b.m)))
     if abs(pa - pb) != 1:
         return False
     return a.x.shift(n - a.m) == b.x.shift(n - b.m)

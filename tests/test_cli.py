@@ -432,3 +432,49 @@ def test_closed_stdout_is_one_error_line():
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:"), proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_parsers_are_built_once_and_reused(tmp_path):
+    k3 = write_graph(tmp_path, complete_graph(3))
+    cli._build_parser.cache_clear()
+    code, out, _ = run_main("homset", "--graph", k3, "--c", "1", "--project", "p0")
+    assert code == 0 and list(json.loads(out)["projections"]) == ["p0"]
+    code, out, _ = run_main("homset", "--graph", k3, "--c", "1")
+    assert code == 0 and "projections" not in json.loads(out)
+    # an argparse usage error leaves the cached parser fit for the next call
+    code, out, err = run_main("lc", "--c", "1,3", "--quotient", "--sibling", "0:0")
+    assert code == 2 and out == "" and "not allowed with argument" in err
+    code, out, err = run_main("lc", "--c", "1,3", "--sibling", "0:0")
+    assert code == 0 and err == "" and json.loads(out)["odd"] is True
+    code, out, err = run_main("lc", "--c", "1,3", "--quotient")
+    assert code == 0 and err == "" and len(json.loads(out)["classes"]) == 12
+    assert run_main("bogus")[0] == 2 and run_main("--help")[0] == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (3, 4)   # homset, lc and None
+
+
+def test_top_level_help_is_the_same_from_every_parser():
+    code, top, err = run_main("--help")
+    assert code == 0 and err == ""
+    for name in cli._SUBCOMMANDS:
+        cli._build_parser.cache_clear()
+        assert run_main("-h", name) == (0, top, "")
+        assert cli._build_parser(name).format_help() == top
+        assert name in top
+
+
+def test_check_help_lists_the_suites():
+    from oddwalk.check import suite_names
+    code, out, _ = run_main("check", "--help")
+    assert code == 0
+    listed = " ".join(out.split()).split("limit to a suite: ", 1)[1]
+    assert listed.split(", ") == list(suite_names())
+
+
+def test_main_reads_sys_argv(monkeypatch):
+    argv = ["lc", "--c", "1,3", "--neighbors", "1:0::0"]
+    monkeypatch.setattr(sys, "argv", ["oddwalk", *argv])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main() == 0
+    assert out.getvalue() == run_main(*argv)[1] != ""

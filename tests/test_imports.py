@@ -1,10 +1,16 @@
-"""Every module-level import in the package is read somewhere in its module.
+"""Every module-level import in the package is read somewhere in its module,
+and the check suites are imported only by what runs them.
 
-__init__.py is skipped: its imports are the public re-exports.
+__init__.py is skipped by the dead-import scan: its imports are the public
+re-exports.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "oddwalk"
 
@@ -34,3 +40,44 @@ def test_package_has_no_dead_imports():
     dead = [f"{p.stem}.{name}" for p in modules
             for name in dead_imports(p.read_text(encoding="utf-8"))]
     assert dead == []
+
+
+# what only the check suites read; no other command may pay for importing it
+CHECK_ONLY = ("oddwalk.check", "oddwalk.bruteforce", "oddwalk.generators")
+
+
+def imported_modules(*args):
+    """Modules a fresh `python -X importtime ARGS` imports, by name."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "import oddwalk.cli"],
+    ["-c", "import oddwalk"],
+    ["-m", "oddwalk.cli", "lc", "--c", "1,3", "--neighbors", "1:0::0"],
+])
+def test_check_suites_load_only_on_demand(args):
+    modules = imported_modules(*args)
+    assert "oddwalk.limitgraph" in modules
+    assert not modules & set(CHECK_ONLY)
+
+
+def test_check_imports_its_suites():
+    # the control for the test above: the scan does see these imports
+    assert set(CHECK_ONLY) <= imported_modules("-m", "oddwalk.cli", "check",
+                                               "--help")
+
+
+def test_run_checks_stays_public():
+    import oddwalk
+    import oddwalk.check
+    assert oddwalk.run_checks is oddwalk.check.run_checks
+    namespace = {}
+    exec("from oddwalk import *", namespace)
+    assert [name for name in oddwalk.__all__ if name not in namespace] == []
+    with pytest.raises(AttributeError, match="no_such_name"):
+        oddwalk.no_such_name

@@ -4,10 +4,11 @@ import time
 
 import pytest
 
-from oddwalk import bruteforce, gadget
+from oddwalk import bruteforce, gadget, limitgraph
 from oddwalk.errors import (InvalidVertex, LevelOutOfRange, NonOddPrefix,
                             ParseError, UnknownVertex)
-from oddwalk.gadget import GadgetVertex, build_gadget, gadget_distance
+from oddwalk.gadget import (GadgetVertex, build_gadget, gadget_distance,
+                            vertex_position)
 from oddwalk.generators import random_ep_bits, random_odd_prefix
 from oddwalk.limitgraph import (EP_ZERO, EpBits, LcVertex, LevelQuotient,
                                 adjacent, level_quotient, neighbors,
@@ -100,9 +101,31 @@ def test_validate_vertex():
     prefix = (1, 3)
     validate_vertex(v(0, 0), prefix)
     validate_vertex(v(2, 3), prefix)  # k may equal c(m-1)
-    for bad in [v(-1, 0), v(0, -1), v(0, 1), v(3, 0), v(2, 4)]:
+    for bad in [v(-1, 0), v(0, -1), v(0, 1), v(3, 0), v(2, 4),
+                v(1.5, 0), v(True, 0)]:
         with pytest.raises(InvalidVertex):
             validate_vertex(bad, prefix)
+
+
+# each site with a join index k at birth level 2 of the prefix (1, 3), where
+# the range test 0 <= k <= c(1) = 3 alone passes 1.5 and True
+_JOIN_INDEX_SITES = {
+    "require_vertex": (UnknownVertex, lambda k: build_gadget((1, 3))
+                       .require_vertex(GadgetVertex(k, ()))),
+    "vertex_position": (UnknownVertex,
+                        lambda k: vertex_position((1, 3), GadgetVertex(k, ()))),
+    "class_of": (InvalidVertex, lambda k: level_quotient((1, 3)).class_of(v(2, k))),
+    "adjacent": (InvalidVertex, lambda k: adjacent(v(2, k), v(2, 2), (1, 3))),
+    "neighbors": (InvalidVertex, lambda k: neighbors(v(2, k), (1, 3))),
+}
+
+
+@pytest.mark.parametrize("k", [1.5, True])
+@pytest.mark.parametrize("site", sorted(_JOIN_INDEX_SITES))
+def test_join_index_must_be_an_int(site, k):
+    error, call = _JOIN_INDEX_SITES[site]
+    with pytest.raises(error):
+        call(k)
 
 
 def test_project_level_examples():
@@ -125,6 +148,22 @@ def test_adjacent_examples():
     g = build_gadget((1,))
     assert gadget_distance(g, GadgetVertex(0, (0,)), GadgetVertex(0, (1,))) == 3
     assert adjacent(v(0, 0, (1,)), v(1, 1), (1,))
+
+
+def test_adjacent_checks_its_prefix_once(monkeypatch):
+    calls = []
+    check = gadget.check_prefix
+
+    def counted(prefix):
+        calls.append(prefix)
+        return check(prefix)
+
+    monkeypatch.setattr(gadget, "check_prefix", counted)
+    monkeypatch.setattr(limitgraph, "check_prefix", counted)
+    prefix = (1, 3, 5) * 5 + (1,)
+    x = EpBits((0, 1), (1, 0))
+    assert adjacent(LcVertex(16, 0, x), LcVertex(16, 1, x), prefix)
+    assert len(calls) == 1
 
 
 def test_adjacent_needs_matching_tails():
