@@ -201,7 +201,8 @@ def _suite_gadget(rng: random.Random, oracle: bool) -> SuiteResult:
                     == list(range(small.vertex_count)),
                     f"copy 0 must fill the left block in order for {prefix}")
             s.check([g.position[emb1[v]] for v in small.vertices]
-                    == [g.vertex_count - 1 - i for i in range(small.vertex_count)],
+                    == [g.copy_position(i, small.level, (1,))
+                        for i in range(small.vertex_count)],
                     f"copy 1 must fill the right block mirrored for {prefix}")
             used = set(emb0.values()) | set(emb1.values())
             join = [v for v in g.vertices if v not in used]
@@ -537,9 +538,8 @@ def _suite_equiv(rng: random.Random, oracle: bool) -> SuiteResult:
                 f"identity tower must map level to level for {c}")
         s.check(all(pair == ((0,), (1,)) for pair in t.suffixes),
                 f"identity tower must append plain copy bits for {c}")
-        s.check(all(img == src
-                    for n in range(len(c) + 1)
-                    for src, img in zip(build_gadget(c[:n]).vertices, t.maps[n])),
+        s.check(all(t.maps[n] == tuple(range(build_gadget(c[:n]).vertex_count))
+                    for n in range(len(c) + 1)),
                 f"identity tower maps must be identities for {c}")
 
     t = plan_equivalence((3, 5), (1, 3, 5, 7), 2)

@@ -404,7 +404,7 @@ def main(argv=None) -> int:
         # the interpreter's final flush
         sys.stdout.flush()
         return code
-    except (OddwalkError, ParseError) as exc:
+    except OddwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidIndex, OutOfTruncation, ParseError
-from .gadget import (GadgetVertex, appended, ascii_int, build_gadget,
-                     is_natural, level_labels)
-from .graphs import Coloring, WitnessedGraph, vertex_pair
-from .homset import (Hom, HomProfile, all_homs, extend_witness, pin,
-                     validate_hom)
-from .limitgraph import level_quotient
+from .gadget import (GadgetVertex, ascii_int, build_gadget, is_natural,
+                     level_labels)
+from .graphs import Coloring, WitnessedGraph
+from .homset import (Hom, HomProfile, all_homs, copy_restriction, edge_label,
+                     extend_witness, pin, validate_hom)
 from .parity import nonbipartite_vertices, parity_classes
 
 
@@ -156,11 +155,13 @@ class TowerReport:
 def verify_tower(t: Tower, g: WitnessedGraph) -> TowerReport:
     """Re-check every Tower invariant against the target graph.
 
-    Covers: homomorphism validity per level, coherence of consecutive
-    levels, odd join lengths meeting the schedule, the largeness
-    precondition (all pinned values avoid 2-colorable components), and
-    adjacency of evaluated endpoints over every level-quotient edge of the
-    depth-level truncation.
+    Covers: homomorphism validity per level, odd join lengths meeting the
+    schedule, the largeness precondition (all pinned values avoid
+    2-colorable components), and coherence of consecutive levels: both
+    copy restrictions of level n+1 (copy 0 is its first V(n) vertex and
+    E(n) witness images, copy 1 its last ones reversed) equal level n,
+    vertex images and witness images alike.  Positions and edges are named
+    by closed form, and only to report a fault.
     """
     checks = 0
     bad: list[str] = []
@@ -173,10 +174,11 @@ def verify_tower(t: Tower, g: WitnessedGraph) -> TowerReport:
             bad.append(f"c({n}) = {c} is not odd")
         if n < len(t.schedule_values) and c < t.schedule_values[n]:
             bad.append(f"c({n}) = {c} below schedule bound {t.schedule_values[n]}")
+    gadgets = [build_gadget(t.prefix[:n]) for n in range(t.depth + 1)]
     shape_ok = True
     for n, hom in enumerate(t.levels):
         checks += 1
-        expect = build_gadget(t.prefix[:n])
+        expect = gadgets[n]
         if (len(hom.vertex_images) != expect.vertex_count
                 or len(hom.witness_images) != expect.edge_count):
             bad.append(f"level {n}: wrong assignment shape")
@@ -196,44 +198,22 @@ def verify_tower(t: Tower, g: WitnessedGraph) -> TowerReport:
             bad.append(
                 f"level {n}: largeness precondition fails, images "
                 f"{', '.join(map(repr, outside))} lie in 2-colorable components")
-    # each level's vertex list is built once: level n+1 is the next `small`
-    small = build_gadget(())
     for n in range(t.depth):
-        big = build_gadget(t.prefix[:n + 1])
-        # every vertex v of level n against its copy v.append(bit) one level
-        # up, looked up by label
-        want = list(map(t.levels[n].vertex_images.__getitem__,
-                        map(small.position.__getitem__, small.vertices)))
+        small, want = gadgets[n], t.levels[n]
         for bit in (0, 1):
-            checks += small.vertex_count
-            got = list(map(t.levels[n + 1].vertex_images.__getitem__,
-                           map(big.position.__getitem__,
-                               appended(small.vertices, bit))))
+            checks += small.vertex_count + small.edge_count
+            got = copy_restriction(gadgets[n + 1], small, t.levels[n + 1], bit)
             if got == want:
                 continue
-            for v, got_v, want_v in zip(small.vertices, got, want):
+            where = f"coherence broken at level {n + 1}, copy {bit}"
+            for i, (got_v, want_v) in enumerate(zip(got.vertex_images,
+                                                    want.vertex_images)):
                 if got_v != want_v:
-                    bad.append(
-                        f"coherence broken at level {n + 1}, copy {bit}, "
-                        f"vertex {v.label}: {got_v!r} vs {want_v!r}")
-        small = big
-    if not bad:
-        quotient = level_quotient(t.prefix) if t.prefix else None
-        top = t.levels[-1]
-        if quotient is not None:
-            edges = quotient.gadget.edge_count
-            checks += edges
-            images = top.vertex_images
-            steps = zip(top.witness_images[:edges], images, images[1:edges + 1])
-            # one set pass; only a failing tower is walked edge by edge
-            if not all(map(g.steps.__contains__, steps)):
-                for j in range(edges):
-                    u_img = images[j]
-                    v_img = images[j + 1]
-                    wid = top.witness_images[j]
-                    if not g.adjacent(u_img, v_img):
-                        bad.append(f"quotient edge {j}: images {u_img!r}, "
-                                   f"{v_img!r} not adjacent")
-                    elif g.ends[wid] != vertex_pair(u_img, v_img):
-                        bad.append(f"quotient edge {j}: witness {wid!r} inconsistent")
+                    bad.append(f"{where}, vertex {small.vertex_at(i).label}: "
+                               f"{got_v!r} vs {want_v!r}")
+            for j, (got_w, want_w) in enumerate(zip(got.witness_images,
+                                                    want.witness_images)):
+                if got_w != want_w:
+                    bad.append(f"{where}, edge {edge_label(small, j)}: "
+                               f"{got_w!r} vs {want_w!r}")
     return TowerReport(checks, tuple(bad))

@@ -15,9 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import GapInsufficient, ParseError, UnknownVertex
-from .gadget import (GadgetVertex, build_gadget, check_odd_prefix, is_natural,
-                     level_labels)
+from .errors import GapInsufficient, ParseError
+from .gadget import build_gadget, check_odd_prefix, is_natural, level_labels
 
 
 def path_walk_exists(distance: int, length: int) -> bool:
@@ -47,10 +46,11 @@ def path_exact_walk(n_vertices: int, start: int, end: int, length: int) -> list[
 class EquivalenceTower:
     """Planned maps h_n from source levels into target levels.
 
-    maps[n] lists target vertices by source path position.  suffixes[n] are
-    the copy-bit strings (s0, s1) appended when passing from level n to
-    n+1; join_walks[n] is the target position walk carrying the level-n
-    source join path.
+    maps[n] lists, by source path position, the path positions of the
+    images in the target gadget at level level_map[n].  suffixes[n] are the
+    copy-bit strings (s0, s1) appended when passing from level n to n+1;
+    join_walks[n] is the target position walk carrying the level-n source
+    join path.
     """
 
     source_prefix: tuple[int, ...]
@@ -58,13 +58,14 @@ class EquivalenceTower:
     level_map: tuple[int, ...]
     suffixes: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     join_walks: tuple[tuple[int, ...], ...]
-    maps: tuple[tuple[GadgetVertex, ...], ...]
+    maps: tuple[tuple[int, ...], ...]
 
     @property
     def depth(self) -> int:
         return len(self.level_map) - 1
 
     def to_json_dict(self) -> dict:
+        targets = list(level_labels(self.target_prefix[:self.level_map[-1]]))
         return {
             "c": list(self.source_prefix),
             "d": list(self.target_prefix),
@@ -72,14 +73,11 @@ class EquivalenceTower:
             "suffixes": [["".join(map(str, s)) for s in pair]
                          for pair in self.suffixes],
             "joinWalks": [list(w) for w in self.join_walks],
-            "maps": [{src: img.label for src, img in zip(labels, images)}
-                     for labels, images in zip(
-                         level_labels(self.source_prefix[:self.depth]), self.maps)],
+            "maps": [dict(zip(labels, map(targets[m].__getitem__, images)))
+                     for labels, m, images in zip(
+                         level_labels(self.source_prefix[:self.depth]),
+                         self.level_map, self.maps)],
         }
-
-
-def _append_suffix(v: GadgetVertex, suffix: tuple[int, ...]) -> GadgetVertex:
-    return GadgetVertex(v.k, v.t + suffix)
 
 
 def plan_equivalence(c, d, depth: int) -> EquivalenceTower:
@@ -87,6 +85,12 @@ def plan_equivalence(c, d, depth: int) -> EquivalenceTower:
 
     Raises GapInsufficient when the target prefix is too short to absorb
     the requested levels; a longer target prefix may still succeed.
+
+    The search is cut by the mirror rule, exactly.  Two suffixes agreeing
+    at target level j keep the images' distance; differing there, they put
+    the images a and V(j+1) - 1 - b (a, b < V(j)) at least d[j] + 2 apart.
+    So a pair joins an odd c[n] + 2 only if it last differs at a j with
+    d[j] <= c[n], and cut after that j it joins at level j + 1 already.
     """
     c = check_odd_prefix(c)
     d = check_odd_prefix(d)
@@ -94,36 +98,39 @@ def plan_equivalence(c, d, depth: int) -> EquivalenceTower:
         raise ParseError(f"depth must be a natural number, got {depth!r}")
     if depth > len(c):
         raise ParseError(f"depth {depth} exceeds source prefix length {len(c)}")
+    target = build_gadget(d)
     level_map = [0]
-    maps: list[tuple[GadgetVertex, ...]] = [(GadgetVertex(0, ()),)]
+    maps: list[tuple[int, ...]] = [(0,)]
     suffixes = []
     walks = []
     for n in range(depth):
         length = c[n] + 2
-        glue_img = maps[n][-1]
+        start = level_map[n]
+        glue = maps[n][-1]
+        last = max((j for j in range(start, len(d)) if d[j] <= c[n]),
+                   default=start - 1)
         found = None
-        for mm in range(level_map[n], len(d) + 1):
-            target = build_gadget(d[:mm])
-            slen = mm - level_map[n]
-            for s0, s1 in itertools.product(itertools.product((0, 1), repeat=slen),
-                                            repeat=2):
-                a0 = target.require_vertex(_append_suffix(glue_img, s0))
-                a1 = target.require_vertex(_append_suffix(glue_img, s1))
+        for mm in range(start + 1, last + 2):
+            for s0, s1 in itertools.product(
+                    itertools.product((0, 1), repeat=mm - start), repeat=2):
+                a0 = target.copy_position(glue, start, s0)
+                a1 = target.copy_position(glue, start, s1)
                 if path_walk_exists(abs(a0 - a1), length):
                     found = (mm, s0, s1, a0, a1)
                     break
             if found:
                 break
         if not found:
+            glue_label = build_gadget(d[:start]).vertex_at(glue).label
             raise GapInsufficient(
                 f"target prefix {d} cannot absorb level {n} "
-                f"(join length {length} from image {glue_img.label})")
+                f"(join length {length} from image {glue_label})")
         mm, s0, s1, a0, a1 = found
-        walk = path_exact_walk(target.vertex_count, a0, a1, length)
+        walk = path_exact_walk(target.sizes[mm], a0, a1, length)
         # level n+1 of the source: copy 0, then the join, then copy 1 mirrored
-        images = ([_append_suffix(img, s0) for img in maps[n]]
-                  + [target.vertex_at(p) for p in walk[1:-1]]
-                  + [_append_suffix(img, s1) for img in reversed(maps[n])])
+        images = ([target.copy_position(p, start, s0) for p in maps[n]]
+                  + walk[1:-1]
+                  + [target.copy_position(p, start, s1) for p in reversed(maps[n])])
         level_map.append(mm)
         suffixes.append((s0, s1))
         walks.append(tuple(walk))
@@ -147,7 +154,8 @@ class EquivReport:
 
 
 def verify_equivalence(t: EquivalenceTower) -> EquivReport:
-    """Re-check every map, coherence, and join walk of a tower."""
+    """Re-check every map, coherence, and join walk of a tower, on target
+    path positions; labels are built only to name a fault."""
     checks = 0
     bad: list[str] = []
     depth = t.depth
@@ -158,50 +166,53 @@ def verify_equivalence(t: EquivalenceTower) -> EquivReport:
         bad.append("level map must start at 0")
     if any(a > b for a, b in zip(t.level_map, t.level_map[1:])):
         bad.append("level map must be nondecreasing")
-    sources = []
-    for n in range(depth + 1):
-        images = t.maps[n]
+    if max(t.level_map) > len(t.target_prefix):
+        bad.append("level map must stay within the target prefix")
+    target = build_gadget(t.target_prefix)
+    levels = [build_gadget(t.target_prefix[:m]) for m in t.level_map]
+    sizes = build_gadget(t.source_prefix[:depth]).sizes
+    placed = True
+    for n, images in enumerate(t.maps):
         checks += 1
-        sources.append(build_gadget(t.source_prefix[:n]))
-        if len(images) != sources[n].vertex_count:
-            bad.append(f"level {n}: wrong image count")
+        outside = [p for p in images
+                   if not (is_natural(p) and p < levels[n].vertex_count)]
+        if len(images) != sizes[n] or outside:
+            placed = False
+            bad.append(f"level {n}: wrong image count" if len(images) != sizes[n]
+                       else f"level {n}: image {outside[0]!r} not in target gadget")
             continue
-        target = build_gadget(t.target_prefix[:t.level_map[n]])
-        positions = []
-        for img in images:
-            try:
-                positions.append(target.require_vertex(img))
-            except UnknownVertex:
-                bad.append(f"level {n}: image {img.label} not in target gadget")
-                break
-        else:
-            for j in range(len(images) - 1):
-                checks += 1
-                if abs(positions[j] - positions[j + 1]) != 1:
-                    bad.append(
-                        f"level {n}, edge {j}: images {images[j].label}, "
-                        f"{images[j + 1].label} not adjacent")
+        checks += len(images) - 1
+        for j, (a, b) in enumerate(zip(images, images[1:])):
+            if abs(a - b) != 1:
+                bad.append(f"level {n}, edge {j}: images "
+                           f"{levels[n].vertex_at(a).label}, "
+                           f"{levels[n].vertex_at(b).label} not adjacent")
+    if not placed:
+        return EquivReport(checks, tuple(bad))
     for n in range(depth):
-        # source positions: copy 0 keeps position i of level n, copy 1 sends
-        # it to big - 1 - i, and join vertex k sits at small + k
-        small = sources[n].vertex_count
-        big = sources[n + 1].vertex_count
+        small = sizes[n]
         s0, s1 = t.suffixes[n]
-        want_len = t.level_map[n + 1] - t.level_map[n]
+        start = t.level_map[n]
+        want_len = t.level_map[n + 1] - start
         checks += 1
         if len(s0) != want_len or len(s1) != want_len:
             bad.append(f"level {n}: suffix lengths must be {want_len}")
             continue
-        for i in range(small):
-            for got_pos, bit, suf in ((i, 0, s0), (big - 1 - i, 1, s1)):
-                checks += 1
-                got = t.maps[n + 1][got_pos]
-                want = _append_suffix(t.maps[n][i], suf)
+        if not {0, 1}.issuperset(s0 + s1):
+            bad.append(f"level {n}: suffixes must be copy bits")
+            continue
+        upper = t.maps[n + 1]
+        checks += 2 * small
+        for i, img in enumerate(t.maps[n]):
+            # copy 0 is the head of level n+1, copy 1 its tail reversed
+            for bit, suf, got in ((0, s0, upper[i]), (1, s1, upper[-1 - i])):
+                want = target.copy_position(img, start, suf)
                 if got != want:
-                    v = sources[n].vertex_at(i)
+                    v = build_gadget(t.source_prefix[:n]).vertex_at(i)
                     bad.append(
                         f"coherence broken at level {n + 1}, copy {bit}, "
-                        f"vertex {v.label}: {got.label} vs {want.label}")
+                        f"vertex {v.label}: {levels[n + 1].vertex_at(got).label} "
+                        f"vs {levels[n + 1].vertex_at(want).label}")
         walk = t.join_walks[n]
         checks += 1
         if len(walk) != t.source_prefix[n] + 3:
@@ -209,19 +220,14 @@ def verify_equivalence(t: EquivalenceTower) -> EquivReport:
             continue
         if any(abs(a - b) != 1 for a, b in zip(walk, walk[1:])):
             bad.append(f"level {n}: join walk is not a walk")
-        target = build_gadget(t.target_prefix[:t.level_map[n + 1]])
-        if not all(is_natural(p) and p < target.vertex_count for p in walk):
+        if not all(is_natural(p) and p < levels[n + 1].vertex_count for p in walk):
             bad.append(f"level {n}: join walk leaves the target gadget")
             continue
         # images of the copy-0 and copy-1 relabelings of the right endpoint
-        left = t.maps[n + 1][small - 1]
-        right = t.maps[n + 1][big - small]
-        if (target.vertex_at(walk[0]) != left
-                or target.vertex_at(walk[-1]) != right):
+        if walk[0] != upper[small - 1] or walk[-1] != upper[-small]:
             bad.append(f"level {n}: join walk endpoints disagree with the maps")
         for k in range(t.source_prefix[n] + 1):
             checks += 1
-            got = t.maps[n + 1][small + k]
-            if got != target.vertex_at(walk[k + 1]):
+            if upper[small + k] != walk[k + 1]:
                 bad.append(f"level {n}: join vertex p{k} off the recorded walk")
     return EquivReport(checks, tuple(bad))

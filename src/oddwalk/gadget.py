@@ -12,10 +12,10 @@ positions [0, V(L)) in order, the join fills [V(L), V(L) + c(L)], and copy 1
 fills the rest mirrored.  So vertex (k, t) born at level m = n - len(t)
 starts at V(m-1) + k (at 0 when m = 0), and each copy bit b appended at
 level L keeps the position when b = 0 and maps it to V(L+1) - 1 - pos when
-b = 1.  PathGadget.require_vertex evaluates this in O(level) from the
-gadget's prefix and sizes, and PathGadget.vertex_at is its inverse; the
-free functions vertex_position, vertex_at and gadget_size are shorthands
-over build_gadget(prefix).
+b = 1: PathGadget.copy_position, the one home of this mirror rule.
+require_vertex ends with it, in O(level), and vertex_at is its inverse.
+So between modules a gadget vertex travels as its path position; a
+GadgetVertex is made only to name one.
 
 A PathGadget holds only its prefix and sizes, so counts, vertex lookups and
 birth levels never build the path.  Its vertex list, position map and labels
@@ -220,10 +220,16 @@ class PathGadget:
         if (m < 0 or not is_natural(v.k) or v.k > (prefix[m - 1] if m else 0)
                 or not _BITS.issuperset(v.t)):
             raise UnknownVertex(f"vertex {v.label} is not in the level-{n} gadget")
-        pos = sizes[m - 1] + v.k if m else 0
-        for level, b in enumerate(v.t, m + 1):
+        return self.copy_position(sizes[m - 1] + v.k if m else 0, m, v.t)
+
+    def copy_position(self, pos: int, level: int, bits) -> int:
+        """Where the level-`level` vertex at path position pos lands once
+        `bits` are appended, one copy bit per level above: bit 0 at level L
+        keeps the position, and bit 1 mirrors it to V(L+1) - 1 - pos.  The
+        bits must be 0/1 and level + len(bits) at most this gadget's level."""
+        for size, b in zip(self.sizes[level + 1:], bits):
             if b:
-                pos = sizes[level] - 1 - pos
+                pos = size - 1 - pos
         return pos
 
     def vertex_at(self, pos: int) -> GadgetVertex:
@@ -243,7 +249,8 @@ class PathGadget:
                 return GadgetVertex(pos - half, tuple(reversed(bits)))
             else:
                 bits.append(1)
-                pos = sizes[level] - 1 - pos
+                # the mirror is its own inverse
+                pos = self.copy_position(pos, level - 1, (1,))
         return GadgetVertex(0, tuple(reversed(bits)))
 
     def birth_level(self, v: GadgetVertex) -> int:

@@ -12,8 +12,9 @@ way: gadgets replayed level by level from the root, homomorphism
 validation one vertex and one edge at a time, the un-memoized two-sweep
 propagation, tininess by one odd-walk BFS per gadget position, component
 2-colorings by a BFS of their own, the tower driver as a composition of
-profile operations, and tower and equivalence-tower JSON with labels read
-off built gadgets.
+profile operations, tower and equivalence-tower JSON with labels read off
+built gadgets, and the equivalence planner and verifier with GadgetVertex
+images appended and compared label by label.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ import itertools
 from collections import deque
 
 from oddwalk.dichotomy import Tower, unbounded_schedule_default
-from oddwalk.errors import NotHomomorphism
-from oddwalk.gadget import GadgetVertex, build_gadget
+from oddwalk.equiv import (EquivalenceTower, EquivReport, path_exact_walk,
+                           path_walk_exists)
+from oddwalk.errors import GapInsufficient, NotHomomorphism, ParseError
+from oddwalk.gadget import GadgetVertex, build_gadget, check_odd_prefix, is_natural
 from oddwalk.graphs import Coloring, vertex_pair
 from oddwalk.homset import (Hom, all_homs, double, edge_label, extend_witness,
                             pin)
@@ -296,15 +299,148 @@ def tower_json_via_gadgets(t) -> dict:
             "schedule": list(t.schedule_values)}
 
 
-def equiv_json_via_gadgets(t) -> dict:
-    """EquivalenceTower.to_json_dict with each level's source labels read
-    off build_gadget."""
-    maps = []
-    for n, images in enumerate(t.maps):
-        gadget = build_gadget(t.source_prefix[:n])
-        maps.append({v.label: img.label for v, img in zip(gadget.vertices, images)})
+def _equiv_json(t, image_label) -> dict:
+    """EquivalenceTower.to_json_dict with source labels read off built
+    gadgets and image_label(n, image) naming each level-n image."""
+    maps = [{v.label: image_label(n, img)
+             for v, img in zip(build_gadget(t.source_prefix[:n]).vertices, images)}
+            for n, images in enumerate(t.maps)]
     return {"c": list(t.source_prefix), "d": list(t.target_prefix),
             "levelMap": list(t.level_map),
             "suffixes": [["".join(map(str, s)) for s in pair] for pair in t.suffixes],
             "joinWalks": [list(w) for w in t.join_walks],
             "maps": maps}
+
+
+def equiv_json_via_gadgets(t) -> dict:
+    """EquivalenceTower.to_json_dict with source and target labels read
+    off built gadgets."""
+    targets = [build_gadget(t.target_prefix[:m]).vertices for m in t.level_map]
+    return _equiv_json(t, lambda n, pos: targets[n][pos].label)
+
+
+def _append_suffix(v, suffix):
+    return GadgetVertex(v.k, v.t + suffix)
+
+
+def plan_equivalence_via_vertices(c, d, depth: int):
+    """equiv.plan_equivalence as it was with GadgetVertex images: every
+    suffix pair at every target level up to len(d), images appended suffix
+    by suffix.  Exponential in the target levels searched; small sizes only.
+    Its maps hold GadgetVertex objects, not positions."""
+    c, d = check_odd_prefix(c), check_odd_prefix(d)
+    if not is_natural(depth):
+        raise ParseError(f"depth must be a natural number, got {depth!r}")
+    if depth > len(c):
+        raise ParseError(f"depth {depth} exceeds source prefix length {len(c)}")
+    level_map = [0]
+    maps = [(GadgetVertex(0, ()),)]
+    suffixes, walks = [], []
+    for n in range(depth):
+        length = c[n] + 2
+        glue_img = maps[n][-1]
+        found = None
+        for mm in range(level_map[n], len(d) + 1):
+            target = build_gadget(d[:mm])
+            slen = mm - level_map[n]
+            for s0, s1 in itertools.product(itertools.product((0, 1), repeat=slen),
+                                            repeat=2):
+                a0 = target.position[_append_suffix(glue_img, s0)]
+                a1 = target.position[_append_suffix(glue_img, s1)]
+                if path_walk_exists(abs(a0 - a1), length):
+                    found = (mm, s0, s1, a0, a1)
+                    break
+            if found:
+                break
+        if not found:
+            raise GapInsufficient(
+                f"target prefix {d} cannot absorb level {n} "
+                f"(join length {length} from image {glue_img.label})")
+        mm, s0, s1, a0, a1 = found
+        walk = path_exact_walk(target.vertex_count, a0, a1, length)
+        images = ([_append_suffix(img, s0) for img in maps[n]]
+                  + [target.vertices[p] for p in walk[1:-1]]
+                  + [_append_suffix(img, s1) for img in reversed(maps[n])])
+        level_map.append(mm)
+        suffixes.append((s0, s1))
+        walks.append(tuple(walk))
+        maps.append(tuple(images))
+    return EquivalenceTower(c, d, tuple(level_map), tuple(suffixes),
+                            tuple(walks), tuple(maps))
+
+
+def verify_equivalence_via_vertices(t) -> EquivReport:
+    """equiv.verify_equivalence as it was, for a tower whose maps hold
+    GadgetVertex images: each image looked up in a built target gadget and
+    each copy compared by label with its suffixed parent."""
+    checks = 0
+    bad = []
+    depth = t.depth
+    if not (len(t.maps) == depth + 1 and len(t.suffixes) == depth
+            and len(t.join_walks) == depth):
+        return EquivReport(1, ("inconsistent field lengths",))
+    if t.level_map[0] != 0:
+        bad.append("level map must start at 0")
+    if any(a > b for a, b in zip(t.level_map, t.level_map[1:])):
+        bad.append("level map must be nondecreasing")
+    sources = []
+    for n in range(depth + 1):
+        images = t.maps[n]
+        checks += 1
+        sources.append(build_gadget(t.source_prefix[:n]))
+        if len(images) != sources[n].vertex_count:
+            bad.append(f"level {n}: wrong image count")
+            continue
+        target = build_gadget(t.target_prefix[:t.level_map[n]])
+        if not all(img in target.position for img in images):
+            bad.append(f"level {n}: image not in target gadget")
+            continue
+        positions = [target.position[img] for img in images]
+        for j in range(len(images) - 1):
+            checks += 1
+            if abs(positions[j] - positions[j + 1]) != 1:
+                bad.append(f"level {n}, edge {j}: images {images[j].label}, "
+                           f"{images[j + 1].label} not adjacent")
+    for n in range(depth):
+        small, big = sources[n], sources[n + 1]
+        s0, s1 = t.suffixes[n]
+        want_len = t.level_map[n + 1] - t.level_map[n]
+        checks += 1
+        if len(s0) != want_len or len(s1) != want_len:
+            bad.append(f"level {n}: suffix lengths must be {want_len}")
+            continue
+        for v in small.vertices:
+            for bit, suf in ((0, s0), (1, s1)):
+                checks += 1
+                got = t.maps[n + 1][big.position[v.append(bit)]]
+                want = _append_suffix(t.maps[n][small.position[v]], suf)
+                if got != want:
+                    bad.append(f"coherence broken at level {n + 1}, copy {bit}, "
+                               f"vertex {v.label}: {got.label} vs {want.label}")
+        walk = t.join_walks[n]
+        checks += 1
+        if len(walk) != t.source_prefix[n] + 3:
+            bad.append(f"level {n}: join walk must have {t.source_prefix[n] + 3} stops")
+            continue
+        if any(abs(a - b) != 1 for a, b in zip(walk, walk[1:])):
+            bad.append(f"level {n}: join walk is not a walk")
+        target = build_gadget(t.target_prefix[:t.level_map[n + 1]])
+        if not all(0 <= p < target.vertex_count for p in walk):
+            bad.append(f"level {n}: join walk leaves the target gadget")
+            continue
+        right = GadgetVertex(0, (0,) * (n - 1) + (1,)) if n else GadgetVertex(0, ())
+        if (target.vertices[walk[0]] != t.maps[n + 1][big.position[right.append(0)]]
+                or target.vertices[walk[-1]]
+                != t.maps[n + 1][big.position[right.append(1)]]):
+            bad.append(f"level {n}: join walk endpoints disagree with the maps")
+        for k in range(t.source_prefix[n] + 1):
+            checks += 1
+            if t.maps[n + 1][big.position[GadgetVertex(k, ())]] != target.vertices[walk[k + 1]]:
+                bad.append(f"level {n}: join vertex p{k} off the recorded walk")
+    return EquivReport(checks, tuple(bad))
+
+
+def equiv_json_via_vertices(t) -> dict:
+    """EquivalenceTower.to_json_dict as it was, for a tower whose maps hold
+    GadgetVertex images: each image formatted by its own label."""
+    return _equiv_json(t, lambda n, img: img.label)

@@ -9,8 +9,9 @@ import pytest
 
 import oracles
 from oddwalk import cli, gadget, homset, kernels, parity
-from oddwalk.dichotomy import (Tower, decide, evaluate, parse_schedule,
-                               unbounded_schedule_default, verify_tower)
+from oddwalk.dichotomy import (Tower, TowerReport, decide, evaluate,
+                               parse_schedule, unbounded_schedule_default,
+                               verify_tower)
 from oddwalk.equiv import plan_equivalence
 from oddwalk.errors import (InvalidIndex, OddwalkError, OutOfTruncation,
                             ParseError)
@@ -388,15 +389,34 @@ def test_decide_materializes_no_gadget(monkeypatch):
     assert t.to_json_dict()["c"] == list(want.prefix)
 
 
-def test_verify_tower_materializes_each_level_once(monkeypatch):
+def test_verify_tower_materializes_nothing(monkeypatch):
+    def refuse(prefix):
+        raise AssertionError(f"gadget {prefix} materialized")
+
     for g, depth in ((cycle_graph(5), 6), (petersen_graph(), 5)):
         t = decide(g, depth)
-        built = []
-        monkeypatch.setattr(gadget, "_materialize",
-                            lambda p, f=gadget._materialize: built.append(p) or f(p))
+        monkeypatch.setattr(gadget, "_materialize", refuse)
         assert verify_tower(t, g).ok
+        # a fault is named by closed form too
+        top = t.levels[-1]
+        moved = Hom(top.vertex_images, top.witness_images[::-1])
+        bad = dataclasses.replace(t, levels=t.levels[:-1] + (moved,))
+        assert not verify_tower(bad, g).ok
         monkeypatch.undo()
-        assert len(built) == len(set(built)) <= depth + 1
+
+
+def test_verify_tower_checks_witness_coherence():
+    # a parallel a-b witness: level 2 with w3 for w0 on its first edge is
+    # still a homomorphism, but its copy 0 no longer restricts to level 1
+    g = WitnessedGraph.make("abc", [("a", "b"), ("b", "c"), ("c", "a"), ("a", "b")])
+    t = decide(g, 2)
+    top = t.levels[2]
+    assert top.witness_images[0] == "w0"
+    swapped = Hom(top.vertex_images, ("w3",) + top.witness_images[1:])
+    bad = dataclasses.replace(t, levels=t.levels[:2] + (swapped,))
+    assert verify_tower(t, g) == TowerReport(checks=24, violations=())
+    assert verify_tower(bad, g) == TowerReport(checks=24, violations=(
+        "coherence broken at level 2, copy 0, edge p0.0--p0: 'w3' vs 'w0'",))
 
 
 def test_tower_labels_by_recurrence_match_gadgets():

@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -46,7 +49,7 @@ def test_identity_towers():
         assert t.level_map == tuple(range(len(c) + 1))
         assert all(pair == ((0,), (1,)) for pair in t.suffixes)
         for n in range(len(c) + 1):
-            assert t.maps[n] == tuple(build_gadget(c[:n]).vertices)
+            assert t.maps[n] == tuple(range(build_gadget(c[:n]).vertex_count))
         assert verify_equivalence(t).ok
 
 
@@ -187,26 +190,26 @@ def test_random_planner_successes_verify():
 
 
 def _check_against_built_gadgets(t):
-    """Re-check a tower's maps and join walks on materialized gadgets."""
+    """Re-check a tower's maps and join walks on materialized gadgets:
+    every image position names a target vertex, and each copy's image is
+    its parent's image vertex with the suffix appended, looked up by label."""
     c, d = t.source_prefix, t.target_prefix
+    targets = [build_gadget(d[:m]) for m in t.level_map]
     for n, images in enumerate(t.maps):
-        tgt = build_gadget(d[:t.level_map[n]])
         assert len(images) == build_gadget(c[:n]).vertex_count
-        positions = [tgt.position[img] for img in images]
-        assert all(abs(p - q) == 1 for p, q in zip(positions, positions[1:]))
+        assert all(0 <= p < targets[n].vertex_count for p in images)
+        assert all(abs(p - q) == 1 for p, q in zip(images, images[1:]))
     for n, walk in enumerate(t.join_walks):
         small, big = build_gadget(c[:n]), build_gadget(c[:n + 1])
-        tgt = build_gadget(d[:t.level_map[n + 1]])
         s0, s1 = t.suffixes[n]
         for v in small.vertices:
-            img = t.maps[n][small.position[v]]
-            assert t.maps[n + 1][big.position[v.append(0)]] == GadgetVertex(
-                img.k, img.t + s0)
-            assert t.maps[n + 1][big.position[v.append(1)]] == GadgetVertex(
-                img.k, img.t + s1)
+            img = targets[n].vertices[t.maps[n][small.position[v]]]
+            for bit, suffix in ((0, s0), (1, s1)):
+                lifted = GadgetVertex(img.k, img.t + suffix)
+                assert (t.maps[n + 1][big.position[v.append(bit)]]
+                        == targets[n + 1].position[lifted])
         for k in range(c[n] + 1):
-            assert (t.maps[n + 1][big.position[GadgetVertex(k, ())]]
-                    == tgt.vertices[walk[k + 1]])
+            assert t.maps[n + 1][big.position[GadgetVertex(k, ())]] == walk[k + 1]
 
 
 def test_planner_and_verifier_build_no_gadget(monkeypatch):
@@ -230,3 +233,101 @@ def test_planner_and_verifier_build_no_gadget(monkeypatch):
         monkeypatch.setattr(gadget, "_materialize", real_materialize)
         _check_against_built_gadgets(t)
         assert got == oracles.equiv_json_via_gadgets(t)
+
+
+def test_suffixes_that_last_differ_at_level_j_sit_d_j_plus_two_apart():
+    # the planner's cut, by brute force on built gadgets: two suffixes of a
+    # level-L vertex that last differ at target level j put its images at
+    # least d[j] + 2 apart, at exactly their distance at level j + 1, and
+    # equal suffixes put them together
+    for d in itertools.product((1, 3, 5), repeat=4):
+        gadgets = [build_gadget(d[:m]) for m in range(len(d) + 1)]
+        for level in range(len(d)):
+            for v in gadgets[level].vertices:
+                for slen in range(1, len(d) - level + 1):
+                    top = gadgets[level + slen]
+                    for s0, s1 in itertools.product(
+                            itertools.product((0, 1), repeat=slen), repeat=2):
+                        a0 = top.position[GadgetVertex(v.k, v.t + s0)]
+                        a1 = top.position[GadgetVertex(v.k, v.t + s1)]
+                        if s0 == s1:
+                            assert a0 == a1
+                            continue
+                        last = max(i for i in range(slen) if s0[i] != s1[i])
+                        j = level + last
+                        assert abs(a0 - a1) >= d[j] + 2
+                        cut = gadgets[j + 1]
+                        assert abs(a0 - a1) == abs(
+                            cut.position[GadgetVertex(v.k, v.t + s0[:last + 1])]
+                            - cut.position[GadgetVertex(v.k, v.t + s1[:last + 1])])
+
+
+def test_planner_matches_the_vertex_planner_on_random_plans():
+    rng = random.Random(12)
+    planned = gaps = 0
+    for _ in range(500):
+        c = random_odd_prefix(rng, rng.randint(1, 4), high=rng.choice((3, 7)))
+        d = random_odd_prefix(rng, rng.randint(0, 5), high=rng.choice((3, 9)))
+        depth = rng.randint(0, len(c))
+        try:
+            want = oracles.plan_equivalence_via_vertices(c, d, depth)
+        except GapInsufficient as exc:
+            with pytest.raises(GapInsufficient) as got:
+                plan_equivalence(c, d, depth)
+            assert str(got.value) == str(exc)
+            gaps += 1
+            continue
+        t = plan_equivalence(c, d, depth)
+        planned += 1
+        assert t.to_json_dict() == oracles.equiv_json_via_vertices(want)
+        assert t.to_json_dict() == oracles.equiv_json_via_gadgets(t)
+        assert (t.source_prefix, t.target_prefix, t.level_map, t.suffixes,
+                t.join_walks) == (want.source_prefix, want.target_prefix,
+                                  want.level_map, want.suffixes, want.join_walks)
+        report = verify_equivalence(t)
+        assert report.ok
+        assert report == oracles.verify_equivalence_via_vertices(want)
+    assert planned >= 100 and gaps >= 100
+
+
+def test_verifier_rejects_positions_the_vertex_form_could_not_hold():
+    t = plan_equivalence((1, 3), (1, 3), 2)
+    # a copy bit other than 0/1 would still lift a position by the mirror
+    two = dataclasses.replace(t, suffixes=(((0,), (2,)), t.suffixes[1]))
+    assert "level 0: suffixes must be copy bits" in verify_equivalence(two).violations
+    # a level map past the target prefix
+    deep = plan_equivalence((1, 3), (1, 3, 5), 2)
+    beyond = dataclasses.replace(deep, target_prefix=(1, 3)[:1] + (3,),
+                                 level_map=(0, 1, 3))
+    assert ("level map must stay within the target prefix"
+            in verify_equivalence(beyond).violations)
+    # positions off the target path, and a non-int position
+    for img in (-1, 12, 1.0, True, GadgetVertex(0, ())):
+        top = (img,) + t.maps[2][1:]
+        report = verify_equivalence(dataclasses.replace(t, maps=t.maps[:2] + (top,)))
+        assert f"level 2: image {img!r} not in target gadget" in report.violations
+    # an off-by-one image is named by label
+    moved = list(t.maps[1])
+    moved[1] += 1
+    report = verify_equivalence(dataclasses.replace(
+        t, maps=(t.maps[0], tuple(moved), t.maps[2])))
+    assert report.violations == (
+        "level 1, edge 0: images p0.0, p1 not adjacent",
+        "level 1, edge 1: images p1, p1 not adjacent",
+        "level 0: join vertex p0 off the recorded walk",
+        "coherence broken at level 2, copy 0, vertex p0: p0.0 vs p1.0",
+        "coherence broken at level 2, copy 1, vertex p0: p0.1 vs p1.1")
+
+
+def test_cli_gives_up_on_a_long_target_prefix_at_once():
+    # levels 0 and 1 land at target levels 1 and 2; past that every d[j]
+    # exceeds c[2] = 3, so the cut answers before trying 4^38 suffix pairs
+    d = ",".join(str(v) for v in range(1, 80, 2))
+    proc = subprocess.run(
+        [sys.executable, "-m", "oddwalk.cli", "equiv", "--c", "3,3,3",
+         "--d", d, "--depth", "3"], capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["planned"] is False
+    assert data["reason"].endswith(
+        "cannot absorb level 2 (join length 5 from image p0.01)")

@@ -327,3 +327,18 @@ def test_closed_forms_at_level_60_build_nothing(monkeypatch):
     for i in (0, 1, sizes[59], sizes[59] + 5, sizes[60] - 1, 12345678901234567):
         assert vertex_position(prefix, vertex_at(prefix, i)) == i
     assert time.perf_counter() - start < 0.05
+
+
+def test_copy_position_matches_appended_labels():
+    # every level-L vertex, lifted by every bit string to the top, lands where
+    # the built top gadget puts the vertex with those bits appended
+    for prefix in [(1,), (3, 1), (1, 3, 5), (5, 1, 1, 3)]:
+        top = build_gadget(prefix)
+        for level in range(len(prefix) + 1):
+            small = build_gadget(prefix[:level])
+            for bits in itertools.product((0, 1), repeat=len(prefix) - level):
+                for pos, v in enumerate(small.vertices):
+                    lifted = GadgetVertex(v.k, v.t + bits)
+                    assert top.copy_position(pos, level, bits) == top.position[lifted]
+    # no bits leave a position where it is
+    assert build_gadget((1, 3)).copy_position(5, 1, ()) == 5
