@@ -5,14 +5,16 @@ for prefix d, one level at a time: both copies of the source are sent
 through the previous map followed by a per-copy suffix of copy bits, and the
 fresh source join path is laid along a walk in the target of the right
 length.  Such a walk exists iff the two suffixed images sit at distance at
-most c(n)+2 with the right parity, so the planner greedily advances the
-target level until some suffix pair satisfies that, and the verifier
-re-checks everything edge by edge.
+most c(n)+2 with the right parity.  A copy bit keeps a path position or
+mirrors it, so the planner sweeps up the target levels carrying only the
+positions the gluing image can reach within c(n)+2 of either end of the
+path (one further out never comes back), and stops at the first level
+where a kept and a mirrored image join.  The verifier re-checks everything
+edge by edge.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import GapInsufficient, ParseError
@@ -80,17 +82,51 @@ class EquivalenceTower:
         }
 
 
+def _first_join(target, glue: int, start: int, length: int):
+    """The least (mm, s0, s1) whose suffixed gluing images a0, a1 at target
+    level mm are joined by a walk of the given length, as
+    (mm, s0, s1, a0, a1); None when no level of the target joins them.
+
+    reach maps each position the image can reach at the current level to
+    the suffix reaching it (distinct suffixes name distinct vertices), and
+    it is filled bit 0 first, so its order is the suffixes' lex order.
+    """
+    reach = {glue: ()}
+    for level in range(start, len(target.prefix)):
+        top = target.sizes[level + 1] - 1
+        # suffixes that last differ here keep x and mirror y: top - x - y apart
+        for x, s0 in reach.items():
+            for y, s1 in reach.items():
+                if path_walk_exists(top - x - y, length):
+                    return level + 1, s0 + (0,), s1 + (1,), x, top - y
+        # a position further than length from both ends stays so above
+        advanced: dict[int, tuple[int, ...]] = {}
+        for bit in (0, 1):
+            for p, s in reach.items():
+                q = top - p if bit else p
+                if min(q, top - q) <= length:
+                    advanced[q] = s + (bit,)
+        reach = advanced
+    return None
+
+
 def plan_equivalence(c, d, depth: int) -> EquivalenceTower:
     """Greedy construction of an equivalence tower of the given depth.
 
     Raises GapInsufficient when the target prefix is too short to absorb
     the requested levels; a longer target prefix may still succeed.
 
-    The search is cut by the mirror rule, exactly.  Two suffixes agreeing
-    at target level j keep the images' distance; differing there, they put
-    the images a and V(j+1) - 1 - b (a, b < V(j)) at least d[j] + 2 apart.
-    So a pair joins an odd c[n] + 2 only if it last differs at a j with
-    d[j] <= c[n], and cut after that j it joins at level j + 1 already.
+    Level n+1 takes the lex-first suffix pair (s0, s1) of the least length
+    whose gluing images join, found by one sweep up the target levels from
+    level_map[n] by the mirror rule: bit 0 at level L keeps a position p,
+    and bit 1 sends it to V(L+1) - 1 - p.  At the least length the pair
+    differs in its last bit L (else it would join one level lower), so s0
+    ends in 0, and the images sit V(L+1) - 1 - x - y apart, where x and y
+    are where the two shorter suffixes put the image.  That is at most
+    c[n] + 2 only if x and y lie within c[n] + 2 of the level's last
+    position, and a position further than c[n] + 2 from both ends stays so
+    at every level above.  So the sweep keeps at most 2 (c[n] + 3)
+    positions per level, and costs O(len(d) c[n]^2) per source level.
     """
     c = check_odd_prefix(c)
     d = check_odd_prefix(d)
@@ -107,19 +143,7 @@ def plan_equivalence(c, d, depth: int) -> EquivalenceTower:
         length = c[n] + 2
         start = level_map[n]
         glue = maps[n][-1]
-        last = max((j for j in range(start, len(d)) if d[j] <= c[n]),
-                   default=start - 1)
-        found = None
-        for mm in range(start + 1, last + 2):
-            for s0, s1 in itertools.product(
-                    itertools.product((0, 1), repeat=mm - start), repeat=2):
-                a0 = target.copy_position(glue, start, s0)
-                a1 = target.copy_position(glue, start, s1)
-                if path_walk_exists(abs(a0 - a1), length):
-                    found = (mm, s0, s1, a0, a1)
-                    break
-            if found:
-                break
+        found = _first_join(target, glue, start, length)
         if not found:
             glue_label = build_gadget(d[:start]).vertex_at(glue).label
             raise GapInsufficient(

@@ -140,10 +140,8 @@ class HomProfile:
         self.gadget = gadget
         self.target = target
         if not normalized:
-            ends_idx = [(target.vertex_index(a), target.vertex_index(b))
-                        for a, b in (target.ends[w] for w in target.witnesses)]
             vmasks, wmasks = kernels.path_propagate(
-                list(vmasks), list(wmasks), ends_idx,
+                list(vmasks), list(wmasks), self._ends_idx(),
                 len(target.vertices), len(target.witnesses))
             if any(m == 0 for m in vmasks):
                 vmasks = [0] * len(vmasks)
@@ -224,10 +222,13 @@ class HomProfile:
         self._count = total
         return total
 
-    def _ends_idx(self) -> list[tuple[int, int]]:
+    def _ends_idx(self) -> tuple[tuple[int, int], ...]:
+        """Per target witness index, its endpoint vertex indices (a, b);
+        built once per target graph."""
         t = self.target
-        return [(t.vertex_index(a), t.vertex_index(b))
-                for a, b in (t.ends[w] for w in t.witnesses)]
+        return t.memo("witness ends", lambda: tuple(
+            (t.vertex_index(a), t.vertex_index(b))
+            for a, b in (t.ends[w] for w in t.witnesses)))
 
     # -- enumeration -------------------------------------------------------
 

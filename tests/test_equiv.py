@@ -236,10 +236,10 @@ def test_planner_and_verifier_build_no_gadget(monkeypatch):
 
 
 def test_suffixes_that_last_differ_at_level_j_sit_d_j_plus_two_apart():
-    # the planner's cut, by brute force on built gadgets: two suffixes of a
-    # level-L vertex that last differ at target level j put its images at
-    # least d[j] + 2 apart, at exactly their distance at level j + 1, and
-    # equal suffixes put them together
+    # the planner's join distance, by brute force on built gadgets: two
+    # suffixes of a level-L vertex that last differ at target level j put
+    # its images at least d[j] + 2 apart, at exactly their distance at level
+    # j + 1, and equal suffixes put them together
     for d in itertools.product((1, 3, 5), repeat=4):
         gadgets = [build_gadget(d[:m]) for m in range(len(d) + 1)]
         for level in range(len(d)):
@@ -262,32 +262,54 @@ def test_suffixes_that_last_differ_at_level_j_sit_d_j_plus_two_apart():
                             - cut.position[GadgetVertex(v.k, v.t + s1[:last + 1])])
 
 
+def test_a_position_far_from_both_ends_stays_far_under_every_suffix():
+    # the planner's frontier, by brute force on built gadgets: a level-L
+    # vertex more than K from both ends of the path is more than K from both
+    # ends at every level above, whatever copy bits are appended
+    for d in itertools.product((1, 3, 5), repeat=4):
+        gadgets = [build_gadget(d[:m]) for m in range(len(d) + 1)]
+        for level in range(len(d)):
+            last = gadgets[level].vertex_count - 1
+            for v in gadgets[level].vertices:
+                p = gadgets[level].position[v]
+                for slen in range(1, len(d) - level + 1):
+                    top = gadgets[level + slen]
+                    for s in itertools.product((0, 1), repeat=slen):
+                        q = top.position[GadgetVertex(v.k, v.t + s)]
+                        for k in range(1, 10):
+                            if min(p, last - p) > k:
+                                assert min(q, top.vertex_count - 1 - q) > k
+
+
 def test_planner_matches_the_vertex_planner_on_random_plans():
-    rng = random.Random(12)
-    planned = gaps = 0
-    for _ in range(500):
-        c = random_odd_prefix(rng, rng.randint(1, 4), high=rng.choice((3, 7)))
-        d = random_odd_prefix(rng, rng.randint(0, 5), high=rng.choice((3, 9)))
-        depth = rng.randint(0, len(c))
-        try:
-            want = oracles.plan_equivalence_via_vertices(c, d, depth)
-        except GapInsufficient as exc:
-            with pytest.raises(GapInsufficient) as got:
-                plan_equivalence(c, d, depth)
-            assert str(got.value) == str(exc)
-            gaps += 1
-            continue
-        t = plan_equivalence(c, d, depth)
-        planned += 1
-        assert t.to_json_dict() == oracles.equiv_json_via_vertices(want)
-        assert t.to_json_dict() == oracles.equiv_json_via_gadgets(t)
-        assert (t.source_prefix, t.target_prefix, t.level_map, t.suffixes,
-                t.join_walks) == (want.source_prefix, want.target_prefix,
-                                  want.level_map, want.suffixes, want.join_walks)
-        report = verify_equivalence(t)
-        assert report.ok
-        assert report == oracles.verify_equivalence_via_vertices(want)
-    assert planned >= 100 and gaps >= 100
+    # short target prefixes, then longer ones under wider source joins
+    for seed, count, c_high, d_len, least in ((12, 500, (3, 7), 5, 100),
+                                              (13, 1500, (5, 11), 8, 300)):
+        rng = random.Random(seed)
+        planned = gaps = 0
+        for _ in range(count):
+            c = random_odd_prefix(rng, rng.randint(1, 4), high=rng.choice(c_high))
+            d = random_odd_prefix(rng, rng.randint(0, d_len), high=rng.choice((3, 9)))
+            depth = rng.randint(0, len(c))
+            try:
+                want = oracles.plan_equivalence_via_vertices(c, d, depth)
+            except GapInsufficient as exc:
+                with pytest.raises(GapInsufficient) as got:
+                    plan_equivalence(c, d, depth)
+                assert str(got.value) == str(exc)
+                gaps += 1
+                continue
+            t = plan_equivalence(c, d, depth)
+            planned += 1
+            assert t.to_json_dict() == oracles.equiv_json_via_vertices(want)
+            assert t.to_json_dict() == oracles.equiv_json_via_gadgets(t)
+            assert (t.source_prefix, t.target_prefix, t.level_map, t.suffixes,
+                    t.join_walks) == (want.source_prefix, want.target_prefix,
+                                      want.level_map, want.suffixes, want.join_walks)
+            report = verify_equivalence(t)
+            assert report.ok
+            assert report == oracles.verify_equivalence_via_vertices(want)
+        assert planned >= least and gaps >= least
 
 
 def test_verifier_rejects_positions_the_vertex_form_could_not_hold():
@@ -319,15 +341,23 @@ def test_verifier_rejects_positions_the_vertex_form_could_not_hold():
         "coherence broken at level 2, copy 1, vertex p0: p0.1 vs p1.1")
 
 
-def test_cli_gives_up_on_a_long_target_prefix_at_once():
+@pytest.mark.parametrize("c, d, depth, reason", [
     # levels 0 and 1 land at target levels 1 and 2; past that every d[j]
-    # exceeds c[2] = 3, so the cut answers before trying 4^38 suffix pairs
-    d = ",".join(str(v) for v in range(1, 80, 2))
+    # exceeds c[2] = 3, so no later level can join
+    ("3,3,3", ",".join(str(v) for v in range(1, 80, 2)), 3,
+     "cannot absorb level 2 (join length 5 from image p0.01)"),
+    # here later levels have d[j] <= c[1] = 5, but the gluing image never
+    # comes within a join of 7 of a mirrored copy of itself
+    ("3,5", "9,1,7,3,7,3,1,5,5,9,5,1", 2,
+     "cannot absorb level 1 (join length 7 from image p0.11)"),
+    ("3,5", "9,1,7,3,7,3,1,5,5,9,5,1,5,1", 2,
+     "cannot absorb level 1 (join length 7 from image p0.11)"),
+], ids=["3,3,3", "3,5-d12", "3,5-d14"])
+def test_cli_gives_up_on_a_long_target_prefix_at_once(c, d, depth, reason):
     proc = subprocess.run(
-        [sys.executable, "-m", "oddwalk.cli", "equiv", "--c", "3,3,3",
-         "--d", d, "--depth", "3"], capture_output=True, text=True, timeout=20)
+        [sys.executable, "-m", "oddwalk.cli", "equiv", "--c", c,
+         "--d", d, "--depth", str(depth)], capture_output=True, text=True, timeout=20)
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)
     assert data["planned"] is False
-    assert data["reason"].endswith(
-        "cannot absorb level 2 (join length 5 from image p0.01)")
+    assert data["reason"].endswith(reason)
