@@ -5,7 +5,10 @@ suite), 2 input error or a closed stdout.  All JSON goes to stdout with
 sorted keys, so a fixed invocation is byte-identical across runs.  It is
 written by _dumps, which equals json.dumps(data, indent=2, sort_keys=True)
 byte for byte but leaves the encoding to the standard library's C encoder,
-which json.dumps gives up as soon as it is asked to indent.
+which json.dumps gives up as soon as it is asked to indent.  The big
+arrays of `gadget --format json` and `lc --quotient` reach it as JsonText
+rows written from the gadget's labels (render.gadget_to_json_rows,
+render.quotient_to_json_rows), and _dumps only indents them into place.
 
 main builds a parser once per process and per subcommand: every
 subcommand is listed, but only the one named in argv gets its arguments.
@@ -17,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 
 from .coloring import bipartite_superset_coloring
@@ -34,8 +37,9 @@ from .limitgraph import (LcVertex, adjacent, level_quotient, neighbors,
                          odd_sibling_obstruction, project_level,
                          same_component, validate_vertex)
 from .parity import exact_walk, phi_bound, phi_holds
-from .render import (gadget_to_dot, gadget_to_json_dict, gadget_to_text,
-                     gadget_to_tikz, graph_to_dot, graph_to_tikz)
+from .render import (JsonText, gadget_to_dot, gadget_to_json_rows,
+                     gadget_to_text, gadget_to_tikz, graph_to_dot,
+                     graph_to_tikz, quotient_to_json_rows)
 
 
 def _read_text(path: str) -> str:
@@ -51,7 +55,7 @@ def _load_graph(path: str) -> WitnessedGraph:
     return WitnessedGraph.from_text(_read_text(path))
 
 
-_CONTAINERS = (dict, list, tuple)
+_CONTAINERS = (dict, list, tuple, JsonText)
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,24 +66,39 @@ def _encoder(item_sep: str):
 
 
 def _is_flat(data) -> bool:
+    """Whether no item (no value, for a dict) is a container; the container
+    test runs in C, once per distinct item type."""
     items = data.values() if isinstance(data, dict) else data
-    return not any(map(isinstance, items, itertools.repeat(_CONTAINERS)))
+    return not any(map(issubclass, set(map(type, items)), repeat(_CONTAINERS)))
+
+
+def _flat_rows(data: list) -> bool:
+    """Whether data holds only non-empty flat containers, all dicts or all
+    lists and tuples, so that one encoder call writes it; every test runs
+    in C: a few passes over the list, one over the items of its elements."""
+    if not all(data):
+        return False
+    if all(map(isinstance, data, repeat(dict))):
+        return _is_flat(chain.from_iterable(map(dict.values, data)))
+    return (all(map(isinstance, data, repeat((list, tuple))))
+            and _is_flat(chain.from_iterable(data)))
 
 
 def _dumps(data, indent: str = "\n") -> str:
-    """json.dumps(data, indent=2, sort_keys=True), byte for byte.
+    """json.dumps(data, indent=2, sort_keys=True), byte for byte, where a
+    JsonText stands for the value its text writes.
 
     indent is a newline plus the indentation of the line data starts on.
     """
+    if isinstance(data, JsonText):
+        return data.text.replace("\n", indent)
     if not isinstance(data, _CONTAINERS) or not data:
         return _encoder(",")(data)
     inner = indent + "  "
     opening, closing = ("{", "}") if isinstance(data, dict) else ("[", "]")
     if _is_flat(data):
         body = _encoder("," + inner)(data)[1:-1]
-    elif not isinstance(data, dict) and all(
-            isinstance(v, _CONTAINERS) and v and _is_flat(v)
-            and isinstance(v, dict) == isinstance(data[0], dict) for v in data):
+    elif not isinstance(data, dict) and _flat_rows(data):
         # one call for the whole list: ASCII-escaped output holds no raw
         # control character, so every "\x00" is a separator, and an outer
         # one is exactly a "\x00" right after a "}" or "]"
@@ -113,7 +132,7 @@ def _int_arg(text: str) -> int:
 def _cmd_gadget(args) -> int:
     g = build_gadget(parse_prefix(args.c))
     if args.format == "json":
-        _emit({"formatVersion": 1, **gadget_to_json_dict(g)})
+        _emit({"formatVersion": 1, **gadget_to_json_rows(g)})
     elif args.format == "dot":
         sys.stdout.write(gadget_to_dot(g))
     elif args.format == "tikz":
@@ -210,8 +229,7 @@ def _cmd_lc(args) -> int:
     if args.level is not None and args.project is None:
         raise ParseError("--level is read only with --project")
     if args.quotient:
-        q = level_quotient(prefix)
-        _emit({"formatVersion": 1, **q.to_json_dict()})
+        _emit({"formatVersion": 1, **quotient_to_json_rows(level_quotient(prefix))})
         return 0
     if args.neighbors is not None:
         v = _parse_lc_vertex(args.neighbors, prefix)

@@ -12,11 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from oddwalk import cli
+from oddwalk import cli, gadget
+from oddwalk.gadget import build_gadget, parse_prefix
 from oddwalk.generators import (complete_graph, cycle_graph, path_graph,
                                 petersen_graph)
 from oddwalk.graphs import WitnessedGraph
+from oddwalk.limitgraph import level_quotient
 from oddwalk.parity import phi_bound
+from oddwalk.render import PALETTE, JsonText, gadget_to_json_dict
 
 
 def run_cli(*args, stdin_text=None, env_extra=None):
@@ -384,7 +387,14 @@ def test_emit_matches_json_dumps(tmp_path, monkeypatch):
              {1.5: [{}], -0.5: [1]}]
     trees += [_random_tree(rng, rng.randint(1, 4)) for _ in range(500)]
     for tree in trees:
-        assert cli._dumps(tree) == json.dumps(tree, indent=2, sort_keys=True), tree
+        want = json.dumps(tree, indent=2, sort_keys=True)
+        assert cli._dumps(tree) == want, tree
+        # a JsonText stands for the value its text writes, at any depth
+        assert cli._dumps(JsonText(want)) == want
+        assert cli._dumps([{"a": JsonText(want)}, JsonText(want)]) == json.dumps(
+            [{"a": tree}, tree], indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        json.dumps({"a": JsonText("1")})
 
     tri = tmp_path / "tri.txt"
     tri.write_text("a b\nb c\nc a\nc d\n")
@@ -416,8 +426,57 @@ def test_emit_matches_json_dumps(tmp_path, monkeypatch):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main([str(arg) for arg in argv]) == 0, argv
-        assert out.getvalue() == json.dumps(emitted[-1], indent=2, sort_keys=True) + "\n"
+        assert out.getvalue() == _json_reference(argv, emitted[-1]), argv
     assert len(emitted) == len(commands)
+
+
+def _json_reference(argv, emitted):
+    """json.dumps of what a command emits; for `gadget` and `lc --quotient`,
+    whose emitted data holds JsonText rows, of the data the dict builders
+    make from the vertex list."""
+    if argv[0] == "gadget" or "--quotient" in argv:
+        prefix = parse_prefix(argv[argv.index("--c") + 1])
+        emitted = {"formatVersion": 1, **(
+            gadget_to_json_dict(build_gadget(prefix)) if argv[0] == "gadget"
+            else level_quotient(prefix).to_json_dict())}
+    return json.dumps(emitted, indent=2, sort_keys=True) + "\n"
+
+
+def test_gadget_and_quotient_json_rows_match_dict_builders():
+    rng = random.Random(14)
+    prefixes = [(), (1,), (10,), (12, 1), (3, 11, 2)]
+    prefixes += [tuple(rng.randint(1, 13) for _ in range(rng.randint(0, 5)))
+                 for _ in range(25)]
+    for prefix in prefixes:
+        c = ",".join(map(str, prefix))
+        for argv in (["gadget", "--c", c, "--format", "json"],
+                     ["lc", "--c", c, "--quotient"]):
+            code, out, err = run_main(*argv)
+            assert (code, err) == (0, ""), argv
+            assert out == _json_reference(argv, None), argv
+
+
+def test_gadget_and_quotient_output_materialize_nothing(monkeypatch):
+    def refuse(prefix):
+        raise AssertionError(f"gadget {prefix} materialized")
+
+    prefix = (1, 3, 10)
+    vertices = build_gadget(prefix).vertices
+    monkeypatch.setattr(gadget, "_materialize", refuse)
+    c = ",".join(map(str, prefix))
+    outputs = {}
+    for argv in [["gadget", "--c", c, "--format", fmt]
+                 for fmt in ("json", "dot", "tikz", "text")] + [
+                     ["lc", "--c", c, "--quotient"]]:
+        code, outputs[argv[-1]], err = run_main(*argv)
+        assert (code, err) == (0, ""), argv
+    # the birth levels read from the labels are those of the vertex list
+    births = [len(prefix) - len(v.t) for v in vertices]
+    dot_colors = re.findall(r'fillcolor="(#\w+)"', outputs["dot"])
+    assert dot_colors == [PALETTE[m % len(PALETTE)] for m in births]
+    assert re.findall(r"fill=lvl(\d+)", outputs["tikz"]) == list(map(str, births))
+    assert re.findall(r"definecolor\{lvl(\d+)\}", outputs["tikz"]) == [
+        str(m) for m in sorted(set(births))]
 
 
 def test_closed_stdout_is_one_error_line():
