@@ -4,10 +4,11 @@ Exit codes: 0 success, 1 property failure (failed verification or check
 suite), 2 input error or a closed stdout.  All JSON goes to stdout with
 sorted keys, so a fixed invocation is byte-identical across runs.  It is
 written by _dumps, which equals json.dumps(data, indent=2, sort_keys=True)
-byte for byte but leaves the encoding to the standard library's C encoder,
-which json.dumps gives up as soon as it is asked to indent.  The big
-arrays of `gadget --format json` and `lc --quotient` reach it as JsonText
-rows written from the gadget's labels (render.gadget_to_json_rows,
+byte for byte but hands each flat container (no container among its
+items) to the standard library's C encoder in one call, which json.dumps
+gives up as soon as it is asked to indent; it recurses into the rest.  The
+big arrays of `gadget --format json` and `lc --quotient` reach it as
+JsonText rows written from the gadget's labels (render.gadget_to_json_rows,
 render.quotient_to_json_rows), and _dumps only indents them into place.
 
 main builds a parser once per process and per subcommand: every
@@ -23,7 +24,7 @@ import functools
 import json
 import os
 import sys
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 from .coloring import bipartite_superset_coloring
@@ -72,18 +73,6 @@ def _is_flat(data) -> bool:
     return not any(map(issubclass, set(map(type, items)), repeat(_CONTAINERS)))
 
 
-def _flat_rows(data: list) -> bool:
-    """Whether data holds only non-empty flat containers, all dicts or all
-    lists and tuples, so that one encoder call writes it; every test runs
-    in C: a few passes over the list, one over the items of its elements."""
-    if not all(data):
-        return False
-    if all(map(isinstance, data, repeat(dict))):
-        return _is_flat(chain.from_iterable(map(dict.values, data)))
-    return (all(map(isinstance, data, repeat((list, tuple))))
-            and _is_flat(chain.from_iterable(data)))
-
-
 def _dumps(data, indent: str = "\n") -> str:
     """json.dumps(data, indent=2, sort_keys=True), byte for byte, where a
     JsonText stands for the value its text writes.
@@ -98,15 +87,6 @@ def _dumps(data, indent: str = "\n") -> str:
     opening, closing = ("{", "}") if isinstance(data, dict) else ("[", "]")
     if _is_flat(data):
         body = _encoder("," + inner)(data)[1:-1]
-    elif not isinstance(data, dict) and _flat_rows(data):
-        # one call for the whole list: ASCII-escaped output holds no raw
-        # control character, so every "\x00" is a separator, and an outer
-        # one is exactly a "\x00" right after a "}" or "]"
-        o, c = ("{", "}") if isinstance(data[0], dict) else ("[", "]")
-        deeper = inner + "  "
-        body = (o + deeper + _encoder("\x00")(data)[2:-2]
-                .replace(c + "\x00" + o, inner + c + "," + inner + o + deeper)
-                .replace("\x00", "," + deeper) + inner + c)
     elif isinstance(data, dict):
         body = ("," + inner).join(
             _encoder(",")(k if isinstance(k, str) else _encoder(",")(k))

@@ -6,16 +6,18 @@ through the previous map followed by a per-copy suffix of copy bits, and the
 fresh source join path is laid along a walk in the target of the right
 length.  Such a walk exists iff the two suffixed images sit at distance at
 most c(n)+2 with the right parity.  A copy bit keeps a path position or
-mirrors it, so the planner sweeps up the target levels carrying only the
-positions the gluing image can reach within c(n)+2 of either end of the
-path (one further out never comes back), and stops at the first level
-where a kept and a mirrored image join.  The verifier re-checks everything
-edge by edge.
+mirrors it, so a suffix is one affine map p -> +-p + offset, which lifts a
+whole copy block (PathGadget.copy_map).  The planner sweeps up the target
+levels carrying only the positions the gluing image can reach within c(n)+2
+of either end (one further out never comes back), and stops where the
+first position joins its own mirror; no other pair joins first
+(_first_join).  The verifier re-checks everything edge by edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import GapInsufficient, ParseError
 from .gadget import build_gadget, check_odd_prefix, is_natural, level_labels
@@ -87,27 +89,39 @@ def _first_join(target, glue: int, start: int, length: int):
     level mm are joined by a walk of the given length, as
     (mm, s0, s1, a0, a1); None when no level of the target joins them.
 
-    reach maps each position the image can reach at the current level to
-    the suffix reaching it (distinct suffixes name distinct vertices), and
-    it is filled bit 0 first, so its order is the suffixes' lex order.
+    reach maps each position the image can reach at the current level,
+    within length of an end, to the suffix reaching it.  At the least
+    joining level L + 1 only one position x joins, with its own mirror, so
+    the pair is (s + (0,), s + (1,)) for the s reaching x.  Proof: the
+    length l and top_j = V(j+1) - 1 are odd.  Suffixes that last differ at
+    level j put their images top_j - x' - y' apart, x' and y' their level-j
+    images, and later equal bits keep that distance.  So a pair that joins
+    first last differs at L, and its level-L images x, y have x + y even
+    and both lie within l of the right end, so |x - y| < l.  If x != y,
+    their suffixes last differ at some j < L, where top_j - x' - y' =
+    |x - y| is even, so z = max(x', y') has top_j - 2z < l, odd: z, held
+    by the sweep, joined its own mirror at j + 1 < L + 1.  Two joining
+    positions x, x' fail the same way: |x - x'| < l, and their suffixes or
+    such a z join at a level below.
     """
     reach = {glue: ()}
     for level in range(start, len(target.prefix)):
         top = target.sizes[level + 1] - 1
-        # suffixes that last differ here keep x and mirror y: top - x - y apart
-        for x, s0 in reach.items():
-            for y, s1 in reach.items():
-                if path_walk_exists(top - x - y, length):
-                    return level + 1, s0 + (0,), s1 + (1,), x, top - y
-        # a position further than length from both ends stays so above
-        advanced: dict[int, tuple[int, ...]] = {}
-        for bit in (0, 1):
-            for p, s in reach.items():
-                q = top - p if bit else p
-                if min(q, top - q) <= length:
-                    advanced[q] = s + (bit,)
-        reach = advanced
+        for x, s in reach.items():  # x and its mirror are top - 2x apart
+            if path_walk_exists(top - 2 * x, length):
+                return level + 1, s + (0,), s + (1,), x, top - x
+        # p and its mirror are as near an end; further than length stays so
+        reach = {q: s + (bit,) for p, s in reach.items()
+                 if min(p, top - p) <= length
+                 for bit, q in ((0, p), (1, top - p))}
     return None
+
+
+def _lift(target, level: int, bits, images) -> tuple[int, ...]:
+    """The level-`level` positions, in order, with `bits` appended: one
+    affine map (PathGadget.copy_map) applied in C."""
+    sign, offset = target.copy_map(level, bits)
+    return tuple(map(offset.__add__ if sign > 0 else offset.__sub__, images))
 
 
 def plan_equivalence(c, d, depth: int) -> EquivalenceTower:
@@ -116,17 +130,12 @@ def plan_equivalence(c, d, depth: int) -> EquivalenceTower:
     Raises GapInsufficient when the target prefix is too short to absorb
     the requested levels; a longer target prefix may still succeed.
 
-    Level n+1 takes the lex-first suffix pair (s0, s1) of the least length
-    whose gluing images join, found by one sweep up the target levels from
-    level_map[n] by the mirror rule: bit 0 at level L keeps a position p,
-    and bit 1 sends it to V(L+1) - 1 - p.  At the least length the pair
-    differs in its last bit L (else it would join one level lower), so s0
-    ends in 0, and the images sit V(L+1) - 1 - x - y apart, where x and y
-    are where the two shorter suffixes put the image.  That is at most
-    c[n] + 2 only if x and y lie within c[n] + 2 of the level's last
-    position, and a position further than c[n] + 2 from both ends stays so
-    at every level above.  So the sweep keeps at most 2 (c[n] + 3)
-    positions per level, and costs O(len(d) c[n]^2) per source level.
+    Level n+1 takes the least-length suffix pair whose gluing images join:
+    (s + (0,), s + (1,)) for the one position that first joins its own
+    mirror, found by one sweep up the target levels from level_map[n] that
+    keeps at most 2 (c[n] + 3) positions per level (_first_join), so in
+    O(len(d) c[n]) per source level.  Each copy block is then lifted by one
+    affine map per suffix (_lift).
     """
     c = check_odd_prefix(c)
     d = check_odd_prefix(d)
@@ -151,14 +160,12 @@ def plan_equivalence(c, d, depth: int) -> EquivalenceTower:
                 f"(join length {length} from image {glue_label})")
         mm, s0, s1, a0, a1 = found
         walk = path_exact_walk(target.sizes[mm], a0, a1, length)
-        # level n+1 of the source: copy 0, then the join, then copy 1 mirrored
-        images = ([target.copy_position(p, start, s0) for p in maps[n]]
-                  + walk[1:-1]
-                  + [target.copy_position(p, start, s1) for p in reversed(maps[n])])
         level_map.append(mm)
         suffixes.append((s0, s1))
         walks.append(tuple(walk))
-        maps.append(tuple(images))
+        # level n+1 of the source: copy 0, then the join, then copy 1 mirrored
+        maps.append(_lift(target, start, s0, maps[n]) + tuple(walk[1:-1])
+                    + _lift(target, start, s1, reversed(maps[n])))
     return EquivalenceTower(c, d, tuple(level_map), tuple(suffixes),
                             tuple(walks), tuple(maps))
 
@@ -227,16 +234,18 @@ def verify_equivalence(t: EquivalenceTower) -> EquivReport:
             continue
         upper = t.maps[n + 1]
         checks += 2 * small
-        for i, img in enumerate(t.maps[n]):
-            # copy 0 is the head of level n+1, copy 1 its tail reversed
-            for bit, suf, got in ((0, s0, upper[i]), (1, s1, upper[-1 - i])):
-                want = target.copy_position(img, start, suf)
-                if got != want:
+        # copy 0 is the head of level n+1, copy 1 its tail reversed
+        got = (upper[:small], upper[:-small - 1:-1])
+        want = (_lift(target, start, s0, t.maps[n]),
+                _lift(target, start, s1, t.maps[n]))
+        if got != want:
+            at = levels[n + 1].vertex_at
+            for i, bit in product(range(small), (0, 1)):
+                if got[bit][i] != want[bit][i]:
                     v = build_gadget(t.source_prefix[:n]).vertex_at(i)
-                    bad.append(
-                        f"coherence broken at level {n + 1}, copy {bit}, "
-                        f"vertex {v.label}: {levels[n + 1].vertex_at(got).label} "
-                        f"vs {levels[n + 1].vertex_at(want).label}")
+                    bad.append(f"coherence broken at level {n + 1}, copy {bit}, "
+                               f"vertex {v.label}: {at(got[bit][i]).label} "
+                               f"vs {at(want[bit][i]).label}")
         walk = t.join_walks[n]
         checks += 1
         if len(walk) != t.source_prefix[n] + 3:

@@ -12,8 +12,9 @@ positions [0, V(L)) in order, the join fills [V(L), V(L) + c(L)], and copy 1
 fills the rest mirrored.  So vertex (k, t) born at level m = n - len(t)
 starts at V(m-1) + k (at 0 when m = 0), and each copy bit b appended at
 level L keeps the position when b = 0 and maps it to V(L+1) - 1 - pos when
-b = 1: PathGadget.copy_position, the one home of this mirror rule.
-require_vertex ends with it, in O(level), and vertex_at is its inverse.
+b = 1, so a bit string is one affine map pos -> sign * pos + offset:
+PathGadget.copy_map, the one home of this mirror rule.  require_vertex ends
+with it, in O(level), and vertex_at is its inverse.
 So between modules a gadget vertex travels as its path position; a
 GadgetVertex is made only to name one.
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, itemgetter
 from typing import NamedTuple
 
@@ -220,17 +221,25 @@ class PathGadget:
         if (m < 0 or not is_natural(v.k) or v.k > (prefix[m - 1] if m else 0)
                 or not _BITS.issuperset(v.t)):
             raise UnknownVertex(f"vertex {v.label} is not in the level-{n} gadget")
-        return self.copy_position(sizes[m - 1] + v.k if m else 0, m, v.t)
+        sign, offset = self.copy_map(m, v.t)
+        return sign * (sizes[m - 1] + v.k if m else 0) + offset
+
+    def copy_map(self, level: int, bits) -> tuple[int, int]:
+        """The map p -> sign * p + offset taking a level-`level` path
+        position to where it lands once `bits` are appended, one copy bit
+        per level above: bit 0 at level L keeps p, and bit 1 mirrors it to
+        V(L+1) - 1 - p.  The bits must be 0/1 and level + len(bits) at most
+        this gadget's level."""
+        sign, offset = 1, 0
+        for size in compress(self.sizes[level + 1:], bits):  # the 1-bits' V(L+1)
+            sign, offset = -sign, size - 1 - offset
+        return sign, offset
 
     def copy_position(self, pos: int, level: int, bits) -> int:
         """Where the level-`level` vertex at path position pos lands once
-        `bits` are appended, one copy bit per level above: bit 0 at level L
-        keeps the position, and bit 1 mirrors it to V(L+1) - 1 - pos.  The
-        bits must be 0/1 and level + len(bits) at most this gadget's level."""
-        for size, b in zip(self.sizes[level + 1:], bits):
-            if b:
-                pos = size - 1 - pos
-        return pos
+        `bits` are appended (copy_map)."""
+        sign, offset = self.copy_map(level, bits)
+        return sign * pos + offset
 
     def vertex_at(self, pos: int) -> GadgetVertex:
         """The vertex at a path position in O(level), the inverse of
@@ -250,7 +259,8 @@ class PathGadget:
             else:
                 bits.append(1)
                 # the mirror is its own inverse
-                pos = self.copy_position(pos, level - 1, (1,))
+                sign, offset = self.copy_map(level - 1, (1,))
+                pos = sign * pos + offset
         return GadgetVertex(0, tuple(reversed(bits)))
 
     def birth_level(self, v: GadgetVertex) -> int:

@@ -10,8 +10,8 @@ import pytest
 import oracles
 from oddwalk import gadget
 from oddwalk.bruteforce import search_hom
-from oddwalk.equiv import (EquivalenceTower, path_exact_walk, path_walk_exists,
-                           plan_equivalence, verify_equivalence)
+from oddwalk.equiv import (EquivalenceTower, _first_join, path_exact_walk,
+                           path_walk_exists, plan_equivalence, verify_equivalence)
 from oddwalk.errors import (GapInsufficient, NonOddPrefix, ParseError,
                             UnknownVertex)
 from oddwalk.gadget import GadgetVertex, build_gadget
@@ -279,6 +279,43 @@ def test_a_position_far_from_both_ends_stays_far_under_every_suffix():
                         for k in range(1, 10):
                             if min(p, last - p) > k:
                                 assert min(q, top.vertex_count - 1 - q) > k
+
+
+def test_only_a_position_and_its_own_mirror_join_first():
+    # the lemma behind _first_join, by an unpruned brute force on built
+    # gadgets: from every start level and gluing vertex, for every odd join
+    # length 3-33, the first target level where any two suffixes put the
+    # image at a joining distance has exactly one such pair, the two
+    # extensions of one suffix, and _first_join returns it
+    rng = random.Random(15)
+    joins = misses = 0
+    for _ in range(80):
+        d = tuple(rng.randrange(1, 14, 2) for _ in range(rng.randint(1, 4)))
+        gadgets = [build_gadget(d[:m]) for m in range(len(d) + 1)]
+        for start in range(len(d)):
+            for glue, v in enumerate(gadgets[start].vertices):
+                levels = []
+                for top in gadgets[start + 1:]:
+                    images = {s: top.position[GadgetVertex(v.k, v.t + s)]
+                              for s in itertools.product(
+                                  (0, 1), repeat=top.level - start)}
+                    levels.append((top.level, images, [
+                        (abs(images[s0] - images[s1]), s0, s1)
+                        for s0, s1 in itertools.combinations(sorted(images), 2)]))
+                for length in range(3, 34, 2):
+                    want = None
+                    for mm, images, pairs in levels:
+                        joined = [(s0, s1) for dist, s0, s1 in pairs
+                                  if path_walk_exists(dist, length)]
+                        if joined:
+                            [(s0, s1)] = joined
+                            assert s0 == s1[:-1] + (0,) and s1[-1] == 1
+                            want = (mm, s0, s1, images[s0], images[s1])
+                            break
+                    joins += want is not None
+                    misses += want is None
+                    assert _first_join(gadgets[-1], glue, start, length) == want
+    assert joins > 10000 and misses > 10000
 
 
 def test_planner_matches_the_vertex_planner_on_random_plans():

@@ -331,14 +331,19 @@ def test_closed_forms_at_level_60_build_nothing(monkeypatch):
 
 def test_copy_position_matches_appended_labels():
     # every level-L vertex, lifted by every bit string to the top, lands where
-    # the built top gadget puts the vertex with those bits appended
+    # the built top gadget puts the vertex with those bits appended, and one
+    # affine map per bit string (copy_map) puts every position there
     for prefix in [(1,), (3, 1), (1, 3, 5), (5, 1, 1, 3)]:
         top = build_gadget(prefix)
         for level in range(len(prefix) + 1):
             small = build_gadget(prefix[:level])
             for bits in itertools.product((0, 1), repeat=len(prefix) - level):
+                sign, offset = top.copy_map(level, bits)
+                assert sign in (1, -1)
                 for pos, v in enumerate(small.vertices):
                     lifted = GadgetVertex(v.k, v.t + bits)
                     assert top.copy_position(pos, level, bits) == top.position[lifted]
+                    assert sign * pos + offset == top.position[lifted]
     # no bits leave a position where it is
     assert build_gadget((1, 3)).copy_position(5, 1, ()) == 5
+    assert build_gadget((1, 3)).copy_map(1, ()) == (1, 0)
