@@ -262,6 +262,15 @@ def _suite_homset(rng: random.Random, oracle: bool) -> SuiteResult:
                 brute = bruteforce.explicit_homset(gadget, g)
                 s.check(enum.homs == brute.homs,
                         f"enumeration disagrees with backtracking ({prefix})")
+                if n:
+                    # position 0 held to its least vertex: a profile that
+                    # does not read the same from both ends
+                    low = p.vmasks[0] & -p.vmasks[0]
+                    held = p.restricted((low,) + p.vmasks[1:], p.wmasks)
+                    first = g.vertices[low.bit_length() - 1]
+                    s.check(held.count() == sum(h.vertex_images[0] == first
+                                                for h in brute.homs),
+                            f"held count disagrees with backtracking ({prefix})")
             probe = list(gadget.vertices)
             if len(probe) > 4:
                 probe = [probe[0], probe[len(probe) // 2], probe[-1]]

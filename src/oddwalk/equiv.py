@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import sub
 
 from .errors import GapInsufficient, ParseError
 from .gadget import build_gadget, check_odd_prefix, is_natural, level_labels
@@ -205,19 +206,24 @@ def verify_equivalence(t: EquivalenceTower) -> EquivReport:
     placed = True
     for n, images in enumerate(t.maps):
         checks += 1
-        outside = [p for p in images
-                   if not (is_natural(p) and p < levels[n].vertex_count)]
+        size = levels[n].vertex_count
+        # one C-level pass each for range and adjacency; only a failing
+        # level is walked image by image, to name its first fault
+        outside = () if (set(map(type, images)) == {int} and min(images) >= 0
+                         and max(images) < size) else [
+            p for p in images if not (is_natural(p) and p < size)]
         if len(images) != sizes[n] or outside:
             placed = False
             bad.append(f"level {n}: wrong image count" if len(images) != sizes[n]
                        else f"level {n}: image {outside[0]!r} not in target gadget")
             continue
         checks += len(images) - 1
-        for j, (a, b) in enumerate(zip(images, images[1:])):
-            if abs(a - b) != 1:
-                bad.append(f"level {n}, edge {j}: images "
-                           f"{levels[n].vertex_at(a).label}, "
-                           f"{levels[n].vertex_at(b).label} not adjacent")
+        if not {1, -1}.issuperset(map(sub, images[1:], images)):
+            for j, (a, b) in enumerate(zip(images, images[1:])):
+                if abs(a - b) != 1:
+                    bad.append(f"level {n}, edge {j}: images "
+                               f"{levels[n].vertex_at(a).label}, "
+                               f"{levels[n].vertex_at(b).label} not adjacent")
     if not placed:
         return EquivReport(checks, tuple(bad))
     for n in range(depth):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
+from operator import and_, mul, or_
 
 from . import kernels
 from .errors import NotHomomorphism, NotLarge, NotMember, OddwalkError, ParseError
@@ -196,7 +196,23 @@ class HomProfile:
         return self._witness_ids(self.wmasks[j])
 
     def count(self) -> int:
-        """Exact size of the denoted set (big integers, path DP).
+        """Exact size of the denoted set (big integers, path DP met in the
+        middle).
+
+        Let E be the edge count, h = E // 2, and F_k(x) the number of
+        partial homs on positions 0..k with image x at k.  A member is a
+        partial hom on 0..h and one on h..E that agree at h, so the count
+        is the sum over x of F_h(x) * R(x), where R(x) counts the partial
+        homs on h..E with image x at h.  R is F over the reversed masks,
+        taken E - h edges from position E.
+
+        When the masks read the same from both ends, the reversed masks are
+        the masks, so R = F_{E-h}: the forward sweep to h, continued one
+        edge further when E is odd.  Every full profile and every
+        double(p, d) reads so (level n+1 is copy 0, the join, then copy 1
+        reversed), and normalization keeps it (arc consistency has one
+        greatest fixed point, and reversing the path maps fixed points to
+        fixed points), so their counts sweep about E/2 edges, not E.
 
         Computed once per profile; later calls return the stored total.
         """
@@ -204,21 +220,21 @@ class HomProfile:
             return self._count
         total = 0
         if not self.is_empty:
+            vm, wm = self.vmasks, self.wmasks
+            h = len(wm) // 2
+            rest = len(wm) - h
             ends_idx = self._ends_idx()
-            arcs_of: dict = {}   # (witness mask, right mask) -> _arcs
-            counts = {i: 1 for i in _bits(self.vmasks[0])}
-            for j in range(self.gadget.edge_count):
-                key = (self.wmasks[j], self.vmasks[j + 1])
-                arcs = arcs_of.get(key)
-                if arcs is None:
-                    arcs = arcs_of[key] = _arcs(key[0], key[1], ends_idx)
-                new: dict[int, int] = {}
-                for a, b in arcs:
-                    c = counts.get(a)
-                    if c is not None:
-                        new[b] = new.get(b, 0) + c
-                counts = new
-            total = sum(counts.values())
+            tables: dict = {}    # (witness mask, right mask) -> _preds
+            ids = range(len(self.target.vertices))
+            head = _sweep([vm[0] >> x & 1 for x in ids],
+                          zip(wm[:h], vm[1:]), tables, ends_idx)
+            if vm == vm[::-1] and wm == wm[::-1]:
+                tail = _sweep(head, zip(wm[h:rest], vm[h + 1:]), tables, ends_idx)
+            else:
+                vm, wm = vm[::-1], wm[::-1]
+                tail = _sweep([vm[0] >> x & 1 for x in ids],
+                              zip(wm[:rest], vm[1:]), tables, ends_idx)
+            total = sum(map(mul, head, tail))
         self._count = total
         return total
 
@@ -355,6 +371,29 @@ def _arcs(wmask: int, right: int, ends_idx) -> list[tuple[int, int]]:
         if right >> a & 1:
             out.append((b, a))
     return out
+
+
+def _preds(wmask: int, right: int, ends_idx) -> tuple:
+    """(b, predecessors of b) across one edge, from _arcs; a predecessor
+    joined to b by several witnesses in wmask is listed once per witness."""
+    preds: dict[int, list[int]] = {}
+    for a, b in _arcs(wmask, right, ends_idx):
+        preds.setdefault(b, []).append(a)
+    return tuple((b, tuple(ps)) for b, ps in preds.items())
+
+
+def _sweep(counts: list[int], keys, tables: dict, ends_idx) -> list[int]:
+    """Walk counts by target vertex, carried across one edge per
+    (witness mask, right mask) key; tables memoizes _preds by key."""
+    for key in keys:
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _preds(key[0], key[1], ends_idx)
+        get = counts.__getitem__
+        counts = [0] * len(counts)
+        for b, ps in table:
+            counts[b] = sum(map(get, ps))
+    return counts
 
 
 @dataclass(frozen=True)

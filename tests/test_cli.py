@@ -150,6 +150,22 @@ def test_graph_from_stdin():
     assert "graph g {" in proc.stdout
 
 
+def test_graph_that_is_not_utf8_is_one_error_line(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe")
+    # strict stdin decoding, as under a UTF-8 locale
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+    for graph, stdin in ((str(path), None), ("-", b"\xff\xfe")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "oddwalk.cli", "dichotomy", "--graph", graph],
+            input=stdin, capture_output=True, env=env)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2, err
+        assert err.startswith(f"error: cannot read {graph}: "), err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert proc.stdout == b""
+
+
 def test_lc_quotient():
     proc = run_cli("lc", "--c", "1,3", "--quotient")
     data = json.loads(proc.stdout)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from oddwalk import bruteforce, gadget, kernels
+from oddwalk import bruteforce, gadget, homset, kernels
 from oddwalk.dichotomy import decide
 from oddwalk.errors import (NotHomomorphism, NotLarge, NotMember, OddwalkError,
                             ParseError, PrefixMismatch)
@@ -475,6 +475,74 @@ def test_profile_agrees_with_enumeration_on_small_graphs():
                 assert witness == restricted.enumerate_homs(1)[0].homs[0]
             else:
                 assert witness is None
+
+
+def test_count_matches_explicit_members_on_both_halves(monkeypatch):
+    # a palindromic profile meets its own forward sweep in the middle, any
+    # other meets a sweep of its reversed masks; both must count exactly
+    # the explicit homs inside the masks
+    swept = []
+    sweep = homset._sweep
+
+    def counting(counts, keys, *rest):
+        keys = list(keys)
+        swept.append(len(keys))
+        return sweep(counts, keys, *rest)
+
+    monkeypatch.setattr(homset, "_sweep", counting)
+
+    def inside(masks, indices):
+        return all(m >> i & 1 for m, i in zip(masks, indices))
+
+    def members(p, explicit):
+        g = p.target
+        return sum(inside(p.vmasks, g.vertex_indices(h.vertex_images))
+                   and inside(p.wmasks, g.witness_indices(h.witness_images))
+                   for h in explicit.homs)
+
+    rng = random.Random(16)
+    seen = set()
+    checked = 0
+    for _ in range(60):
+        g = mixed_multigraph(rng)
+        n = len(g.vertices)
+        lower = rng.choice(((), (1,), (2,)))
+        gadget = build_gadget(lower + (rng.choice((1, 2, 3)),))
+        small = all_homs(build_gadget(lower), g)
+        full = all_homs(gadget, g)
+        narrowed = full.restricted([m & rng.randrange(1 << n) if rng.random() < 0.3 else m
+                                    for m in full.vmasks], full.wmasks)
+        at, v = rng.randrange(gadget.vertex_count), rng.randrange(n)
+        held = full.restricted([m & (1 << v) if i == at else m
+                                for i, m in enumerate(full.vmasks)], full.wmasks)
+        doubled = double(small.restricted([m & rng.randrange(1 << n) for m in small.vmasks],
+                                          small.wmasks), gadget.prefix[-1])
+        cases = [small, full, narrowed, held, doubled,
+                 doubled.restricted([m & (1 << v) if i == at else m
+                                     for i, m in enumerate(doubled.vmasks)], doubled.wmasks)]
+        if full.count():
+            cases.append(pin(full, full.enumerate_homs(1)[0].homs[0]))
+        explicit = {p.gadget: bruteforce.explicit_homset(p.gadget, g)
+                    for p in (small, full) if oracles.walk_count(g, p.gadget.edge_count) <= 3000}
+        for q in cases:
+            # a copy, so that no count stored on q is read back
+            p = HomProfile(q.gadget, g, q.vmasks, q.wmasks, normalized=True)
+            edges = p.gadget.edge_count
+            palindromic = p.vmasks == p.vmasks[::-1] and p.wmasks == p.wmasks[::-1]
+            swept.clear()
+            total = p.count()
+            if q is full or q is small:
+                assert total == oracles.walk_count(g, edges)
+            if p.gadget in explicit:
+                assert total == members(p, explicit[p.gadget])
+                checked += 1
+            if not p.is_empty:
+                seen.add((palindromic, "odd" if edges % 2 else "even" if edges else "none"))
+                assert sum(swept) == ((edges + 1) // 2 if palindromic else edges)
+    assert checked > 200
+    # both halves at odd and even edge counts, and the one-vertex gadget
+    assert seen == {(True, "none"), (True, "odd"), (True, "even"),
+                    (False, "odd"), (False, "even")}
 
 
 def mixed_multigraph(rng):
