@@ -7,9 +7,12 @@ written by _dumps, which equals json.dumps(data, indent=2, sort_keys=True)
 byte for byte but hands each flat container (no container among its
 items) to the standard library's C encoder in one call, which json.dumps
 gives up as soon as it is asked to indent; it recurses into the rest.  The
-big arrays of `gadget --format json` and `lc --quotient` reach it as
-JsonText rows written from the gadget's labels (render.gadget_to_json_rows,
-render.quotient_to_json_rows), and _dumps only indents them into place.
+big arrays and objects reach it as JsonText rows written from the gadget
+labels at their final indentation: the gadget and quotient arrays of
+`gadget --format json` and `lc --quotient` (render.gadget_to_json_rows,
+render.quotient_to_json_rows), a `dichotomy` tower's assignments
+(render.tower_to_json_rows) and an `equiv` tower's maps
+(render.equivalence_to_json_rows).  _dumps only places them.
 
 main builds a parser once per process and per subcommand: every
 subcommand is listed, but only the one named in argv gets its arguments.
@@ -38,15 +41,18 @@ from .limitgraph import (LcVertex, adjacent, level_quotient, neighbors,
                          odd_sibling_obstruction, project_level,
                          same_component, validate_vertex)
 from .parity import exact_walk, phi_bound, phi_holds
-from .render import (JsonText, gadget_to_dot, gadget_to_json_rows,
-                     gadget_to_text, gadget_to_tikz, graph_to_dot,
-                     graph_to_tikz, quotient_to_json_rows)
+from .render import (JsonText, equivalence_to_json_rows, gadget_to_dot,
+                     gadget_to_json_rows, gadget_to_text, gadget_to_tikz,
+                     graph_to_dot, graph_to_tikz, quotient_to_json_rows,
+                     tower_to_json_rows)
 
 
 def _read_text(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            # bytes, so that the locale's error handler (surrogateescape
+            # under C) cannot let bytes that are not UTF-8 through
+            return sys.stdin.buffer.read().decode("utf-8")
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
@@ -75,12 +81,12 @@ def _is_flat(data) -> bool:
 
 def _dumps(data, indent: str = "\n") -> str:
     """json.dumps(data, indent=2, sort_keys=True), byte for byte, where a
-    JsonText stands for the value its text writes.
+    JsonText stands for the value it writes.
 
     indent is a newline plus the indentation of the line data starts on.
     """
     if isinstance(data, JsonText):
-        return data.text.replace("\n", indent)
+        return data.write(indent)
     if not isinstance(data, _CONTAINERS) or not data:
         return _encoder(",")(data)
     inner = indent + "  "
@@ -189,7 +195,7 @@ def _cmd_dichotomy(args) -> int:
             return 1
         return 0
     report = verify_tower(result, g)
-    _emit({"formatVersion": 1, "tower": result.to_json_dict(),
+    _emit({"formatVersion": 1, "tower": tower_to_json_rows(result),
            "verified": report.ok})
     if not report.ok:
         for line in report.violations:
@@ -260,7 +266,8 @@ def _cmd_equiv(args) -> int:
         return 0
     report = verify_equivalence(tower)
     _emit({"formatVersion": 1, "planned": True, "verified": report.ok,
-           "tower": tower.to_json_dict(), "report": report.to_json_dict()})
+           "tower": equivalence_to_json_rows(tower),
+           "report": report.to_json_dict()})
     return 0 if report.ok else 1
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import and_, mul, or_
 
 from . import kernels
@@ -288,15 +288,20 @@ class HomProfile:
         by_pair: dict = {}
         for w, ends in enumerate(self._ends_idx()):
             by_pair.setdefault(ends, []).append(w)
+
+        @lru_cache(maxsize=None)
+        def options(key) -> tuple[str, ...]:
+            """(witness mask, a, b) -> the ids of the witnesses in the mask
+            joining target vertices a and b, ascending."""
+            wmask, a, b = key
+            return tuple(ws[w] for w in by_pair[(a, b) if a < b else (b, a)]
+                         if wmask >> w & 1)
+
         for vpath in self._vertex_paths():
-            wit_options = []
-            for j, wmask in enumerate(self.wmasks):
-                a, b = vpath[j], vpath[j + 1]
-                wit_options.append([w for w in by_pair[(a, b) if a < b else (b, a)]
-                                    if wmask >> w & 1])
-            vimgs = tuple(vs[i] for i in vpath)
-            for combo in itertools.product(*wit_options):
-                yield Hom(vimgs, tuple(ws[w] for w in combo))
+            vimgs = tuple(map(vs.__getitem__, vpath))
+            for combo in itertools.product(*map(
+                    options, zip(self.wmasks, vpath, vpath[1:]))):
+                yield Hom(vimgs, combo)
 
     def enumerate_homs(self, cap: int) -> tuple["ExplicitHomSet", int]:
         """First `cap` homomorphisms in (vertex images, witness images) lex

@@ -1,4 +1,5 @@
-"""DOT, TikZ, and JSON emitters for gadgets, graphs, and level quotients.
+"""DOT, TikZ, and JSON emitters for gadgets, graphs, level quotients and
+towers.
 
 Gadget renderings color vertices by birth level: the top-level join path
 gets the current level's color, copied vertices keep the color of the level
@@ -14,16 +15,24 @@ The gadget renderings and the JSON row writers read only the gadget's
 labels, which come from the doubling recurrence (gadget.level_labels), and
 build no vertex list: a label p<k>.<t> spells out the join index k and the
 copy history t, so the birth level is the gadget level less len(t).
-gadget_to_json_rows and quotient_to_json_rows write their big arrays as
-JsonText rows, one f-string per label, and cli._dumps places those rows in
-the output.  gadget_to_json_dict and LevelQuotient.to_json_dict build the
-same data as dicts from the vertex list: the Python API, and the reference
-the rows are checked against.
+The row writers return JsonText values, one f-string per row, which
+cli._dumps places at their final indentation with no pass over the text:
+gadget_to_json_rows and quotient_to_json_rows write the gadget and quotient
+arrays, tower_to_json_rows each tower level's vertex and witness
+assignments, and equivalence_to_json_rows each equivalence map.
+gadget_to_json_dict, LevelQuotient.to_json_dict, Tower.to_json_dict and
+EquivalenceTower.to_json_dict build the same data as dicts: the Python
+API, and the reference the rows are checked against.
 """
 
 from __future__ import annotations
 
-from .gadget import PathGadget
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+
+from .dichotomy import Tower
+from .equiv import EquivalenceTower
+from .gadget import PathGadget, level_labels
 from .graphs import WitnessedGraph
 from .limitgraph import LevelQuotient
 
@@ -106,42 +115,58 @@ def gadget_to_json_dict(g: PathGadget) -> dict:
 
 
 class JsonText:
-    """JSON text laid out the way json.dumps(value, indent=2,
-    sort_keys=True) lays out a top-level value; cli._dumps indents it to
-    the place it takes in the output.
+    """A JSON value that writes its own text: write(indent) returns what
+    json.dumps(value, indent=2, sort_keys=True) writes for the value where
+    it starts on a line indented by `indent` (a newline and the line's
+    spaces).  Rows are made at their final indentation, and cli._dumps
+    only calls write in the value's place.
 
     A plain class and not a str, so that the standard library's encoder
     raises TypeError on one that reaches it instead of quoting it.
     """
 
-    __slots__ = ("text",)
+    __slots__ = ("write",)
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, write):
+        self.write = write
 
 
-def _json_rows(rows: list[str]) -> JsonText:
-    """A JSON array of element rows, each already laid out at indent 2."""
-    return JsonText("[\n" + ",\n".join(rows) + "\n]" if rows else "[]")
+def _rows(opening: str, closing: str, rows) -> JsonText:
+    """A JSON array or object whose element rows are rows(inner): the list
+    of element texts, each starting on a line indented by inner."""
+    def write(indent: str) -> str:
+        inner = indent + "  "
+        body = ("," + inner).join(rows(inner))
+        return opening + inner + body + indent + closing if body else opening + closing
+    return JsonText(write)
 
 
 # The row writers below put labels into JSON strings unescaped: a label is
 # "p", ASCII digits and, after a ".", copy bits 0/1 (level_labels), so it
-# holds nothing JSON escapes.  Its k and t are its own text.
+# holds nothing JSON escapes.  Its k and t are its own text.  Graph ids may
+# need escaping, so each is encoded once with the function json.dumps uses.
 
 def gadget_to_json_rows(g: PathGadget) -> dict:
     """gadget_to_json_dict with the vertices and edges written as JsonText
     rows from the labels."""
     labels = g.labels
     n = g.level
-    vertices = []
-    for label in labels:
-        head, _, t = label.partition(".")
-        vertices.append(f'  {{\n    "birthLevel": {n - len(t)},\n    "k": {head[1:]},'
-                        f'\n    "label": "{label}",\n    "t": "{t}"\n  }}')
-    edges = [f'  [\n    "{a}",\n    "{b}"\n  ]' for a, b in zip(labels, labels[1:])]
-    return {**_gadget_json_scalars(g), "vertices": _json_rows(vertices),
-            "edges": _json_rows(edges)}
+
+    def vertices(i: str) -> list[str]:
+        j = i + "  "
+        rows = []
+        for label in labels:
+            head, _, t = label.partition(".")
+            rows.append(f'{{{j}"birthLevel": {n - len(t)},{j}"k": {head[1:]},'
+                        f'{j}"label": "{label}",{j}"t": "{t}"{i}}}')
+        return rows
+
+    def edges(i: str) -> list[str]:
+        j = i + "  "
+        return [f'[{j}"{a}",{j}"{b}"{i}]' for a, b in zip(labels, labels[1:])]
+
+    return {**_gadget_json_scalars(g), "vertices": _rows("[", "]", vertices),
+            "edges": _rows("[", "]", edges)}
 
 
 def quotient_to_json_rows(q: LevelQuotient) -> dict:
@@ -149,15 +174,79 @@ def quotient_to_json_rows(q: LevelQuotient) -> dict:
     JsonText rows from the gadget's labels: class (m, k, t) is the label
     p<k>.<t> with m its birth level."""
     g = q.gadget
+    labels = g.labels
     n = g.level
-    classes = []
-    for label in g.labels:
-        head, _, t = label.partition(".")
-        classes.append(f'  {{\n    "bits": "{t}",\n    "k": {head[1:]},'
-                       f'\n    "m": {n - len(t)}\n  }}')
-    edges = [f"  [\n    {i},\n    {i + 1}\n  ]" for i in range(g.edge_count)]
-    return {"c": list(q.prefix), "classes": _json_rows(classes),
-            "edges": _json_rows(edges)}
+
+    def classes(i: str) -> list[str]:
+        j = i + "  "
+        rows = []
+        for label in labels:
+            head, _, t = label.partition(".")
+            rows.append(f'{{{j}"bits": "{t}",{j}"k": {head[1:]},'
+                        f'{j}"m": {n - len(t)}{i}}}')
+        return rows
+
+    def edges(i: str) -> list[str]:
+        j = i + "  "
+        return [f"[{j}{k},{j}{k + 1}{i}]" for k in range(g.edge_count)]
+
+    return {"c": list(q.prefix), "classes": _rows("[", "]", classes),
+            "edges": _rows("[", "]", edges)}
+
+
+def _assignment_rows(labels, hom, ids) -> dict:
+    """Hom.labelled_json_dict with both objects written as JsonText rows.
+
+    One index sort serves both: edge j's key labels[j]--labels[j + 1]
+    sorts as labels[j] does.  Labels are unique, '-' sorts below '.' and
+    every digit, and a label that is a prefix of another sorts first
+    either way.  ids maps each graph id to its JSON string.
+    """
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    vimgs, wimgs = hom.vertex_images, hom.witness_images
+    vertex_rows = [f'"{labels[p]}": {ids[vimgs[p]]}' for p in order]
+    order.remove(len(labels) - 1)   # the last position starts no edge
+    witness_rows = [f'"{labels[j]}--{labels[j + 1]}": {ids[wimgs[j]]}'
+                    for j in order]
+    return {"vertexAssignments": _rows("{", "}", lambda i: vertex_rows),
+            "witnessAssignments": _rows("{", "}", lambda i: witness_rows)}
+
+
+def tower_to_json_rows(t: Tower) -> dict:
+    """Tower.to_json_dict with each level's vertex and witness assignments
+    written as JsonText rows from the doubling labels (level_labels)."""
+    ids = {x: encode_basestring_ascii(x) for x in set(chain.from_iterable(
+        chain(hom.vertex_images, hom.witness_images) for hom in t.levels))}
+    return {
+        "c": list(t.prefix),
+        "levels": [_assignment_rows(labels, hom, ids) for hom, labels
+                   in zip(t.levels, level_labels(t.prefix))],
+        "schedule": list(t.schedule_values),
+    }
+
+
+def _map_rows(labels, targets, images) -> JsonText:
+    """One map of EquivalenceTower.to_json_dict as JsonText rows: source
+    label to target label, both unescaped."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    rows = [f'"{labels[p]}": "{targets[images[p]]}"' for p in order]
+    return _rows("{", "}", lambda i: rows)
+
+
+def equivalence_to_json_rows(t: EquivalenceTower) -> dict:
+    """EquivalenceTower.to_json_dict with each map written as JsonText rows
+    from the doubling labels of both prefixes."""
+    targets = list(level_labels(t.target_prefix[:t.level_map[-1]]))
+    return {
+        "c": list(t.source_prefix),
+        "d": list(t.target_prefix),
+        "levelMap": list(t.level_map),
+        "suffixes": [["".join(map(str, s)) for s in pair] for pair in t.suffixes],
+        "joinWalks": [list(w) for w in t.join_walks],
+        "maps": [_map_rows(labels, targets[m], images) for labels, m, images
+                 in zip(level_labels(t.source_prefix[:t.depth]), t.level_map,
+                        t.maps)],
+    }
 
 
 def gadget_to_text(g: PathGadget) -> str:

@@ -13,9 +13,11 @@ from pathlib import Path
 import pytest
 
 from oddwalk import cli, gadget
+from oddwalk.dichotomy import decide, parse_schedule
+from oddwalk.equiv import plan_equivalence
 from oddwalk.gadget import build_gadget, parse_prefix
 from oddwalk.generators import (complete_graph, cycle_graph, path_graph,
-                                petersen_graph)
+                                petersen_graph, random_graph)
 from oddwalk.graphs import WitnessedGraph
 from oddwalk.limitgraph import level_quotient
 from oddwalk.parity import phi_bound
@@ -164,6 +166,22 @@ def test_graph_that_is_not_utf8_is_one_error_line(tmp_path):
         assert err.startswith(f"error: cannot read {graph}: "), err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert proc.stdout == b""
+
+
+def test_stdin_that_is_not_utf8_is_refused_under_the_c_locale():
+    # the C locale turns on UTF-8 mode, whose stdin lets bad bytes through
+    # as surrogates
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONIOENCODING", "PYTHONUTF8") and not k.startswith("LC_")}
+    env.update(LC_ALL="C", LANG="C")
+    proc = subprocess.run(
+        [sys.executable, "-m", "oddwalk.cli", "dichotomy", "--graph", "-"],
+        input=b"\xff\xfe", capture_output=True, env=env)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("error: cannot read -: "), err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert proc.stdout == b""
 
 
 def test_lc_quotient():
@@ -405,12 +423,14 @@ def test_emit_matches_json_dumps(tmp_path, monkeypatch):
     for tree in trees:
         want = json.dumps(tree, indent=2, sort_keys=True)
         assert cli._dumps(tree) == want, tree
-        # a JsonText stands for the value its text writes, at any depth
-        assert cli._dumps(JsonText(want)) == want
-        assert cli._dumps([{"a": JsonText(want)}, JsonText(want)]) == json.dumps(
+        # a JsonText stands for the value it writes at the indent it is
+        # given, at any depth
+        text = JsonText(lambda indent, want=want: want.replace("\n", indent))
+        assert cli._dumps(text) == want
+        assert cli._dumps([{"a": text}, text]) == json.dumps(
             [{"a": tree}, tree], indent=2, sort_keys=True)
     with pytest.raises(TypeError):
-        json.dumps({"a": JsonText("1")})
+        json.dumps({"a": JsonText(lambda indent: "1")})
 
     tri = tmp_path / "tri.txt"
     tri.write_text("a b\nb c\nc a\nc d\n")
@@ -447,14 +467,27 @@ def test_emit_matches_json_dumps(tmp_path, monkeypatch):
 
 
 def _json_reference(argv, emitted):
-    """json.dumps of what a command emits; for `gadget` and `lc --quotient`,
-    whose emitted data holds JsonText rows, of the data the dict builders
-    make from the vertex list."""
+    """json.dumps of what a command emits, with its JsonText rows replaced
+    by the data the dict builders make: for `gadget` and `lc --quotient`
+    from the vertex list, and for the tower of `dichotomy` and of a planned
+    `equiv`, Tower.to_json_dict and EquivalenceTower.to_json_dict."""
+    def arg(name, default=None):
+        return argv[argv.index(name) + 1] if name in argv else default
+
     if argv[0] == "gadget" or "--quotient" in argv:
-        prefix = parse_prefix(argv[argv.index("--c") + 1])
+        prefix = parse_prefix(arg("--c"))
         emitted = {"formatVersion": 1, **(
             gadget_to_json_dict(build_gadget(prefix)) if argv[0] == "gadget"
             else level_quotient(prefix).to_json_dict())}
+    elif argv[0] == "dichotomy" and "tower" in emitted:
+        g = WitnessedGraph.from_text(Path(arg("--graph")).read_text(encoding="utf-8"))
+        tower = decide(g, int(arg("--depth", "6")),
+                       parse_schedule(arg("--schedule", "default")))
+        emitted = {**emitted, "tower": tower.to_json_dict()}
+    elif argv[0] == "equiv" and emitted["planned"]:
+        tower = plan_equivalence(parse_prefix(arg("--c")), parse_prefix(arg("--d")),
+                                 int(arg("--depth")))
+        emitted = {**emitted, "tower": tower.to_json_dict()}
     return json.dumps(emitted, indent=2, sort_keys=True) + "\n"
 
 
@@ -470,6 +503,46 @@ def test_gadget_and_quotient_json_rows_match_dict_builders():
             code, out, err = run_main(*argv)
             assert (code, err) == (0, ""), argv
             assert out == _json_reference(argv, None), argv
+
+
+def test_tower_and_equivalence_json_rows_match_dict_builders(tmp_path, monkeypatch):
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda data: emitted.append(data) or emit(data))
+    rng = random.Random(18)
+    runs = []
+    for i in range(21):   # random generator graphs, three at each depth 0-6
+        g = random_graph(rng, rng.randint(4, 7), p=0.6, multi=0.4)
+        runs.append(["dichotomy", "--graph", write_graph(tmp_path, g, f"g{i}.json"),
+                     "--depth", str(i % 7)])
+    # vertex and witness ids that JSON escapes
+    escaped = write_graph(tmp_path, WitnessedGraph(
+        ['a"b', "c\\d", "\u00e9", "x\ny", "z"],
+        {'w"0': ('a"b', "c\\d"), "w\\1": ("c\\d", "x\ny"), "w\n2": ("x\ny", "z"),
+         "w3": ("z", "\u00e9"), "\u00e9": ("\u00e9", 'a"b'), "w5": ('a"b', "c\\d")}),
+        "escaped.json")   # a 5-cycle, one edge doubled
+    runs += [["dichotomy", "--graph", escaped, "--depth", depth] for depth in "0134"]
+    # join indices of 10 and more, so that p1 and p10 both occur
+    runs.append(["dichotomy", "--graph", escaped, "--depth", "3",
+                 "--schedule", "1,1,11"])
+    runs += [["equiv", "--c", c, "--d", d, "--depth", depth] for c, d, depth in (
+        ("3,5", "1,3,5,7", "0"), ("3,5", "1,3,5,7", "2"), ("1,1", "1,1,1", "2"),
+        ("3,11", "1,13,3,11,5", "2"), ("1", "9", "1"))]
+    for argv in runs:
+        code, out, err = run_main(*argv)
+        assert code == 0 and err == "", argv
+        assert out == _json_reference(argv, emitted[-1]), argv
+    towers = [json.loads(cli._dumps(data["tower"])) for data in emitted
+              if "tower" in data]
+    levels = [level for t in towers if "levels" in t for level in t["levels"]]
+    assert len(levels) > 60
+    assert [{"vertexAssignments": {"p0": 'a"b'}, "witnessAssignments": {}}] in [
+        t["levels"] for t in towers if "levels" in t]   # depth 0
+    assert {"p1", "p10"} <= set(levels[-1]["vertexAssignments"])
+    assert {"p1", "p10"} <= set(towers[-1]["maps"][-1])
+    assert "x\ny" in levels[-1]["vertexAssignments"].values()
+    assert {'w"0', "w\\1", "w\n2", "\u00e9"} <= set(
+        levels[-1]["witnessAssignments"].values())
 
 
 def test_gadget_and_quotient_output_materialize_nothing(monkeypatch):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import oracles
-from oddwalk import gadget
+from oddwalk import cli, gadget
 from oddwalk.bruteforce import search_hom
 from oddwalk.equiv import (EquivalenceTower, _first_join, path_exact_walk,
                            path_walk_exists, plan_equivalence, verify_equivalence)
@@ -16,6 +16,7 @@ from oddwalk.errors import (GapInsufficient, NonOddPrefix, ParseError,
                             UnknownVertex)
 from oddwalk.gadget import GadgetVertex, build_gadget
 from oddwalk.generators import random_odd_prefix
+from oddwalk.render import equivalence_to_json_rows
 
 
 def test_path_walk_exists_parity_rule():
@@ -186,7 +187,14 @@ def test_random_planner_successes_verify():
         planned += 1
         assert verify_equivalence(t).ok
         assert t.to_json_dict() == oracles.equiv_json_via_gadgets(t)
+        assert_rows_match_dict(t)
     assert planned > 0
+
+
+def assert_rows_match_dict(t):
+    """The JsonText rows the CLI writes for t are json.dumps of its dict."""
+    assert cli._dumps(equivalence_to_json_rows(t)) == json.dumps(
+        t.to_json_dict(), indent=2, sort_keys=True)
 
 
 def _check_against_built_gadgets(t):
@@ -340,6 +348,7 @@ def test_planner_matches_the_vertex_planner_on_random_plans():
             planned += 1
             assert t.to_json_dict() == oracles.equiv_json_via_vertices(want)
             assert t.to_json_dict() == oracles.equiv_json_via_gadgets(t)
+            assert_rows_match_dict(t)
             assert (t.source_prefix, t.target_prefix, t.level_map, t.suffixes,
                     t.join_walks) == (want.source_prefix, want.target_prefix,
                                       want.level_map, want.suffixes, want.join_walks)
