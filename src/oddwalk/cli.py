@@ -11,8 +11,11 @@ big arrays and objects reach it as JsonText rows written from the gadget
 labels at their final indentation: the gadget and quotient arrays of
 `gadget --format json` and `lc --quotient` (render.gadget_to_json_rows,
 render.quotient_to_json_rows), a `dichotomy` tower's assignments
-(render.tower_to_json_rows) and an `equiv` tower's maps
-(render.equivalence_to_json_rows).  _dumps only places them.
+(render.tower_to_json_rows), an `equiv` tower's maps
+(render.equivalence_to_json_rows) and the homomorphisms of `homset`, its
+`large` witness and every `--enumerate` member (render.homs_to_json_rows,
+one label sort and one id encoding for all of them).  _dumps only places
+them.
 
 main builds a parser once per process and per subcommand: every
 subcommand is listed, but only the one named in argv gets its arguments.
@@ -43,8 +46,8 @@ from .limitgraph import (LcVertex, adjacent, level_quotient, neighbors,
 from .parity import exact_walk, phi_bound, phi_holds
 from .render import (JsonText, equivalence_to_json_rows, gadget_to_dot,
                      gadget_to_json_rows, gadget_to_text, gadget_to_tikz,
-                     graph_to_dot, graph_to_tikz, quotient_to_json_rows,
-                     tower_to_json_rows)
+                     graph_to_dot, graph_to_tikz, homs_to_json_rows,
+                     quotient_to_json_rows, tower_to_json_rows)
 
 
 def _read_text(path: str) -> str:
@@ -168,9 +171,6 @@ def _cmd_homset(args) -> int:
         "count": p.count(),
         "tiny": {"holds": tiny.tiny,
                  "vertex": tiny.vertex.label if tiny.vertex else None},
-        "large": {"holds": large.large,
-                  "witness": (large.witness.to_json_dict(gadget)
-                              if large.witness else None)},
     }
     if args.project:
         projections = {}
@@ -178,10 +178,15 @@ def _cmd_homset(args) -> int:
             v = GadgetVertex.from_label(label)
             projections[v.label] = list(p.project(v))
         out["projections"] = projections
+    homs = [large.witness] if large.witness else []
     if args.enumerate is not None:
-        explicit, total = p.enumerate_homs(args.enumerate)
-        out["enumerated"] = [h.to_json_dict(gadget) for h in explicit.homs]
-        out["total"] = total
+        explicit, out["total"] = p.enumerate_homs(args.enumerate)
+        homs += explicit.homs
+    rows = homs_to_json_rows(gadget, homs)
+    out["large"] = {"holds": large.large,
+                    "witness": rows.pop(0) if large.witness else None}
+    if args.enumerate is not None:
+        out["enumerated"] = rows
     _emit(out)
     return 0
 

@@ -81,10 +81,11 @@ def decide(g: WitnessedGraph, depth: int, schedule=None):
     each vertex's distance from the least vertex of its component, and
     otherwise the root is the least vertex on an odd closed walk.
 
-    Only the root profile is swept.  Each later level is pinned straight
-    from the glued homomorphism: extend_witness has checked that it lies in
-    double(profile, d), and pinning that doubled profile would keep exactly
-    this singleton, so the doubled profile is never built.
+    No profile is swept.  The root pins the full level-0 profile, which
+    HomProfile.full builds normalized, and each later level is pinned
+    straight from the glued homomorphism: extend_witness has checked that
+    it lies in double(profile, d), and pinning that doubled profile would
+    keep exactly this singleton, so the doubled profile is never built.
     """
     if not is_natural(depth):
         raise ParseError(f"depth must be a natural number, got {depth!r}")

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Hashable
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import eq, itemgetter
 
 from .errors import ParseError, UnknownVertex
 
@@ -22,6 +25,44 @@ def vertex_pair(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
 
+def _require_ids(ids, what: str) -> None:
+    """Raise ParseError naming the first of ids that is not a nonempty
+    string.  Checked in bulk; walked only to name the fault."""
+    if set(map(type, ids)) <= {str} and "" not in ids:
+        return
+    for x in ids:
+        if not (isinstance(x, str) and x):
+            raise ParseError(f"{what} must be a nonempty string, got {x!r}")
+
+
+def _json_witness_ends(entries) -> dict:
+    """Witness id -> its "ends" array, from the entries of a graph JSON's
+    "witnesses" list.  Checked in bulk; walked in file order only to name
+    the fault."""
+    try:
+        ids = list(map(itemgetter("id"), entries))
+        pairs = list(map(itemgetter("ends"), entries))
+        if set(map(type, pairs)) <= {list, tuple} and len(set(ids)) == len(ids):
+            return dict(zip(ids, pairs))
+    except (KeyError, TypeError):   # an entry that is not an object, or
+        pass                        # an id that is not hashable
+    ends = {}
+    for entry in entries:
+        if not isinstance(entry, dict) or "id" not in entry or "ends" not in entry:
+            raise ParseError('each witness needs "id" and "ends"')
+        wid = entry["id"]
+        if not isinstance(wid, Hashable):
+            raise ParseError(f"witness id must be a nonempty string, got {wid!r}")
+        if wid in ends:
+            raise ParseError(f"duplicate witness id {wid!r}")
+        pair = entry["ends"]
+        if not isinstance(pair, (list, tuple)):
+            raise ParseError(f'witness {wid!r}: "ends" must be an array of two '
+                             f"vertex ids, got {pair!r}")
+        ends[wid] = pair
+    return ends
+
+
 class WitnessedGraph:
     """Immutable finite multigraph with witness-presented edges."""
 
@@ -29,41 +70,50 @@ class WitnessedGraph:
                  "_vindex", "_windex", "_steps", "_facts")
 
     def __init__(self, vertices, ends):
-        vs = []
-        for v in vertices:
-            if not isinstance(v, str) or not v:
-                raise ParseError(f"vertex id must be a nonempty string, got {v!r}")
-            vs.append(v)
+        vs = list(vertices)
+        _require_ids(vs, "vertex id")
         self.vertices: tuple[str, ...] = tuple(sorted(set(vs)))
-        vset = set(self.vertices)
-        fixed = {}
-        for w in sorted(ends):
-            if not isinstance(w, str) or not w:
-                raise ParseError(f"witness id must be a nonempty string, got {w!r}")
-            pair = tuple(ends[w])
-            if len(pair) != 2:
-                raise ParseError(f"witness {w!r} must have exactly two ends")
-            u, v = pair
-            if u not in vset or v not in vset:
-                raise ParseError(f"witness {w!r} has unknown endpoint")
-            if u == v:
-                raise ParseError(f"witness {w!r} is a loop at {u!r}")
-            fixed[w] = vertex_pair(u, v)
-        self.witnesses: tuple[str, ...] = tuple(sorted(fixed))
-        self.ends: dict[str, tuple[str, str]] = fixed
-        nbr: dict[str, set[str]] = {v: set() for v in self.vertices}
-        between: dict[tuple[str, str], list[str]] = {}
-        for w in self.witnesses:
-            u, v = fixed[w]
-            nbr[u].add(v)
-            nbr[v].add(u)
-            between.setdefault((u, v), []).append(w)
-        self._neighbors = {v: tuple(sorted(s)) for v, s in nbr.items()}
-        self._between = {p: tuple(sorted(ws)) for p, ws in between.items()}
         self._vindex = {v: i for i, v in enumerate(self.vertices)}
+        try:
+            witnesses = sorted(ends)
+        except TypeError:   # ids of types that do not compare
+            witnesses = list(ends)
+        _require_ids(witnesses, "witness id")
+        pairs = list(map(tuple, map(ends.__getitem__, witnesses)))
+        flat = list(chain.from_iterable(pairs))
+        heads, tails = flat[::2], flat[1::2]
+        if not (set(map(len, pairs)) <= {2} and set(map(type, flat)) <= {str}
+                and self._vindex.keys() >= set(flat)
+                and not any(map(eq, heads, tails))):
+            self._explain_ends(witnesses, pairs)
+        self.witnesses: tuple[str, ...] = tuple(witnesses)
+        fixed = dict(zip(witnesses, map(vertex_pair, heads, tails)))
+        self.ends: dict[str, tuple[str, str]] = fixed
+        between: dict[tuple[str, str], list[str]] = {}
+        for w, pair in fixed.items():   # in ascending id order
+            between.setdefault(pair, []).append(w)
+        self._between = {p: tuple(ws) for p, ws in between.items()}
+        nbr: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for u, v in between:   # each adjacent pair once
+            nbr[u].append(v)
+            nbr[v].append(u)
+        self._neighbors = {v: tuple(sorted(us)) for v, us in nbr.items()}
         self._windex = {w: i for i, w in enumerate(self.witnesses)}
         self._steps = None
         self._facts: dict = {}
+
+    def _explain_ends(self, witnesses, pairs) -> None:
+        """Raise ParseError for the first witness, in id order, whose ends
+        are not two distinct vertices of this graph."""
+        for w, pair in zip(witnesses, pairs):
+            if len(pair) != 2:
+                raise ParseError(f"witness {w!r} must have exactly two ends")
+            u, v = pair
+            if not (isinstance(u, str) and isinstance(v, str)
+                    and u in self._vindex and v in self._vindex):
+                raise ParseError(f"witness {w!r} has unknown endpoint")
+            if u == v:
+                raise ParseError(f"witness {w!r} is a loop at {u!r}")
 
     # -- constructors ------------------------------------------------------
 
@@ -83,15 +133,7 @@ class WitnessedGraph:
             raise ParseError('"vertices" must be a list')
         if not isinstance(data["witnesses"], list):
             raise ParseError('"witnesses" must be a list')
-        ends = {}
-        for entry in data["witnesses"]:
-            if not isinstance(entry, dict) or "id" not in entry or "ends" not in entry:
-                raise ParseError('each witness needs "id" and "ends"')
-            wid = entry["id"]
-            if wid in ends:
-                raise ParseError(f"duplicate witness id {wid!r}")
-            ends[wid] = tuple(entry["ends"])
-        return cls(data["vertices"], ends)
+        return cls(data["vertices"], _json_witness_ends(data["witnesses"]))
 
     @classmethod
     def from_json_text(cls, text: str) -> "WitnessedGraph":

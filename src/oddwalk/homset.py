@@ -14,6 +14,12 @@ validate_hom is one set pass over the edges against the target's oriented
 steps; it walks a hom edge by edge only to name the fault of an invalid
 one.  Pinning and the membership mask test read the target's index tables
 for all positions at once (vertex_indices, witness_indices).
+
+The full profile (all_homs) is built normalized by closed form and never
+swept; the propagation kernel runs only for restricted, doubled and
+narrowed profiles.  Hom.to_json_dict is the dict form of one
+homomorphism; the CLI writes homomorphisms as rows instead
+(render.homs_to_json_rows), checked against it byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import and_, mul, or_
+from operator import and_, itemgetter, mul, or_
 
 from . import kernels
 from .errors import NotHomomorphism, NotLarge, NotMember, OddwalkError, ParseError
@@ -154,11 +160,24 @@ class HomProfile:
 
     @classmethod
     def full(cls, gadget: PathGadget, target: WitnessedGraph) -> "HomProfile":
-        allv = (1 << len(target.vertices)) - 1
-        allw = (1 << len(target.witnesses)) - 1
+        """The profile of every homomorphism, built normalized (no sweep).
+
+        At level 0 there is no edge and every target vertex is an image.
+        Above it, let N be the vertices that have a witness.  A vertex in N
+        has a neighbour in N (the other end of its witness), so from the
+        all-ones masks a sweep removes exactly the isolated vertices: every
+        position keeps N and every edge keeps every witness, both of whose
+        ends lie in N.  With no witness N is empty, and so is every mask.
+        """
+        if not gadget.edge_count:
+            return cls(gadget, target, [(1 << len(target.vertices)) - 1], [],
+                       normalized=True)
+        ends_idx = _end_indices(target)
+        witnessed = sum(map(_bit, set(itertools.chain.from_iterable(ends_idx))))
+        allw = (1 << len(ends_idx)) - 1
         return cls(gadget, target,
-                   [allv] * gadget.vertex_count,
-                   [allw] * gadget.edge_count)
+                   [witnessed] * gadget.vertex_count,
+                   [allw] * gadget.edge_count, normalized=True)
 
     @classmethod
     def pinned(cls, gadget: PathGadget, target: WitnessedGraph,
@@ -239,12 +258,7 @@ class HomProfile:
         return total
 
     def _ends_idx(self) -> tuple[tuple[int, int], ...]:
-        """Per target witness index, its endpoint vertex indices (a, b);
-        built once per target graph."""
-        t = self.target
-        return t.memo("witness ends", lambda: tuple(
-            (t.vertex_index(a), t.vertex_index(b))
-            for a, b in (t.ends[w] for w in t.witnesses)))
+        return _end_indices(self.target)
 
     # -- enumeration -------------------------------------------------------
 
@@ -352,6 +366,16 @@ class HomProfile:
 
 
 _bit = (1).__lshift__   # i -> 1 << i
+
+
+def _end_indices(t: WitnessedGraph) -> tuple[tuple[int, int], ...]:
+    """Per witness index of t, its endpoint vertex indices (a, b); built
+    once per graph, one index lookup per column of ends."""
+    def build():
+        pairs = tuple(map(t.ends.__getitem__, t.witnesses))
+        return tuple(zip(t.vertex_indices(map(itemgetter(0), pairs)),
+                         t.vertex_indices(map(itemgetter(1), pairs))))
+    return t.memo("witness ends", build)
 
 
 def _bits(mask: int) -> list[int]:

@@ -19,10 +19,12 @@ The row writers return JsonText values, one f-string per row, which
 cli._dumps places at their final indentation with no pass over the text:
 gadget_to_json_rows and quotient_to_json_rows write the gadget and quotient
 arrays, tower_to_json_rows each tower level's vertex and witness
-assignments, and equivalence_to_json_rows each equivalence map.
-gadget_to_json_dict, LevelQuotient.to_json_dict, Tower.to_json_dict and
-EquivalenceTower.to_json_dict build the same data as dicts: the Python
-API, and the reference the rows are checked against.
+assignments, homs_to_json_rows the vertex and witness assignments of
+homomorphisms over one gadget (sorting its labels once for all of them),
+and equivalence_to_json_rows each equivalence map.
+gadget_to_json_dict, LevelQuotient.to_json_dict, Tower.to_json_dict,
+Hom.to_json_dict and EquivalenceTower.to_json_dict build the same data as
+dicts: the Python API, and the reference the rows are checked against.
 """
 
 from __future__ import annotations
@@ -194,20 +196,36 @@ def quotient_to_json_rows(q: LevelQuotient) -> dict:
             "edges": _rows("[", "]", edges)}
 
 
-def _assignment_rows(labels, hom, ids) -> dict:
-    """Hom.labelled_json_dict with both objects written as JsonText rows.
+def _encoded_ids(homs) -> dict:
+    """Each graph id the homs use, mapped to its JSON string."""
+    return {x: encode_basestring_ascii(x) for x in set(chain.from_iterable(
+        chain(hom.vertex_images, hom.witness_images) for hom in homs))}
+
+
+def _label_order(labels) -> tuple[list[int], list[int]]:
+    """The positions in label order, for vertex rows, and the same less the
+    last position, for edge rows.
 
     One index sort serves both: edge j's key labels[j]--labels[j + 1]
     sorts as labels[j] does.  Labels are unique, '-' sorts below '.' and
     every digit, and a label that is a prefix of another sorts first
-    either way.  ids maps each graph id to its JSON string.
+    either way.
     """
-    order = sorted(range(len(labels)), key=labels.__getitem__)
+    positions = sorted(range(len(labels)), key=labels.__getitem__)
+    edges = positions.copy()
+    edges.remove(len(labels) - 1)   # the last position starts no edge
+    return positions, edges
+
+
+def _assignment_rows(labels, order, hom, ids) -> dict:
+    """Hom.labelled_json_dict with both objects written as JsonText rows
+    in the label order of _label_order; ids maps each graph id to its
+    JSON string."""
+    positions, edges = order
     vimgs, wimgs = hom.vertex_images, hom.witness_images
-    vertex_rows = [f'"{labels[p]}": {ids[vimgs[p]]}' for p in order]
-    order.remove(len(labels) - 1)   # the last position starts no edge
+    vertex_rows = [f'"{labels[p]}": {ids[vimgs[p]]}' for p in positions]
     witness_rows = [f'"{labels[j]}--{labels[j + 1]}": {ids[wimgs[j]]}'
-                    for j in order]
+                    for j in edges]
     return {"vertexAssignments": _rows("{", "}", lambda i: vertex_rows),
             "witnessAssignments": _rows("{", "}", lambda i: witness_rows)}
 
@@ -215,14 +233,23 @@ def _assignment_rows(labels, hom, ids) -> dict:
 def tower_to_json_rows(t: Tower) -> dict:
     """Tower.to_json_dict with each level's vertex and witness assignments
     written as JsonText rows from the doubling labels (level_labels)."""
-    ids = {x: encode_basestring_ascii(x) for x in set(chain.from_iterable(
-        chain(hom.vertex_images, hom.witness_images) for hom in t.levels))}
+    ids = _encoded_ids(t.levels)
     return {
         "c": list(t.prefix),
-        "levels": [_assignment_rows(labels, hom, ids) for hom, labels
-                   in zip(t.levels, level_labels(t.prefix))],
+        "levels": [_assignment_rows(labels, _label_order(labels), hom, ids)
+                   for hom, labels in zip(t.levels, level_labels(t.prefix))],
         "schedule": list(t.schedule_values),
     }
+
+
+def homs_to_json_rows(g: PathGadget, homs) -> list[dict]:
+    """Hom.to_json_dict of each hom over the gadget g, as JsonText rows:
+    the labels are sorted once and each graph id is encoded once for all
+    of the homs."""
+    labels = g.labels
+    order = _label_order(labels)
+    ids = _encoded_ids(homs)
+    return [_assignment_rows(labels, order, hom, ids) for hom in homs]
 
 
 def _map_rows(labels, targets, images) -> JsonText:

@@ -19,6 +19,7 @@ from oddwalk.gadget import build_gadget, parse_prefix
 from oddwalk.generators import (complete_graph, cycle_graph, path_graph,
                                 petersen_graph, random_graph)
 from oddwalk.graphs import WitnessedGraph
+from oddwalk.homset import all_homs, is_large
 from oddwalk.limitgraph import level_quotient
 from oddwalk.parity import phi_bound
 from oddwalk.render import PALETTE, JsonText, gadget_to_json_dict
@@ -469,18 +470,32 @@ def test_emit_matches_json_dumps(tmp_path, monkeypatch):
 def _json_reference(argv, emitted):
     """json.dumps of what a command emits, with its JsonText rows replaced
     by the data the dict builders make: for `gadget` and `lc --quotient`
-    from the vertex list, and for the tower of `dichotomy` and of a planned
-    `equiv`, Tower.to_json_dict and EquivalenceTower.to_json_dict."""
+    from the vertex list, for the tower of `dichotomy` and of a planned
+    `equiv`, Tower.to_json_dict and EquivalenceTower.to_json_dict, and for
+    the homomorphisms of `homset`, Hom.to_json_dict."""
     def arg(name, default=None):
         return argv[argv.index(name) + 1] if name in argv else default
+
+    def graph():
+        return WitnessedGraph.from_text(Path(arg("--graph")).read_text(encoding="utf-8"))
 
     if argv[0] == "gadget" or "--quotient" in argv:
         prefix = parse_prefix(arg("--c"))
         emitted = {"formatVersion": 1, **(
             gadget_to_json_dict(build_gadget(prefix)) if argv[0] == "gadget"
             else level_quotient(prefix).to_json_dict())}
+    elif argv[0] == "homset":
+        g = build_gadget(parse_prefix(arg("--c")))
+        p = all_homs(g, graph())
+        witness = is_large(p).witness
+        emitted = {**emitted, "large": {
+            **emitted["large"],
+            "witness": witness.to_json_dict(g) if witness else None}}
+        if "--enumerate" in argv:
+            homs = p.enumerate_homs(int(arg("--enumerate")))[0].homs
+            emitted["enumerated"] = [hom.to_json_dict(g) for hom in homs]
     elif argv[0] == "dichotomy" and "tower" in emitted:
-        g = WitnessedGraph.from_text(Path(arg("--graph")).read_text(encoding="utf-8"))
+        g = graph()
         tower = decide(g, int(arg("--depth", "6")),
                        parse_schedule(arg("--schedule", "default")))
         emitted = {**emitted, "tower": tower.to_json_dict()}
@@ -505,6 +520,15 @@ def test_gadget_and_quotient_json_rows_match_dict_builders():
             assert out == _json_reference(argv, None), argv
 
 
+def escaped_cycle():
+    """A 5-cycle, one edge doubled, whose vertex and witness ids JSON
+    escapes."""
+    return WitnessedGraph(
+        ['a"b', "c\\d", "\u00e9", "x\ny", "z"],
+        {'w"0': ('a"b', "c\\d"), "w\\1": ("c\\d", "x\ny"), "w\n2": ("x\ny", "z"),
+         "w3": ("z", "\u00e9"), "\u00e9": ("\u00e9", 'a"b'), "w5": ('a"b', "c\\d")})
+
+
 def test_tower_and_equivalence_json_rows_match_dict_builders(tmp_path, monkeypatch):
     emitted = []
     emit = cli._emit
@@ -515,12 +539,7 @@ def test_tower_and_equivalence_json_rows_match_dict_builders(tmp_path, monkeypat
         g = random_graph(rng, rng.randint(4, 7), p=0.6, multi=0.4)
         runs.append(["dichotomy", "--graph", write_graph(tmp_path, g, f"g{i}.json"),
                      "--depth", str(i % 7)])
-    # vertex and witness ids that JSON escapes
-    escaped = write_graph(tmp_path, WitnessedGraph(
-        ['a"b', "c\\d", "\u00e9", "x\ny", "z"],
-        {'w"0': ('a"b', "c\\d"), "w\\1": ("c\\d", "x\ny"), "w\n2": ("x\ny", "z"),
-         "w3": ("z", "\u00e9"), "\u00e9": ("\u00e9", 'a"b'), "w5": ('a"b', "c\\d")}),
-        "escaped.json")   # a 5-cycle, one edge doubled
+    escaped = write_graph(tmp_path, escaped_cycle(), "escaped.json")
     runs += [["dichotomy", "--graph", escaped, "--depth", depth] for depth in "0134"]
     # join indices of 10 and more, so that p1 and p10 both occur
     runs.append(["dichotomy", "--graph", escaped, "--depth", "3",
@@ -543,6 +562,56 @@ def test_tower_and_equivalence_json_rows_match_dict_builders(tmp_path, monkeypat
     assert "x\ny" in levels[-1]["vertexAssignments"].values()
     assert {'w"0', "w\\1", "w\n2", "\u00e9"} <= set(
         levels[-1]["witnessAssignments"].values())
+
+
+def test_homset_json_rows_match_dict_builders(tmp_path, monkeypatch):
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda data: emitted.append(data) or emit(data))
+    escaped = write_graph(tmp_path, escaped_cycle(), "escaped.json")
+    even = write_graph(tmp_path, cycle_graph(6), "c6.json")
+    k4 = write_graph(tmp_path, complete_graph(4), "k4.json")
+    runs = [["homset", "--graph", escaped, "--c", c, "--enumerate", n]
+            for c, n in (("", "5"), ("1", "0"), ("1", "4"), ("3,1", "5"))]
+    runs += [["homset", "--graph", escaped, "--c", "", "--project", "p0"],
+             ["homset", "--graph", even, "--c", "1,3"],       # bipartite
+             ["homset", "--graph", even, "--c", "1", "--enumerate", "3"],
+             ["homset", "--graph", k4, "--c", "1,3,1", "--enumerate", "2"],
+             # join indices of 10 and more, so that p1 and p10 both occur
+             ["homset", "--graph", k4, "--c", "1,11", "--enumerate", "2"]]
+    for argv in runs:
+        code, out, err = run_main(*argv)
+        assert code == 0 and err == "", argv
+        assert out == _json_reference(argv, emitted[-1]), argv
+    outputs = [json.loads(cli._dumps(data)) for data in emitted]
+    assert [o["large"]["witness"] is None for o in outputs] == [
+        False] * 5 + [True, True] + [False] * 2
+    assert outputs[0]["enumerated"][0] == {
+        "vertexAssignments": {"p0": 'a"b'}, "witnessAssignments": {}}   # level 0
+    assert outputs[1]["enumerated"] == [] and outputs[1]["total"] > 0
+    homs = [hom for o in outputs for hom in o.get("enumerated", ())]
+    assert {"p1", "p10"} <= set(homs[-1]["vertexAssignments"])
+    # level 0 lists every vertex of the escaped cycle
+    assert [hom["vertexAssignments"]["p0"] for hom in outputs[0]["enumerated"]] == [
+        'a"b', "c\\d", "x\ny", "z", "\u00e9"]
+    assert 'w"0' in outputs[3]["large"]["witness"]["witnessAssignments"].values()
+
+
+@pytest.mark.parametrize("witness", [
+    '{"id": "w0", "ends": ["a", "b"]}, {"id": 1, "ends": ["b", "c"]}',
+    '{"id": ["w"], "ends": ["a", "b"]}',
+    '{"id": "w", "ends": ["a", ["b"]]}',
+    '{"id": "w", "ends": 5}',
+    '{"id": "w", "ends": "ab"}',
+    '{"id": "w", "ends": {"a": 1, "b": 2}}',
+], ids=["mixed-ids", "list-id", "list-endpoint", "ends-int", "ends-string",
+        "ends-object"])
+def test_malformed_graph_json_is_one_error_line(tmp_path, witness):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"vertices": ["a", "b", "c"], "witnesses": [{witness}]}}\n')
+    code, out, err = run_main("dichotomy", "--graph", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
 def test_gadget_and_quotient_output_materialize_nothing(monkeypatch):

@@ -699,3 +699,35 @@ def test_profiles_and_gluing_materialize_no_gadget(monkeypatch):
         p = HomProfile.pinned(build_gadget(p.gadget.prefix + (d,)), g, hom)
         assert p.count() == 1 and p.member(hom)
     assert p.to_json_dict()["c"] == list(p.gadget.prefix)
+
+
+def test_full_profile_closed_form_matches_kernel_sweep():
+    # HomProfile.full builds its masks without a sweep; the kernel's sweep
+    # of the all-ones masks must give the same masks, and the count is the
+    # number of walks as long as the gadget path
+    rng = random.Random(19)
+    graphs = [WitnessedGraph([], {}), WitnessedGraph(["a"], {}),
+              WitnessedGraph(["a", "b", "c"], {})]   # edgeless
+    graphs += [mixed_multigraph(rng) for _ in range(120)]
+    graphs += [random_graph(rng, rng.randint(1, 7), p=rng.random(), multi=0.4)
+               for _ in range(100)]
+    seen = set()
+    for g in graphs:
+        nb = nonbipartite_vertices(g)
+        seen.add(("isolated", any(not g.neighbors(v) for v in g.vertices)))
+        seen.add(("edgeless", not g.witnesses))
+        seen.add(("kind", "bipartite" if not nb else
+                  "mixed" if len(nb) < len(g.vertices) else "odd"))
+        allv = (1 << len(g.vertices)) - 1
+        allw = (1 << len(g.witnesses)) - 1
+        for level in range(5):
+            gad = build_gadget(tuple(rng.randint(1, 3) for _ in range(level)))
+            got = HomProfile.full(gad, g)
+            want = HomProfile(gad, g, [allv] * gad.vertex_count,
+                              [allw] * gad.edge_count)
+            assert (got.vmasks, got.wmasks) == (want.vmasks, want.wmasks), (g, gad)
+            assert got.count() == oracles.walk_count(g, gad.edge_count)
+    assert len(graphs) >= 200
+    assert seen >= {("isolated", True), ("isolated", False), ("edgeless", True),
+                    ("edgeless", False), ("kind", "bipartite"), ("kind", "mixed"),
+                    ("kind", "odd")}
