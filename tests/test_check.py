@@ -1,3 +1,10 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from oddwalk.check import run_checks, suite_names
@@ -49,3 +56,19 @@ def test_run_checks_only_filter_keeps_canonical_order():
 def test_run_checks_rejects_unknown_suite():
     with pytest.raises(ParseError):
         run_checks(only=["nope"])
+
+
+# sha256 of `oddwalk check` stdout, keyed by the argv after `oddwalk`; CI
+# compares the installed console script against the same file
+DIGESTS = json.loads((Path(__file__).with_name("check_digests.json"))
+                     .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", sorted(DIGESTS))
+def test_check_stdout_matches_golden_digest(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "oddwalk.cli", *argv.split()],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == DIGESTS[argv]
