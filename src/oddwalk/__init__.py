@@ -6,7 +6,9 @@ dichotomy driver, the symbolic limit graph, and equivalence-tower
 planning, plus a seeded property-check harness.
 
 The harness (run_checks) and the brute-force oracles and generators it
-runs are imported on first use of oddwalk.run_checks, not with the package.
+runs are imported on first use of oddwalk.run_checks, not with the package;
+so is the gadget vertex list that check_odd_distance_lemma reads, which
+lives with the brute-force oracles.
 """
 
 from .coloring import (bipartite_superset_coloring, greedy_coloring,
@@ -15,9 +17,8 @@ from .coloring import (bipartite_superset_coloring, greedy_coloring,
 from .dichotomy import Tower, decide, evaluate, parse_schedule, verify_tower
 from .equiv import EquivalenceTower, plan_equivalence, verify_equivalence
 from .errors import OddwalkError, ParseError
-from .gadget import (GadgetVertex, PathGadget, build_gadget,
-                     check_odd_distance_lemma, endpoint_label, endpoints,
-                     parse_prefix, vertex_at, vertex_position)
+from .gadget import (GadgetVertex, PathGadget, build_gadget, endpoint_label,
+                     endpoints, parse_prefix, vertex_at, vertex_position)
 from .graphs import Coloring, Walk, WitnessedGraph
 from .homset import (ExplicitHomSet, Hom, HomProfile, all_homs, double,
                      extend_witness, is_large, is_small, is_tiny, pin,
@@ -35,6 +36,9 @@ def __getattr__(name):
     if name == "run_checks":
         from .check import run_checks
         return run_checks
+    if name == "check_odd_distance_lemma":
+        from .bruteforce import check_odd_distance_lemma
+        return check_odd_distance_lemma
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -4,22 +4,79 @@ Everything here recomputes quantities of the main modules by a different
 method (set iteration instead of double-cover BFS, backtracking instead of
 profile propagation, matrix powers instead of path DP, subset search instead
 of the component characterization, level-by-level gadget construction
-instead of symbolic adjacency, exhaustive search instead of the equivalence
-planner).  The check harness and the test suite use these as oracles;
-production code never calls them.
+instead of symbolic adjacency and closed-form positions, exhaustive search
+instead of the equivalence planner).  The check harness and the test suite
+use these as oracles; production code never calls them.
+
+The gadget's vertex list lives here and only here in the package:
+gadget_vertices doubles it level by level from the root, and
+gadget_positions inverts it, with none of the closed forms
+(PathGadget.require_vertex, vertex_at, copy_map) or the label recurrence
+(level_labels) that they check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .equiv import path_walk_exists
-from .gadget import PathGadget, build_gadget
+from .gadget import GadgetVertex, PathGadget, check_odd_prefix, check_prefix
 from .graphs import WitnessedGraph
 from .homset import ExplicitHomSet, Hom
 from .limitgraph import LcVertex, project_level
+
+
+def gadget_vertices(prefix) -> tuple[GadgetVertex, ...]:
+    """The gadget's vertices in path order, doubled level by level from the
+    root: copy 0 with bit 0 appended, the join, then copy 1 reversed with
+    bit 1 appended."""
+    vertices = (GadgetVertex(0, ()),)
+    for c in check_prefix(prefix):
+        vertices = (*(v.append(0) for v in vertices),
+                    *(GadgetVertex(k, ()) for k in range(c + 1)),
+                    *(v.append(1) for v in reversed(vertices)))
+    return vertices
+
+
+def gadget_positions(prefix) -> dict:
+    """The map vertex -> path position over gadget_vertices(prefix)."""
+    return {v: i for i, v in enumerate(gadget_vertices(prefix))}
+
+
+@dataclass(frozen=True)
+class SiblingReport:
+    """Distances between all last-bit sibling pairs in one gadget."""
+
+    pairs_checked: int
+    violations: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def sibling_pairs(g: PathGadget):
+    """All pairs (v^(0), v^(1)) present in the gadget, by position of the 0-copy."""
+    for v in gadget_vertices(g.prefix):
+        if v.t and v.t[-1] == 0:
+            yield v, GadgetVertex(v.k, v.t[:-1] + (1,))
+
+
+def check_odd_distance_lemma(g: PathGadget) -> SiblingReport:
+    """Verify every last-bit sibling pair sits at odd distance."""
+    check_odd_prefix(g.prefix)
+    position = gadget_positions(g.prefix)
+    checked = 0
+    bad = []
+    for a, b in sibling_pairs(g):
+        checked += 1
+        d = abs(position[a] - position[b])
+        if d % 2 == 0:
+            bad.append(f"{a.label} and {b.label} at even distance {d}")
+    return SiblingReport(checked, tuple(bad))
 
 
 def odd_walk_lengths(g: WitnessedGraph, a, max_len: int) -> list[int]:
@@ -97,7 +154,7 @@ def tiny_by_definition(s: ExplicitHomSet, max_len: int | None = None) -> bool:
     """Some position's projection admits no odd walk, by walk enumeration."""
     g = s.target
     limit = max_len if max_len is not None else 2 * len(g.vertices) + 1
-    for u in s.gadget.vertices:
+    for u in gadget_vertices(s.gadget.prefix):
         if min_odd_walk_length(g, s.project(u), limit) is None:
             return True
     return False
@@ -132,19 +189,19 @@ def projections_adjacent_everywhere(a: LcVertex, b: LcVertex, prefix,
     to up_to, built gadget by gadget."""
     start = max(a.m, b.m)
     for n in range(start, up_to + 1):
-        g = _memo_gadget(tuple(prefix[:n]))
-        pa = g.position[project_level(a, n, prefix)]
-        pb = g.position[project_level(b, n, prefix)]
+        position = _memo_positions(tuple(prefix[:n]))
+        pa = position[project_level(a, n, prefix)]
+        pb = position[project_level(b, n, prefix)]
         if abs(pa - pb) != 1:
             return False
     return True
 
 
 @lru_cache(maxsize=16)
-def _memo_gadget(prefix: tuple[int, ...]) -> PathGadget:
-    """build_gadget kept between calls of this oracle, which asks for the
-    same few gadgets, and their position maps, thousands of times."""
-    return build_gadget(prefix)
+def _memo_positions(prefix: tuple[int, ...]) -> dict:
+    """gadget_positions kept between calls of this oracle, which asks for
+    the same few position maps thousands of times."""
+    return gadget_positions(prefix)
 
 
 def same_component_wide_scan(a: LcVertex, b: LcVertex) -> bool:
@@ -207,6 +264,7 @@ def search_hom(h: PathGadget, g: PathGadget, constraints: dict | None = None):
             continue
         assignment.append(q)
         if len(assignment) == t:
-            return tuple(g.vertices[q] for q in assignment)
+            vertices = gadget_vertices(g.prefix)
+            return tuple(vertices[q] for q in assignment)
         stack.append(choices(len(assignment)))
     return None

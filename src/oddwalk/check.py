@@ -4,7 +4,9 @@ Each suite draws its own generator from the master seed (via sha256, so
 suites stay independent of each other and of suite execution order) and
 records failures instead of raising.  The oracle flag only adds
 cross-checks against the brute-force reference algorithms; it never changes
-what the primary checks compute.
+what the primary checks compute.  Every suite that needs a gadget's vertex
+list reads bruteforce.gadget_vertices, so the gadget suite compares the
+closed forms with a path built by code that shares none of them.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from .equiv import (EquivalenceTower, path_exact_walk, path_walk_exists,
 from .errors import (CoverIncomplete, GapInsufficient, InvalidIndex,
                      NonOddPrefix, NotHomomorphism, NotMember,
                      OutOfTruncation, ParseError, PieceNotTiny)
-from .gadget import (build_gadget, check_odd_distance_lemma, copy_embed,
-                     endpoint_label, endpoints, gadget_distance, gadget_size,
-                     vertex_at, vertex_position)
+from .gadget import (build_gadget, endpoint_label, endpoints, gadget_distance,
+                     gadget_size, vertex_at, vertex_position)
 from .generators import (all_graphs_upto, complete_graph, cycle_graph,
                          disjoint_union, path_graph, petersen_graph,
                          random_bipartite_graph, random_ep_bits, random_graph,
@@ -175,43 +176,46 @@ def _suite_gadget(rng: random.Random, oracle: bool) -> SuiteResult:
         prefixes.append(tuple(rng.randint(1, 8) for _ in range(rng.randint(1, 7))))
     for prefix in prefixes:
         g = build_gadget(prefix)
+        # the path as built level by level, with none of the closed forms
+        vertices = bruteforce.gadget_vertices(prefix)
+        position = bruteforce.gadget_positions(prefix)
         want_v, want_e = 1, 0
         for c in prefix:
             want_v, want_e = 2 * want_v + c + 1, 2 * want_e + c + 2
         s.check(g.vertex_count == want_v and g.edge_count == want_e,
                 f"size recursion off for {prefix}")
-        s.check(len(set(g.vertices)) == g.vertex_count,
+        s.check(len(set(vertices)) == g.vertex_count,
                 f"duplicate vertex labels in {prefix}")
-        s.check(gadget_size(prefix) == len(g.vertices),
+        s.check(gadget_size(prefix) == len(vertices),
                 f"closed-form size off for {prefix}")
         s.check(all(vertex_position(prefix, v) == i and vertex_at(prefix, i) == v
-                    for i, v in enumerate(g.vertices)),
+                    for i, v in enumerate(vertices)),
                 f"closed-form positions disagree with the built gadget {prefix}")
         lo, hi = endpoints(g)
-        s.check(g.position[lo] == 0 and g.position[hi] == g.vertex_count - 1,
+        s.check(position[lo] == 0 and position[hi] == g.vertex_count - 1,
                 f"endpoints must sit at the path ends for {prefix}")
-        s.check(lo == endpoint_label(g.level, 0) and hi == endpoint_label(g.level, 1),
+        s.check(vertices[0] == endpoint_label(g.level, 0)
+                and vertices[-1] == endpoint_label(g.level, 1),
                 f"closed-form endpoint labels wrong for {prefix}")
         if prefix:
             small = build_gadget(prefix[:-1])
+            small_vertices = bruteforce.gadget_vertices(prefix[:-1])
             c = prefix[-1]
-            emb0 = copy_embed(small, g, 0)
-            emb1 = copy_embed(small, g, 1)
-            s.check([g.position[emb0[v]] for v in small.vertices]
+            s.check([position[v.append(0)] for v in small_vertices]
                     == list(range(small.vertex_count)),
                     f"copy 0 must fill the left block in order for {prefix}")
-            s.check([g.position[emb1[v]] for v in small.vertices]
+            s.check([position[v.append(1)] for v in small_vertices]
                     == [g.copy_position(i, small.level, (1,))
                         for i in range(small.vertex_count)],
                     f"copy 1 must fill the right block mirrored for {prefix}")
-            used = set(emb0.values()) | set(emb1.values())
-            join = [v for v in g.vertices if v not in used]
+            used = {v.append(bit) for v in small_vertices for bit in (0, 1)}
+            join = [v for v in vertices if v not in used]
             s.check(len(join) == c + 1 and all(v.t == () for v in join)
-                    and [g.position[v] for v in join]
+                    and [position[v] for v in join]
                     == list(range(small.vertex_count, small.vertex_count + c + 1)),
                     f"join block malformed for {prefix}")
             e1 = endpoint_label(small.level, 1)
-            samples = list(small.vertices)
+            samples = list(small_vertices)
             if len(samples) > 8:
                 samples = [samples[i] for i in
                            sorted(rng.sample(range(len(samples)), 8))]
@@ -224,11 +228,11 @@ def _suite_gadget(rng: random.Random, oracle: bool) -> SuiteResult:
     odd_prefixes = [(1,), (3,), (1, 3), (5, 1, 3)]
     odd_prefixes += [random_odd_prefix(rng, rng.randint(1, 5), 9) for _ in range(6)]
     for prefix in odd_prefixes:
-        rep = check_odd_distance_lemma(build_gadget(prefix))
+        rep = bruteforce.check_odd_distance_lemma(build_gadget(prefix))
         s.check(rep.ok and rep.pairs_checked > 0,
                 f"even sibling distance in odd-prefix gadget {prefix}")
     try:
-        check_odd_distance_lemma(build_gadget((2,)))
+        bruteforce.check_odd_distance_lemma(build_gadget((2,)))
         s.check(False, "odd-distance check accepted an even prefix")
     except NonOddPrefix:
         s.check(True, "")
@@ -271,7 +275,7 @@ def _suite_homset(rng: random.Random, oracle: bool) -> SuiteResult:
                     s.check(held.count() == sum(h.vertex_images[0] == first
                                                 for h in brute.homs),
                             f"held count disagrees with backtracking ({prefix})")
-            probe = list(gadget.vertices)
+            probe = list(bruteforce.gadget_vertices(prefix))
             if len(probe) > 4:
                 probe = [probe[0], probe[len(probe) // 2], probe[-1]]
             for v in probe:
@@ -503,7 +507,7 @@ def _suite_lc(rng: random.Random, oracle: bool) -> SuiteResult:
     for prefix in quotient_prefixes:
         q = level_quotient(prefix)
         g = q.gadget
-        s.check(len(q.classes) == g.vertex_count,
+        s.check(len(bruteforce.gadget_vertices(prefix)) == g.vertex_count,
                 f"class count off for {prefix}")
         for i in range(g.vertex_count):
             for tail in (EP_ZERO, random_ep_bits(rng)):
@@ -521,7 +525,7 @@ def _suite_lc(rng: random.Random, oracle: bool) -> SuiteResult:
 
     for prefix in [(1,), (1, 3), (3, 1, 5)]:
         g = build_gadget(prefix)
-        for v in g.vertices:
+        for v in bruteforce.gadget_vertices(prefix):
             if v.t and v.t[-1] == 0:
                 rep = odd_sibling_obstruction(prefix, v.k, v.t[:-1])
                 s.check(rep.odd and rep.distance
@@ -578,17 +582,20 @@ def _suite_equiv(rng: random.Random, oracle: bool) -> SuiteResult:
 
     hsrc = build_gadget((1,))
     htgt = build_gadget((3,))
+    src_vertices = bruteforce.gadget_vertices(hsrc.prefix)
+    tgt_vertices = bruteforce.gadget_vertices(htgt.prefix)
+    tgt_position = bruteforce.gadget_positions(htgt.prefix)
     last = hsrc.vertex_count - 1
     for p0 in range(htgt.vertex_count):
         for p1 in range(htgt.vertex_count):
             res = bruteforce.search_hom(
-                hsrc, htgt, {hsrc.vertices[0]: htgt.vertices[p0],
-                             hsrc.vertices[last]: htgt.vertices[p1]})
+                hsrc, htgt, {src_vertices[0]: tgt_vertices[p0],
+                             src_vertices[last]: tgt_vertices[p1]})
             want = path_walk_exists(abs(p0 - p1), last)
             s.check((res is not None) == want,
                     f"pinned search existence off at ({p0}, {p1})")
             if res is not None:
-                pos = [htgt.position[v] for v in res]
+                pos = [tgt_position[v] for v in res]
                 s.check(pos[0] == p0 and pos[-1] == p1
                         and all(abs(x - y) == 1 for x, y in zip(pos, pos[1:])),
                         f"pinned search returned a non-walk at ({p0}, {p1})")

@@ -18,20 +18,17 @@ with it, in O(level), and vertex_at is its inverse.
 So between modules a gadget vertex travels as its path position; a
 GadgetVertex is made only to name one.
 
-A PathGadget holds only its prefix and sizes, so counts, vertex lookups and
-birth levels never build the path.  Its vertex list, position map and labels
-are built on first read and kept on that gadget object, never shared
-between calls: the vertices by the same doubling from the root (level n+1
-is level n with bit 0 appended, the join, then level n reversed with bit 1
-appended), which is the oracle the closed forms are checked against.  A
-GadgetVertex is a named tuple equal to (k, t), so these vertices are
-created (appended), hashed and compared in C.
-
-Labels follow the same doubling: level_labels lists every level's labels,
-each from the previous level's, and PathGadget.labels keeps the last level
-on the gadget.  Every emitter that lists a whole gadget reads one of the
-two; GadgetVertex.label formats a single vertex, for messages and queries,
-and is the oracle the recurrence is checked against.
+A PathGadget is its prefix and sizes: counts, vertex lookups, endpoints
+and birth levels never build the path, and no vertex list is built here at
+all.  The one whole-gadget list is its labels, kept once read, by the
+doubling from the root (level n+1 is level n with bit 0 appended, the join,
+then level n reversed with bit 1 appended): level_labels lists every
+level's labels, each from the previous level's, and PathGadget.labels keeps
+the last level on the gadget.  Every emitter that lists a whole gadget
+reads one of the two; GadgetVertex.label formats a single vertex, for
+messages and queries.  The vertex lists the closed forms are checked
+against are built by the independent checkers (bruteforce and the test
+oracles), with none of these closed forms or the label recurrence.
 
 The prefix rules live here once: check_prefix (integers >= 1),
 check_odd_prefix (every value odd) and check_next_level (one gadget is the
@@ -40,10 +37,7 @@ next level of another).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
-from itertools import compress, repeat
-from operator import add, itemgetter
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import NonOddPrefix, ParseError, PrefixMismatch, UnknownVertex
@@ -95,16 +89,6 @@ class GadgetVertex(NamedTuple):
 # the copy bits; a set test, so that checking a label's history runs in C
 _BITS = frozenset((0, 1))
 
-# GadgetVertex from a (k, t) pair without a Python-level __new__ call
-_vertex = partial(tuple.__new__, GadgetVertex)
-
-
-def appended(vertices, bit: int):
-    """The vertices, in order, each with one copy bit appended; a sequence
-    in, an iterator out, created in C (GadgetVertex.append in bulk)."""
-    return map(_vertex, zip(map(itemgetter(0), vertices),
-                            map(add, map(itemgetter(1), vertices), repeat((bit,)))))
-
 
 def ascii_int(text: str) -> int | None:
     """The integer written in text as ASCII digits after an optional '-',
@@ -152,12 +136,11 @@ class PathGadget:
     """The level-n gadget: a labeled simple path.
 
     Equal, and hashed, by prefix.  Positions and vertices come from the
-    prefix and sizes by closed form (require_vertex, vertex_at); the vertex
-    list, position map and labels are built on first read and kept on this
-    object.
+    prefix and sizes by closed form (require_vertex, vertex_at); the labels
+    are built on first read and kept on this object.
     """
 
-    __slots__ = ("prefix", "sizes", "_vertices", "_position", "_labels")
+    __slots__ = ("prefix", "sizes", "_labels")
 
     def __init__(self, prefix: tuple[int, ...]):
         self.prefix = prefix
@@ -165,22 +148,7 @@ class PathGadget:
         self.sizes = sizes = [1]
         for c in prefix:
             sizes.append(2 * sizes[-1] + c + 1)
-        self._vertices = self._position = self._labels = None
-
-    @property
-    def vertices(self) -> tuple[GadgetVertex, ...]:
-        """Vertices in path order."""
-        if self._vertices is None:
-            self._vertices = _materialize(self.prefix)
-        return self._vertices
-
-    @property
-    def position(self) -> dict:
-        """The map vertex -> path position, over the whole vertex list."""
-        if self._position is None:
-            vertices = self.vertices
-            self._position = dict(zip(vertices, range(len(vertices))))
-        return self._position
+        self._labels = None
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -206,11 +174,6 @@ class PathGadget:
     @property
     def edge_count(self) -> int:
         return self.sizes[-1] - 1
-
-    def edges(self):
-        """Consecutive vertex pairs along the path."""
-        for i in range(self.edge_count):
-            yield self.vertices[i], self.vertices[i + 1]
 
     def require_vertex(self, v: GadgetVertex) -> int:
         """Path position of v in O(level); UnknownVertex if v is not in
@@ -279,19 +242,9 @@ class PathGadget:
         return f"PathGadget(prefix={self.prefix}, vertices={self.vertex_count})"
 
 
-def _materialize(prefix: tuple[int, ...]) -> tuple[GadgetVertex, ...]:
-    """The gadget's vertices in path order, doubled level by level from the
-    root: copy 0, the join, then copy 1 reversed."""
-    vertices = (GadgetVertex(0, ()),)
-    for c in prefix:
-        vertices = (*appended(vertices, 0), *map(GadgetVertex, range(c + 1)),
-                    *appended(vertices[::-1], 1))
-    return vertices
-
-
 def build_gadget(prefix) -> PathGadget:
-    """The gadget for the given parameter prefix; nothing is materialized
-    until a caller reads its vertices, positions or labels."""
+    """The gadget for the given parameter prefix; nothing is listed until a
+    caller reads its labels."""
     return PathGadget(check_prefix(prefix))
 
 
@@ -331,7 +284,7 @@ def vertex_at(prefix, pos: int) -> GadgetVertex:
 
 def endpoints(g: PathGadget) -> tuple[GadgetVertex, GadgetVertex]:
     """The two path ends; at level 0 both are the root."""
-    return g.vertices[0], g.vertices[-1]
+    return endpoint_label(g.level, 0), endpoint_label(g.level, 1)
 
 
 def endpoint_label(level: int, i: int) -> GadgetVertex:
@@ -339,16 +292,6 @@ def endpoint_label(level: int, i: int) -> GadgetVertex:
     if level == 0:
         return GadgetVertex(0, ())
     return GadgetVertex(0, (0,) * (level - 1) + (i,))
-
-
-PATH_VERTEX = "path"
-NON_PATH_VERTEX = "non-path"
-
-
-def classify(g: PathGadget, v: GadgetVertex) -> str:
-    """A vertex with empty copy history is a top-level path vertex."""
-    g.require_vertex(v)
-    return PATH_VERTEX if not v.t else NON_PATH_VERTEX
 
 
 def check_next_level(small: PathGadget, big: PathGadget, bit: int) -> None:
@@ -361,45 +304,6 @@ def check_next_level(small: PathGadget, big: PathGadget, bit: int) -> None:
             f"prefix {big.prefix} does not extend {small.prefix} by one level")
 
 
-def copy_embed(g_small: PathGadget, g_big: PathGadget, bit: int) -> dict:
-    """The injective embedding of a gadget onto copy `bit` of the next level."""
-    check_next_level(g_small, g_big, bit)
-    return {v: v.append(bit) for v in g_small.vertices}
-
-
 def gadget_distance(g: PathGadget, u: GadgetVertex, v: GadgetVertex) -> int:
     """Distance along the path: difference of positions."""
     return abs(g.require_vertex(u) - g.require_vertex(v))
-
-
-@dataclass(frozen=True)
-class SiblingReport:
-    """Distances between all last-bit sibling pairs in one gadget."""
-
-    pairs_checked: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def sibling_pairs(g: PathGadget):
-    """All pairs (v^(0), v^(1)) present in the gadget, by position of the 0-copy."""
-    for v in g.vertices:
-        if v.t and v.t[-1] == 0:
-            other = GadgetVertex(v.k, v.t[:-1] + (1,))
-            yield v, other
-
-
-def check_odd_distance_lemma(g: PathGadget) -> SiblingReport:
-    """Verify every last-bit sibling pair sits at odd distance."""
-    check_odd_prefix(g.prefix)
-    checked = 0
-    bad = []
-    for a, b in sibling_pairs(g):
-        checked += 1
-        d = gadget_distance(g, a, b)
-        if d % 2 == 0:
-            bad.append(f"{a.label} and {b.label} at even distance {d}")
-    return SiblingReport(checked, tuple(bad))

@@ -35,6 +35,12 @@ def _require_ids(ids, what: str) -> None:
             raise ParseError(f"{what} must be a nonempty string, got {x!r}")
 
 
+def _not_an_array(wid, pair) -> ParseError:
+    """The error for witness ends that are not a list or tuple."""
+    return ParseError(f'witness {wid!r}: "ends" must be an array of two '
+                      f"vertex ids, got {pair!r}")
+
+
 def _json_witness_ends(entries) -> dict:
     """Witness id -> its "ends" array, from the entries of a graph JSON's
     "witnesses" list.  Checked in bulk; walked in file order only to name
@@ -57,8 +63,7 @@ def _json_witness_ends(entries) -> dict:
             raise ParseError(f"duplicate witness id {wid!r}")
         pair = entry["ends"]
         if not isinstance(pair, (list, tuple)):
-            raise ParseError(f'witness {wid!r}: "ends" must be an array of two '
-                             f"vertex ids, got {pair!r}")
+            raise _not_an_array(wid, pair)
         ends[wid] = pair
     return ends
 
@@ -79,7 +84,13 @@ class WitnessedGraph:
         except TypeError:   # ids of types that do not compare
             witnesses = list(ends)
         _require_ids(witnesses, "witness id")
-        pairs = list(map(tuple, map(ends.__getitem__, witnesses)))
+        # each pair a list or tuple, as in graph JSON: a string or a dict of
+        # two items is not a pair
+        pairs = list(map(ends.__getitem__, witnesses))
+        if not set(map(type, pairs)) <= {list, tuple}:
+            for w, pair in zip(witnesses, pairs):
+                if not isinstance(pair, (list, tuple)):
+                    raise _not_an_array(w, pair)
         flat = list(chain.from_iterable(pairs))
         heads, tails = flat[::2], flat[1::2]
         if not (set(map(len, pairs)) <= {2} and set(map(type, flat)) <= {str}
@@ -120,7 +131,7 @@ class WitnessedGraph:
     @classmethod
     def make(cls, vertices, pairs, id_prefix: str = "w") -> "WitnessedGraph":
         """Build from a list of endpoint pairs with auto-generated witness ids."""
-        ends = {f"{id_prefix}{i}": tuple(p) for i, p in enumerate(pairs)}
+        ends = {f"{id_prefix}{i}": p for i, p in enumerate(pairs)}
         return cls(vertices, ends)
 
     @classmethod

@@ -6,7 +6,12 @@ decidable fragment.  A vertex projects to the level-n gadget vertex with
 label (k, first n-m bits of x); two vertices are adjacent iff their
 projections are adjacent at level max(m_a, m_b) and the correspondingly
 shifted tails agree forever.  That characterization is validated against
-brute-force gadget construction by the test suite rather than assumed.
+brute-force gadget construction (bruteforce.projections_adjacent_everywhere
+and the test oracles) rather than assumed.
+
+Every query here reads gadget positions by closed form, and no vertex list
+is built.  A LevelQuotient numbers the depth-n classes by path position;
+its JSON is render.quotient_to_json_rows, written from the gadget's labels.
 """
 
 from __future__ import annotations
@@ -262,17 +267,12 @@ class LevelQuotient:
     """Bijection between depth-n vertex classes and the level-n gadget.
 
     The class of (m, k, x) is (m, k, first n-m bits of x); classes are
-    listed in gadget path order, so the quotient edges are exactly the
+    numbered by gadget path position, so the quotient edges are exactly the
     consecutive pairs.
     """
 
     prefix: tuple[int, ...]
     gadget: PathGadget
-
-    @property
-    def classes(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        n = len(self.prefix)
-        return tuple((n - len(gv.t), gv.k, gv.t) for gv in self.gadget.vertices)
 
     def class_of(self, v: LcVertex) -> int:
         """Position of v's class, i.e. of its level-n projection."""
@@ -288,14 +288,6 @@ class LevelQuotient:
         gv = self.gadget.vertex_at(position)
         n = len(self.prefix)
         return LcVertex(n - len(gv.t), gv.k, tail.prepend(gv.t))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "c": list(self.prefix),
-            "classes": [{"m": m, "k": k, "bits": "".join(map(str, t))}
-                        for m, k, t in self.classes],
-            "edges": [[i, i + 1] for i in range(self.gadget.edge_count)],
-        }
 
 
 def level_quotient(prefix) -> LevelQuotient:

@@ -22,9 +22,10 @@ arrays, tower_to_json_rows each tower level's vertex and witness
 assignments, homs_to_json_rows the vertex and witness assignments of
 homomorphisms over one gadget (sorting its labels once for all of them),
 and equivalence_to_json_rows each equivalence map.
-gadget_to_json_dict, LevelQuotient.to_json_dict, Tower.to_json_dict,
-Hom.to_json_dict and EquivalenceTower.to_json_dict build the same data as
-dicts: the Python API, and the reference the rows are checked against.
+Tower.to_json_dict, Hom.to_json_dict and EquivalenceTower.to_json_dict
+build the same data as dicts, for the Python API.  The references the
+gadget and quotient rows are checked against are in the test oracles,
+built from a vertex list of their own.
 """
 
 from __future__ import annotations
@@ -103,19 +104,6 @@ def _gadget_json_scalars(g: PathGadget) -> dict:
     }
 
 
-def gadget_to_json_dict(g: PathGadget) -> dict:
-    labels = g.labels
-    n = g.level
-    return {
-        **_gadget_json_scalars(g),
-        "vertices": [{"label": label, "k": v.k,
-                      "t": label.partition(".")[2],
-                      "birthLevel": n - len(v.t)}
-                     for v, label in zip(g.vertices, labels)],
-        "edges": [[a, b] for a, b in zip(labels, labels[1:])],
-    }
-
-
 class JsonText:
     """A JSON value that writes its own text: write(indent) returns what
     json.dumps(value, indent=2, sort_keys=True) writes for the value where
@@ -149,8 +137,8 @@ def _rows(opening: str, closing: str, rows) -> JsonText:
 # need escaping, so each is encoded once with the function json.dumps uses.
 
 def gadget_to_json_rows(g: PathGadget) -> dict:
-    """gadget_to_json_dict with the vertices and edges written as JsonText
-    rows from the labels."""
+    """The gadget's JSON: its scalars, with the vertices and edges written
+    as JsonText rows from the labels."""
     labels = g.labels
     n = g.level
 
@@ -172,9 +160,9 @@ def gadget_to_json_rows(g: PathGadget) -> dict:
 
 
 def quotient_to_json_rows(q: LevelQuotient) -> dict:
-    """LevelQuotient.to_json_dict with the classes and edges written as
-    JsonText rows from the gadget's labels: class (m, k, t) is the label
-    p<k>.<t> with m its birth level."""
+    """The quotient's JSON, with the classes and edges written as JsonText
+    rows from the gadget's labels: class (m, k, t) is the label p<k>.<t>
+    with m its birth level."""
     g = q.gadget
     labels = g.labels
     n = g.level
@@ -316,19 +304,3 @@ def graph_to_tikz(g: WitnessedGraph) -> str:
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"
 
-
-def quotient_to_dot(q: LevelQuotient) -> str:
-    g = q.gadget
-    lines = [f"// level quotient for c={_prefix_text(q.prefix)}: "
-             f"{g.vertex_count} classes",
-             "graph quotient {", "  rankdir=LR;"]
-    for i, (m, k, t) in enumerate(q.classes):
-        bits = "".join(map(str, t)) or "-"
-        color = PALETTE[m % len(PALETTE)]
-        lines.append(
-            f'  n{i} [label="m={m} k={k} t={bits}", style=filled, '
-            f'fontcolor=white, fillcolor="{color}"];')
-    for i in range(g.edge_count):
-        lines.append(f"  n{i} -- n{i + 1};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

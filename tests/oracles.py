@@ -7,6 +7,12 @@ and lookups of copy parents by gadget label instead of path layout
 slices.  Expected values in the tests come from these or from
 hand-checked literals, never from the code under test.
 
+Gadgets are lists here: gadget_vertices_from_root replays the path level
+by level from the root, with none of the package's closed forms or label
+recurrence, and every oracle that needs a vertex list or a position map
+reads that.  The gadget and level-quotient JSON that the package writes as
+rows from labels is rebuilt here as dicts from that list.
+
 Some are the straightforward forms of code the package now runs a faster
 way: gadgets replayed level by level from the root, homomorphism
 validation one vertex and one edge at a time, the un-memoized two-sweep
@@ -125,6 +131,46 @@ def gadget_vertices_from_root(prefix) -> tuple:
     return verts
 
 
+def gadget_positions_from_root(prefix) -> dict:
+    """vertex -> path position over gadget_vertices_from_root(prefix)."""
+    return {v: i for i, v in enumerate(gadget_vertices_from_root(prefix))}
+
+
+def gadget_json_dict(g) -> dict:
+    """The JSON of `oddwalk gadget` as a dict, every field read off
+    gadget_vertices_from_root: labels by GadgetVertex.label, birth levels
+    from copy histories."""
+    verts = gadget_vertices_from_root(g.prefix)
+    n = len(g.prefix)
+    return {
+        "c": list(g.prefix),
+        "oddPrefix": all(c % 2 == 1 for c in g.prefix),
+        "vertexCount": len(verts),
+        "edgeCount": len(verts) - 1,
+        "sizeNote": ("single-vertex base recursion; an edge-based variant "
+                     f"yields {len(verts) + 2 ** n} vertices"),
+        "vertices": [{"label": v.label, "k": v.k, "t": "".join(map(str, v.t)),
+                      "birthLevel": n - len(v.t)} for v in verts],
+        "edges": [[a.label, b.label] for a, b in zip(verts, verts[1:])],
+    }
+
+
+def quotient_classes(prefix) -> tuple:
+    """The level quotient's classes (m, k, t) in path order: each vertex of
+    gadget_vertices_from_root with its birth level."""
+    n = len(prefix)
+    return tuple((n - len(v.t), v.k, v.t) for v in gadget_vertices_from_root(prefix))
+
+
+def quotient_json_dict(q) -> dict:
+    """The JSON of `oddwalk lc --quotient` as a dict, from quotient_classes."""
+    classes = quotient_classes(q.prefix)
+    return {"c": list(q.prefix),
+            "classes": [{"m": m, "k": k, "bits": "".join(map(str, t))}
+                        for m, k, t in classes],
+            "edges": [[i, i + 1] for i in range(len(classes) - 1)]}
+
+
 def validate_hom_per_edge(gadget, target, hom) -> None:
     """homset.validate_hom one vertex and one edge at a time: raises the
     NotHomomorphism that names the first fault."""
@@ -145,25 +191,27 @@ def validate_hom_per_edge(gadget, target, hom) -> None:
                 f"{target.ends[wid]}, images are {want}")
 
 
-def _parent_position(small, v):
-    """Position in `small` of the level-n vertex that v copies."""
-    return small.position[GadgetVertex(v.k, v.t[:-1])]
+def _parent_position(parents, v):
+    """Position of the vertex that v copies, in the level below, whose
+    position map is `parents`."""
+    return parents[GadgetVertex(v.k, v.t[:-1])]
 
 
 def double_masks(p, join_length: int):
     """Label-based homset.double: the level-(n+1) gadget and the masks it
     propagates.  Copy vertices take their parent's domain; join vertices and
     edges touching the join are unconstrained."""
-    small = p.gadget
-    big = build_gadget(small.prefix + (join_length,))
+    parents = gadget_positions_from_root(p.gadget.prefix)
+    big = build_gadget(p.gadget.prefix + (join_length,))
+    big_verts = gadget_vertices_from_root(big.prefix)
     allv = (1 << len(p.target.vertices)) - 1
     allw = (1 << len(p.target.witnesses)) - 1
-    vmasks = [p.vmasks[_parent_position(small, v)] if v.t else allv
-              for v in big.vertices]
+    vmasks = [p.vmasks[_parent_position(parents, v)] if v.t else allv
+              for v in big_verts]
     wmasks = []
-    for u, v in big.edges():
+    for u, v in zip(big_verts, big_verts[1:]):
         if u.t and v.t:
-            j = min(_parent_position(small, u), _parent_position(small, v))
+            j = min(_parent_position(parents, u), _parent_position(parents, v))
             wmasks.append(p.wmasks[j])
         else:
             wmasks.append(allw)
@@ -172,13 +220,14 @@ def double_masks(p, join_length: int):
 
 def glue_images(small, phi0, join_length: int, walk):
     """Label-based homset.glue_hom: (vertex images, witness images)."""
-    big = build_gadget(small.prefix + (join_length,))
-    vimgs = [phi0.vertex_images[_parent_position(small, v)] if v.t
-             else walk.vertices[v.k + 1] for v in big.vertices]
+    big_verts = gadget_vertices_from_root(small.prefix + (join_length,))
+    parents = gadget_positions_from_root(small.prefix)
+    vimgs = [phi0.vertex_images[_parent_position(parents, v)] if v.t
+             else walk.vertices[v.k + 1] for v in big_verts]
     wimgs = []
-    for u, v in big.edges():
+    for u, v in zip(big_verts, big_verts[1:]):
         if u.t and v.t:
-            j = min(_parent_position(small, u), _parent_position(small, v))
+            j = min(_parent_position(parents, u), _parent_position(parents, v))
             wimgs.append(phi0.witness_images[j])
         elif not u.t and not v.t:
             wimgs.append(walk.witnesses[u.k + 1])
@@ -191,7 +240,8 @@ def glue_images(small, phi0, join_length: int, walk):
 
 def restriction_images(big, small, hom, bit: int):
     """Label-based homset.copy_restriction: (vertex images, witness images)."""
-    pos = [big.position[v.append(bit)] for v in small.vertices]
+    big_pos = gadget_positions_from_root(big.prefix)
+    pos = [big_pos[v.append(bit)] for v in gadget_vertices_from_root(small.prefix)]
     vimgs = tuple(hom.vertex_images[i] for i in pos)
     wimgs = tuple(hom.witness_images[min(a, b)] for a, b in zip(pos, pos[1:]))
     return vimgs, wimgs
@@ -256,7 +306,7 @@ def path_propagate_two_sweep(vmasks, wmasks, wit_ends):
 def is_tiny_per_position(homs):
     """homset.is_tiny by one phi_bound BFS per gadget position:
     (tiny, first tiny gadget vertex or None)."""
-    for u in homs.gadget.vertices:
+    for u in gadget_vertices_from_root(homs.gadget.prefix):
         if phi_bound(homs.target, homs.project(u)).no_odd_walk:
             return True, u
     return False, None
@@ -285,12 +335,14 @@ def decide_via_profiles(g, depth: int, schedule=None):
 
 
 def tower_json_via_gadgets(t) -> dict:
-    """Tower.to_json_dict with each level's labels read off build_gadget."""
+    """Tower.to_json_dict with each level's labels read off
+    gadget_vertices_from_root."""
     levels = []
     for n, hom in enumerate(t.levels):
         gadget = build_gadget(t.prefix[:n])
+        verts = gadget_vertices_from_root(gadget.prefix)
         levels.append({
-            "vertexAssignments": {gadget.vertices[i].label: img
+            "vertexAssignments": {verts[i].label: img
                                   for i, img in enumerate(hom.vertex_images)},
             "witnessAssignments": {edge_label(gadget, j): wid
                                    for j, wid in enumerate(hom.witness_images)},
@@ -303,7 +355,7 @@ def _equiv_json(t, image_label) -> dict:
     """EquivalenceTower.to_json_dict with source labels read off built
     gadgets and image_label(n, image) naming each level-n image."""
     maps = [{v.label: image_label(n, img)
-             for v, img in zip(build_gadget(t.source_prefix[:n]).vertices, images)}
+             for v, img in zip(gadget_vertices_from_root(t.source_prefix[:n]), images)}
             for n, images in enumerate(t.maps)]
     return {"c": list(t.source_prefix), "d": list(t.target_prefix),
             "levelMap": list(t.level_map),
@@ -315,7 +367,7 @@ def _equiv_json(t, image_label) -> dict:
 def equiv_json_via_gadgets(t) -> dict:
     """EquivalenceTower.to_json_dict with source and target labels read
     off built gadgets."""
-    targets = [build_gadget(t.target_prefix[:m]).vertices for m in t.level_map]
+    targets = [gadget_vertices_from_root(t.target_prefix[:m]) for m in t.level_map]
     return _equiv_json(t, lambda n, pos: targets[n][pos].label)
 
 
@@ -341,12 +393,12 @@ def plan_equivalence_via_vertices(c, d, depth: int):
         glue_img = maps[n][-1]
         found = None
         for mm in range(level_map[n], len(d) + 1):
-            target = build_gadget(d[:mm])
+            target = gadget_positions_from_root(d[:mm])
             slen = mm - level_map[n]
             for s0, s1 in itertools.product(itertools.product((0, 1), repeat=slen),
                                             repeat=2):
-                a0 = target.position[_append_suffix(glue_img, s0)]
-                a1 = target.position[_append_suffix(glue_img, s1)]
+                a0 = target[_append_suffix(glue_img, s0)]
+                a1 = target[_append_suffix(glue_img, s1)]
                 if path_walk_exists(abs(a0 - a1), length):
                     found = (mm, s0, s1, a0, a1)
                     break
@@ -357,9 +409,10 @@ def plan_equivalence_via_vertices(c, d, depth: int):
                 f"target prefix {d} cannot absorb level {n} "
                 f"(join length {length} from image {glue_img.label})")
         mm, s0, s1, a0, a1 = found
-        walk = path_exact_walk(target.vertex_count, a0, a1, length)
+        target = gadget_vertices_from_root(d[:mm])
+        walk = path_exact_walk(len(target), a0, a1, length)
         images = ([_append_suffix(img, s0) for img in maps[n]]
-                  + [target.vertices[p] for p in walk[1:-1]]
+                  + [target[p] for p in walk[1:-1]]
                   + [_append_suffix(img, s1) for img in reversed(maps[n])])
         level_map.append(mm)
         suffixes.append((s0, s1))
@@ -387,15 +440,15 @@ def verify_equivalence_via_vertices(t) -> EquivReport:
     for n in range(depth + 1):
         images = t.maps[n]
         checks += 1
-        sources.append(build_gadget(t.source_prefix[:n]))
-        if len(images) != sources[n].vertex_count:
+        sources.append(gadget_positions_from_root(t.source_prefix[:n]))
+        if len(images) != len(sources[n]):
             bad.append(f"level {n}: wrong image count")
             continue
-        target = build_gadget(t.target_prefix[:t.level_map[n]])
-        if not all(img in target.position for img in images):
+        target = gadget_positions_from_root(t.target_prefix[:t.level_map[n]])
+        if not all(img in target for img in images):
             bad.append(f"level {n}: image not in target gadget")
             continue
-        positions = [target.position[img] for img in images]
+        positions = [target[img] for img in images]
         for j in range(len(images) - 1):
             checks += 1
             if abs(positions[j] - positions[j + 1]) != 1:
@@ -409,11 +462,11 @@ def verify_equivalence_via_vertices(t) -> EquivReport:
         if len(s0) != want_len or len(s1) != want_len:
             bad.append(f"level {n}: suffix lengths must be {want_len}")
             continue
-        for v in small.vertices:
+        for v, i in small.items():
             for bit, suf in ((0, s0), (1, s1)):
                 checks += 1
-                got = t.maps[n + 1][big.position[v.append(bit)]]
-                want = _append_suffix(t.maps[n][small.position[v]], suf)
+                got = t.maps[n + 1][big[v.append(bit)]]
+                want = _append_suffix(t.maps[n][i], suf)
                 if got != want:
                     bad.append(f"coherence broken at level {n + 1}, copy {bit}, "
                                f"vertex {v.label}: {got.label} vs {want.label}")
@@ -424,18 +477,17 @@ def verify_equivalence_via_vertices(t) -> EquivReport:
             continue
         if any(abs(a - b) != 1 for a, b in zip(walk, walk[1:])):
             bad.append(f"level {n}: join walk is not a walk")
-        target = build_gadget(t.target_prefix[:t.level_map[n + 1]])
-        if not all(0 <= p < target.vertex_count for p in walk):
+        target = gadget_vertices_from_root(t.target_prefix[:t.level_map[n + 1]])
+        if not all(0 <= p < len(target) for p in walk):
             bad.append(f"level {n}: join walk leaves the target gadget")
             continue
         right = GadgetVertex(0, (0,) * (n - 1) + (1,)) if n else GadgetVertex(0, ())
-        if (target.vertices[walk[0]] != t.maps[n + 1][big.position[right.append(0)]]
-                or target.vertices[walk[-1]]
-                != t.maps[n + 1][big.position[right.append(1)]]):
+        if (target[walk[0]] != t.maps[n + 1][big[right.append(0)]]
+                or target[walk[-1]] != t.maps[n + 1][big[right.append(1)]]):
             bad.append(f"level {n}: join walk endpoints disagree with the maps")
         for k in range(t.source_prefix[n] + 1):
             checks += 1
-            if t.maps[n + 1][big.position[GadgetVertex(k, ())]] != target.vertices[walk[k + 1]]:
+            if t.maps[n + 1][big[GadgetVertex(k, ())]] != target[walk[k + 1]]:
                 bad.append(f"level {n}: join vertex p{k} off the recorded walk")
     return EquivReport(checks, tuple(bad))
 

@@ -18,8 +18,7 @@ from oddwalk.coloring import bipartite_superset_coloring, two_color_from_cover
 from oddwalk.dichotomy import Tower, decide, verify_tower
 from oddwalk.equiv import plan_equivalence, verify_equivalence
 from oddwalk.errors import GapInsufficient, NotHomomorphism, OddwalkError
-from oddwalk.gadget import (build_gadget, check_odd_distance_lemma,
-                            endpoint_label, endpoints)
+from oddwalk.gadget import build_gadget, endpoint_label, endpoints
 from oddwalk.generators import (all_graphs_upto, complete_graph, cycle_graph,
                                 path_graph, petersen_graph,
                                 random_bipartite_graph, random_ep_bits,
@@ -42,6 +41,7 @@ def report(name: str, bad: list, details: str) -> None:
 def test_gadget_recursion():
     rng = random.Random(101)
     bad = []
+    ends = []
     start = time.perf_counter()
     for _ in range(50):
         prefix = random_odd_prefix(rng, rng.randint(0, 10))
@@ -52,13 +52,18 @@ def test_gadget_recursion():
         if (g.vertex_count, g.edge_count) != (want_v, want_e):
             bad.append(f"size recursion off for {prefix}")
         lo, hi = endpoints(g)
-        if g.position[lo] != 0 or g.position[hi] != g.vertex_count - 1:
-            bad.append(f"endpoints misplaced for {prefix}")
+        ends.append((prefix, lo, hi))
         if lo != endpoint_label(g.level, 0) or hi != endpoint_label(g.level, 1):
             bad.append(f"closed-form endpoint labels off for {prefix}")
     elapsed = time.perf_counter() - start
     if elapsed >= 1.0:
         bad.append(f"took {elapsed:.2f}s, budget 1s")
+    # the budget is the program's; the path replayed from the root is the
+    # oracle the endpoints are placed against
+    for prefix, lo, hi in ends:
+        position = oracles.gadget_positions_from_root(prefix)
+        if position[lo] != 0 or position[hi] != len(position) - 1:
+            bad.append(f"endpoints misplaced for {prefix}")
     report("gadget-recursion", bad,
            f"50 random prefixes up to level 10, sizes and endpoint labels "
            f"match the recursions, {elapsed:.2f}s")
@@ -71,7 +76,7 @@ def test_odd_distance_lemma():
     for depth in range(0, 9):
         for _ in range(2):
             prefix = random_odd_prefix(rng, depth)
-            rep = check_odd_distance_lemma(build_gadget(prefix))
+            rep = bruteforce.check_odd_distance_lemma(build_gadget(prefix))
             pairs += rep.pairs_checked
             if rep.violations:
                 bad.append(f"even sibling distance in {prefix}")
@@ -194,7 +199,7 @@ def test_profile_oracle_equality():
             if len(ex) != total:
                 bad.append(f"enumeration size off for {prefix}")
                 continue
-            for u in gadget.vertices:
+            for u in oracles.gadget_vertices_from_root(prefix):
                 if p.project(u) != ex.project(u):
                     bad.append(f"projection off at {u.label} for {prefix}")
                     break

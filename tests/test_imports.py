@@ -55,13 +55,28 @@ def imported_modules(*args):
             if line.startswith("import time:")}
 
 
+# one op of every subcommand but check; GRAPH stands for a triangle's file.
+# bruteforce holds the package's only gadget vertex list, so none of these
+# may build one
 @pytest.mark.parametrize("args", [
     ["-c", "import oddwalk.cli"],
     ["-c", "import oddwalk"],
     ["-m", "oddwalk.cli", "lc", "--c", "1,3", "--neighbors", "1:0::0"],
+    ["-m", "oddwalk.cli", "gadget", "--c", "1,3", "--format", "json"],
+    ["-m", "oddwalk.cli", "gadget", "--c", "1,3", "--format", "dot"],
+    ["-m", "oddwalk.cli", "lc", "--c", "1,3", "--quotient"],
+    ["-m", "oddwalk.cli", "homset", "--graph", "GRAPH", "--c", "1,3",
+     "--enumerate", "3"],
+    ["-m", "oddwalk.cli", "dichotomy", "--graph", "GRAPH", "--depth", "3"],
+    ["-m", "oddwalk.cli", "equiv", "--c", "1,3", "--d", "1,3,5", "--depth", "2"],
+    ["-m", "oddwalk.cli", "phi", "--graph", "GRAPH", "--set", "k0",
+     "--certificate"],
+    ["-m", "oddwalk.cli", "render", "--graph", "GRAPH"],
 ])
-def test_check_suites_load_only_on_demand(args):
-    modules = imported_modules(*args)
+def test_check_suites_load_only_on_demand(args, tmp_path):
+    graph = tmp_path / "k3.txt"
+    graph.write_text("k0 k1\nk1 k2\nk2 k0\n", encoding="utf-8")
+    modules = imported_modules(*(str(graph) if a == "GRAPH" else a for a in args))
     assert "oddwalk.limitgraph" in modules
     assert not modules & set(CHECK_ONLY)
 
@@ -74,8 +89,10 @@ def test_check_imports_its_suites():
 
 def test_run_checks_stays_public():
     import oddwalk
+    import oddwalk.bruteforce
     import oddwalk.check
     assert oddwalk.run_checks is oddwalk.check.run_checks
+    assert oddwalk.check_odd_distance_lemma is oddwalk.bruteforce.check_odd_distance_lemma
     namespace = {}
     exec("from oddwalk import *", namespace)
     assert [name for name in oddwalk.__all__ if name not in namespace] == []

@@ -1,18 +1,24 @@
 import json
 
+import oracles
+from oddwalk.cli import _dumps
 from oddwalk.gadget import build_gadget
 from oddwalk.generators import complete_graph
 from oddwalk.graphs import WitnessedGraph
-from oddwalk.limitgraph import level_quotient
-from oddwalk.render import (gadget_to_dot, gadget_to_json_dict,
+from oddwalk.render import (gadget_to_dot, gadget_to_json_rows,
                             gadget_to_text, gadget_to_tikz, graph_to_dot,
-                            graph_to_tikz, quotient_to_dot)
+                            graph_to_tikz)
+
+
+def gadget_json(g) -> dict:
+    """The gadget's JSON as the CLI writes it, parsed back."""
+    return json.loads(_dumps(gadget_to_json_rows(g)))
 
 
 def test_edge_base_count():
     # an edge-based recursion starts at 2 and doubles-plus-joins the same way
     for prefix, want in (((), 2), ((1,), 6), ((1, 3, 5), 38)):
-        note = gadget_to_json_dict(build_gadget(prefix))["sizeNote"]
+        note = gadget_json(build_gadget(prefix))["sizeNote"]
         assert note.endswith(f"yields {want} vertices")
 
 
@@ -44,7 +50,9 @@ def test_gadget_tikz_output():
 
 
 def test_gadget_json_output():
-    d = gadget_to_json_dict(build_gadget((1, 3)))
+    g = build_gadget((1, 3))
+    d = gadget_json(g)
+    assert d == oracles.gadget_json_dict(g)
     assert d["c"] == [1, 3]
     assert d["oddPrefix"] is True
     assert d["vertexCount"] == 12 and d["edgeCount"] == 11
@@ -53,7 +61,6 @@ def test_gadget_json_output():
                                 "birthLevel": 0}
     assert d["edges"][0] == ["p0.00", "p0.0"]
     assert len(d["edges"]) == 11
-    json.dumps(d)  # serializable as-is
 
 
 def test_gadget_text_output():
@@ -87,11 +94,3 @@ def test_graph_tikz_output():
     assert sum(1 for ln in tikz.splitlines() if "\\node" in ln) == 3
     assert sum(1 for ln in tikz.splitlines() if "\\draw" in ln) == 3
 
-
-def test_quotient_dot_output():
-    dot = quotient_to_dot(level_quotient((1,)))
-    lines = dot.splitlines()
-    assert lines[0] == "// level quotient for c=1: 4 classes"
-    assert any("m=0 k=0 t=0" in ln for ln in lines)
-    assert any("t=-" in ln for ln in lines)  # the join path has empty bits
-    assert sum(1 for ln in lines if " -- " in ln) == 3
