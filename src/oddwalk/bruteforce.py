@@ -18,7 +18,6 @@ gadget_positions inverts it, with none of the closed forms
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -202,18 +201,6 @@ def _memo_positions(prefix: tuple[int, ...]) -> dict:
     """gadget_positions kept between calls of this oracle, which asks for
     the same few position maps thousands of times."""
     return gadget_positions(prefix)
-
-
-def same_component_wide_scan(a: LcVertex, b: LcVertex) -> bool:
-    """Component test by scanning relative shifts over the lcm of both period
-    lengths, without assuming that canonical periods are primitive."""
-    delta = b.m - a.m
-    window = max(len(b.x.prefix), len(a.x.prefix) - delta, 0)
-    window += math.lcm(len(a.x.period), len(b.x.period))
-    for j in range(max(0, -delta), window + 1):
-        if a.x.shift(j + delta) == b.x.shift(j):
-            return True
-    return False
 
 
 def search_hom(h: PathGadget, g: PathGadget, constraints: dict | None = None):

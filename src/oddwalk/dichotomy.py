@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidIndex, OutOfTruncation, ParseError
-from .gadget import (GadgetVertex, ascii_int, build_gadget, is_natural,
-                     level_labels)
+from .gadget import GadgetVertex, ascii_int, build_gadget, is_natural
 from .graphs import Coloring, WitnessedGraph
 from .homset import (Hom, HomProfile, all_homs, copy_restriction, edge_label,
                      extend_witness, pin, validate_hom)
@@ -38,14 +37,6 @@ class Tower:
     @property
     def depth(self) -> int:
         return len(self.prefix)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "c": list(self.prefix),
-            "levels": [hom.labelled_json_dict(labels) for hom, labels
-                       in zip(self.levels, level_labels(self.prefix))],
-            "schedule": list(self.schedule_values),
-        }
 
 
 def unbounded_schedule_default():

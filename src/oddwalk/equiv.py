@@ -21,7 +21,7 @@ from itertools import product
 from operator import sub
 
 from .errors import GapInsufficient, ParseError
-from .gadget import build_gadget, check_odd_prefix, is_natural, level_labels
+from .gadget import build_gadget, check_odd_prefix, is_natural
 
 
 def path_walk_exists(distance: int, length: int) -> bool:
@@ -68,21 +68,6 @@ class EquivalenceTower:
     @property
     def depth(self) -> int:
         return len(self.level_map) - 1
-
-    def to_json_dict(self) -> dict:
-        targets = list(level_labels(self.target_prefix[:self.level_map[-1]]))
-        return {
-            "c": list(self.source_prefix),
-            "d": list(self.target_prefix),
-            "levelMap": list(self.level_map),
-            "suffixes": [["".join(map(str, s)) for s in pair]
-                         for pair in self.suffixes],
-            "joinWalks": [list(w) for w in self.join_walks],
-            "maps": [dict(zip(labels, map(targets[m].__getitem__, images)))
-                     for labels, m, images in zip(
-                         level_labels(self.source_prefix[:self.depth]),
-                         self.level_map, self.maps)],
-        }
 
 
 def _first_join(target, glue: int, start: int, length: int):

@@ -18,8 +18,8 @@ with it, in O(level), and vertex_at is its inverse.
 So between modules a gadget vertex travels as its path position; a
 GadgetVertex is made only to name one.
 
-A PathGadget is its prefix and sizes: counts, vertex lookups, endpoints
-and birth levels never build the path, and no vertex list is built here at
+A PathGadget is its prefix and sizes: counts, vertex lookups and endpoints
+never build the path, and no vertex list is built here at
 all.  The one whole-gadget list is its labels, kept once read, by the
 doubling from the root (level n+1 is level n with bit 0 appended, the join,
 then level n reversed with bit 1 appended): level_labels lists every
@@ -225,10 +225,6 @@ class PathGadget:
                 sign, offset = self.copy_map(level - 1, (1,))
                 pos = sign * pos + offset
         return GadgetVertex(0, tuple(reversed(bits)))
-
-    def birth_level(self, v: GadgetVertex) -> int:
-        self.require_vertex(v)
-        return self.level - len(v.t)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PathGadget):

@@ -282,13 +282,6 @@ class WitnessedGraph:
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
 
-    def component_of(self, v: str) -> tuple[str, ...]:
-        self.require_vertices([v])
-        for comp in self.components():
-            if v in comp:
-                return comp
-        raise AssertionError("unreachable")
-
     def to_json_dict(self) -> dict:
         return {
             "vertices": list(self.vertices),

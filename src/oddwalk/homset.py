@@ -17,9 +17,8 @@ for all positions at once (vertex_indices, witness_indices).
 
 The full profile (all_homs) is built normalized by closed form and never
 swept; the propagation kernel runs only for restricted, doubled and
-narrowed profiles.  Hom.to_json_dict is the dict form of one
-homomorphism; the CLI writes homomorphisms as rows instead
-(render.homs_to_json_rows), checked against it byte for byte.
+narrowed profiles.  A homomorphism is written as JSON only by the row
+writers (render.homs_to_json_rows, render.tower_to_json_rows).
 """
 
 from __future__ import annotations
@@ -44,17 +43,6 @@ class Hom:
 
     vertex_images: tuple[str, ...]
     witness_images: tuple[str, ...]
-
-    def to_json_dict(self, gadget: PathGadget) -> dict:
-        return self.labelled_json_dict(gadget.labels)
-
-    def labelled_json_dict(self, labels) -> dict:
-        """to_json_dict from the gadget's vertex labels in path order."""
-        return {
-            "vertexAssignments": dict(zip(labels, self.vertex_images)),
-            "witnessAssignments": {f"{a}--{b}": wid for a, b, wid
-                                   in zip(labels, labels[1:], self.witness_images)},
-        }
 
 
 def edge_label(gadget: PathGadget, j: int) -> str:
@@ -203,16 +191,9 @@ class HomProfile:
         vs = self.target.vertices
         return tuple(vs[i] for i in range(len(vs)) if mask >> i & 1)
 
-    def _witness_ids(self, mask: int) -> tuple[str, ...]:
-        ws = self.target.witnesses
-        return tuple(ws[i] for i in range(len(ws)) if mask >> i & 1)
-
     def project(self, u: GadgetVertex) -> tuple[str, ...]:
         """Exact vertex projection: the images of u over the denoted set."""
         return self._vertex_ids(self.vmasks[self.gadget.require_vertex(u)])
-
-    def project_edge(self, j: int) -> tuple[str, ...]:
-        return self._witness_ids(self.wmasks[j])
 
     def count(self) -> int:
         """Exact size of the denoted set (big integers, path DP met in the
@@ -348,16 +329,6 @@ class HomProfile:
                         map(_bit, t.vertex_indices(hom.vertex_images))))
                 and all(map(and_, self.wmasks,
                             map(_bit, t.witness_indices(hom.witness_images)))))
-
-    def to_json_dict(self) -> dict:
-        labels = self.gadget.labels
-        return {
-            "c": list(self.gadget.prefix),
-            "vertexDomains": {label: list(self._vertex_ids(m))
-                              for label, m in zip(labels, self.vmasks)},
-            "witnessDomains": {f"{a}--{b}": list(self._witness_ids(m))
-                               for a, b, m in zip(labels, labels[1:], self.wmasks)},
-        }
 
     def __repr__(self) -> str:
         state = "empty" if self.is_empty else "nonempty"

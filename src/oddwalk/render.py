@@ -22,10 +22,10 @@ arrays, tower_to_json_rows each tower level's vertex and witness
 assignments, homs_to_json_rows the vertex and witness assignments of
 homomorphisms over one gadget (sorting its labels once for all of them),
 and equivalence_to_json_rows each equivalence map.
-Tower.to_json_dict, Hom.to_json_dict and EquivalenceTower.to_json_dict
-build the same data as dicts, for the Python API.  The references the
-gadget and quotient rows are checked against are in the test oracles,
-built from a vertex list of their own.
+These writers are the only JSON form of a gadget, quotient, tower,
+homomorphism or equivalence tower in the package.  The dicts each is
+checked against are in the test oracles, built from a vertex list of
+their own.
 """
 
 from __future__ import annotations
@@ -206,9 +206,11 @@ def _label_order(labels) -> tuple[list[int], list[int]]:
 
 
 def _assignment_rows(labels, order, hom, ids) -> dict:
-    """Hom.labelled_json_dict with both objects written as JsonText rows
-    in the label order of _label_order; ids maps each graph id to its
-    JSON string."""
+    """A homomorphism's vertexAssignments (label to vertex id) and
+    witnessAssignments (edge label a--b to witness id), both written as
+    JsonText rows in the label order of _label_order; labels are the
+    gadget's in path order and ids maps each graph id to its JSON
+    string."""
     positions, edges = order
     vimgs, wimgs = hom.vertex_images, hom.witness_images
     vertex_rows = [f'"{labels[p]}": {ids[vimgs[p]]}' for p in positions]
@@ -219,8 +221,9 @@ def _assignment_rows(labels, order, hom, ids) -> dict:
 
 
 def tower_to_json_rows(t: Tower) -> dict:
-    """Tower.to_json_dict with each level's vertex and witness assignments
-    written as JsonText rows from the doubling labels (level_labels)."""
+    """The tower's JSON: its prefix and schedule, and per level the
+    vertex and witness assignments (_assignment_rows) written as JsonText
+    rows from the doubling labels (level_labels)."""
     ids = _encoded_ids(t.levels)
     return {
         "c": list(t.prefix),
@@ -231,9 +234,9 @@ def tower_to_json_rows(t: Tower) -> dict:
 
 
 def homs_to_json_rows(g: PathGadget, homs) -> list[dict]:
-    """Hom.to_json_dict of each hom over the gadget g, as JsonText rows:
-    the labels are sorted once and each graph id is encoded once for all
-    of the homs."""
+    """The vertex and witness assignments (_assignment_rows) of each hom
+    over the gadget g, as JsonText rows: the labels are sorted once and
+    each graph id is encoded once for all of the homs."""
     labels = g.labels
     order = _label_order(labels)
     ids = _encoded_ids(homs)
@@ -241,16 +244,17 @@ def homs_to_json_rows(g: PathGadget, homs) -> list[dict]:
 
 
 def _map_rows(labels, targets, images) -> JsonText:
-    """One map of EquivalenceTower.to_json_dict as JsonText rows: source
-    label to target label, both unescaped."""
+    """One equivalence map as JsonText rows: each source label to the
+    label of its target image, both unescaped."""
     order = sorted(range(len(labels)), key=labels.__getitem__)
     rows = [f'"{labels[p]}": "{targets[images[p]]}"' for p in order]
     return _rows("{", "}", lambda i: rows)
 
 
 def equivalence_to_json_rows(t: EquivalenceTower) -> dict:
-    """EquivalenceTower.to_json_dict with each map written as JsonText rows
-    from the doubling labels of both prefixes."""
+    """The equivalence tower's JSON: prefixes, level map, suffixes as bit
+    strings and join walks, with each map written as JsonText rows
+    (_map_rows) from the doubling labels of both prefixes."""
     targets = list(level_labels(t.target_prefix[:t.level_map[-1]]))
     return {
         "c": list(t.source_prefix),

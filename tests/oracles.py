@@ -10,22 +10,25 @@ hand-checked literals, never from the code under test.
 Gadgets are lists here: gadget_vertices_from_root replays the path level
 by level from the root, with none of the package's closed forms or label
 recurrence, and every oracle that needs a vertex list or a position map
-reads that.  The gadget and level-quotient JSON that the package writes as
-rows from labels is rebuilt here as dicts from that list.
+reads that.  Every JSON output that the package writes as rows from
+labels (gadget, level quotient, homomorphism, tower and equivalence tower)
+is rebuilt here as a dict from that list.
 
 Some are the straightforward forms of code the package now runs a faster
 way: gadgets replayed level by level from the root, homomorphism
 validation one vertex and one edge at a time, the un-memoized two-sweep
 propagation, tininess by one odd-walk BFS per gadget position, component
 2-colorings by a BFS of their own, the tower driver as a composition of
-profile operations, tower and equivalence-tower JSON with labels read off
-built gadgets, and the equivalence planner and verifier with GadgetVertex
+profile operations, homomorphism, tower and equivalence-tower JSON with
+labels read off built gadgets, the limit-graph component test by a wide
+shift scan, and the equivalence planner and verifier with GadgetVertex
 images appended and compared label by label.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 
 from oddwalk.dichotomy import Tower, unbounded_schedule_default
@@ -34,8 +37,7 @@ from oddwalk.equiv import (EquivalenceTower, EquivReport, path_exact_walk,
 from oddwalk.errors import GapInsufficient, NotHomomorphism, ParseError
 from oddwalk.gadget import GadgetVertex, build_gadget, check_odd_prefix, is_natural
 from oddwalk.graphs import Coloring, vertex_pair
-from oddwalk.homset import (Hom, all_homs, double, edge_label, extend_witness,
-                            pin)
+from oddwalk.homset import Hom, all_homs, double, extend_witness, pin
 from oddwalk.parity import bipartite_certificate, nonbipartite_vertices, phi_bound
 
 
@@ -186,8 +188,9 @@ def validate_hom_per_edge(gadget, target, hom) -> None:
             raise NotHomomorphism(f"unknown witness id {wid!r} at edge {j}")
         want = vertex_pair(hom.vertex_images[j], hom.vertex_images[j + 1])
         if target.ends[wid] != want:
+            a, b = gadget_vertices_from_root(gadget.prefix)[j:j + 2]
             raise NotHomomorphism(
-                f"edge {edge_label(gadget, j)}: witness {wid!r} joins "
+                f"edge {a.label}--{b.label}: witness {wid!r} joins "
                 f"{target.ends[wid]}, images are {want}")
 
 
@@ -334,26 +337,32 @@ def decide_via_profiles(g, depth: int, schedule=None):
     return Tower(tuple(prefix), tuple(levels), tuple(bounds))
 
 
+def hom_json_dict(prefix, hom) -> dict:
+    """The JSON of one homomorphism over the gadget for the prefix, as
+    `oddwalk homset` and each `oddwalk dichotomy` tower level write it:
+    vertex labels and edge labels a--b read off gadget_vertices_from_root."""
+    verts = gadget_vertices_from_root(prefix)
+    return {
+        "vertexAssignments": {v.label: img
+                              for v, img in zip(verts, hom.vertex_images)},
+        "witnessAssignments": {f"{a.label}--{b.label}": wid for a, b, wid
+                               in zip(verts, verts[1:], hom.witness_images)},
+    }
+
+
 def tower_json_via_gadgets(t) -> dict:
-    """Tower.to_json_dict with each level's labels read off
-    gadget_vertices_from_root."""
-    levels = []
-    for n, hom in enumerate(t.levels):
-        gadget = build_gadget(t.prefix[:n])
-        verts = gadget_vertices_from_root(gadget.prefix)
-        levels.append({
-            "vertexAssignments": {verts[i].label: img
-                                  for i, img in enumerate(hom.vertex_images)},
-            "witnessAssignments": {edge_label(gadget, j): wid
-                                   for j, wid in enumerate(hom.witness_images)},
-        })
-    return {"c": list(t.prefix), "levels": levels,
+    """The tower JSON of `oddwalk dichotomy` as a dict, each level by
+    hom_json_dict."""
+    return {"c": list(t.prefix),
+            "levels": [hom_json_dict(t.prefix[:n], hom)
+                       for n, hom in enumerate(t.levels)],
             "schedule": list(t.schedule_values)}
 
 
 def _equiv_json(t, image_label) -> dict:
-    """EquivalenceTower.to_json_dict with source labels read off built
-    gadgets and image_label(n, image) naming each level-n image."""
+    """The equivalence tower JSON of `oddwalk equiv` as a dict, with source
+    labels read off built gadgets and image_label(n, image) naming each
+    level-n image."""
     maps = [{v.label: image_label(n, img)
              for v, img in zip(gadget_vertices_from_root(t.source_prefix[:n]), images)}
             for n, images in enumerate(t.maps)]
@@ -365,8 +374,7 @@ def _equiv_json(t, image_label) -> dict:
 
 
 def equiv_json_via_gadgets(t) -> dict:
-    """EquivalenceTower.to_json_dict with source and target labels read
-    off built gadgets."""
+    """_equiv_json with source and target labels read off built gadgets."""
     targets = [gadget_vertices_from_root(t.target_prefix[:m]) for m in t.level_map]
     return _equiv_json(t, lambda n, pos: targets[n][pos].label)
 
@@ -493,6 +501,19 @@ def verify_equivalence_via_vertices(t) -> EquivReport:
 
 
 def equiv_json_via_vertices(t) -> dict:
-    """EquivalenceTower.to_json_dict as it was, for a tower whose maps hold
-    GadgetVertex images: each image formatted by its own label."""
+    """_equiv_json for a tower whose maps hold GadgetVertex images: each
+    image formatted by its own label."""
     return _equiv_json(t, lambda n, img: img.label)
+
+
+def same_component_wide_scan(a, b) -> bool:
+    """limitgraph.same_component by scanning relative shifts over the lcm
+    of both period lengths, without assuming that canonical periods are
+    primitive."""
+    delta = b.m - a.m
+    window = max(len(b.x.prefix), len(a.x.prefix) - delta, 0)
+    window += math.lcm(len(a.x.period), len(b.x.period))
+    for j in range(max(0, -delta), window + 1):
+        if a.x.shift(j + delta) == b.x.shift(j):
+            return True
+    return False

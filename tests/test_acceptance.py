@@ -137,7 +137,8 @@ def test_cover_coloring():
             closure, col = bipartite_superset_coloring(g, a)
             if not set(a) <= set(closure):
                 bad.append(f"closure misses {a}")
-            if set(closure) != {u for v in closure for u in g.component_of(v)}:
+            if set(closure) != {u for comp in g.components()
+                                if set(comp) & set(closure) for u in comp}:
                 bad.append(f"closure of {a} not component-closed")
             colored = col.by_vertex
             clash = any(u in colored and v in colored

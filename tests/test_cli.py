@@ -470,10 +470,11 @@ def test_emit_matches_json_dumps(tmp_path, monkeypatch):
 
 def _json_reference(argv, emitted):
     """json.dumps of what a command emits, with its JsonText rows replaced
-    by the data the dict builders make: for `gadget` and `lc --quotient`
-    the oracles' dicts from their own vertex list, for the tower of `dichotomy` and of a planned
-    `equiv`, Tower.to_json_dict and EquivalenceTower.to_json_dict, and for
-    the homomorphisms of `homset`, Hom.to_json_dict."""
+    by the dicts tests/oracles.py builds from its own vertex list: for
+    `gadget` and `lc --quotient` gadget_json_dict and quotient_json_dict,
+    for the tower of `dichotomy` tower_json_via_gadgets, for that of a
+    planned `equiv` equiv_json_via_gadgets, and for the homomorphisms of
+    `homset` hom_json_dict."""
     def arg(name, default=None):
         return argv[argv.index(name) + 1] if name in argv else default
 
@@ -486,24 +487,24 @@ def _json_reference(argv, emitted):
             oracles.gadget_json_dict(build_gadget(prefix)) if argv[0] == "gadget"
             else oracles.quotient_json_dict(level_quotient(prefix)))}
     elif argv[0] == "homset":
-        g = build_gadget(parse_prefix(arg("--c")))
-        p = all_homs(g, graph())
+        prefix = parse_prefix(arg("--c"))
+        p = all_homs(build_gadget(prefix), graph())
         witness = is_large(p).witness
         emitted = {**emitted, "large": {
             **emitted["large"],
-            "witness": witness.to_json_dict(g) if witness else None}}
+            "witness": oracles.hom_json_dict(prefix, witness) if witness else None}}
         if "--enumerate" in argv:
             homs = p.enumerate_homs(int(arg("--enumerate")))[0].homs
-            emitted["enumerated"] = [hom.to_json_dict(g) for hom in homs]
+            emitted["enumerated"] = [oracles.hom_json_dict(prefix, hom) for hom in homs]
     elif argv[0] == "dichotomy" and "tower" in emitted:
         g = graph()
         tower = decide(g, int(arg("--depth", "6")),
                        parse_schedule(arg("--schedule", "default")))
-        emitted = {**emitted, "tower": tower.to_json_dict()}
+        emitted = {**emitted, "tower": oracles.tower_json_via_gadgets(tower)}
     elif argv[0] == "equiv" and emitted["planned"]:
         tower = plan_equivalence(parse_prefix(arg("--c")), parse_prefix(arg("--d")),
                                  int(arg("--depth")))
-        emitted = {**emitted, "tower": tower.to_json_dict()}
+        emitted = {**emitted, "tower": oracles.equiv_json_via_gadgets(tower)}
     return json.dumps(emitted, indent=2, sort_keys=True) + "\n"
 
 

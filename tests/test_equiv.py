@@ -66,7 +66,7 @@ def test_planner_across_prefixes():
     assert all(a <= b for a, b in zip(t.level_map, t.level_map[1:]))
     report = verify_equivalence(t)
     assert report.ok and report.checks > 0
-    d = t.to_json_dict()
+    d = json.loads(cli._dumps(equivalence_to_json_rows(t)))
     assert d["c"] == [3, 5] and d["d"] == [1, 3, 5, 7]
     assert set(d) == {"c", "d", "levelMap", "suffixes", "joinWalks", "maps"}
 
@@ -92,6 +92,26 @@ def test_verifier_detects_corruption():
     truncated = dataclasses.replace(t, maps=t.maps[:2])
     assert verify_equivalence(truncated).violations == \
         ("inconsistent field lengths",)
+
+
+def test_verifier_names_join_walk_endpoints_off_the_maps():
+    t = plan_equivalence((1, 3), (1, 3, 5, 7), 2)
+    assert t.join_walks[0] == (0, 1, 2, 3) and verify_equivalence(t).ok
+    # each stop is still a walk step inside the target level, and the inner
+    # stops carry p0 and p1, but the first (last) stop is not the copy-0
+    # (copy-1) gluing image
+    for walk in ((2, 1, 2, 3), (0, 1, 2, 1)):
+        bad = dataclasses.replace(t, join_walks=(walk,) + t.join_walks[1:])
+        assert verify_equivalence(bad).violations == (
+            "level 0: join walk endpoints disagree with the maps",)
+
+
+def test_verifier_names_a_decreasing_level_map():
+    # a step down also puts an image outside its target level and fails the
+    # suffix lengths, but the root fault is the level map itself
+    t = plan_equivalence((1, 3), (1, 3, 5, 7), 2)
+    report = verify_equivalence(dataclasses.replace(t, level_map=(0, 2, 1)))
+    assert report.violations[0] == "level map must be nondecreasing"
 
 
 def test_gap_insufficient():
@@ -193,15 +213,15 @@ def test_random_planner_successes_verify():
             continue
         planned += 1
         assert verify_equivalence(t).ok
-        assert t.to_json_dict() == oracles.equiv_json_via_gadgets(t)
-        assert_rows_match_dict(t)
+        assert_rows_match_dict(t, oracles.equiv_json_via_gadgets(t))
     assert planned > 0
 
 
-def assert_rows_match_dict(t):
-    """The JsonText rows the CLI writes for t are json.dumps of its dict."""
+def assert_rows_match_dict(t, want):
+    """The JsonText rows the CLI writes for t are json.dumps of the oracle
+    dict want, byte for byte."""
     assert cli._dumps(equivalence_to_json_rows(t)) == json.dumps(
-        t.to_json_dict(), indent=2, sort_keys=True)
+        want, indent=2, sort_keys=True)
 
 
 def _check_against_built_gadgets(t):
@@ -241,9 +261,8 @@ def test_planner_and_verifier_build_no_gadget():
         t = plan_equivalence(c, d, depth)
         report = verify_equivalence(t)
         assert report.ok and report.checks > 0
-        got = t.to_json_dict()
         _check_against_built_gadgets(t)
-        assert got == oracles.equiv_json_via_gadgets(t)
+        assert_rows_match_dict(t, oracles.equiv_json_via_gadgets(t))
 
 
 def test_suffixes_that_last_differ_at_level_j_sit_d_j_plus_two_apart():
@@ -350,9 +369,8 @@ def test_planner_matches_the_vertex_planner_on_random_plans():
                 continue
             t = plan_equivalence(c, d, depth)
             planned += 1
-            assert t.to_json_dict() == oracles.equiv_json_via_vertices(want)
-            assert t.to_json_dict() == oracles.equiv_json_via_gadgets(t)
-            assert_rows_match_dict(t)
+            assert_rows_match_dict(t, oracles.equiv_json_via_vertices(want))
+            assert_rows_match_dict(t, oracles.equiv_json_via_gadgets(t))
             assert (t.source_prefix, t.target_prefix, t.level_map, t.suffixes,
                     t.join_walks) == (want.source_prefix, want.target_prefix,
                                       want.level_map, want.suffixes, want.join_walks)

@@ -66,7 +66,8 @@ def test_label_constraints_hold_everywhere():
     prefix = (2, 1, 4)
     g = build_gadget(prefix)
     for v in oracles.gadget_vertices_from_root(prefix):
-        m = g.birth_level(v)
+        g.require_vertex(v)
+        m = g.level - len(v.t)
         if m == 0:
             assert v.k == 0
         else:
@@ -317,7 +318,8 @@ def test_closed_forms_at_level_60_build_nothing():
     g = build_gadget(prefix)
     assert (g.level, g.vertex_count, g.edge_count) == (60, sizes[60], sizes[60] - 1)
     assert g.odd_prefix
-    assert g.require_vertex(v) == sizes[29] + 2 and g.birth_level(v) == 30
+    assert g.require_vertex(v) == sizes[29] + 2 and g.vertex_at(sizes[29] + 2) == v
+    assert g.level - len(g.vertex_at(sizes[29] + 2).t) == 30
     with pytest.raises(UnknownVertex, match="not in the level-60 gadget"):
         g.require_vertex(GadgetVertex(0, (0,) * 61))
     start = time.perf_counter()

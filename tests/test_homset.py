@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 
 import oracles
-from oddwalk import bruteforce, homset, kernels
+from oddwalk import bruteforce, cli, homset, kernels
 from oddwalk.dichotomy import decide
 from oddwalk.errors import (NotHomomorphism, NotLarge, NotMember, OddwalkError,
                             ParseError, PrefixMismatch)
@@ -18,6 +19,7 @@ from oddwalk.homset import (ExplicitHomSet, Hom, HomProfile, all_homs,
                             is_large, is_small, is_tiny, pin,
                             preserve_largeness, validate_hom)
 from oddwalk.parity import exact_walk, nonbipartite_vertices
+from oddwalk.render import homs_to_json_rows
 
 
 def k3():
@@ -59,7 +61,7 @@ def test_project_matches_walk_positions():
     walks = oracles.vertex_walks(g, 3)
     for j, u in enumerate(oracles.gadget_vertices_from_root(p.gadget.prefix)):
         assert set(p.project(u)) == {w[j] for w in walks}
-    assert set(p.project_edge(0)) == set(g.witnesses)
+    assert {w for i, w in enumerate(g.witnesses) if p.wmasks[0] >> i & 1} == set(g.witnesses)
 
 
 def test_enumerate_is_lex_least():
@@ -428,13 +430,14 @@ def test_explicit_homset_rejects_duplicates():
 
 def test_profile_json_shape():
     p = all_homs(build_gadget((1,)), k3())
-    d = p.to_json_dict()
-    assert d["c"] == [1]
-    assert set(d["vertexDomains"]) == {"p0.0", "p0", "p1", "p0.1"}
-    assert d["witnessDomains"]["p0.0--p0"] == ["w0", "w1", "w2"]
+    assert p.gadget.prefix == (1,)
+    assert set(p.gadget.labels) == {"p0.0", "p0", "p1", "p0.1"}
+    assert [w for i, w in enumerate(p.target.witnesses)
+            if p.wmasks[0] >> i & 1] == ["w0", "w1", "w2"]
     assert edge_label(p.gadget, 0) == "p0.0--p0"
     h = Hom(("k0", "k1", "k0", "k1"), ("w0", "w0", "w0"))
-    hd = h.to_json_dict(p.gadget)
+    hd = json.loads(cli._dumps(homs_to_json_rows(p.gadget, [h])))[0]
+    assert hd == oracles.hom_json_dict(p.gadget.prefix, h)
     assert hd["vertexAssignments"]["p0"] == "k1"
     assert hd["witnessAssignments"]["p0--p1"] == "w0"
 
@@ -689,7 +692,8 @@ def test_profiles_and_gluing_materialize_no_gadget():
         d, hom = extend_witness(p, 1)
         p = HomProfile.pinned(build_gadget(p.gadget.prefix + (d,)), g, hom)
         assert p.count() == 1 and p.member(hom)
-    assert p.to_json_dict()["c"] == list(p.gadget.prefix)
+    assert [p.project(v) for v in oracles.gadget_vertices_from_root(p.gadget.prefix)] == [
+        (img,) for img in hom.vertex_images]
 
 
 def test_full_profile_closed_form_matches_kernel_sweep():

@@ -87,6 +87,24 @@ def test_check_imports_its_suites():
                                                "--help")
 
 
+def test_dict_builders_and_test_only_members_are_gone():
+    # the row writers are the package's only JSON form of these objects, and
+    # their references live in tests/oracles.py
+    import oddwalk.bruteforce
+    from oddwalk.dichotomy import Tower
+    from oddwalk.equiv import EquivalenceTower
+    from oddwalk.gadget import PathGadget
+    from oddwalk.graphs import WitnessedGraph
+    from oddwalk.homset import Hom, HomProfile
+    gone = [(Tower, "to_json_dict"), (Hom, "to_json_dict"),
+            (HomProfile, "to_json_dict"), (EquivalenceTower, "to_json_dict"),
+            (Hom, "labelled_json_dict"), (HomProfile, "project_edge"),
+            (PathGadget, "birth_level"), (WitnessedGraph, "component_of"),
+            (oddwalk.bruteforce, "same_component_wide_scan")]
+    assert [(owner.__name__, name) for owner, name in gone
+            if hasattr(owner, name)] == []
+
+
 def test_run_checks_stays_public():
     import oddwalk
     import oddwalk.bruteforce
