@@ -38,7 +38,7 @@ from .homset import (ExplicitHomSet, Hom, all_homs, copy_restriction, double,
                      preserve_largeness)
 from .limitgraph import (EP_ZERO, EpBits, LcVertex, adjacent, level_quotient,
                          neighbors, odd_sibling_obstruction, same_component)
-from .parity import (bipartite_certificate, is_bipartite,
+from .parity import (bipartite_certificate, components, is_bipartite,
                      nonbipartite_vertices, phi_bound, phi_holds,
                      vertex_odd_girth)
 
@@ -134,7 +134,7 @@ def _suite_graph_core(rng: random.Random, oracle: bool) -> SuiteResult:
         g = random_bipartite_graph(rng, rng.randint(4, 12), 0.5)
         cert = bipartite_certificate(g)
         pieces = []
-        for comp in g.components():
+        for comp in components(g):
             side0 = [v for v in comp if cert.of(v) == 0]
             pieces.append(tuple(rng.sample(side0, rng.randint(1, len(side0)))))
         rng.shuffle(pieces)

@@ -3,7 +3,9 @@
 Includes the component-closure machinery that turns odd-walk-free vertex sets
 into 2-colorable invariant supersets, the piecewise 2-coloring assembled from
 a cover by such sets, a greedy bounded coloring, and coloring pullback along
-graph homomorphisms.
+graph homomorphisms.  Closures and 2-colorings are read off
+parity.parity_classes: a component is the set of vertices sharing a root,
+and a bipartite component is coloured by each vertex's parity class.
 """
 
 from __future__ import annotations
@@ -17,11 +19,9 @@ def invariant_closure(g: WitnessedGraph, a) -> tuple[str, ...]:
     """Union of all connected components meeting the set, sorted."""
     aset = set(a)
     g.require_vertices(aset)
-    out: list[str] = []
-    for comp in g.components():
-        if aset.intersection(comp):
-            out.extend(comp)
-    return tuple(sorted(out))
+    classes = parity_classes(g)
+    roots = {classes[v][0] for v in aset}
+    return tuple(v for v in g.vertices if classes[v][0] in roots)
 
 
 def bipartite_superset_coloring(g: WitnessedGraph, a) -> tuple[tuple[str, ...], Coloring]:
@@ -39,42 +39,31 @@ def bipartite_superset_coloring(g: WitnessedGraph, a) -> tuple[tuple[str, ...], 
     if not no_odd_walk_in(classes, aset):
         raise PhiFails(
             f"set admits an odd walk of length {phi_bound(g, aset).min_odd_length}")
-    roots = {classes[v][0] for v in aset}
-    closure = tuple(sorted(v for v, cls in classes.items()
-                           if cls is not None and cls[0] in roots))
+    closure = invariant_closure(g, aset)
     return closure, Coloring({v: classes[v][1] for v in closure})
 
 
 def two_color_from_cover(g: WitnessedGraph, pieces) -> Coloring:
     """Proper 2-coloring assembled from odd-walk-free pieces.
 
-    Each vertex takes its color from the first piece whose component closure
-    contains it; the closures must jointly cover the graph.
+    The component closures of the pieces must jointly cover the graph; each
+    vertex then takes its parity colour from parity_classes, as it would
+    from the bipartite_superset_coloring of any piece whose closure holds it.
     """
     pieces = [tuple(sorted(set(p))) for p in pieces]
-    closures = []
-    colorings = []
+    classes = parity_classes(g)
+    roots = set()
     for i, piece in enumerate(pieces):
         g.require_vertices(piece)
-        verdict = phi_bound(g, piece)
-        if not verdict.no_odd_walk:
-            raise PieceNotTiny(
-                f"piece {i} admits an odd walk of length {verdict.min_odd_length}")
-        closure, col = bipartite_superset_coloring(g, piece)
-        closures.append(set(closure))
-        colorings.append(col)
-    covered = set().union(*closures) if closures else set()
-    missing = sorted(set(g.vertices) - covered)
+        if not no_odd_walk_in(classes, piece):
+            raise PieceNotTiny(f"piece {i} admits an odd walk of length "
+                               f"{phi_bound(g, piece).min_odd_length}")
+        roots.update(classes[v][0] for v in piece)
+    missing = [v for v in g.vertices if classes[v][0] not in roots]
     if missing:
         raise CoverIncomplete(
             f"closures miss vertices: {', '.join(map(repr, missing))}")
-    colors: dict[str, int] = {}
-    for x in g.vertices:
-        for i, closure in enumerate(closures):
-            if x in closure:
-                colors[x] = colorings[i].of(x)
-                break
-    return Coloring(colors)
+    return Coloring({v: classes[v][1] for v in g.vertices})
 
 
 def greedy_coloring(g: WitnessedGraph) -> Coloring:

@@ -83,7 +83,7 @@ def decide(g: WitnessedGraph, depth: int, schedule=None):
     if schedule is None:
         schedule = unbounded_schedule_default()
     classes = parity_classes(g)
-    odd = [v for v in g.vertices if classes[v] is None]
+    odd = [v for v in g.vertices if classes[v][1] is None]
     if not odd:
         return Coloring({v: classes[v][1] for v in g.vertices})
     phi = Hom((odd[0],), ())

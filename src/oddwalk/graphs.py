@@ -6,12 +6,13 @@ the same pair.  Homomorphisms elsewhere in the package must pick a witness
 for every edge they use, so the multiplicity is semantically visible.
 
 All iteration orders are ascending by id; nothing here depends on hash order.
+This module holds the data and its lookups only: every walk over the graph
+(components, parity classes, exact walks) is a parity BFS in oddwalk.parity.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from itertools import chain
@@ -261,26 +262,6 @@ class WitnessedGraph:
             self.require_vertices([u, v])
             return ()
         return found
-
-    def components(self) -> tuple[tuple[str, ...], ...]:
-        """Connected components, each sorted, ordered by least member."""
-        seen: set[str] = set()
-        comps = []
-        for root in self.vertices:
-            if root in seen:
-                continue
-            queue = deque([root])
-            seen.add(root)
-            comp = []
-            while queue:
-                x = queue.popleft()
-                comp.append(x)
-                for y in self._neighbors[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
 
     def to_json_dict(self) -> dict:
         return {

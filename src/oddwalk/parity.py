@@ -3,22 +3,24 @@
 The double cover lives on pairs (vertex, parity); an edge flips the parity
 bit.  Minimum odd/even walk lengths between vertex sets are plain BFS
 distances there, which is the basis for the odd-walk property tests, the
-bipartiteness certificate, and exact-length walk construction.
+bipartiteness certificate, the component partition and exact-length walk
+construction.  parity_distances is the package's one graph traversal;
+everything else here reads from it.
 
-Because walks may repeat vertices and witnesses, an odd walk of length m can
-be padded to any odd length >= m by bouncing on its first edge.  The
+Because walks may repeat vertices and witnesses, a walk of length m >= 1
+can be padded to any length m + 2j by bouncing on its first edge.  The
 operations here rely on that padding fact; the test suite checks it against
 brute-force walk enumeration rather than assuming it.
 
 A graph is immutable, so the facts of one graph are computed once and kept
 on it (WitnessedGraph.memo): parity_classes, nonbipartite_vertices, the
 vertex_odd_girth of each vertex asked about, and each exact_walk.  A tower
-on a connected target thus runs two parity BFS in all, whatever its depth.
+on a connected target thus runs two unbounded parity BFS in all, whatever
+its depth, plus one BFS cut at the walk length per distinct closed walk.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -52,25 +54,25 @@ class PhiVerdict:
         return out
 
 
-def parity_distances(g: WitnessedGraph, sources) -> dict[tuple[str, int], int]:
+def parity_distances(g: WitnessedGraph, sources,
+                     limit: int | None = None) -> dict[tuple[str, int], int]:
     """Multi-source BFS distances in the parity double cover.
 
     Returns the least walk length from any source to each (vertex, parity)
-    pair, parity 0 at the sources.
+    pair, parity 0 at the sources, for the pairs at distance <= limit (all
+    of them when limit is None).  A pair at distance r has parity r mod 2,
+    so layer r is the neighbours of layer r-1 not yet seen at that parity.
+    Each layer is filled in sorted order.
     """
-    dist: dict[tuple[str, int], int] = {}
-    queue: deque[tuple[str, int]] = deque()
-    for s in sorted(set(sources)):
-        dist[(s, 0)] = 0
-        queue.append((s, 0))
-    while queue:
-        v, p = queue.popleft()
-        d = dist[(v, p)]
-        for u in g.neighbors(v):
-            key = (u, 1 - p)
-            if key not in dist:
-                dist[key] = d + 1
-                queue.append(key)
+    layer = sorted(set(sources))
+    dist = {(s, 0): 0 for s in layer}
+    r = 0
+    while layer and (limit is None or r < limit):
+        r += 1
+        p = r % 2
+        layer = sorted({u for v in layer for u in g.neighbors(v)
+                        if (u, p) not in dist})
+        dist.update(((u, p), r) for u in layer)
     return dist
 
 
@@ -114,17 +116,17 @@ def is_bipartite(g: WitnessedGraph) -> bool:
 def nonbipartite_vertices(g: WitnessedGraph) -> frozenset:
     """Union of all connected components containing an odd closed walk."""
     return g.memo("nonbipartite", lambda: frozenset(
-        v for v, cls in parity_classes(g).items() if cls is None))
+        v for v, (_, colour) in parity_classes(g).items() if colour is None))
 
 
 def parity_classes(g: WitnessedGraph) -> dict:
-    """Every vertex's parity class, from one parity BFS per component.
+    """Every vertex's (root, colour), from one parity BFS per component.
 
-    A vertex on a component with an odd closed walk maps to None (the BFS
-    reaches it at both parities); any other vertex maps to (root, colour),
-    where root is the least vertex of its component and colour the parity
-    of its distance from root.  The table is computed once per graph and
-    shared, so callers must not mutate it.
+    root is the least vertex of the vertex's component.  colour is the
+    parity of the vertex's distance from root, or None on a component with
+    an odd closed walk (the BFS reaches the vertex at both parities).  The
+    table is computed once per graph and shared, so callers must not
+    mutate it.
     """
     return g.memo("parity classes", lambda: _parity_classes(g))
 
@@ -136,8 +138,18 @@ def _parity_classes(g: WitnessedGraph) -> dict:
             continue
         dist = parity_distances(g, [root])
         for v, p in dist:
-            classes[v] = None if (v, 1 - p) in dist else (root, p)
+            classes[v] = (root, None if (v, 1 - p) in dist else p)
     return classes
+
+
+def components(g: WitnessedGraph) -> tuple[tuple[str, ...], ...]:
+    """Connected components, each sorted, ordered by least member; read
+    off parity_classes."""
+    classes = parity_classes(g)
+    by_root: dict = {}
+    for v in g.vertices:
+        by_root.setdefault(classes[v][0], []).append(v)
+    return tuple(map(tuple, by_root.values()))
 
 
 def no_odd_walk_in(classes: dict, a) -> bool:
@@ -148,21 +160,10 @@ def no_odd_walk_in(classes: dict, a) -> bool:
     """
     colour_of: dict = {}
     for v in a:
-        cls = classes[v]
-        if cls is None or colour_of.setdefault(cls[0], cls[1]) != cls[1]:
+        root, colour = classes[v]
+        if colour is None or colour_of.setdefault(root, colour) != colour:
             return False
     return True
-
-
-def exact_reach(g: WitnessedGraph, end: str, length: int) -> list[set]:
-    """reach[r] = vertices that start some walk to `end` of length exactly r."""
-    g.require_vertices([end])
-    reach: list[set] = [{end}]
-    for _ in range(length):
-        prev = reach[-1]
-        cur = {y for x in prev for y in g.neighbors(x)}
-        reach.append(cur)
-    return reach
 
 
 def exact_walk(g: WitnessedGraph, start: str, end: str, length: int) -> Walk | None:
@@ -179,28 +180,27 @@ def exact_walk(g: WitnessedGraph, start: str, end: str, length: int) -> Walk | N
 
 
 def _exact_walk(g: WitnessedGraph, start: str, end: str, length: int) -> Walk | None:
-    reach = exact_reach(g, end, length)
-    if start not in reach[length]:
+    # A walk of exactly r steps leads from z to end iff a walk of length
+    # r - 2j does (padding): iff z is within r of end at parity r mod 2,
+    # and end has a neighbour to bounce on when r > 0.
+    dist = parity_distances(g, [end], length)
+    if (dist.get((start, length % 2), length + 1) > length
+            or (length and not g.neighbors(end))):
         return None
     verts = [start]
     wits = []
-    cur = start
-    for r in range(length, 0, -1):
-        for z in g.neighbors(cur):
-            if z in reach[r - 1]:
-                wits.append(g.witnesses_between(cur, z)[0])
-                verts.append(z)
-                cur = z
-                break
-        else:
-            raise AssertionError("reach sets promised a continuation")
+    for r in range(length - 1, -1, -1):
+        cur = verts[-1]
+        z = next(z for z in g.neighbors(cur) if dist.get((z, r % 2), r + 1) <= r)
+        wits.append(g.witnesses_between(cur, z)[0])
+        verts.append(z)
     return Walk(tuple(verts), tuple(wits))
 
 
 def min_odd_closed_walk(g: WitnessedGraph) -> Walk | None:
     """Minimum-length odd closed walk, lexicographically least; None if bipartite.
 
-    Only a vertex of a non-bipartite component (parity class None) lies on
+    Only a vertex of a non-bipartite component (colour None) lies on
     an odd closed walk, so only those vertices get a BFS of their own.
     """
     return _min_odd_closed_walk(g, parity_classes(g))
@@ -211,7 +211,7 @@ def _min_odd_closed_walk(g: WitnessedGraph, classes: dict) -> Walk | None:
     best_len = None
     best_v = None
     for v in g.vertices:
-        if classes[v] is not None:
+        if classes[v][1] is not None:
             continue
         d = vertex_odd_girth(g, v)
         if best_len is None or d < best_len:
@@ -230,6 +230,6 @@ def bipartite_certificate(g: WitnessedGraph):
     its distance from the least vertex of its component.
     """
     classes = parity_classes(g)
-    if any(cls is None for cls in classes.values()):
+    if any(colour is None for _, colour in classes.values()):
         return _min_odd_closed_walk(g, classes)
-    return Coloring({v: cls[1] for v, cls in classes.items()})
+    return Coloring({v: colour for v, (_, colour) in classes.items()})

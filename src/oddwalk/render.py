@@ -292,6 +292,14 @@ def graph_to_dot(g: WitnessedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# LaTeX's special characters, each written as text; one pass, so the
+# braces of an escape are not escaped again
+_TEX_ESCAPES = str.maketrans({
+    "\\": r"\textbackslash{}", "{": r"\{", "}": r"\}", "_": r"\_",
+    "^": r"\^{}", "#": r"\#", "$": r"\$", "%": r"\%", "&": r"\&",
+    "~": r"\~{}"})
+
+
 def graph_to_tikz(g: WitnessedGraph) -> str:
     lines = [f"% witnessed graph: {len(g.vertices)} vertices, "
              f"{len(g.witnesses)} witnesses",
@@ -299,7 +307,7 @@ def graph_to_tikz(g: WitnessedGraph) -> str:
     for i, v in enumerate(g.vertices):
         lines.append(
             f"  \\node[circle, draw, inner sep=1pt, font=\\small] "
-            f"(v{i}) at ({i}, 0) {{{v}}};")
+            f"(v{i}) at ({i}, 0) {{{v.translate(_TEX_ESCAPES)}}};")
     index = {v: i for i, v in enumerate(g.vertices)}
     for w in g.witnesses:
         u, v = g.ends[w]

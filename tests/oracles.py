@@ -17,8 +17,9 @@ is rebuilt here as a dict from that list.
 Some are the straightforward forms of code the package now runs a faster
 way: gadgets replayed level by level from the root, homomorphism
 validation one vertex and one edge at a time, the un-memoized two-sweep
-propagation, tininess by one odd-walk BFS per gadget position, component
-2-colorings by a BFS of their own, the tower driver as a composition of
+propagation, tininess by one odd-walk BFS per gadget position, components
+and component 2-colorings by a BFS of their own, exact-length walks from
+reach sets expanded step by step, the tower driver as a composition of
 profile operations, homomorphism, tower and equivalence-tower JSON with
 labels read off built gadgets, the limit-graph component test by a wide
 shift scan, and the equivalence planner and verifier with GadgetVertex
@@ -36,7 +37,7 @@ from oddwalk.equiv import (EquivalenceTower, EquivReport, path_exact_walk,
                            path_walk_exists)
 from oddwalk.errors import GapInsufficient, NotHomomorphism, ParseError
 from oddwalk.gadget import GadgetVertex, build_gadget, check_odd_prefix, is_natural
-from oddwalk.graphs import Coloring, vertex_pair
+from oddwalk.graphs import Coloring, Walk, vertex_pair
 from oddwalk.homset import Hom, all_homs, double, extend_witness, pin
 from oddwalk.parity import bipartite_certificate, nonbipartite_vertices, phi_bound
 
@@ -48,6 +49,51 @@ def adjacency(g) -> dict:
         nbr[u].add(v)
         nbr[v].add(u)
     return {v: tuple(sorted(s)) for v, s in nbr.items()}
+
+
+def components(g) -> tuple:
+    """Connected components, each sorted, ordered by least member, by a
+    BFS over adjacency(g) from each least unseen vertex."""
+    nbr = adjacency(g)
+    seen: set = set()
+    comps = []
+    for root in g.vertices:
+        if root in seen:
+            continue
+        queue = deque([root])
+        seen.add(root)
+        comp = []
+        while queue:
+            x = queue.popleft()
+            comp.append(x)
+            for y in nbr[x]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def exact_walk_by_reach_sets(g, start, end, length: int):
+    """parity.exact_walk by reach sets: reach[r] holds the vertices that
+    start a walk of exactly r steps to end, each set expanded in full from
+    the one before; each step takes the least neighbour in the next set and
+    the least witness joining the two."""
+    nbr = adjacency(g)
+    reach = [{end}]
+    for _ in range(length):
+        reach.append({y for x in reach[-1] for y in nbr[x]})
+    if start not in reach[length]:
+        return None
+    verts = [start]
+    wits = []
+    for r in range(length - 1, -1, -1):
+        cur = verts[-1]
+        z = next(z for z in nbr[cur] if z in reach[r])
+        wits.append(min(w for w, pair in g.ends.items()
+                        if pair == vertex_pair(cur, z)))
+        verts.append(z)
+    return Walk(tuple(verts), tuple(wits))
 
 
 def odd_lengths(g, a, cap: int) -> list[int]:

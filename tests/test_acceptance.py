@@ -137,7 +137,7 @@ def test_cover_coloring():
             closure, col = bipartite_superset_coloring(g, a)
             if not set(a) <= set(closure):
                 bad.append(f"closure misses {a}")
-            if set(closure) != {u for comp in g.components()
+            if set(closure) != {u for comp in oracles.components(g)
                                 if set(comp) & set(closure) for u in comp}:
                 bad.append(f"closure of {a} not component-closed")
             colored = col.by_vertex
@@ -149,7 +149,7 @@ def test_cover_coloring():
     covers = 0
     for _ in range(200):
         g = random_bipartite_graph(rng, rng.randint(2, 10), 0.5)
-        reps = [rng.choice(comp) for comp in g.components()]
+        reps = [rng.choice(comp) for comp in oracles.components(g)]
         rng.shuffle(reps)
         cut = rng.randint(1, len(reps))
         pieces = [reps[:cut], reps[cut:]] if reps[cut:] else [reps[:cut]]

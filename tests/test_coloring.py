@@ -28,7 +28,7 @@ def test_colorings_match_component_bfs_oracle():
                                 cycle_graph(rng.choice((3, 4, 5, 6)))))
             bip = random_bipartite_graph(rng, rng.randint(1, 7), 0.5, tag="u")
             g = disjoint_union(bip, other) if i % 4 else disjoint_union(other, bip)
-        comps = g.components()
+        comps = oracles.components(g)
         cert = bipartite_certificate(g)
         if is_bipartite(g):
             bipartite += 1
@@ -125,7 +125,7 @@ def test_two_color_from_cover_random_bipartite():
     rng = random.Random(35)
     for _ in range(40):
         g = random_bipartite_graph(rng, rng.randint(2, 10), 0.5)
-        reps = [rng.choice(comp) for comp in g.components()]
+        reps = [rng.choice(comp) for comp in oracles.components(g)]
         rng.shuffle(reps)
         cut = rng.randint(1, len(reps))
         pieces = [reps[:cut], reps[cut:]] if reps[cut:] else [reps[:cut]]

@@ -330,17 +330,19 @@ def test_decide_matches_profile_composition(tmp_path):
 
 def test_decide_computes_target_facts_once(monkeypatch):
     # one parity BFS classifies the target (one component) and one finds the
-    # odd girth at the root; each distinct closed-walk length is searched once
+    # odd girth at the root; each distinct closed-walk length is searched
+    # once, by a BFS cut at that length
     for g in (cycle_graph(5), petersen_graph()):
-        bfs, reach = [], []
-        monkeypatch.setattr(parity, "parity_distances",
-                            lambda *a, f=parity.parity_distances: bfs.append(1) or f(*a))
-        monkeypatch.setattr(parity, "exact_reach",
-                            lambda *a, f=parity.exact_reach: reach.append(a[2]) or f(*a))
+        limits = []
+        monkeypatch.setattr(
+            parity, "parity_distances",
+            lambda g, sources, limit=None, f=parity.parity_distances:
+                limits.append(limit) or f(g, sources, limit))
         t = decide(g, 8)
         monkeypatch.undo()
-        assert len(bfs) == 2
-        assert sorted(reach) == sorted({d + 2 for d in t.prefix})
+        assert limits.count(None) == 2
+        assert sorted(n for n in limits if n is not None) == sorted(
+            {d + 2 for d in t.prefix})
         assert len(set(t.prefix)) < len(t.prefix)
         assert t == oracles.decide_via_profiles(g, 8)
 

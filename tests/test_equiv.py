@@ -10,8 +10,8 @@ import pytest
 import oracles
 from oddwalk import cli
 from oddwalk.bruteforce import search_hom
-from oddwalk.equiv import (EquivalenceTower, _first_join, path_exact_walk,
-                           path_walk_exists, plan_equivalence, verify_equivalence)
+from oddwalk.equiv import (_first_join, path_exact_walk, path_walk_exists,
+                           plan_equivalence, verify_equivalence)
 from oddwalk.errors import (GapInsufficient, NonOddPrefix, ParseError,
                             UnknownVertex)
 from oddwalk.gadget import GadgetVertex, build_gadget

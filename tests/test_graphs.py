@@ -3,6 +3,7 @@ import pytest
 from oddwalk.errors import ParseError, UnknownVertex
 from oddwalk.generators import complete_graph, single_edge
 from oddwalk.graphs import Coloring, Walk, WitnessedGraph, vertex_pair
+from oddwalk.parity import components
 
 
 def test_vertex_pair_is_sorted():
@@ -91,8 +92,8 @@ def test_adjacent_and_unknown_vertex():
 
 def test_components_sorted_by_least_member():
     g = WitnessedGraph.make(["d", "c", "b", "a"], [("d", "c")])
-    assert g.components() == (("a",), ("b",), ("c", "d"))
-    assert [comp for comp in g.components() if "d" in comp] == [("c", "d")]
+    assert components(g) == (("a",), ("b",), ("c", "d"))
+    assert [comp for comp in components(g) if "d" in comp] == [("c", "d")]
 
 
 def test_walk_validate():

@@ -6,8 +6,8 @@ import pytest
 import oracles
 from oddwalk import bruteforce, cli, homset, kernels
 from oddwalk.dichotomy import decide
-from oddwalk.errors import (NotHomomorphism, NotLarge, NotMember, OddwalkError,
-                            ParseError, PrefixMismatch)
+from oddwalk.errors import (NotHomomorphism, NotLarge, NotMember, ParseError,
+                            PrefixMismatch)
 from oddwalk.gadget import GadgetVertex, build_gadget
 from oddwalk.generators import (all_graphs_upto, complete_graph, cycle_graph,
                                 disjoint_union, path_graph, random_graph,

@@ -1,8 +1,9 @@
-"""Every module-level import in the package is read somewhere in its module,
-and the check suites are imported only by what runs them.
+"""Every module-level import in the package and in the tests is read
+somewhere in its module, and the check suites are imported only by what runs
+them.
 
-__init__.py is skipped by the dead-import scan: its imports are the public
-re-exports.
+The package's __init__.py is skipped by the dead-import scan: its imports
+are the public re-exports.
 """
 
 import ast
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "oddwalk"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "oddwalk"
 
 
 def dead_imports(source: str) -> list[str]:
@@ -36,8 +38,9 @@ def test_dead_imports_are_found():
 
 def test_package_has_no_dead_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    dead = [f"{p.stem}.{name}" for p in modules
+    tests = sorted(TESTS.glob("*.py"))
+    assert modules and tests
+    dead = [f"{p.parent.name}/{p.stem}.{name}" for p in modules + tests
             for name in dead_imports(p.read_text(encoding="utf-8"))]
     assert dead == []
 

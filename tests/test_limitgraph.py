@@ -1,5 +1,4 @@
 import json
-import math
 import random
 import time
 
@@ -13,8 +12,8 @@ from oddwalk.errors import (InvalidVertex, LevelOutOfRange, NonOddPrefix,
 from oddwalk.gadget import (GadgetVertex, build_gadget, gadget_distance,
                             vertex_position)
 from oddwalk.generators import random_ep_bits, random_odd_prefix
-from oddwalk.limitgraph import (EP_ZERO, EpBits, LcVertex, LevelQuotient,
-                                adjacent, level_quotient, neighbors,
+from oddwalk.limitgraph import (EP_ZERO, EpBits, LcVertex, adjacent,
+                                level_quotient, neighbors,
                                 odd_sibling_obstruction, project_level,
                                 same_component, validate_vertex)
 from oddwalk.render import quotient_to_json_rows

@@ -5,9 +5,10 @@ import pytest
 import oracles
 from oddwalk import parity
 from oddwalk.errors import ParseError, UnknownVertex
-from oddwalk.generators import (complete_graph, cycle_graph, disjoint_union,
-                                path_graph, random_bipartite_graph,
-                                random_graph, single_edge)
+from oddwalk.generators import (all_graphs_upto, complete_graph, cycle_graph,
+                                disjoint_union, path_graph,
+                                random_bipartite_graph, random_graph,
+                                single_edge)
 from oddwalk.graphs import Coloring, Walk, WitnessedGraph
 from oddwalk.parity import (bipartite_certificate, exact_walk, is_bipartite,
                             min_odd_closed_walk, no_odd_walk_in,
@@ -183,3 +184,37 @@ def test_parity_classes_decide_phi_on_random_subsets():
                     for _ in range(20)]
         for a in subsets:
             assert no_odd_walk_in(classes, a) == phi_bound(g, a).no_odd_walk
+
+
+def _walk_sweep_graphs():
+    """Every graph on up to 4 vertices, then 120 seeded random multigraphs,
+    every third with an isolated vertex beside it."""
+    yield from all_graphs_upto(4)
+    rng = random.Random(22)
+    for i in range(120):
+        g = random_graph(rng, rng.randint(1, 7), rng.random() * 0.7, multi=0.4)
+        if i % 3 == 0:
+            g = disjoint_union(g, WitnessedGraph.make(["z"], []))
+        yield g
+
+
+def test_exact_walk_matches_reach_set_oracle():
+    cases = 0
+    for g in _walk_sweep_graphs():
+        for start in g.vertices:
+            for end in g.vertices:
+                for length in range(2 * len(g.vertices) + 4):
+                    want = oracles.exact_walk_by_reach_sets(g, start, end, length)
+                    assert exact_walk(g, start, end, length) == want
+                    cases += 1
+    assert cases > 50000
+
+
+def test_bounded_parity_distances_cut_the_full_table():
+    rng = random.Random(23)
+    for g in _walk_sweep_graphs():
+        sources = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
+        full = parity_distances(g, sources)
+        for limit in range(2 * len(g.vertices) + 2):
+            assert parity_distances(g, sources, limit) == {
+                key: d for key, d in full.items() if d <= limit}

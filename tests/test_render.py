@@ -94,3 +94,21 @@ def test_graph_tikz_output():
     assert sum(1 for ln in tikz.splitlines() if "\\node" in ln) == 3
     assert sum(1 for ln in tikz.splitlines() if "\\draw" in ln) == 3
 
+
+def test_graph_tikz_escapes_vertex_ids():
+    # every LaTeX special character is written as text, so no id comments
+    # out the rest of its line or unbalances the node's braces
+    g = WitnessedGraph.from_json_dict({
+        "vertices": ["v_1", "a#b", "x{y", "50%", "p\\q", "c^d", "$e", "f&g",
+                     "h~i", "j}k"],
+        "witnesses": [{"id": "w", "ends": ["v_1", "50%"]}]})
+    nodes = [ln for ln in graph_to_tikz(g).splitlines() if "\\node" in ln]
+    labels = [ln.split(" {", 1)[1] for ln in nodes]
+    assert labels == [
+        "\\$e};", "50\\%};", "a\\#b};", "c\\^{}d};", "f\\&g};",
+        "h\\~{}i};", "j\\}k};", "p\\textbackslash{}q};", "v\\_1};",
+        "x\\{y};"]
+    for ln in nodes:
+        bare = ln.replace("\\{", "").replace("\\}", "")
+        assert bare.count("{") == bare.count("}")
+
