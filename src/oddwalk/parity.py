@@ -14,9 +14,9 @@ brute-force walk enumeration rather than assuming it.
 
 A graph is immutable, so the facts of one graph are computed once and kept
 on it (WitnessedGraph.memo): parity_classes, nonbipartite_vertices, the
-vertex_odd_girth of each vertex asked about, and each exact_walk.  A tower
-on a connected target thus runs two unbounded parity BFS in all, whatever
-its depth, plus one BFS cut at the walk length per distinct closed walk.
+parity table of each vertex asked about (vertex_odd_girth reads it at its
+vertex, exact_walk at its end) and each exact_walk.  A tower on a connected
+target thus runs two parity BFS in all, whatever its depth.
 """
 
 from __future__ import annotations
@@ -54,26 +54,34 @@ class PhiVerdict:
         return out
 
 
-def parity_distances(g: WitnessedGraph, sources,
-                     limit: int | None = None) -> dict[tuple[str, int], int]:
+def parity_distances(g: WitnessedGraph, sources) -> dict[tuple[str, int], int]:
     """Multi-source BFS distances in the parity double cover.
 
-    Returns the least walk length from any source to each (vertex, parity)
-    pair, parity 0 at the sources, for the pairs at distance <= limit (all
-    of them when limit is None).  A pair at distance r has parity r mod 2,
-    so layer r is the neighbours of layer r-1 not yet seen at that parity.
-    Each layer is filled in sorted order.
+    Returns the least walk length from any source to each reachable
+    (vertex, parity) pair, parity 0 at the sources.  A pair at distance r
+    has parity r mod 2, so layer r is the neighbours of layer r-1 not yet
+    seen at that parity.  Sources are taken in sorted order and neighbours
+    in ascending order, so the table's order depends on no set.
     """
     layer = sorted(set(sources))
     dist = {(s, 0): 0 for s in layer}
     r = 0
-    while layer and (limit is None or r < limit):
+    while layer:
         r += 1
         p = r % 2
-        layer = sorted({u for v in layer for u in g.neighbors(v)
-                        if (u, p) not in dist})
-        dist.update(((u, p), r) for u in layer)
+        nxt = []
+        for v in layer:
+            for u in g.neighbors(v):
+                if (u, p) not in dist:
+                    dist[(u, p)] = r
+                    nxt.append(u)
+        layer = nxt
     return dist
+
+
+def _vertex_table(g: WitnessedGraph, v: str) -> dict[tuple[str, int], int]:
+    """parity_distances from v alone, computed once per graph and vertex."""
+    return g.memo(("parity table", v), lambda: parity_distances(g, [v]))
 
 
 def phi_bound(g: WitnessedGraph, a) -> PhiVerdict:
@@ -103,10 +111,10 @@ def phi_holds(g: WitnessedGraph, a, k: int) -> bool:
 
 
 def vertex_odd_girth(g: WitnessedGraph, v: str) -> int | None:
-    """Least odd length of a closed walk at v, or None; one BFS per graph
-    and vertex."""
+    """Least odd length of a closed walk at v, or None; read off v's parity
+    table."""
     g.require_vertices([v])
-    return g.memo(("odd girth", v), lambda: parity_distances(g, [v]).get((v, 1)))
+    return _vertex_table(g, v).get((v, 1))
 
 
 def is_bipartite(g: WitnessedGraph) -> bool:
@@ -183,7 +191,7 @@ def _exact_walk(g: WitnessedGraph, start: str, end: str, length: int) -> Walk | 
     # A walk of exactly r steps leads from z to end iff a walk of length
     # r - 2j does (padding): iff z is within r of end at parity r mod 2,
     # and end has a neighbour to bounce on when r > 0.
-    dist = parity_distances(g, [end], length)
+    dist = _vertex_table(g, end)
     if (dist.get((start, length % 2), length + 1) > length
             or (length and not g.neighbors(end))):
         return None
@@ -191,7 +199,10 @@ def _exact_walk(g: WitnessedGraph, start: str, end: str, length: int) -> Walk | 
     wits = []
     for r in range(length - 1, -1, -1):
         cur = verts[-1]
-        z = next(z for z in g.neighbors(cur) if dist.get((z, r % 2), r + 1) <= r)
+        z = next((z for z in g.neighbors(cur)
+                  if dist.get((z, r % 2), r + 1) <= r), None)
+        if z is None:
+            raise AssertionError("parity table promised a continuation")
         wits.append(g.witnesses_between(cur, z)[0])
         verts.append(z)
     return Walk(tuple(verts), tuple(wits))

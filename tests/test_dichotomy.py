@@ -329,21 +329,20 @@ def test_decide_matches_profile_composition(tmp_path):
 
 
 def test_decide_computes_target_facts_once(monkeypatch):
-    # one parity BFS classifies the target (one component) and one finds the
-    # odd girth at the root; each distinct closed-walk length is searched
-    # once, by a BFS cut at that length
+    # one parity BFS classifies the target (one component) and one, from
+    # the glue vertex, gives both its odd girth and every closed walk there,
+    # whatever the walk lengths
     for g in (cycle_graph(5), petersen_graph()):
-        limits = []
+        calls = []
         monkeypatch.setattr(
             parity, "parity_distances",
-            lambda g, sources, limit=None, f=parity.parity_distances:
-                limits.append(limit) or f(g, sources, limit))
+            lambda g, sources, f=parity.parity_distances:
+                calls.append(sources) or f(g, sources))
         t = decide(g, 8)
         monkeypatch.undo()
-        assert limits.count(None) == 2
-        assert sorted(n for n in limits if n is not None) == sorted(
-            {d + 2 for d in t.prefix})
-        assert len(set(t.prefix)) < len(t.prefix)
+        assert len(calls) == 2
+        assert all(len(sources) == 1 for sources in calls)
+        assert 1 < len(set(t.prefix)) < len(t.prefix)
         assert t == oracles.decide_via_profiles(g, 8)
 
 

@@ -208,13 +208,3 @@ def test_exact_walk_matches_reach_set_oracle():
                     assert exact_walk(g, start, end, length) == want
                     cases += 1
     assert cases > 50000
-
-
-def test_bounded_parity_distances_cut_the_full_table():
-    rng = random.Random(23)
-    for g in _walk_sweep_graphs():
-        sources = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
-        full = parity_distances(g, sources)
-        for limit in range(2 * len(g.vertices) + 2):
-            assert parity_distances(g, sources, limit) == {
-                key: d for key, d in full.items() if d <= limit}
