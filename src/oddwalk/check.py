@@ -374,15 +374,15 @@ def _suite_dichotomy(rng: random.Random, oracle: bool) -> SuiteResult:
                     "decision coloring is not a proper 2-coloring")
             continue
         s.check(not is_bipartite(g), "got a tower for a bipartite graph")
-        s.check(out.depth == 3 and len(out.levels) == 4,
+        s.check(out.depth == 3 and len(out.top.vertex_images)
+                == build_gadget(out.prefix).vertex_count,
                 "tower shape off for the requested depth")
         rep = verify_tower(out, g)
         s.check(rep.ok, f"tower fails verification: {rep.violations[:1]}")
         s.check(all(out.prefix[n] % 2 == 1 and out.prefix[n] >= max(1, 2 * n - 1)
                     for n in range(3)),
                 "join lengths must be odd and meet the schedule")
-        s.check(out.levels[0].vertex_images
-                == (min(nonbipartite_vertices(g)),),
+        s.check(out.top.vertex_images[0] == min(nonbipartite_vertices(g)),
                 "root must pin the least non-bipartite vertex")
         for _ in range(6):
             m = rng.randint(0, out.depth - 1)
@@ -408,11 +408,10 @@ def _suite_dichotomy(rng: random.Random, oracle: bool) -> SuiteResult:
             s.check(False, f"evaluate accepted bad arguments {args}")
         except exc:
             s.check(True, "")
-    top = tower.levels[-1]
+    top = tower.top
     other = "c1" if top.vertex_images[0] == "c0" else "c0"
     bad_top = Hom((other,) + top.vertex_images[1:], top.witness_images)
-    bad = Tower(tower.prefix, tower.levels[:-1] + (bad_top,),
-                tower.schedule_values)
+    bad = Tower(tower.prefix, bad_top, tower.schedule_values)
     s.check(not verify_tower(bad, cycle_graph(5)).ok,
             "verifier accepted a corrupted tower")
     return s.result()

@@ -43,7 +43,7 @@ from .homset import all_homs, is_large, is_tiny
 from .limitgraph import (LcVertex, adjacent, level_quotient, neighbors,
                          odd_sibling_obstruction, project_level,
                          same_component, validate_vertex)
-from .parity import exact_walk, phi_bound, phi_holds
+from .parity import exact_walk_within, phi_bound, phi_holds
 from .render import (JsonText, equivalence_to_json_rows, gadget_to_dot,
                      gadget_to_json_rows, gadget_to_text, gadget_to_tikz,
                      graph_to_dot, graph_to_tikz, homs_to_json_rows,
@@ -146,15 +146,8 @@ def _cmd_phi(args) -> int:
             out["closure"] = list(closure)
             out["coloring"] = col.to_json_dict()
         else:
-            walk = None
-            for u in vset:
-                for v in vset:
-                    walk = exact_walk(g, u, v, verdict.min_odd_length)
-                    if walk is not None:
-                        break
-                if walk is not None:
-                    break
-            out["walk"] = walk.to_json_dict()
+            out["walk"] = exact_walk_within(
+                g, vset, verdict.min_odd_length).to_json_dict()
     _emit(out)
     return 0
 

@@ -7,6 +7,10 @@ schedule, glue two copies of the current pinned homomorphism along a closed
 walk of that length plus two, and pin the result.  Pinning stands in for the
 shrinking-closure step of the infinite construction: in a finite model a
 diameter below one already forces singletons.
+
+Each pinned level is the copy-0 restriction of the next, and copy 0 keeps
+path positions, so a Tower holds only its top: level n is the top's first
+V(n) vertex and E(n) witness images, and every reader takes it from there.
 """
 
 from __future__ import annotations
@@ -16,22 +20,22 @@ from dataclasses import dataclass
 from .errors import InvalidIndex, OutOfTruncation, ParseError
 from .gadget import GadgetVertex, ascii_int, build_gadget, is_natural
 from .graphs import Coloring, WitnessedGraph
-from .homset import (Hom, HomProfile, all_homs, copy_restriction, edge_label,
-                     extend_witness, pin, validate_hom)
+from .homset import (Hom, HomProfile, all_homs, edge_label, extend_witness,
+                     pin, validate_hom)
 from .parity import nonbipartite_vertices, parity_classes
 
 
 @dataclass(frozen=True)
 class Tower:
-    """Coherent pinned homomorphisms, one per gadget level.
+    """Coherent pinned homomorphisms, one per gadget level, held as the top.
 
-    levels[n] is over the gadget with prefix[:n]; its copy restrictions at
-    level n+1 both recover levels[n].  schedule_values records the lower
-    bounds the join lengths had to meet.
+    top is over the gadget with the whole prefix; level n, over prefix[:n],
+    is its first V(n) vertex and E(n) witness images.  schedule_values
+    records the lower bounds the join lengths had to meet.
     """
 
     prefix: tuple[int, ...]
-    levels: tuple[Hom, ...]
+    top: Hom
     schedule_values: tuple[int, ...]
 
     @property
@@ -89,7 +93,6 @@ def decide(g: WitnessedGraph, depth: int, schedule=None):
     phi = Hom((odd[0],), ())
     profile = pin(all_homs(build_gadget(()), g), phi)
     prefix: list[int] = []
-    levels = [phi]
     bounds: list[int] = []
     for n in range(depth):
         bound = schedule(n)
@@ -99,14 +102,13 @@ def decide(g: WitnessedGraph, depth: int, schedule=None):
         prefix.append(d)
         profile = HomProfile.pinned(build_gadget(tuple(prefix)), g, phi)
         bounds.append(bound)
-        levels.append(phi)
-    return Tower(tuple(prefix), tuple(levels), tuple(bounds))
+    return Tower(tuple(prefix), phi, tuple(bounds))
 
 
 def evaluate(t: Tower, m: int, k: int, tbits) -> str:
-    """Finite limit-map evaluation: the pinned image of (k, tbits) at level
-    m + len(tbits).  Coherence makes the value stable under appending bits
-    and raising the level together."""
+    """Finite limit-map evaluation: the top's image of (k, tbits) at level
+    m + len(tbits), where it keeps its position.  Coherence makes the value
+    stable under appending bits and raising the level together."""
     tbits = tuple(tbits)
     if not all(b in (0, 1) for b in tbits):
         raise ParseError(f"tbits must be 0/1, got {tbits!r}")
@@ -125,7 +127,7 @@ def evaluate(t: Tower, m: int, k: int, tbits) -> str:
     if level > t.depth:
         raise OutOfTruncation(f"level {level} beyond tower depth {t.depth}")
     position = build_gadget(t.prefix[:level]).require_vertex(GadgetVertex(k, tbits))
-    return t.levels[level].vertex_images[position]
+    return t.top.vertex_images[position]
 
 
 @dataclass(frozen=True)
@@ -147,65 +149,50 @@ class TowerReport:
 def verify_tower(t: Tower, g: WitnessedGraph) -> TowerReport:
     """Re-check every Tower invariant against the target graph.
 
-    Covers: homomorphism validity per level, odd join lengths meeting the
-    schedule, the largeness precondition (all pinned values avoid
-    2-colorable components), and coherence of consecutive levels: both
-    copy restrictions of level n+1 (copy 0 is its first V(n) vertex and
-    E(n) witness images, copy 1 its last ones reversed) equal level n,
-    vertex images and witness images alike.  Positions and edges are named
-    by closed form, and only to report a fault.
+    Covers: odd join lengths meeting the schedule, the top's shape and
+    homomorphism validity, the largeness precondition (all pinned values
+    avoid 2-colorable components), and copy-1 coherence: level n+1's last
+    V(n) vertex and E(n) witness images, reversed, equal level n.  Each
+    level is a head of the top, so the top's checks cover every level and
+    copy 0 needs none.  Faults are named by closed form.
     """
     checks = 0
     bad: list[str] = []
-    if len(t.levels) != t.depth + 1:
-        bad.append(f"expected {t.depth + 1} levels, got {len(t.levels)}")
-        return TowerReport(1, tuple(bad))
     for n, c in enumerate(t.prefix):
         checks += 1
         if c % 2 == 0 or c < 1:
             bad.append(f"c({n}) = {c} is not odd")
         if n < len(t.schedule_values) and c < t.schedule_values[n]:
             bad.append(f"c({n}) = {c} below schedule bound {t.schedule_values[n]}")
-    gadgets = [build_gadget(t.prefix[:n]) for n in range(t.depth + 1)]
-    shape_ok = True
-    for n, hom in enumerate(t.levels):
-        checks += 1
-        expect = gadgets[n]
-        if (len(hom.vertex_images) != expect.vertex_count
-                or len(hom.witness_images) != expect.edge_count):
-            bad.append(f"level {n}: wrong assignment shape")
-            shape_ok = False
-            continue
-        try:
-            validate_hom(expect, g, hom)
-        except Exception as exc:
-            bad.append(f"level {n}: {exc}")
-    if not shape_ok:
+    gadget = build_gadget(t.prefix)
+    vimgs, wimgs = t.top.vertex_images, t.top.witness_images
+    checks += 1
+    if len(vimgs) != gadget.vertex_count or len(wimgs) != gadget.edge_count:
+        bad.append(f"level {t.depth}: wrong assignment shape")
         return TowerReport(checks, tuple(bad))
-    nb = nonbipartite_vertices(g)
-    for n, hom in enumerate(t.levels):
-        checks += 1
-        outside = sorted(set(hom.vertex_images) - nb)
-        if outside:
-            bad.append(
-                f"level {n}: largeness precondition fails, images "
-                f"{', '.join(map(repr, outside))} lie in 2-colorable components")
-    for n in range(t.depth):
-        small, want = gadgets[n], t.levels[n]
-        for bit in (0, 1):
-            checks += small.vertex_count + small.edge_count
-            got = copy_restriction(gadgets[n + 1], small, t.levels[n + 1], bit)
-            if got == want:
-                continue
-            where = f"coherence broken at level {n + 1}, copy {bit}"
-            for i, (got_v, want_v) in enumerate(zip(got.vertex_images,
-                                                    want.vertex_images)):
-                if got_v != want_v:
-                    bad.append(f"{where}, vertex {small.vertex_at(i).label}: "
-                               f"{got_v!r} vs {want_v!r}")
-            for j, (got_w, want_w) in enumerate(zip(got.witness_images,
-                                                    want.witness_images)):
-                if got_w != want_w:
-                    bad.append(f"{where}, edge {edge_label(small, j)}: "
-                               f"{got_w!r} vs {want_w!r}")
+    try:
+        validate_hom(gadget, g, t.top)
+    except Exception as exc:
+        bad.append(f"level {t.depth}: {exc}")
+    checks += 1
+    outside = sorted(set(vimgs) - nonbipartite_vertices(g))
+    if outside:
+        bad.append(f"level {t.depth}: largeness precondition fails, images "
+                   f"{', '.join(map(repr, outside))} lie in 2-colorable components")
+    for n, (size, end) in enumerate(zip(gadget.sizes, gadget.sizes[1:])):
+        checks += 2 * size - 1
+        copy_v = vimgs[end - 1:end - size - 1:-1]
+        copy_w = wimgs[end - 2:end - size - 1:-1]
+        if copy_v == vimgs[:size] and copy_w == wimgs[:size - 1]:
+            continue
+        small = build_gadget(t.prefix[:n])
+        where = f"coherence broken at level {n + 1}, copy 1"
+        for i, (got, want) in enumerate(zip(copy_v, vimgs)):
+            if got != want:
+                bad.append(f"{where}, vertex {small.vertex_at(i).label}: "
+                           f"{got!r} vs {want!r}")
+        for j, (got, want) in enumerate(zip(copy_w, wimgs)):
+            if got != want:
+                bad.append(f"{where}, edge {edge_label(small, j)}: "
+                           f"{got!r} vs {want!r}")
     return TowerReport(checks, tuple(bad))

@@ -187,6 +187,23 @@ def exact_walk(g: WitnessedGraph, start: str, end: str, length: int) -> Walk | N
                   lambda: _exact_walk(g, start, end, length))
 
 
+def exact_walk_within(g: WitnessedGraph, a, length: int) -> Walk | None:
+    """exact_walk for the first pair (u, v) of the sorted set that has a
+    walk, or None.  Walks reverse, so u's own parity table finds v: only
+    the tables of the starts tried and of the end found are built."""
+    aset = sorted(set(a))
+    g.require_vertices(aset)
+    if not is_natural(length):
+        raise ParseError("walk length must be nonnegative")
+    for u in aset:
+        dist = _vertex_table(g, u)
+        for v in aset:
+            if (dist.get((v, length % 2), length + 1) <= length
+                    and (not length or g.neighbors(v))):
+                return exact_walk(g, u, v, length)
+    return None
+
+
 def _exact_walk(g: WitnessedGraph, start: str, end: str, length: int) -> Walk | None:
     # A walk of exactly r steps leads from z to end iff a walk of length
     # r - 2j does (padding): iff z is within r of end at parity r mod 2,

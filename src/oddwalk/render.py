@@ -223,12 +223,13 @@ def _assignment_rows(labels, order, hom, ids) -> dict:
 def tower_to_json_rows(t: Tower) -> dict:
     """The tower's JSON: its prefix and schedule, and per level the
     vertex and witness assignments (_assignment_rows) written as JsonText
-    rows from the doubling labels (level_labels)."""
-    ids = _encoded_ids(t.levels)
+    rows from the doubling labels (level_labels); level n's row at
+    position p reads top[p]."""
+    ids = _encoded_ids([t.top])
     return {
         "c": list(t.prefix),
-        "levels": [_assignment_rows(labels, _label_order(labels), hom, ids)
-                   for hom, labels in zip(t.levels, level_labels(t.prefix))],
+        "levels": [_assignment_rows(labels, _label_order(labels), t.top, ids)
+                   for labels in level_labels(t.prefix)],
         "schedule": list(t.schedule_values),
     }
 

@@ -20,7 +20,8 @@ validation one vertex and one edge at a time, the un-memoized two-sweep
 propagation, tininess by one odd-walk BFS per gadget position, components
 and component 2-colorings by a BFS of their own, exact-length walks from
 reach sets expanded step by step, the tower driver as a composition of
-profile operations, homomorphism, tower and equivalence-tower JSON with
+profile operations, every tower level read off the top through the
+vertex list, homomorphism, tower and equivalence-tower JSON with
 labels read off built gadgets, the limit-graph component test by a wide
 shift scan, and the equivalence planner and verifier with GadgetVertex
 images appended and compared label by label.
@@ -32,7 +33,7 @@ import itertools
 import math
 from collections import deque
 
-from oddwalk.dichotomy import Tower, unbounded_schedule_default
+from oddwalk.dichotomy import unbounded_schedule_default
 from oddwalk.equiv import (EquivalenceTower, EquivReport, path_exact_walk,
                            path_walk_exists)
 from oddwalk.errors import GapInsufficient, NotHomomorphism, ParseError
@@ -363,7 +364,11 @@ def is_tiny_per_position(homs):
 
 def decide_via_profiles(g, depth: int, schedule=None):
     """dichotomy.decide as the composition it replaces: bipartite_certificate
-    for the branch, then per level extend_witness and pin(double(...))."""
+    for the branch, then per level extend_witness and pin(double(...)).
+
+    Returns the Coloring, or the tower as (prefix, levels, schedule values)
+    with every level built from its own profile: compare a Tower with it
+    through levels_form."""
     if schedule is None:
         schedule = unbounded_schedule_default()
     cert = bipartite_certificate(g)
@@ -380,7 +385,32 @@ def decide_via_profiles(g, depth: int, schedule=None):
         prefix.append(d)
         bounds.append(bound)
         levels.append(phi)
-    return Tower(tuple(prefix), tuple(levels), tuple(bounds))
+    return tuple(prefix), tuple(levels), tuple(bounds)
+
+
+def tower_levels(t) -> tuple:
+    """Each level of the tower as a Hom, read off its top through
+    gadget_vertices_from_root: level n's vertex v sits in the top where v
+    with len(prefix) - n trailing 0 bits does, and its edge a--b takes the
+    witness of the top edge between those two positions."""
+    top = gadget_positions_from_root(t.prefix)
+    levels = []
+    for n in range(len(t.prefix) + 1):
+        zeros = (0,) * (len(t.prefix) - n)
+        pos = [top[GadgetVertex(v.k, v.t + zeros)]
+               for v in gadget_vertices_from_root(t.prefix[:n])]
+        levels.append(Hom(
+            tuple(t.top.vertex_images[i] for i in pos),
+            tuple(t.top.witness_images[min(a, b)] for a, b in zip(pos, pos[1:]))))
+    return tuple(levels)
+
+
+def levels_form(result):
+    """A decide result in decide_via_profiles's form: a Coloring as it is,
+    a Tower as (prefix, tower_levels, schedule values)."""
+    if isinstance(result, Coloring):
+        return result
+    return result.prefix, tower_levels(result), result.schedule_values
 
 
 def hom_json_dict(prefix, hom) -> dict:
@@ -397,11 +427,11 @@ def hom_json_dict(prefix, hom) -> dict:
 
 
 def tower_json_via_gadgets(t) -> dict:
-    """The tower JSON of `oddwalk dichotomy` as a dict, each level by
-    hom_json_dict."""
+    """The tower JSON of `oddwalk dichotomy` as a dict, each level of
+    tower_levels by hom_json_dict."""
     return {"c": list(t.prefix),
             "levels": [hom_json_dict(t.prefix[:n], hom)
-                       for n, hom in enumerate(t.levels)],
+                       for n, hom in enumerate(tower_levels(t))],
             "schedule": list(t.schedule_values)}
 
 

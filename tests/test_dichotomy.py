@@ -67,7 +67,7 @@ def test_decide_five_cycle_depth_one():
     assert isinstance(t, Tower)
     # the 5-cycle's least odd closed walk at c0 has length 5, join length 3
     assert t.prefix == (3,)
-    assert t.levels[0] == Hom(("c0",), ())
+    assert oracles.tower_levels(t)[0] == Hom(("c0",), ())
     assert verify_tower(t, g).ok
 
 
@@ -90,14 +90,15 @@ def test_decide_triangle_default_schedule():
 def test_decide_root_is_least_odd_walk_vertex():
     g = disjoint_union(cycle_graph(4), complete_graph(3))
     t = decide(g, 1)
-    assert t.levels[0] == Hom(("b:k0",), ())
-    assert t.levels[0].vertex_images[0] == min(nonbipartite_vertices(g))
+    root = oracles.tower_levels(t)[0]
+    assert root == Hom(("b:k0",), ())
+    assert root.vertex_images[0] == min(nonbipartite_vertices(g))
 
 
 def test_decide_depth_zero_tower():
     g = complete_graph(3)
     t = decide(g, 0)
-    assert t.prefix == () and len(t.levels) == 1
+    assert t.prefix == () and oracles.tower_levels(t) == (t.top,)
     assert verify_tower(t, g).ok
 
 
@@ -139,12 +140,13 @@ def test_evaluate_root_and_levels():
     g = complete_graph(3)
     t = decide(g, 2, schedule=lambda n: 2 * n + 1)
     assert evaluate(t, 0, 0, ()) == "k0"
+    levels = oracles.tower_levels(t)
     # appending a bit while raising the level never changes the value
     for n in range(t.depth):
         for pos, v in enumerate(oracles.gadget_vertices_from_root(t.prefix[:n])):
             m = n - len(v.t)
             base = evaluate(t, m, v.k, v.t)
-            assert base == t.levels[n].vertex_images[pos]
+            assert base == levels[n].vertex_images[pos]
             for bit in (0, 1):
                 assert evaluate(t, m, v.k, v.t + (bit,)) == base
 
@@ -211,43 +213,61 @@ def test_counts_reject_bools_and_floats(site, value):
 
 
 def test_verify_tower_detects_incoherent_pin():
+    # the triangle's level 1 is k0 k1 k2 k0; swapping k0 and k1 in its copy
+    # 1 (the last position) keeps a homomorphism once the join's last edge
+    # takes the k2-k1 witness, but copy 1 no longer restricts to level 0
     g = complete_graph(3)
-    t = decide(g, 2)
-    # rotate the level-1 images through a symmetry of the triangle: still a
-    # valid homomorphism, but its copies no longer restrict to level 0
-    rot_v = {"k0": "k1", "k1": "k2", "k2": "k0"}
-    rot_w = {"w0": "w2", "w1": "w0", "w2": "w1"}
-    old = t.levels[1]
-    rotated = Hom(tuple(rot_v[v] for v in old.vertex_images),
-                  tuple(rot_w[w] for w in old.witness_images))
-    bad = dataclasses.replace(t, levels=(t.levels[0], rotated, t.levels[2]))
-    report = verify_tower(bad, g)
-    assert not report.ok
-    assert any("coherence broken at level 1" in v for v in report.violations)
+    t = decide(g, 1)
+    assert t.top == Hom(("k0", "k1", "k2", "k0"), ("w0", "w2", "w1"))
+    bad = dataclasses.replace(t, top=Hom(("k0", "k1", "k2", "k1"),
+                                         ("w0", "w2", "w2")))
+    assert verify_tower(t, g) == TowerReport(checks=4, violations=())
+    assert verify_tower(bad, g) == TowerReport(checks=4, violations=(
+        "coherence broken at level 1, copy 1, vertex p0: 'k1' vs 'k0'",))
 
 
 def test_verify_tower_detects_bipartite_target():
-    fake = Tower((), (Hom(("c0",), ()),), ())
-    report = verify_tower(fake, cycle_graph(4))
-    assert not report.ok
-    assert any("largeness precondition fails" in v for v in report.violations)
+    fake = Tower((), Hom(("c0",), ()), ())
+    assert verify_tower(fake, cycle_graph(4)) == TowerReport(checks=2, violations=(
+        "level 0: largeness precondition fails, images 'c0' lie in "
+        "2-colorable components",))
 
 
 def test_verify_tower_detects_schedule_and_shape_problems():
     g = complete_graph(3)
     t = decide(g, 1, schedule=lambda n: 1)
     below = dataclasses.replace(t, schedule_values=(3,))
-    report = verify_tower(below, g)
-    assert any("below schedule bound" in v for v in report.violations)
-
+    assert verify_tower(below, g) == TowerReport(checks=4, violations=(
+        "c(0) = 1 below schedule bound 3",))
+    # an even c(0) = 2 over the same top: the top's shape is that of c = 1
     even = dataclasses.replace(t, prefix=(2,))
-    report = verify_tower(even, g)
-    assert not report.ok
-    assert any("not odd" in v for v in report.violations)
+    assert verify_tower(even, g) == TowerReport(checks=2, violations=(
+        "c(0) = 2 is not odd", "level 1: wrong assignment shape"))
 
-    short = dataclasses.replace(t, levels=t.levels[:1])
-    report = verify_tower(short, g)
-    assert any("expected 2 levels" in v for v in report.violations)
+    # a top one image short, one witness short, or a lower level
+    t = decide(g, 2)
+    top = t.top
+    for bad_top in (Hom(top.vertex_images[:-1], top.witness_images),
+                    Hom(top.vertex_images, top.witness_images[:-1]),
+                    oracles.tower_levels(t)[1]):
+        bad = dataclasses.replace(t, top=bad_top)
+        assert verify_tower(bad, g) == TowerReport(checks=3, violations=(
+            "level 2: wrong assignment shape",))
+
+
+def test_verify_tower_detects_invalid_top():
+    # c2 for c0, the first image of the 5-cycle's top: its first edge's witness
+    # no longer joins its images, and copy 1 no longer restricts to level 0
+    g = cycle_graph(5)
+    t = decide(g, 1)
+    top = t.top
+    assert top.vertex_images[:2] == ("c0", "c1")
+    bad = dataclasses.replace(t, top=Hom(("c2",) + top.vertex_images[1:],
+                                         top.witness_images))
+    assert verify_tower(bad, g) == TowerReport(checks=4, violations=(
+        "level 1: edge p0.0--p0: witness 'w0' joins ('c0', 'c1'), "
+        "images are ('c1', 'c2')",
+        "coherence broken at level 1, copy 1, vertex p0: 'c0' vs 'c2'"))
 
 
 def test_verify_tower_counts_checks():
@@ -311,12 +331,12 @@ def test_decide_matches_profile_composition(tmp_path):
             spec = ",".join(str(rng.randint(0, 7)) for _ in range(depth))
         want = oracles.decide_via_profiles(g, depth, parse_schedule(spec))
         got = decide(g, depth, parse_schedule(spec))
-        assert got == want
+        assert oracles.levels_form(got) == want
         if isinstance(want, Coloring):
             body = {"formatVersion": 1, "coloring": want.to_json_dict()}
         else:
-            assert verify_tower(want, g).ok
-            body = {"formatVersion": 1, "tower": oracles.tower_json_via_gadgets(want),
+            assert verify_tower(got, g).ok
+            body = {"formatVersion": 1, "tower": oracles.tower_json_via_gadgets(got),
                     "verified": True}
         path = tmp_path / f"g{i}.json"
         path.write_text(json.dumps(g.to_json_dict()))
@@ -343,7 +363,7 @@ def test_decide_computes_target_facts_once(monkeypatch):
         assert len(calls) == 2
         assert all(len(sources) == 1 for sources in calls)
         assert 1 < len(set(t.prefix)) < len(t.prefix)
-        assert t == oracles.decide_via_profiles(g, 8)
+        assert oracles.levels_form(t) == oracles.decide_via_profiles(g, 8)
 
 
 def test_decide_sweeps_only_the_root(monkeypatch):
@@ -362,7 +382,7 @@ def test_decide_sweeps_only_the_root(monkeypatch):
         # the root is the full level-0 profile, built normalized, and every
         # later level is pinned: the kernel never runs
         assert calls == []
-        assert got == oracles.decide_via_profiles(g, depth)
+        assert oracles.levels_form(got) == oracles.decide_via_profiles(g, depth)
         assert verify_tower(got, g).ok
 
     # extend_witness still tests both copy restrictions against p's masks:
@@ -389,8 +409,8 @@ def test_decide_materializes_no_gadget():
     c5 = cycle_graph(5)
     want = oracles.decide_via_profiles(c5, 6)
     t = decide(c5, 6)
-    assert t == want
-    assert tower_rows_json(t)["c"] == list(want.prefix)
+    assert oracles.levels_form(t) == want
+    assert tower_rows_json(t)["c"] == list(want[0])
 
 
 def test_verify_tower_materializes_nothing():
@@ -398,33 +418,31 @@ def test_verify_tower_materializes_nothing():
         t = decide(g, depth)
         assert verify_tower(t, g).ok
         # a fault is named by closed form too
-        top = t.levels[-1]
-        moved = Hom(top.vertex_images, top.witness_images[::-1])
-        bad = dataclasses.replace(t, levels=t.levels[:-1] + (moved,))
-        assert not verify_tower(bad, g).ok
+        moved = Hom(t.top.vertex_images, t.top.witness_images[::-1])
+        assert not verify_tower(dataclasses.replace(t, top=moved), g).ok
 
 
 def test_verify_tower_checks_witness_coherence():
-    # a parallel a-b witness: level 2 with w3 for w0 on its first edge is
-    # still a homomorphism, but its copy 0 no longer restricts to level 1
+    # a parallel a-b witness: level 2 with w3 for w0 on its last edge is
+    # still a homomorphism, but its copy 1 no longer restricts to level 1
     g = WitnessedGraph.make("abc", [("a", "b"), ("b", "c"), ("c", "a"), ("a", "b")])
     t = decide(g, 2)
-    top = t.levels[2]
-    assert top.witness_images[0] == "w0"
-    swapped = Hom(top.vertex_images, ("w3",) + top.witness_images[1:])
-    bad = dataclasses.replace(t, levels=t.levels[:2] + (swapped,))
-    assert verify_tower(t, g) == TowerReport(checks=24, violations=())
-    assert verify_tower(bad, g) == TowerReport(checks=24, violations=(
-        "coherence broken at level 2, copy 0, edge p0.0--p0: 'w3' vs 'w0'",))
+    top = t.top
+    assert top.witness_images[-1] == "w0"
+    swapped = Hom(top.vertex_images, top.witness_images[:-1] + ("w3",))
+    bad = dataclasses.replace(t, top=swapped)
+    assert verify_tower(t, g) == TowerReport(checks=12, violations=())
+    assert verify_tower(bad, g) == TowerReport(checks=12, violations=(
+        "coherence broken at level 2, copy 1, edge p0.0--p0: 'w3' vs 'w0'",))
 
 
 def test_tower_labels_by_recurrence_match_gadgets():
     for level in range(6):
         for prefix in itertools.product((1, 3, 5), repeat=level):
-            sizes = [build_gadget(prefix[:n]).vertex_count for n in range(level + 1)]
-            # images name their position, so a label at the wrong place shows
-            levels = tuple(Hom(tuple(f"v{i}" for i in range(size)),
-                               tuple(f"w{j}" for j in range(size - 1)))
-                           for size in sizes)
-            t = Tower(prefix, levels, prefix)
+            size = build_gadget(prefix).vertex_count
+            # images name their top position, so a label at the wrong
+            # place or a level read off the wrong part of the top shows
+            t = Tower(prefix, Hom(tuple(f"v{i}" for i in range(size)),
+                                  tuple(f"w{j}" for j in range(size - 1))),
+                      prefix)
             assert tower_rows_json(t) == oracles.tower_json_via_gadgets(t)

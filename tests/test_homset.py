@@ -245,10 +245,11 @@ def test_layout_slices_match_label_oracles():
     for n in (3, 5, 7):
         g = cycle_graph(n)
         t = decide(g, 5)
+        levels = oracles.tower_levels(t)
         for level in range(5):
             small = build_gadget(t.prefix[:level])
             big = build_gadget(t.prefix[:level + 1])
-            phi0, hom = t.levels[level], t.levels[level + 1]
+            phi0, hom = levels[level], levels[level + 1]
             for bit in (0, 1):
                 assert copy_restriction(big, small, hom, bit) == phi0
                 assert oracles.restriction_images(big, small, hom, bit) == \
@@ -616,7 +617,7 @@ def test_pin_masks_are_arc_consistent():
     for g in (cycle_graph(5), complete_graph(4), disjoint_union(path_graph(3), cycle_graph(7))):
         t = decide(g, 4)
         cases += [(all_homs(build_gadget(t.prefix[:n]), g), hom)
-                  for n, hom in enumerate(t.levels)]
+                  for n, hom in enumerate(oracles.tower_levels(t))]
     for p, hom in cases:
         g = p.target
         pinned = pin(p, hom)

@@ -10,7 +10,8 @@ from oddwalk.generators import (all_graphs_upto, complete_graph, cycle_graph,
                                 random_bipartite_graph, random_graph,
                                 single_edge)
 from oddwalk.graphs import Coloring, Walk, WitnessedGraph
-from oddwalk.parity import (bipartite_certificate, exact_walk, is_bipartite,
+from oddwalk.parity import (bipartite_certificate, exact_walk,
+                            exact_walk_within, is_bipartite,
                             min_odd_closed_walk, no_odd_walk_in,
                             nonbipartite_vertices, parity_classes,
                             parity_distances, phi_bound, phi_holds,
@@ -208,3 +209,50 @@ def test_exact_walk_matches_reach_set_oracle():
                     assert exact_walk(g, start, end, length) == want
                     cases += 1
     assert cases > 50000
+
+
+def _pairwise_exact_walk(g, a, length):
+    """The search exact_walk_within replaces: exact_walk for each pair of
+    the sorted set in turn, every end it tries building a table."""
+    for u in a:
+        for v in a:
+            walk = exact_walk(g, u, v, length)
+            if walk is not None:
+                return walk
+    return None
+
+
+def test_exact_walk_within_builds_start_tables_and_one_end(monkeypatch):
+    calls = []
+    monkeypatch.setattr(parity, "parity_distances",
+                        lambda g, sources, f=parity.parity_distances:
+                            calls.append(tuple(sources)) or f(g, sources))
+    rng = random.Random(23)
+    cases = found = before = after = 0
+    for i in range(200):
+        g = random_graph(rng, rng.randint(1, 8), rng.random() * 0.6, multi=0.3)
+        if i % 2:
+            g = disjoint_union(random_bipartite_graph(rng, rng.randint(1, 5), 0.5), g)
+        a = sorted(rng.sample(g.vertices, rng.randint(1, min(4, len(g.vertices)))))
+        least = phi_bound(g, a).min_odd_length
+        for length in {least or 1, rng.randint(0, 6)}:
+            # each search on a fresh copy, so neither reads the other's tables
+            calls.clear()
+            want = _pairwise_exact_walk(WitnessedGraph.from_json_dict(g.to_json_dict()),
+                                        a, length)
+            before += len(calls)
+            calls.clear()
+            got = exact_walk_within(WitnessedGraph.from_json_dict(g.to_json_dict()),
+                                    a, length)
+            after += len(calls)
+            assert got == want
+            cases += 1
+            if got is None:
+                assert calls == [(u,) for u in a]
+                continue
+            found += 1
+            u, v = got.vertices[0], got.vertices[-1]
+            starts = [(w,) for w in a[:a.index(u) + 1]]
+            assert calls == starts + ([(v,)] if (v,) not in starts else [])
+    assert cases > 300 and found > 150
+    assert after < before
