@@ -1,21 +1,27 @@
 """Command-line surface for the oddwalk toolkit.
 
 Exit codes: 0 success, 1 property failure (failed verification or check
-suite), 2 input error or a closed stdout.  All JSON goes to stdout with
-sorted keys, so a fixed invocation is byte-identical across runs.  It is
-written by _dumps, which equals json.dumps(data, indent=2, sort_keys=True)
-byte for byte but hands each flat container (no container among its
-items) to the standard library's C encoder in one call, which json.dumps
-gives up as soon as it is asked to indent; it recurses into the rest.  The
-big arrays and objects reach it as JsonText rows written from the gadget
-labels at their final indentation: the gadget and quotient arrays of
-`gadget --format json` and `lc --quotient` (render.gadget_to_json_rows,
-render.quotient_to_json_rows), a `dichotomy` tower's assignments
-(render.tower_to_json_rows), an `equiv` tower's maps
-(render.equivalence_to_json_rows) and the homomorphisms of `homset`, its
-`large` witness and every `--enumerate` member (render.homs_to_json_rows,
-one label sort and one id encoding for all of them).  _dumps only places
-them.
+suite), 2 input error or a closed stdout, also one closed mid-stream.
+Every subcommand checks its input and computes its result before it
+writes anything, then writes through _write, which joins the text pieces
+it is given _BATCH at a time and writes each batch to stdout as it comes.
+DOT, TikZ and text are generators of lines (render).  JSON is _emit's
+walk of the output dict (_json), which equals json.dumps(data, indent=2,
+sort_keys=True) byte for byte but hands each flat container (no
+container among its items) to the standard library's C encoder in one
+call, which json.dumps gives up as soon as it is asked to indent; it
+recurses into the rest.  Keys are sorted, so a fixed invocation is
+byte-identical across runs.  Everything that doubles with the gadget
+level is made lazily, so no output is ever held whole: the gadget and
+quotient arrays of `gadget --format json` and `lc --quotient`
+(render.gadget_to_json_rows, render.quotient_to_json_rows), a
+`dichotomy` tower's levels (render.tower_to_json_rows), an `equiv`
+tower's maps (render.equivalence_to_json_rows) and the homomorphisms of
+`homset`, its `large` witness and every `--enumerate` member
+(render.homs_to_json_rows, one label sort and one id encoding for all of
+them).  A generator stands for the array of the values it yields, and a
+render.JsonRows for an array or object whose member texts it makes at
+their final indentation, one at a time; _json joins them _BATCH at a time.
 
 main builds a parser once per process and per subcommand: every
 subcommand is listed, but only the one named in argv gets its arguments.
@@ -30,8 +36,9 @@ import functools
 import json
 import os
 import sys
-from itertools import repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
+from types import GeneratorType
 
 from .coloring import bipartite_superset_coloring
 from .dichotomy import decide, parse_schedule, verify_tower
@@ -44,7 +51,7 @@ from .limitgraph import (LcVertex, adjacent, level_quotient, neighbors,
                          odd_sibling_obstruction, project_level,
                          same_component, validate_vertex)
 from .parity import exact_walk_within, phi_bound, phi_holds
-from .render import (JsonText, equivalence_to_json_rows, gadget_to_dot,
+from .render import (JsonRows, equivalence_to_json_rows, gadget_to_dot,
                      gadget_to_json_rows, gadget_to_text, gadget_to_tikz,
                      graph_to_dot, graph_to_tikz, homs_to_json_rows,
                      quotient_to_json_rows, tower_to_json_rows)
@@ -65,7 +72,19 @@ def _load_graph(path: str) -> WitnessedGraph:
     return WitnessedGraph.from_text(_read_text(path))
 
 
-_CONTAINERS = (dict, list, tuple, JsonText)
+# a streamed array (a generator of values) or object (JsonRows) counts as
+# a container, so that no flat container holds one
+_CONTAINERS = (dict, list, tuple, JsonRows, GeneratorType)
+
+# rows joined into one piece, and pieces joined into one write, so a write
+# holds at most _BATCH ** 2 rows
+_BATCH = 64
+
+
+def _batches(items):
+    """The items in lists of _BATCH, the last one shorter."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, _BATCH)), [])
 
 
 @functools.lru_cache(maxsize=None)
@@ -82,31 +101,53 @@ def _is_flat(data) -> bool:
     return not any(map(issubclass, set(map(type, items)), repeat(_CONTAINERS)))
 
 
-def _dumps(data, indent: str = "\n") -> str:
-    """json.dumps(data, indent=2, sort_keys=True), byte for byte, where a
-    JsonText stands for the value it writes.
+def _json(data, indent: str = "\n"):
+    """The text of json.dumps(data, indent=2, sort_keys=True), byte for
+    byte, in pieces made as they are asked for; a generator stands for the
+    array of the values it yields and a JsonRows for the array or object of
+    its rows.
 
     indent is a newline plus the indentation of the line data starts on.
     """
-    if isinstance(data, JsonText):
-        return data.write(indent)
-    if not isinstance(data, _CONTAINERS) or not data:
-        return _encoder(",")(data)
     inner = indent + "  "
+    if isinstance(data, JsonRows):
+        head, sep = data.opening + inner, "," + inner
+        for batch in _batches(data.rows(inner)):
+            yield head + sep.join(batch)
+            head = sep
+        yield indent + data.closing if head == sep else data.opening + data.closing
+        return
+    if not isinstance(data, _CONTAINERS) or not data:   # a generator is true
+        yield _encoder(",")(data)
+        return
     opening, closing = ("{", "}") if isinstance(data, dict) else ("[", "]")
-    if _is_flat(data):
-        body = _encoder("," + inner)(data)[1:-1]
-    elif isinstance(data, dict):
-        body = ("," + inner).join(
-            _encoder(",")(k if isinstance(k, str) else _encoder(",")(k))
-            + ": " + _dumps(data[k], inner) for k in sorted(data))
+    if not isinstance(data, GeneratorType) and _is_flat(data):
+        yield opening + inner + _encoder("," + inner)(data)[1:-1] + indent + closing
+        return
+    if isinstance(data, dict):
+        members = ((_encoder(",")(k if isinstance(k, str) else _encoder(",")(k))
+                    + ": ", data[k]) for k in sorted(data))
     else:
-        body = ("," + inner).join(_dumps(v, inner) for v in data)
-    return opening + inner + body + indent + closing
+        members = zip(repeat(""), data)
+    head, sep = opening + inner, "," + inner
+    for key, value in members:
+        yield head + key
+        yield from _json(value, inner)
+        head = sep
+    # only a generator can have yielded nothing
+    yield indent + closing if head == sep else opening + closing
+
+
+def _write(pieces) -> None:
+    """Write the text pieces to stdout as they come, _BATCH joined at a
+    time."""
+    write = sys.stdout.write
+    for batch in _batches(pieces):
+        write("".join(batch))
 
 
 def _emit(data: dict) -> None:
-    print(_dumps(data))
+    _write(chain(_json(data), ("\n",)))
 
 
 def _int_arg(text: str) -> int:
@@ -122,12 +163,9 @@ def _cmd_gadget(args) -> int:
     g = build_gadget(parse_prefix(args.c))
     if args.format == "json":
         _emit({"formatVersion": 1, **gadget_to_json_rows(g)})
-    elif args.format == "dot":
-        sys.stdout.write(gadget_to_dot(g))
-    elif args.format == "tikz":
-        sys.stdout.write(gadget_to_tikz(g))
     else:
-        sys.stdout.write(gadget_to_text(g))
+        _write({"dot": gadget_to_dot, "tikz": gadget_to_tikz,
+                "text": gadget_to_text}[args.format](g))
     return 0
 
 
@@ -155,6 +193,10 @@ def _cmd_phi(args) -> int:
 def _cmd_homset(args) -> int:
     gadget = build_gadget(parse_prefix(args.c))
     g = _load_graph(args.graph)
+    # a bad --project label fails before the profile is paid for
+    projected = list(map(GadgetVertex.from_label, args.project or ()))
+    for v in projected:
+        gadget.require_vertex(v)
     p = all_homs(gadget, g)
     tiny = is_tiny(p)
     large = is_large(p)
@@ -166,18 +208,14 @@ def _cmd_homset(args) -> int:
                  "vertex": tiny.vertex.label if tiny.vertex else None},
     }
     if args.project:
-        projections = {}
-        for label in args.project:
-            v = GadgetVertex.from_label(label)
-            projections[v.label] = list(p.project(v))
-        out["projections"] = projections
+        out["projections"] = {v.label: list(p.project(v)) for v in projected}
     homs = [large.witness] if large.witness else []
     if args.enumerate is not None:
         explicit, out["total"] = p.enumerate_homs(args.enumerate)
         homs += explicit.homs
     rows = homs_to_json_rows(gadget, homs)
     out["large"] = {"holds": large.large,
-                    "witness": rows.pop(0) if large.witness else None}
+                    "witness": next(rows) if large.witness else None}
     if args.enumerate is not None:
         out["enumerated"] = rows
     _emit(out)
@@ -271,10 +309,7 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_render(args) -> int:
     g = _load_graph(args.graph)
-    if args.format == "dot":
-        sys.stdout.write(graph_to_dot(g))
-    else:
-        sys.stdout.write(graph_to_tikz(g))
+    _write((graph_to_dot if args.format == "dot" else graph_to_tikz)(g))
     return 0
 
 

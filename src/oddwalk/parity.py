@@ -15,8 +15,9 @@ brute-force walk enumeration rather than assuming it.
 A graph is immutable, so the facts of one graph are computed once and kept
 on it (WitnessedGraph.memo): parity_classes, nonbipartite_vertices, the
 parity table of each vertex asked about (vertex_odd_girth reads it at its
-vertex, exact_walk at its end) and each exact_walk.  A tower on a connected
-target thus runs two parity BFS in all, whatever its depth.
+vertex, exact_walk at its end), each phi_bound verdict and each exact_walk.
+A tower on a connected target thus runs two parity BFS in all, whatever its
+depth.
 """
 
 from __future__ import annotations
@@ -85,9 +86,14 @@ def _vertex_table(g: WitnessedGraph, v: str) -> dict[tuple[str, int], int]:
 
 
 def phi_bound(g: WitnessedGraph, a) -> PhiVerdict:
-    """Least odd length of a walk with both endpoints in the set, if any."""
-    aset = sorted(set(a))
+    """Least odd length of a walk with both endpoints in the set, if any;
+    found once per graph and set."""
+    aset = tuple(sorted(set(a)))
     g.require_vertices(aset)
+    return g.memo(("phi", aset), lambda: _phi_bound(g, aset))
+
+
+def _phi_bound(g: WitnessedGraph, aset: tuple) -> PhiVerdict:
     if not aset:
         return PhiVerdict(None)
     dist = parity_distances(g, aset)

@@ -11,26 +11,31 @@ single edge yields larger counts (38 instead of 30 vertices for the prefix
 drawings from elsewhere.  The edge-based count E(n) follows the same
 recursion from E(0) = 2, so E(n) = V(n) + 2^n.
 
+Every emitter is lazy: the DOT, TikZ and text renderers are generators of
+lines, and the JSON row writers give JsonRows, whose rows are made one at
+a time as cli._emit writes them.  No output is held whole.
+
 The gadget renderings and the JSON row writers read only the gadget's
 labels, which come from the doubling recurrence (gadget.level_labels), and
 build no vertex list: a label p<k>.<t> spells out the join index k and the
 copy history t, so the birth level is the gadget level less len(t).
-The row writers return JsonText values, one f-string per row, which
-cli._dumps places at their final indentation with no pass over the text:
+Each row is one f-string at its final indentation:
 gadget_to_json_rows and quotient_to_json_rows write the gadget and quotient
 arrays, tower_to_json_rows each tower level's vertex and witness
 assignments, homs_to_json_rows the vertex and witness assignments of
 homomorphisms over one gadget (sorting its labels once for all of them),
-and equivalence_to_json_rows each equivalence map.
+and equivalence_to_json_rows each equivalence map; tower levels, the
+homomorphisms and equivalence maps come from generators too.
 These writers are the only JSON form of a gadget, quotient, tower,
 homomorphism or equivalence tower in the package.  The dicts each is
 checked against are in the test oracles, built from a vertex list of
-their own.
+their own.  The writers do no validation, so nothing they are given can
+fail once output has begun.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 from .dichotomy import Tower
@@ -47,50 +52,45 @@ def _prefix_text(prefix) -> str:
     return ",".join(map(str, prefix)) if prefix else "(empty)"
 
 
-def _gadget_header(g: PathGadget, comment: str) -> list[str]:
-    return [
+def _gadget_header(g: PathGadget, comment: str) -> tuple[str, str]:
+    return (
         f"{comment} path gadget for c={_prefix_text(g.prefix)}: "
-        f"{g.vertex_count} vertices, {g.edge_count} edges",
+        f"{g.vertex_count} vertices, {g.edge_count} edges\n",
         f"{comment} size note: recursion based at a single vertex; an "
         f"edge-based variant yields {g.vertex_count + 2 ** g.level} vertices "
-        f"for this prefix",
-    ]
+        f"for this prefix\n",
+    )
 
 
-def _birth_levels(g: PathGadget) -> list[int]:
+def _birth_levels(g: PathGadget):
     """Each vertex's birth level, in path order, read from its label."""
     n = g.level
-    return [n - len(label.partition(".")[2]) for label in g.labels]
+    return (n - len(label.partition(".")[2]) for label in g.labels)
 
 
-def gadget_to_dot(g: PathGadget) -> str:
-    lines = _gadget_header(g, "//")
-    lines += ["graph gadget {", "  rankdir=LR;",
-              '  node [style=filled, fontcolor=white];']
+def gadget_to_dot(g: PathGadget):
+    yield from _gadget_header(g, "//")
+    yield "graph gadget {\n  rankdir=LR;\n  node [style=filled, fontcolor=white];\n"
     for i, (m, label) in enumerate(zip(_birth_levels(g), g.labels)):
         color = PALETTE[m % len(PALETTE)]
-        lines.append(f'  n{i} [label="{label}", fillcolor="{color}"];')
+        yield f'  n{i} [label="{label}", fillcolor="{color}"];\n'
     for i in range(g.edge_count):
-        lines.append(f"  n{i} -- n{i + 1};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  n{i} -- n{i + 1};\n"
+    yield "}\n"
 
 
-def gadget_to_tikz(g: PathGadget) -> str:
-    lines = _gadget_header(g, "%")
-    births = _birth_levels(g)
-    for m in sorted(set(births)):
+def gadget_to_tikz(g: PathGadget):
+    yield from _gadget_header(g, "%")
+    for m in sorted(set(_birth_levels(g))):
         color = PALETTE[m % len(PALETTE)].lstrip("#").upper()
-        lines.append(f"\\definecolor{{lvl{m}}}{{HTML}}{{{color}}}")
-    lines.append("\\begin{tikzpicture}[x=0.9cm]")
-    for i, (m, label) in enumerate(zip(births, g.labels)):
-        lines.append(
-            f"  \\node[circle, draw, fill=lvl{m}, text=white, "
-            f"inner sep=1pt, font=\\tiny] (n{i}) at ({i}, 0) {{{label}}};")
+        yield f"\\definecolor{{lvl{m}}}{{HTML}}{{{color}}}\n"
+    yield "\\begin{tikzpicture}[x=0.9cm]\n"
+    for i, (m, label) in enumerate(zip(_birth_levels(g), g.labels)):
+        yield (f"  \\node[circle, draw, fill=lvl{m}, text=white, "
+               f"inner sep=1pt, font=\\tiny] (n{i}) at ({i}, 0) {{{label}}};\n")
     for i in range(g.edge_count):
-        lines.append(f"  \\draw (n{i}) -- (n{i + 1});")
-    lines.append("\\end{tikzpicture}")
-    return "\n".join(lines) + "\n"
+        yield f"  \\draw (n{i}) -- (n{i + 1});\n"
+    yield "\\end{tikzpicture}\n"
 
 
 def _gadget_json_scalars(g: PathGadget) -> dict:
@@ -104,31 +104,22 @@ def _gadget_json_scalars(g: PathGadget) -> dict:
     }
 
 
-class JsonText:
-    """A JSON value that writes its own text: write(indent) returns what
-    json.dumps(value, indent=2, sort_keys=True) writes for the value where
-    it starts on a line indented by `indent` (a newline and the line's
-    spaces).  Rows are made at their final indentation, and cli._dumps
-    only calls write in the value's place.
+class JsonRows:
+    """A JSON array or object given by the text of its members:
+    rows(inner) yields each member's text as json.dumps(value, indent=2,
+    sort_keys=True) writes it where the member starts on a line indented by
+    `inner` (a newline and the line's spaces); cli._emit writes the
+    brackets and separators around them.
 
-    A plain class and not a str, so that the standard library's encoder
-    raises TypeError on one that reaches it instead of quoting it.
+    A plain class and not a str or a generator, so that the standard
+    library's encoder raises TypeError on one that reaches it instead of
+    quoting it.
     """
 
-    __slots__ = ("write",)
+    __slots__ = ("opening", "closing", "rows")
 
-    def __init__(self, write):
-        self.write = write
-
-
-def _rows(opening: str, closing: str, rows) -> JsonText:
-    """A JSON array or object whose element rows are rows(inner): the list
-    of element texts, each starting on a line indented by inner."""
-    def write(indent: str) -> str:
-        inner = indent + "  "
-        body = ("," + inner).join(rows(inner))
-        return opening + inner + body + indent + closing if body else opening + closing
-    return JsonText(write)
+    def __init__(self, opening: str, closing: str, rows):
+        self.opening, self.closing, self.rows = opening, closing, rows
 
 
 # The row writers below put labels into JSON strings unescaped: a label is
@@ -138,50 +129,47 @@ def _rows(opening: str, closing: str, rows) -> JsonText:
 
 def gadget_to_json_rows(g: PathGadget) -> dict:
     """The gadget's JSON: its scalars, with the vertices and edges written
-    as JsonText rows from the labels."""
+    as JsonRows from the labels."""
     labels = g.labels
     n = g.level
 
-    def vertices(i: str) -> list[str]:
+    def vertices(i: str):
         j = i + "  "
-        rows = []
         for label in labels:
             head, _, t = label.partition(".")
-            rows.append(f'{{{j}"birthLevel": {n - len(t)},{j}"k": {head[1:]},'
-                        f'{j}"label": "{label}",{j}"t": "{t}"{i}}}')
-        return rows
+            yield (f'{{{j}"birthLevel": {n - len(t)},{j}"k": {head[1:]},'
+                   f'{j}"label": "{label}",{j}"t": "{t}"{i}}}')
 
-    def edges(i: str) -> list[str]:
+    def edges(i: str):
         j = i + "  "
-        return [f'[{j}"{a}",{j}"{b}"{i}]' for a, b in zip(labels, labels[1:])]
+        return (f'[{j}"{a}",{j}"{b}"{i}]'
+                for a, b in zip(labels, islice(labels, 1, None)))
 
-    return {**_gadget_json_scalars(g), "vertices": _rows("[", "]", vertices),
-            "edges": _rows("[", "]", edges)}
+    return {**_gadget_json_scalars(g), "vertices": JsonRows("[", "]", vertices),
+            "edges": JsonRows("[", "]", edges)}
 
 
 def quotient_to_json_rows(q: LevelQuotient) -> dict:
-    """The quotient's JSON, with the classes and edges written as JsonText
-    rows from the gadget's labels: class (m, k, t) is the label p<k>.<t>
-    with m its birth level."""
+    """The quotient's JSON, with the classes and edges written as JsonRows
+    from the gadget's labels: class (m, k, t) is the label p<k>.<t> with m
+    its birth level."""
     g = q.gadget
     labels = g.labels
     n = g.level
 
-    def classes(i: str) -> list[str]:
+    def classes(i: str):
         j = i + "  "
-        rows = []
         for label in labels:
             head, _, t = label.partition(".")
-            rows.append(f'{{{j}"bits": "{t}",{j}"k": {head[1:]},'
-                        f'{j}"m": {n - len(t)}{i}}}')
-        return rows
+            yield (f'{{{j}"bits": "{t}",{j}"k": {head[1:]},'
+                   f'{j}"m": {n - len(t)}{i}}}')
 
-    def edges(i: str) -> list[str]:
+    def edges(i: str):
         j = i + "  "
-        return [f"[{j}{k},{j}{k + 1}{i}]" for k in range(g.edge_count)]
+        return (f"[{j}{k},{j}{k + 1}{i}]" for k in range(g.edge_count))
 
-    return {"c": list(q.prefix), "classes": _rows("[", "]", classes),
-            "edges": _rows("[", "]", edges)}
+    return {"c": list(q.prefix), "classes": JsonRows("[", "]", classes),
+            "edges": JsonRows("[", "]", edges)}
 
 
 def _encoded_ids(homs) -> dict:
@@ -208,54 +196,54 @@ def _label_order(labels) -> tuple[list[int], list[int]]:
 def _assignment_rows(labels, order, hom, ids) -> dict:
     """A homomorphism's vertexAssignments (label to vertex id) and
     witnessAssignments (edge label a--b to witness id), both written as
-    JsonText rows in the label order of _label_order; labels are the
-    gadget's in path order and ids maps each graph id to its JSON
-    string."""
+    JsonRows in the label order of _label_order; labels are the gadget's
+    in path order and ids maps each graph id to its JSON string."""
     positions, edges = order
     vimgs, wimgs = hom.vertex_images, hom.witness_images
-    vertex_rows = [f'"{labels[p]}": {ids[vimgs[p]]}' for p in positions]
-    witness_rows = [f'"{labels[j]}--{labels[j + 1]}": {ids[wimgs[j]]}'
-                    for j in edges]
-    return {"vertexAssignments": _rows("{", "}", lambda i: vertex_rows),
-            "witnessAssignments": _rows("{", "}", lambda i: witness_rows)}
+    return {
+        "vertexAssignments": JsonRows("{", "}", lambda i: (
+            f'"{labels[p]}": {ids[vimgs[p]]}' for p in positions)),
+        "witnessAssignments": JsonRows("{", "}", lambda i: (
+            f'"{labels[j]}--{labels[j + 1]}": {ids[wimgs[j]]}' for j in edges)),
+    }
 
 
 def tower_to_json_rows(t: Tower) -> dict:
     """The tower's JSON: its prefix and schedule, and per level the
-    vertex and witness assignments (_assignment_rows) written as JsonText
-    rows from the doubling labels (level_labels); level n's row at
-    position p reads top[p]."""
+    vertex and witness assignments (_assignment_rows) written as JsonRows
+    from the doubling labels (level_labels), one level at a time; level n's
+    row at position p reads top[p]."""
     ids = _encoded_ids([t.top])
     return {
         "c": list(t.prefix),
-        "levels": [_assignment_rows(labels, _label_order(labels), t.top, ids)
-                   for labels in level_labels(t.prefix)],
+        "levels": (_assignment_rows(labels, _label_order(labels), t.top, ids)
+                   for labels in level_labels(t.prefix)),
         "schedule": list(t.schedule_values),
     }
 
 
-def homs_to_json_rows(g: PathGadget, homs) -> list[dict]:
+def homs_to_json_rows(g: PathGadget, homs):
     """The vertex and witness assignments (_assignment_rows) of each hom
-    over the gadget g, as JsonText rows: the labels are sorted once and
+    over the gadget g, one hom at a time: the labels are sorted once and
     each graph id is encoded once for all of the homs."""
     labels = g.labels
     order = _label_order(labels)
     ids = _encoded_ids(homs)
-    return [_assignment_rows(labels, order, hom, ids) for hom in homs]
+    return (_assignment_rows(labels, order, hom, ids) for hom in homs)
 
 
-def _map_rows(labels, targets, images) -> JsonText:
-    """One equivalence map as JsonText rows: each source label to the
-    label of its target image, both unescaped."""
+def _map_rows(labels, targets, images) -> JsonRows:
+    """One equivalence map as JsonRows: each source label to the label of
+    its target image, both unescaped."""
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    rows = [f'"{labels[p]}": "{targets[images[p]]}"' for p in order]
-    return _rows("{", "}", lambda i: rows)
+    return JsonRows("{", "}", lambda i: (
+        f'"{labels[p]}": "{targets[images[p]]}"' for p in order))
 
 
 def equivalence_to_json_rows(t: EquivalenceTower) -> dict:
     """The equivalence tower's JSON: prefixes, level map, suffixes as bit
-    strings and join walks, with each map written as JsonText rows
-    (_map_rows) from the doubling labels of both prefixes."""
+    strings and join walks, with each map written as JsonRows (_map_rows)
+    from the doubling labels of both prefixes, one map at a time."""
     targets = list(level_labels(t.target_prefix[:t.level_map[-1]]))
     return {
         "c": list(t.source_prefix),
@@ -263,16 +251,18 @@ def equivalence_to_json_rows(t: EquivalenceTower) -> dict:
         "levelMap": list(t.level_map),
         "suffixes": [["".join(map(str, s)) for s in pair] for pair in t.suffixes],
         "joinWalks": [list(w) for w in t.join_walks],
-        "maps": [_map_rows(labels, targets[m], images) for labels, m, images
+        "maps": (_map_rows(labels, targets[m], images) for labels, m, images
                  in zip(level_labels(t.source_prefix[:t.depth]), t.level_map,
-                        t.maps)],
+                        t.maps)),
     }
 
 
-def gadget_to_text(g: PathGadget) -> str:
-    lines = _gadget_header(g, "#")
-    lines.append(" -- ".join(g.labels))
-    return "\n".join(lines) + "\n"
+def gadget_to_text(g: PathGadget):
+    yield from _gadget_header(g, "#")
+    labels = iter(g.labels)
+    yield next(labels)
+    yield from map(" -- ".__add__, labels)
+    yield "\n"
 
 
 def _dot_quote(text: str) -> str:
@@ -280,17 +270,15 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def graph_to_dot(g: WitnessedGraph) -> str:
-    lines = [f"// witnessed graph: {len(g.vertices)} vertices, "
-             f"{len(g.witnesses)} witnesses",
-             "graph g {"]
+def graph_to_dot(g: WitnessedGraph):
+    yield (f"// witnessed graph: {len(g.vertices)} vertices, "
+           f"{len(g.witnesses)} witnesses\ngraph g {{\n")
     for v in g.vertices:
-        lines.append(f"  {_dot_quote(v)};")
+        yield f"  {_dot_quote(v)};\n"
     for w in g.witnesses:
         u, v = g.ends[w]
-        lines.append(f"  {_dot_quote(u)} -- {_dot_quote(v)} [label={_dot_quote(w)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  {_dot_quote(u)} -- {_dot_quote(v)} [label={_dot_quote(w)}];\n"
+    yield "}\n"
 
 
 # LaTeX's special characters, each written as text; one pass, so the
@@ -301,19 +289,14 @@ _TEX_ESCAPES = str.maketrans({
     "~": r"\~{}"})
 
 
-def graph_to_tikz(g: WitnessedGraph) -> str:
-    lines = [f"% witnessed graph: {len(g.vertices)} vertices, "
-             f"{len(g.witnesses)} witnesses",
-             "\\begin{tikzpicture}[x=1.2cm]"]
+def graph_to_tikz(g: WitnessedGraph):
+    yield (f"% witnessed graph: {len(g.vertices)} vertices, "
+           f"{len(g.witnesses)} witnesses\n\\begin{{tikzpicture}}[x=1.2cm]\n")
     for i, v in enumerate(g.vertices):
-        lines.append(
-            f"  \\node[circle, draw, inner sep=1pt, font=\\small] "
-            f"(v{i}) at ({i}, 0) {{{v.translate(_TEX_ESCAPES)}}};")
+        yield (f"  \\node[circle, draw, inner sep=1pt, font=\\small] "
+               f"(v{i}) at ({i}, 0) {{{v.translate(_TEX_ESCAPES)}}};\n")
     index = {v: i for i, v in enumerate(g.vertices)}
     for w in g.witnesses:
         u, v = g.ends[w]
-        lines.append(
-            f"  \\draw (v{index[u]}) to[bend left] (v{index[v]});")
-    lines.append("\\end{tikzpicture}")
-    return "\n".join(lines) + "\n"
-
+        yield f"  \\draw (v{index[u]}) to[bend left] (v{index[v]});\n"
+    yield "\\end{tikzpicture}\n"

@@ -23,7 +23,7 @@ from oddwalk.graphs import WitnessedGraph
 from oddwalk.homset import all_homs, is_large
 from oddwalk.limitgraph import level_quotient
 from oddwalk.parity import phi_bound
-from oddwalk.render import PALETTE, JsonText
+from oddwalk.render import PALETTE, JsonRows
 
 
 def run_cli(*args, stdin_text=None, env_extra=None):
@@ -263,6 +263,31 @@ def test_loose_labels_exit_2(tmp_path):
         assert code == 2 and out == "" and "expected an integer" in err, args
 
 
+def test_input_errors_write_nothing_to_stdout(tmp_path):
+    # output is written as it is made, so every input is checked first:
+    # these fail only once the command has begun to compute
+    k3 = write_graph(tmp_path, complete_graph(3))
+    c5 = write_graph(tmp_path, cycle_graph(5), "c5.json")
+    for args in (["homset", "--graph", k3, "--c", "1", "--project", "p0.2"],
+                 ["homset", "--graph", k3, "--c", "1", "--project", "p5"],
+                 # labels are read before the profile, whose largeness
+                 # test on C5 at level 14 would overflow the stack
+                 ["homset", "--graph", c5, "--c", ",".join("1" * 14),
+                  "--project", "p0.2"],
+                 ["homset", "--graph", k3, "--c", "1", "--enumerate", "-1"],
+                 ["dichotomy", "--graph", k3, "--schedule", "1", "--depth", "3"],
+                 ["equiv", "--c", "2", "--d", "1", "--depth", "1"],
+                 ["equiv", "--c", "1", "--d", "1", "--depth", "5"],
+                 ["lc", "--c", "1,3", "--sibling", "0:2"],
+                 ["lc", "--c", "1,3", "--project", "0:0::0", "--level", "5"],
+                 ["phi", "--graph", k3, "--set", "k0", "--k", "-1"],
+                 ["phi", "--graph", k3, "--set", "k0", "q", "--certificate"],
+                 ["check", "--only", "bogus"]):
+        code, out, err = run_main(*args)
+        assert (code, out) == (2, ""), args
+        assert err.startswith("error:") and err.count("\n") == 1, (args, err)
+
+
 def test_lc_level_needs_project():
     for args in (["--quotient", "--level", "99"],
                  ["--neighbors", "0:0::0", "--level", "-5"]):
@@ -420,19 +445,36 @@ def test_emit_matches_json_dumps(tmp_path, monkeypatch):
              # json.dumps sorts other key types first and then writes them
              # as strings
              {2: [1], 10: {}}, {True: [1], False: []}, {None: [[]]},
-             {1.5: [{}], -0.5: [1]}]
+             {1.5: [{}], -0.5: [1]},
+             # more members than cli._BATCH, so rows and pieces span batches
+             list(range(150)), [[i] for i in range(150)],
+             {str(i): {"i": i} for i in range(150)}]
     trees += [_random_tree(rng, rng.randint(1, 4)) for _ in range(500)]
     for tree in trees:
         want = json.dumps(tree, indent=2, sort_keys=True)
-        assert cli._dumps(tree) == want, tree
-        # a JsonText stands for the value it writes at the indent it is
-        # given, at any depth
-        text = JsonText(lambda indent, want=want: want.replace("\n", indent))
-        assert cli._dumps(text) == want
-        assert cli._dumps([{"a": text}, text]) == json.dumps(
-            [{"a": tree}, tree], indent=2, sort_keys=True)
+        assert "".join(cli._json(tree)) == want, tree
+        # a generator stands for the array of the values it yields, and a
+        # JsonRows for the array or object of the member texts it makes at
+        # the indent it is given, at any depth
+        if isinstance(tree, dict) and not all(isinstance(k, str) for k in tree):
+            continue
+        if isinstance(tree, dict):
+            rows = JsonRows("{", "}", lambda inner, tree=tree: (
+                json.dumps(k) + ": " + json.dumps(
+                    tree[k], indent=2, sort_keys=True).replace("\n", inner)
+                for k in sorted(tree)))
+        elif isinstance(tree, (list, tuple)):
+            assert "".join(cli._json(v for v in tree)) == want, tree
+            rows = JsonRows("[", "]", lambda inner, tree=tree: (
+                json.dumps(v, indent=2, sort_keys=True).replace("\n", inner)
+                for v in tree))
+        else:
+            continue
+        assert "".join(cli._json(rows)) == want, tree
+        assert "".join(cli._json([{"a": rows}, (x for x in [rows, rows])])) == json.dumps(
+            [{"a": tree}, [tree, tree]], indent=2, sort_keys=True)
     with pytest.raises(TypeError):
-        json.dumps({"a": JsonText(lambda indent: "1")})
+        json.dumps({"a": JsonRows("[", "]", lambda inner: ["1"])})
 
     tri = tmp_path / "tri.txt"
     tri.write_text("a b\nb c\nc a\nc d\n")
@@ -469,7 +511,7 @@ def test_emit_matches_json_dumps(tmp_path, monkeypatch):
 
 
 def _json_reference(argv, emitted):
-    """json.dumps of what a command emits, with its JsonText rows replaced
+    """json.dumps of what a command emits, with its JsonRows replaced
     by the dicts tests/oracles.py builds from its own vertex list: for
     `gadget` and `lc --quotient` gadget_json_dict and quotient_json_dict,
     for the tower of `dichotomy` tower_json_via_gadgets, for that of a
@@ -549,12 +591,13 @@ def test_tower_and_equivalence_json_rows_match_dict_builders(tmp_path, monkeypat
     runs += [["equiv", "--c", c, "--d", d, "--depth", depth] for c, d, depth in (
         ("3,5", "1,3,5,7", "0"), ("3,5", "1,3,5,7", "2"), ("1,1", "1,1,1", "2"),
         ("3,11", "1,13,3,11,5", "2"), ("1", "9", "1"))]
+    outputs = []
     for argv in runs:
         code, out, err = run_main(*argv)
         assert code == 0 and err == "", argv
         assert out == _json_reference(argv, emitted[-1]), argv
-    towers = [json.loads(cli._dumps(data["tower"])) for data in emitted
-              if "tower" in data]
+        outputs.append(json.loads(out))
+    towers = [o["tower"] for o in outputs if "tower" in o]
     levels = [level for t in towers if "levels" in t for level in t["levels"]]
     assert len(levels) > 60
     assert [{"vertexAssignments": {"p0": 'a"b'}, "witnessAssignments": {}}] in [
@@ -581,11 +624,12 @@ def test_homset_json_rows_match_dict_builders(tmp_path, monkeypatch):
              ["homset", "--graph", k4, "--c", "1,3,1", "--enumerate", "2"],
              # join indices of 10 and more, so that p1 and p10 both occur
              ["homset", "--graph", k4, "--c", "1,11", "--enumerate", "2"]]
+    outputs = []
     for argv in runs:
         code, out, err = run_main(*argv)
         assert code == 0 and err == "", argv
         assert out == _json_reference(argv, emitted[-1]), argv
-    outputs = [json.loads(cli._dumps(data)) for data in emitted]
+        outputs.append(json.loads(out))
     assert [o["large"]["witness"] is None for o in outputs] == [
         False] * 5 + [True, True] + [False] * 2
     assert outputs[0]["enumerated"][0] == {
@@ -647,6 +691,52 @@ def test_closed_stdout_is_one_error_line():
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:"), proc.stderr
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def test_stdout_closed_mid_stream_is_one_error_line(tmp_path):
+    c5 = tmp_path / "c5.txt"
+    c5.write_text("a b\nb c\nc d\nd e\ne a\n")
+    ones = ",".join("1" * 12)
+    for argv in (["gadget", "--c", ones, "--format", "json"],
+                 ["gadget", "--c", ones, "--format", "dot"],
+                 ["dichotomy", "--graph", str(c5), "--depth", "8"]):
+        # more than the 64 KiB a pipe buffers, so the child is still
+        # writing when the reader goes
+        assert len(run_main(*argv)[1]) > 1 << 17, argv
+        proc = subprocess.Popen([sys.executable, "-m", "oddwalk.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(100)
+        proc.stdout.close()   # the reader takes the first bytes and goes
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert (proc.wait(), len(head)) == (2, 100), (argv, err)
+        assert err.startswith("error:") and len(err.splitlines()) == 1, (argv, err)
+
+
+# runs one command in a fresh interpreter with stdout on devnull, then
+# writes the process's own peak resident size (VmHWM, in kB) to stderr
+_PEAK_CHILD = """
+import sys
+from oddwalk.cli import main
+main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line for line in status if line.startswith("VmHWM:")).split()[1],
+          file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status")
+def test_large_outputs_stream_in_bounded_memory():
+    # about 36 MB and 22 MB of output, written as they are made; building
+    # the gadget JSON whole peaked at 164 MB
+    ones = ",".join("1" * 16)
+    for argv in (["gadget", "--c", ones, "--format", "json"],
+                 ["lc", "--c", ones, "--quotient"]):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD, *argv],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              text=True, check=True)
+        assert int(proc.stderr) < 64 * 1024, (argv, proc.stderr)
 
 
 def test_parsers_are_built_once_and_reused(tmp_path):

@@ -280,7 +280,7 @@ def test_verify_tower_counts_checks():
 
 def tower_rows_json(t) -> dict:
     """The tower JSON the CLI writes for t, parsed back."""
-    return json.loads(cli._dumps(tower_to_json_rows(t)))
+    return json.loads("".join(cli._json(tower_to_json_rows(t))))
 
 
 def test_tower_json_shape():

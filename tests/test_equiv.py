@@ -66,7 +66,7 @@ def test_planner_across_prefixes():
     assert all(a <= b for a, b in zip(t.level_map, t.level_map[1:]))
     report = verify_equivalence(t)
     assert report.ok and report.checks > 0
-    d = json.loads(cli._dumps(equivalence_to_json_rows(t)))
+    d = json.loads("".join(cli._json(equivalence_to_json_rows(t))))
     assert d["c"] == [3, 5] and d["d"] == [1, 3, 5, 7]
     assert set(d) == {"c", "d", "levelMap", "suffixes", "joinWalks", "maps"}
 
@@ -218,9 +218,9 @@ def test_random_planner_successes_verify():
 
 
 def assert_rows_match_dict(t, want):
-    """The JsonText rows the CLI writes for t are json.dumps of the oracle
+    """The JsonRows the CLI writes for t are json.dumps of the oracle
     dict want, byte for byte."""
-    assert cli._dumps(equivalence_to_json_rows(t)) == json.dumps(
+    assert "".join(cli._json(equivalence_to_json_rows(t))) == json.dumps(
         want, indent=2, sort_keys=True)
 
 

@@ -437,7 +437,7 @@ def test_profile_json_shape():
             if p.wmasks[0] >> i & 1] == ["w0", "w1", "w2"]
     assert edge_label(p.gadget, 0) == "p0.0--p0"
     h = Hom(("k0", "k1", "k0", "k1"), ("w0", "w0", "w0"))
-    hd = json.loads(cli._dumps(homs_to_json_rows(p.gadget, [h])))[0]
+    hd = json.loads("".join(cli._json(homs_to_json_rows(p.gadget, [h]))))[0]
     assert hd == oracles.hom_json_dict(p.gadget.prefix, h)
     assert hd["vertexAssignments"]["p0"] == "k1"
     assert hd["witnessAssignments"]["p0--p1"] == "w0"

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from oddwalk import bruteforce, gadget, limitgraph
-from oddwalk.cli import _dumps
+from oddwalk.cli import _json
 from oddwalk.errors import (InvalidVertex, LevelOutOfRange, NonOddPrefix,
                             ParseError, UnknownVertex)
 from oddwalk.gadget import (GadgetVertex, build_gadget, gadget_distance,
@@ -276,7 +276,7 @@ def test_adjacency_implies_same_component():
 
 def quotient_json(q) -> dict:
     """The quotient's JSON as `lc --quotient` writes it, parsed back."""
-    return json.loads(_dumps(quotient_to_json_rows(q)))
+    return json.loads("".join(_json(quotient_to_json_rows(q))))
 
 
 def test_level_quotient_sizes():

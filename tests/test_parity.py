@@ -1,9 +1,12 @@
+import contextlib
+import io
+import json
 import random
 
 import pytest
 
 import oracles
-from oddwalk import parity
+from oddwalk import cli, parity
 from oddwalk.errors import ParseError, UnknownVertex
 from oddwalk.generators import (all_graphs_upto, complete_graph, cycle_graph,
                                 disjoint_union, path_graph,
@@ -256,3 +259,21 @@ def test_exact_walk_within_builds_start_tables_and_one_end(monkeypatch):
             assert calls == starts + ([(v,)] if (v,) not in starts else [])
     assert cases > 300 and found > 150
     assert after < before
+
+
+def test_phi_with_k_runs_the_set_bfs_once(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(parity, "parity_distances",
+                        lambda g, sources, f=parity.parity_distances:
+                            calls.append(tuple(sources)) or f(g, sources))
+    path = tmp_path / "g.txt"
+    path.write_text("a b\nb c\nc a\nx y\ny z\n")
+    for vertices, holds in ((["z", "x"], True), (["a"], False),
+                            (["y", "b", "y"], False)):
+        calls.clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["phi", "--graph", str(path), "--set", *vertices,
+                             "--k", "3"]) == 0
+        assert calls == [tuple(sorted(set(vertices)))]
+        assert json.loads(out.getvalue())["holds"] is holds
