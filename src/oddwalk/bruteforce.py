@@ -18,8 +18,8 @@ gadget_positions inverts it, with none of the closed forms
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .equiv import path_walk_exists
 from .gadget import GadgetVertex, PathGadget, check_odd_prefix, check_prefix
@@ -45,8 +45,7 @@ def gadget_positions(prefix) -> dict:
     return {v: i for i, v in enumerate(gadget_vertices(prefix))}
 
 
-@dataclass(frozen=True)
-class SiblingReport:
+class SiblingReport(NamedTuple):
     """Distances between all last-bit sibling pairs in one gadget."""
 
     pairs_checked: int

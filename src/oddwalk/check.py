@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bruteforce
 from .coloring import (bipartite_superset_coloring, check_homomorphism,
@@ -42,8 +42,7 @@ from .parity import (bipartite_certificate, components, is_bipartite,
                      vertex_odd_girth)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     trials: int
     failures: tuple[str, ...]

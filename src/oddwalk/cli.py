@@ -44,7 +44,8 @@ from .coloring import bipartite_superset_coloring
 from .dichotomy import decide, parse_schedule, verify_tower
 from .equiv import plan_equivalence, verify_equivalence
 from .errors import GapInsufficient, OddwalkError, ParseError
-from .gadget import GadgetVertex, ascii_int, build_gadget, parse_prefix
+from .gadget import (GadgetVertex, ascii_int, build_gadget, parse_prefix,
+                     require_natural)
 from .graphs import Coloring, WitnessedGraph
 from .homset import all_homs, is_large, is_tiny
 from .limitgraph import (LcVertex, adjacent, level_quotient, neighbors,
@@ -170,6 +171,8 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_phi(args) -> int:
+    if args.k is not None:
+        require_natural(args.k, "k")
     g = _load_graph(args.graph)
     vset = tuple(sorted(set(args.set)))
     verdict = phi_bound(g, vset)
@@ -191,6 +194,8 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_homset(args) -> int:
+    if args.enumerate is not None:
+        require_natural(args.enumerate, "cap")
     gadget = build_gadget(parse_prefix(args.c))
     g = _load_graph(args.graph)
     # a bad --project label fails before the profile is paid for

@@ -15,18 +15,18 @@ V(n) vertex and E(n) witness images, and every reader takes it from there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidIndex, OutOfTruncation, ParseError
-from .gadget import GadgetVertex, ascii_int, build_gadget, is_natural
+from .gadget import (GadgetVertex, ascii_int, build_gadget, is_natural,
+                     require_natural)
 from .graphs import Coloring, WitnessedGraph
 from .homset import (Hom, HomProfile, all_homs, edge_label, extend_witness,
                      pin, validate_hom)
 from .parity import nonbipartite_vertices, parity_classes
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(NamedTuple):
     """Coherent pinned homomorphisms, one per gadget level, held as the top.
 
     top is over the gadget with the whole prefix; level n, over prefix[:n],
@@ -82,8 +82,7 @@ def decide(g: WitnessedGraph, depth: int, schedule=None):
     it lies in double(profile, d), and pinning that doubled profile would
     keep exactly this singleton, so the doubled profile is never built.
     """
-    if not is_natural(depth):
-        raise ParseError(f"depth must be a natural number, got {depth!r}")
+    require_natural(depth, "depth")
     if schedule is None:
         schedule = unbounded_schedule_default()
     classes = parity_classes(g)
@@ -96,8 +95,7 @@ def decide(g: WitnessedGraph, depth: int, schedule=None):
     bounds: list[int] = []
     for n in range(depth):
         bound = schedule(n)
-        if not is_natural(bound):
-            raise ParseError(f"schedule({n}) must be a natural number, got {bound!r}")
+        require_natural(bound, f"schedule({n})")
         d, phi = extend_witness(profile, bound)
         prefix.append(d)
         profile = HomProfile.pinned(build_gadget(tuple(prefix)), g, phi)
@@ -130,8 +128,7 @@ def evaluate(t: Tower, m: int, k: int, tbits) -> str:
     return t.top.vertex_images[position]
 
 
-@dataclass(frozen=True)
-class TowerReport:
+class TowerReport(NamedTuple):
     """Verification outcome; all violations are listed, none raised."""
 
     checks: int

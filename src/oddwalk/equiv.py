@@ -16,12 +16,12 @@ first position joins its own mirror; no other pair joins first
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import sub
+from typing import NamedTuple
 
 from .errors import GapInsufficient, ParseError
-from .gadget import build_gadget, check_odd_prefix, is_natural
+from .gadget import build_gadget, check_odd_prefix, is_natural, require_natural
 
 
 def path_walk_exists(distance: int, length: int) -> bool:
@@ -47,8 +47,7 @@ def path_exact_walk(n_vertices: int, start: int, end: int, length: int) -> list[
     return walk
 
 
-@dataclass(frozen=True)
-class EquivalenceTower:
+class EquivalenceTower(NamedTuple):
     """Planned maps h_n from source levels into target levels.
 
     maps[n] lists, by source path position, the path positions of the
@@ -125,8 +124,7 @@ def plan_equivalence(c, d, depth: int) -> EquivalenceTower:
     """
     c = check_odd_prefix(c)
     d = check_odd_prefix(d)
-    if not is_natural(depth):
-        raise ParseError(f"depth must be a natural number, got {depth!r}")
+    require_natural(depth, "depth")
     if depth > len(c):
         raise ParseError(f"depth {depth} exceeds source prefix length {len(c)}")
     target = build_gadget(d)
@@ -156,8 +154,7 @@ def plan_equivalence(c, d, depth: int) -> EquivalenceTower:
                             tuple(walks), tuple(maps))
 
 
-@dataclass(frozen=True)
-class EquivReport:
+class EquivReport(NamedTuple):
     checks: int
     violations: tuple[str, ...]
 

@@ -103,6 +103,12 @@ def is_natural(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def require_natural(value, name: str) -> None:
+    """Raise ParseError unless value is_natural, naming it by name."""
+    if not is_natural(value):
+        raise ParseError(f"{name} must be a natural number, got {value!r}")
+
+
 def check_prefix(prefix) -> tuple[int, ...]:
     """Validate a parameter prefix: a tuple of integers >= 1."""
     vals = tuple(prefix)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Hashable
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import eq, itemgetter
+from typing import NamedTuple
 
 from .errors import ParseError, UnknownVertex
 
@@ -283,8 +283,7 @@ class WitnessedGraph:
                 f"{len(self.witnesses)} witnesses)")
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(NamedTuple):
     """A walk: vertex sequence plus the witness chosen for every step."""
 
     vertices: tuple[str, ...]
@@ -320,11 +319,10 @@ class Walk:
                 "length": self.length}
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Map from vertex ids to color indices."""
 
-    by_vertex: dict = field(default_factory=dict)
+    by_vertex: dict
 
     def of(self, v: str) -> int:
         return self.by_vertex[v]

@@ -24,21 +24,20 @@ writers (render.homs_to_json_rows, render.tower_to_json_rows).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_, itemgetter, mul, or_
+from typing import NamedTuple
 
 from . import kernels
 from .errors import NotHomomorphism, NotLarge, NotMember, OddwalkError, ParseError
 from .gadget import (GadgetVertex, PathGadget, build_gadget, check_next_level,
-                     endpoint_label, is_natural)
+                     endpoint_label, is_natural, require_natural)
 from .graphs import Walk, WitnessedGraph, vertex_pair
 from .parity import (exact_walk, no_odd_walk_in, nonbipartite_vertices,
                      parity_classes, vertex_odd_girth)
 
 
-@dataclass(frozen=True, order=True)
-class Hom:
+class Hom(NamedTuple):
     """One homomorphism: images by gadget path position and edge index."""
 
     vertex_images: tuple[str, ...]
@@ -99,8 +98,7 @@ def copy_restriction(big: PathGadget, small: PathGadget, hom: Hom, bit: int) -> 
     return Hom(vimgs[:small.vertex_count], wimgs[:small.edge_count])
 
 
-@dataclass(frozen=True)
-class TinyVerdict:
+class TinyVerdict(NamedTuple):
     tiny: bool
     vertex: GadgetVertex | None = None
 
@@ -108,8 +106,7 @@ class TinyVerdict:
         return self.tiny
 
 
-@dataclass(frozen=True)
-class LargeVerdict:
+class LargeVerdict(NamedTuple):
     large: bool
     witness: Hom | None = None
 
@@ -301,8 +298,7 @@ class HomProfile:
     def enumerate_homs(self, cap: int) -> tuple["ExplicitHomSet", int]:
         """First `cap` homomorphisms in (vertex images, witness images) lex
         order, plus the exact total count of the denoted set."""
-        if not is_natural(cap):
-            raise ParseError(f"cap must be a natural number, got {cap!r}")
+        require_natural(cap, "cap")
         total = self.count()
         homs = tuple(itertools.islice(self._homs(), cap)) if total else ()
         return ExplicitHomSet(self.gadget, self.target, homs), total
@@ -396,21 +392,33 @@ def _sweep(counts: list[int], keys, tables: dict, ends_idx) -> list[int]:
     return counts
 
 
-@dataclass(frozen=True)
-class ExplicitHomSet:
-    """A literal list of homomorphisms over one gadget and target."""
-
+class _ExplicitFields(NamedTuple):
     gadget: PathGadget
     target: WitnessedGraph
     homs: tuple[Hom, ...]
 
-    def __post_init__(self):
+
+class ExplicitHomSet(_ExplicitFields):
+    """A literal list of homomorphisms over one gadget and target.
+
+    The constructor and _make, and so _replace, validate every hom and
+    refuse a duplicate.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, gadget, target, homs):
         seen = set()
-        for hom in self.homs:
-            validate_hom(self.gadget, self.target, hom)
+        for hom in homs:
+            validate_hom(gadget, target, hom)
             if hom in seen:
                 raise ParseError("duplicate homomorphism in explicit set")
             seen.add(hom)
+        return super().__new__(cls, gadget, target, homs)
+
+    @classmethod
+    def _make(cls, iterable) -> "ExplicitHomSet":
+        return cls(*iterable)
 
     def __len__(self) -> int:
         return len(self.homs)
@@ -536,8 +544,7 @@ def extend_witness(p: HomProfile, n_bound: int) -> tuple[int, Hom]:
     tested.  A caller that pins the result may therefore build the pinned
     profile directly (HomProfile.pinned) instead of pin(double(p, d), hom).
     """
-    if not is_natural(n_bound):
-        raise ParseError(f"bound must be a natural number, got {n_bound!r}")
+    require_natural(n_bound, "bound")
     verdict = is_large(p)
     if not verdict.large:
         raise NotLarge("profile has no member avoiding 2-colorable components")

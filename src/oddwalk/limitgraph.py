@@ -16,27 +16,31 @@ its JSON is render.quotient_to_json_rows, written from the gadget's labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidVertex, LevelOutOfRange, ParseError, UnknownVertex
 from .gadget import (GadgetVertex, PathGadget, ascii_int, build_gadget,
                      check_odd_prefix, check_prefix, endpoint_label)
 
 
-@dataclass(frozen=True)
-class EpBits:
+class _EpFields(NamedTuple):
+    prefix: tuple[int, ...]
+    period: tuple[int, ...]
+
+
+class EpBits(_EpFields):
     """Eventually periodic binary sequence in canonical form.
 
     Canonical means the period is primitive and the prefix is shortest:
     a shared last bit of prefix and period is absorbed by rotating the
-    period.  Two values denote the same sequence iff they are equal.
+    period.  Two values denote the same sequence iff they are equal.  The
+    constructor and _make, and so _replace, return the canonical form.
     """
 
-    prefix: tuple[int, ...]
-    period: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        pre, per = tuple(self.prefix), tuple(self.period)
+    def __new__(cls, prefix, period):
+        pre, per = tuple(prefix), tuple(period)
         if not per:
             raise ParseError("period must be nonempty")
         for b in pre + per:
@@ -49,8 +53,11 @@ class EpBits:
         while pre and pre[-1] == per[-1]:
             pre = pre[:-1]
             per = per[-1:] + per[:-1]
-        object.__setattr__(self, "prefix", pre)
-        object.__setattr__(self, "period", per)
+        return super().__new__(cls, pre, per)
+
+    @classmethod
+    def _make(cls, iterable) -> "EpBits":
+        return cls(*iterable)
 
     @classmethod
     def from_strings(cls, prefix: str, period: str) -> "EpBits":
@@ -111,8 +118,7 @@ class EpBits:
 EP_ZERO = EpBits((), (0,))
 
 
-@dataclass(frozen=True)
-class LcVertex:
+class LcVertex(NamedTuple):
     """Limit-graph vertex (m, k, x)."""
 
     m: int
@@ -262,8 +268,7 @@ def same_component(a: LcVertex, b: LcVertex, prefix=None) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class LevelQuotient:
+class LevelQuotient(NamedTuple):
     """Bijection between depth-n vertex classes and the level-n gadget.
 
     The class of (m, k, x) is (m, k, first n-m bits of x); classes are
@@ -295,8 +300,7 @@ def level_quotient(prefix) -> LevelQuotient:
     return LevelQuotient(prefix, build_gadget(prefix))
 
 
-@dataclass(frozen=True)
-class SiblingObstruction:
+class SiblingObstruction(NamedTuple):
     """Odd-distance report for one sibling pair in the level quotient."""
 
     left: GadgetVertex

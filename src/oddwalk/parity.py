@@ -22,15 +22,14 @@ depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
-from .gadget import is_natural
+from .gadget import is_natural, require_natural
 from .graphs import Coloring, Walk, WitnessedGraph
 
 
-@dataclass(frozen=True)
-class PhiVerdict:
+class PhiVerdict(NamedTuple):
     """Outcome of the odd-walk test for a vertex set.
 
     min_odd_length is None when no odd walk has both endpoints in the set;
@@ -111,8 +110,7 @@ def phi_holds(g: WitnessedGraph, a, k: int) -> bool:
     With walk padding this is independent of k: it holds iff no odd walk
     with endpoints in the set exists at all.
     """
-    if not is_natural(k):
-        raise ParseError(f"k must be a natural number, got {k!r}")
+    require_natural(k, "k")
     return phi_bound(g, a).no_odd_walk
 
 

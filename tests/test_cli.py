@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from oddwalk import cli
+from oddwalk import cli, parity
 from oddwalk.dichotomy import decide, parse_schedule
 from oddwalk.equiv import plan_equivalence
 from oddwalk.gadget import build_gadget, parse_prefix
@@ -286,6 +286,24 @@ def test_input_errors_write_nothing_to_stdout(tmp_path):
         code, out, err = run_main(*args)
         assert (code, out) == (2, ""), args
         assert err.startswith("error:") and err.count("\n") == 1, (args, err)
+
+
+def test_negative_cap_and_k_are_refused_before_any_work(tmp_path, monkeypatch):
+    # the cap was refused only after the profile's largeness test, which on
+    # C5 at level 12 overflowed the stack; k only after the set's parity BFS
+    c5 = write_graph(tmp_path, cycle_graph(5))
+    code, out, err = run_main("homset", "--graph", c5, "--c", ",".join("1" * 12),
+                              "--enumerate", "-1")
+    assert (code, out, err) == (2, "", "error: cap must be a natural number, got -1\n")
+    calls = []
+    monkeypatch.setattr(parity, "parity_distances",
+                        lambda g, sources, f=parity.parity_distances:
+                            calls.append(sources) or f(g, sources))
+    code, out, err = run_main("phi", "--graph", c5, "--set", "c0", "--k", "-1")
+    assert (code, out, err) == (2, "", "error: k must be a natural number, got -1\n")
+    assert calls == []
+    assert run_main("phi", "--graph", c5, "--set", "c0", "--k", "0")[0] == 0
+    assert len(calls) == 1
 
 
 def test_lc_level_needs_project():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -74,22 +73,22 @@ def test_planner_across_prefixes():
 def test_verifier_detects_corruption():
     t = plan_equivalence((1, 3), (1, 3), 2)
 
-    swapped = dataclasses.replace(t, suffixes=(((0,), (0,)), t.suffixes[1]))
+    swapped = t._replace(suffixes=(((0,), (0,)), t.suffixes[1]))
     report = verify_equivalence(swapped)
     assert not report.ok
     assert any("coherence broken" in v for v in report.violations)
 
-    stretched = dataclasses.replace(t, suffixes=(((0, 0), (1, 1)), t.suffixes[1]))
+    stretched = t._replace(suffixes=(((0, 0), (1, 1)), t.suffixes[1]))
     report = verify_equivalence(stretched)
     assert any("suffix lengths" in v for v in report.violations)
 
     walk = t.join_walks[0]
-    jumpy = dataclasses.replace(
-        t, join_walks=((walk[0], walk[0] + 2) + walk[2:], t.join_walks[1]))
+    jumpy = t._replace(
+        join_walks=((walk[0], walk[0] + 2) + walk[2:], t.join_walks[1]))
     report = verify_equivalence(jumpy)
     assert any("not a walk" in v for v in report.violations)
 
-    truncated = dataclasses.replace(t, maps=t.maps[:2])
+    truncated = t._replace(maps=t.maps[:2])
     assert verify_equivalence(truncated).violations == \
         ("inconsistent field lengths",)
 
@@ -101,7 +100,7 @@ def test_verifier_names_join_walk_endpoints_off_the_maps():
     # stops carry p0 and p1, but the first (last) stop is not the copy-0
     # (copy-1) gluing image
     for walk in ((2, 1, 2, 3), (0, 1, 2, 1)):
-        bad = dataclasses.replace(t, join_walks=(walk,) + t.join_walks[1:])
+        bad = t._replace(join_walks=(walk,) + t.join_walks[1:])
         assert verify_equivalence(bad).violations == (
             "level 0: join walk endpoints disagree with the maps",)
 
@@ -110,7 +109,7 @@ def test_verifier_names_a_decreasing_level_map():
     # a step down also puts an image outside its target level and fails the
     # suffix lengths, but the root fault is the level map itself
     t = plan_equivalence((1, 3), (1, 3, 5, 7), 2)
-    report = verify_equivalence(dataclasses.replace(t, level_map=(0, 2, 1)))
+    report = verify_equivalence(t._replace(level_map=(0, 2, 1)))
     assert report.violations[0] == "level map must be nondecreasing"
 
 
@@ -383,24 +382,23 @@ def test_planner_matches_the_vertex_planner_on_random_plans():
 def test_verifier_rejects_positions_the_vertex_form_could_not_hold():
     t = plan_equivalence((1, 3), (1, 3), 2)
     # a copy bit other than 0/1 would still lift a position by the mirror
-    two = dataclasses.replace(t, suffixes=(((0,), (2,)), t.suffixes[1]))
+    two = t._replace(suffixes=(((0,), (2,)), t.suffixes[1]))
     assert "level 0: suffixes must be copy bits" in verify_equivalence(two).violations
     # a level map past the target prefix
     deep = plan_equivalence((1, 3), (1, 3, 5), 2)
-    beyond = dataclasses.replace(deep, target_prefix=(1, 3)[:1] + (3,),
-                                 level_map=(0, 1, 3))
+    beyond = deep._replace(target_prefix=(1, 3)[:1] + (3,),
+                           level_map=(0, 1, 3))
     assert ("level map must stay within the target prefix"
             in verify_equivalence(beyond).violations)
     # positions off the target path, and a non-int position
     for img in (-1, 12, 1.0, True, GadgetVertex(0, ())):
         top = (img,) + t.maps[2][1:]
-        report = verify_equivalence(dataclasses.replace(t, maps=t.maps[:2] + (top,)))
+        report = verify_equivalence(t._replace(maps=t.maps[:2] + (top,)))
         assert f"level 2: image {img!r} not in target gadget" in report.violations
     # an off-by-one image is named by label
     moved = list(t.maps[1])
     moved[1] += 1
-    report = verify_equivalence(dataclasses.replace(
-        t, maps=(t.maps[0], tuple(moved), t.maps[2])))
+    report = verify_equivalence(t._replace(maps=(t.maps[0], tuple(moved), t.maps[2])))
     assert report.violations == (
         "level 1, edge 0: images p0.0, p1 not adjacent",
         "level 1, edge 1: images p1, p1 not adjacent",

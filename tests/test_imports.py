@@ -1,6 +1,6 @@
 """Every module-level import in the package and in the tests is read
-somewhere in its module, and the check suites are imported only by what runs
-them.
+somewhere in its module, the check suites are imported only by what runs
+them, and no command imports dataclasses.
 
 The package's __init__.py is skipped by the dead-import scan: its imports
 are the public re-exports.
@@ -47,6 +47,9 @@ def test_package_has_no_dead_imports():
 
 # what only the check suites read; no other command may pay for importing it
 CHECK_ONLY = ("oddwalk.check", "oddwalk.bruteforce", "oddwalk.generators")
+# dataclasses and the source tools it imports, which the records (named
+# tuples) do without; no command, check included, may pay for them
+NOT_IMPORTED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 def imported_modules(*args):
@@ -82,12 +85,19 @@ def test_check_suites_load_only_on_demand(args, tmp_path):
     modules = imported_modules(*(str(graph) if a == "GRAPH" else a for a in args))
     assert "oddwalk.limitgraph" in modules
     assert not modules & set(CHECK_ONLY)
+    assert not modules & set(NOT_IMPORTED)
 
 
 def test_check_imports_its_suites():
     # the control for the test above: the scan does see these imports
-    assert set(CHECK_ONLY) <= imported_modules("-m", "oddwalk.cli", "check",
-                                               "--help")
+    modules = imported_modules("-m", "oddwalk.cli", "check", "--help")
+    assert set(CHECK_ONLY) <= modules
+    assert not modules & set(NOT_IMPORTED)
+
+
+def test_import_scan_sees_dataclasses():
+    # the control for NOT_IMPORTED: the scan lists a module that is loaded
+    assert "dataclasses" in imported_modules("-c", "import dataclasses")
 
 
 def test_dict_builders_and_test_only_members_are_gone():
