@@ -23,10 +23,16 @@ them).  A generator stands for the array of the values it yields, and a
 render.JsonRows for an array or object whose member texts it makes at
 their final indentation, one at a time; _json joins them _BATCH at a time.
 
-main builds a parser once per process and per subcommand: every
-subcommand is listed, but only the one named in argv gets its arguments.
-The check suites (oddwalk.check) are imported only when `check` is parsed
-or run.
+main parses argv once.  When its first item names a subcommand, the rest
+is read by that subcommand's own parser, built once per process, and any
+item it leaves over is reported by the top-level parser as argparse
+reports it (its usage line, `unrecognized arguments`, exit 2).  The
+top-level parser, listing every subcommand, is built only for what is
+its own: no command, its help, an unknown command, options before the
+command (then the named subcommand gets its arguments too) and that
+error.  The check suites (oddwalk.check) are imported only when `check`
+is parsed or run.  A count can have more digits than CPython converts to
+text by default, so main lifts that limit while the command runs.
 """
 
 from __future__ import annotations
@@ -416,6 +422,15 @@ _SUBCOMMANDS = {
 
 
 @functools.lru_cache(maxsize=None)
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """The named subcommand's own parser with its arguments: the object the
+    top-level parser's add_parser makes for it."""
+    parser = argparse.ArgumentParser(prog=f"oddwalk {name}")
+    _SUBCOMMANDS[name][1](parser)
+    return parser
+
+
+@functools.lru_cache(maxsize=None)
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
     """The top-level parser, listing every subcommand, with arguments added
     to the named subcommand only (None: to none of them).
@@ -434,13 +449,28 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # the subcommand is the first item that is not an option: the top-level
-    # parser has no option that takes a value
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv read as the top-level parser reads it, in one parse."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        args, extras = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
+        if extras:
+            _build_parser(None).error(f"unrecognized arguments: {' '.join(extras)}")
+        return args
+    # no command, help, an unknown command or options before the command:
+    # the subcommand is the first item that is not an option, since the
+    # top-level parser has no option that takes a value
     command = next((arg for arg in argv if not arg.startswith("-")), None)
-    parser = _build_parser(command if command in _SUBCOMMANDS else None)
-    args = parser.parse_args(argv)
+    return _build_parser(command if command in _SUBCOMMANDS else None).parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    # a homset count can have more digits than CPython converts to text by
+    # default, so the limit is lifted while the command runs and the
+    # caller's comes back on return
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.fn(args)
         # flushed here, so that a closed stdout shows up below and not in
@@ -460,6 +490,9 @@ def main(argv=None) -> int:
         print("error: stdout was closed before all output was written",
               file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

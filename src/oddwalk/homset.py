@@ -420,9 +420,6 @@ class ExplicitHomSet(_ExplicitFields):
     def _make(cls, iterable) -> "ExplicitHomSet":
         return cls(*iterable)
 
-    def __len__(self) -> int:
-        return len(self.homs)
-
     def project(self, u: GadgetVertex) -> tuple[str, ...]:
         pos = self.gadget.require_vertex(u)
         return tuple(sorted({hom.vertex_images[pos] for hom in self.homs}))

@@ -23,20 +23,25 @@ reach sets expanded step by step, the tower driver as a composition of
 profile operations, every tower level read off the top through the
 vertex list, homomorphism, tower and equivalence-tower JSON with
 labels read off built gadgets, the limit-graph component test by a wide
-shift scan, and the equivalence planner and verifier with GadgetVertex
-images appended and compared label by label.
+shift scan, the equivalence planner and verifier with GadgetVertex
+images appended and compared label by label, and the CLI's argv read by
+one top-level parser that hands the rest to a subcommand's parser.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
+import sys
 from collections import deque
 
+from oddwalk.cli import _SUBCOMMANDS
 from oddwalk.dichotomy import unbounded_schedule_default
 from oddwalk.equiv import (EquivalenceTower, EquivReport, path_exact_walk,
                            path_walk_exists)
-from oddwalk.errors import GapInsufficient, NotHomomorphism, ParseError
+from oddwalk.errors import (GapInsufficient, NotHomomorphism, OddwalkError,
+                            ParseError)
 from oddwalk.gadget import GadgetVertex, build_gadget, check_odd_prefix, is_natural
 from oddwalk.graphs import Coloring, Walk, vertex_pair
 from oddwalk.homset import Hom, all_homs, double, extend_witness, pin
@@ -593,3 +598,27 @@ def same_component_wide_scan(a, b) -> bool:
         if a.x.shift(j + delta) == b.x.shift(j):
             return True
     return False
+
+
+def main_through_top_level_parser(argv) -> int:
+    """cli.main with every argv read by one top-level parser: it lists every
+    subcommand, the subcommand named by the first item that is not an
+    option gets its arguments, and argparse's sub-parser action hands that
+    subcommand's parser the rest.  The command then runs, and an
+    OddwalkError is one error line and exit 2; usage errors and help exit
+    as argparse makes them."""
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = argparse.ArgumentParser(
+        prog="oddwalk",
+        description="Finite workbench for the odd-walk coloring dichotomy.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_arguments(subparser)
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except OddwalkError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

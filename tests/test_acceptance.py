@@ -197,7 +197,7 @@ def test_profile_oracle_equality():
                 continue
             enumerated += 1
             ex = bruteforce.explicit_homset(gadget, g)
-            if len(ex) != total:
+            if len(ex.homs) != total:
                 bad.append(f"enumeration size off for {prefix}")
                 continue
             for u in oracles.gadget_vertices_from_root(prefix):

@@ -34,12 +34,13 @@ def run_cli(*args, stdin_text=None, env_extra=None):
                           env=env)
 
 
-def run_main(*args):
-    """cli.main in this process: (exit code, stdout, stderr)."""
+def run_main(*args, main=cli.main):
+    """main (cli.main unless given) in this process: (exit code, stdout,
+    stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(list(args))
+            code = main(list(args))
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
@@ -759,21 +760,29 @@ def test_large_outputs_stream_in_bounded_memory():
 
 def test_parsers_are_built_once_and_reused(tmp_path):
     k3 = write_graph(tmp_path, complete_graph(3))
+    cli._subcommand_parser.cache_clear()
     cli._build_parser.cache_clear()
     code, out, _ = run_main("homset", "--graph", k3, "--c", "1", "--project", "p0")
     assert code == 0 and list(json.loads(out)["projections"]) == ["p0"]
     code, out, _ = run_main("homset", "--graph", k3, "--c", "1")
     assert code == 0 and "projections" not in json.loads(out)
-    # an argparse usage error leaves the cached parser fit for the next call
+    # argparse usage errors, the subcommand's and the top level's, leave the
+    # cached parsers fit for the next call
     code, out, err = run_main("lc", "--c", "1,3", "--quotient", "--sibling", "0:0")
     assert code == 2 and out == "" and "not allowed with argument" in err
+    code, out, err = run_main("lc", "--c", "1,3", "--sibling", "0:0", "--bogus")
+    assert code == 2 and out == "" and "unrecognized arguments: --bogus" in err
     code, out, err = run_main("lc", "--c", "1,3", "--sibling", "0:0")
     assert code == 0 and err == "" and json.loads(out)["odd"] is True
     code, out, err = run_main("lc", "--c", "1,3", "--quotient")
     assert code == 0 and err == "" and len(json.loads(out)["classes"]) == 12
     assert run_main("bogus")[0] == 2 and run_main("--help")[0] == 0
+    info = cli._subcommand_parser.cache_info()
+    assert (info.misses, info.hits) == (2, 4)   # homset and lc
+    # the top-level parser is built only for the leftover argument, the
+    # unknown command and the help
     info = cli._build_parser.cache_info()
-    assert (info.misses, info.hits) == (3, 4)   # homset, lc and None
+    assert (info.misses, info.hits) == (1, 2)   # None
 
 
 def test_top_level_help_is_the_same_from_every_parser():
@@ -784,6 +793,94 @@ def test_top_level_help_is_the_same_from_every_parser():
         assert run_main("-h", name) == (0, top, "")
         assert cli._build_parser(name).format_help() == top
         assert name in top
+        # a subcommand's own parser has the help of the one add_parser makes
+        own = cli._subcommand_parser(name).format_help()
+        assert run_main(name, "-h") == (0, own, "")
+        assert run_main("--bogus", name, "-h") == (0, own, "")
+    # arguments a subcommand leaves over are reported under the top-level usage
+    usage = top.split("\n\n", 1)[0]
+    assert run_main("lc", "--c", "1,3", "--bogus") == (
+        2, "", f"{usage}\noddwalk: error: unrecognized arguments: --bogus\n")
+
+
+def _argv_matrix(graph: str) -> list:
+    """The top level's own cases and, for every subcommand, help, a run,
+    missing arguments, a trailing unknown option and an extra positional,
+    then bad values, abbreviations, --opt=value, mutually exclusive and
+    repeated options."""
+    g = ["--graph", graph]
+    runs = {
+        "gadget": ["--c", "1,3", "--format", "text"],
+        "phi": [*g, "--set", "k0", "k1"],
+        "homset": [*g, "--c", "1"],
+        "dichotomy": [*g, "--depth", "2"],
+        "lc": ["--c", "1,3", "--neighbors", "1:0::0"],
+        "equiv": ["--c", "1,3", "--d", "1,3,5,7", "--depth", "2"],
+        "render": g,
+        "check": ["--only", "lc"],
+    }
+    assert list(runs) == list(cli._SUBCOMMANDS)
+    cases = [[], ["-h"], ["--help"], ["bogus"], ["--bogus"], ["-h", "lc"],
+             ["--bogus", "lc", "--c", "1,3", "--quotient"], ["lc", "lc"]]
+    for name, args in runs.items():
+        cases += [[name, "-h"], [name, *args], [name], [name, *args, "--bogus"],
+                  [name, *args, "extra"]]
+    return cases + [
+        ["gadget", "--c=1,3", "--format=dot"],
+        ["gadget", "--c", "1", "--fo", "tikz"],
+        ["gadget", "--c", "1", "--format", "svg"],
+        ["gadget", "--c", "1", "--c", "1,3"],
+        ["phi", *g, "--set", "k0", "--k", "1_0"],
+        ["phi", *g, "--set", "k0", "--cert"],
+        ["phi", *g, "--set"],
+        ["homset", *g, "--c", "1,1", "--project", "p0", "--project", "p1"],
+        ["homset", *g, "--c", "1", "--enum", "2"],
+        ["homset", *g, "--c", "1", "--enumerate", "two"],
+        ["dichotomy", *g, "--depth=+2"],
+        ["dichotomy", *g, "--depth", "-1"],
+        ["dichotomy", *g, "--sched", "3"],
+        ["lc", "--c", "1,3", "--quotient", "--sibling", "0:0"],
+        ["lc", "--c", "1,3", "--s", "0:0"],
+        ["lc", "--c", "1,3", "--sib", "0:0"],
+        ["lc", "--c", "1,3", "--adjacent", "1:0::0"],
+        ["lc", "--c=1,3", "--project=1:0::0", "--level=1"],
+        ["lc", "--c", "1,3", "--quotient", "--h"],
+        ["equiv", "--c", "1,3", "--d", "1,3,5,7", "--depth", "two"],
+        ["render", *g, "--for", "tikz", "--format", "dot"],
+        ["render", *g, "--format", "json"],
+        ["check", "--seed", "x"],
+        ["check", "--only", "bogus"],
+    ]
+
+
+def test_main_reads_argv_as_the_top_level_parser_did(tmp_path):
+    graph = write_graph(tmp_path, complete_graph(3))
+    codes = set()
+    for argv in _argv_matrix(graph):
+        got = run_main(*argv)
+        assert got == run_main(*argv, main=oracles.main_through_top_level_parser), argv
+        codes.add(got[0])
+    assert codes == {0, 2}
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit limit")
+def test_homset_count_of_any_size(tmp_path):
+    # 6,142 positions on 20 parallel witnesses: 2 * 20 ** 6141 homomorphisms,
+    # 7,990 digits, past CPython's default int-to-str limit of 4,300
+    graph = tmp_path / "w20.txt"
+    graph.write_text("a b\n" * 20)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_main("homset", "--graph", str(graph), "--c", ",".join("1" * 11))
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit   # the caller's limit is back
+    digits = re.search(r'"count": (\d+)', out).group(1)
+    assert len(digits) == 7990
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(digits) == 2 * 20 ** 6141
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_check_help_lists_the_suites():

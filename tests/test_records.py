@@ -101,9 +101,9 @@ def test_ep_bits_is_canonical_however_made():
 
 def test_explicit_hom_set_validates_however_made():
     s = ExplicitHomSet(ROOT, K3, (HOM,))
-    assert len(s) == 1 and s.homs == (HOM,)
+    assert len(s.homs) == 1 and s.homs == (HOM,)
     assert ExplicitHomSet._make((ROOT, K3, (HOM,))) == s
-    assert s._replace(homs=()).homs == () and len(s._replace(homs=())) == 0
+    assert s._replace(homs=()).homs == () and len(s._replace(homs=()).homs) == 0
     invalid = Hom(("x",), ())
     for make in (lambda: ExplicitHomSet(ROOT, K3, (invalid,)),
                  lambda: ExplicitHomSet._make((ROOT, K3, (invalid,))),
