@@ -1,7 +1,8 @@
 """Command-line surface for the oddwalk toolkit.
 
 Exit codes: 0 success, 1 property failure (failed verification or check
-suite), 2 input error or a closed stdout, also one closed mid-stream.
+suite), 2 input error (also one too large for memory) or a closed stdout,
+also one closed mid-stream.
 Every subcommand checks its input and computes its result before it
 writes anything, then writes through _write, which joins the text pieces
 it is given _BATCH at a time and writes each batch to stdout as it comes.
@@ -479,6 +480,10 @@ def main(argv=None) -> int:
         return code
     except OddwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # unbound, so that its traceback and what it holds are freed first
+        print("error: out of memory: the input is too large", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader has gone: point stdout at devnull so that the final

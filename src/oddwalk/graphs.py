@@ -197,11 +197,6 @@ class WitnessedGraph:
             raise UnknownVertex(f"unknown vertex id: {v!r}")
         return self._vindex[v]
 
-    def witness_index(self, w: str) -> int:
-        if w not in self._windex:
-            raise UnknownVertex(f"unknown witness id: {w!r}")
-        return self._windex[w]
-
     def vertex_indices(self, ids) -> tuple[int, ...]:
         """vertex_index of every id, looked up in one pass."""
         try:
@@ -210,7 +205,7 @@ class WitnessedGraph:
             raise UnknownVertex(f"unknown vertex id: {exc.args[0]!r}") from None
 
     def witness_indices(self, ids) -> tuple[int, ...]:
-        """witness_index of every id, looked up in one pass."""
+        """The index of every witness id, looked up in one pass."""
         try:
             return tuple(map(self._windex.__getitem__, ids))
         except KeyError as exc:

@@ -6,26 +6,29 @@ images.  Sets of homomorphisms come in two representations: HomProfile (per
 position vertex domains, per edge witness domains; exact on paths via arc
 consistency) and ExplicitHomSet (a plain list, used as an oracle form).
 
-On top of these sit the odd-walk smallness notions (tiny, small, large), the
-doubling operator to the next gadget level, and the gluing construction that
-extends a pinned homomorphism one level up along an odd closed walk.
+On top of these sit the odd-walk smallness notions (tiny, small, large),
+each read off the projection at position 0 (a member's images lie in one
+component): in this finite model the sigma-ideal of small sets is decided
+at the root.  Then come the doubling operator to the next gadget level and
+the gluing construction that extends a pinned homomorphism one level up
+along an odd closed walk.
 
 validate_hom is one set pass over the edges against the target's oriented
 steps; it walks a hom edge by edge only to name the fault of an invalid
 one.  Pinning and the membership mask test read the target's index tables
 for all positions at once (vertex_indices, witness_indices).
 
-The full profile (all_homs) is built normalized by closed form and never
-swept; the propagation kernel runs only for restricted, doubled and
-narrowed profiles.  A homomorphism is written as JSON only by the row
+The full and pinned profiles are built normalized by closed form; only
+restricted and double run the propagation kernel, and only check and the
+tests call them.  A homomorphism is written as JSON only by the row
 writers (render.homs_to_json_rows, render.tower_to_json_rows).
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
-from operator import and_, itemgetter, mul, or_
+from functools import lru_cache
+from operator import and_, itemgetter, mul
 from typing import NamedTuple
 
 from . import kernels
@@ -120,8 +123,8 @@ class HomProfile:
     Denotes every homomorphism whose vertex image at each position lies in
     that position's domain and whose witness at each edge lies in the edge's
     domain.  Profiles are normalized (arc-consistent) on construction, which
-    never changes the denoted set and makes projections exact because the
-    gadget is a path.
+    never changes the denoted set, makes projections exact because the
+    gadget is a path, and leaves every domain empty or none.
     """
 
     __slots__ = ("gadget", "target", "vmasks", "wmasks", "_count")
@@ -134,9 +137,6 @@ class HomProfile:
             vmasks, wmasks = kernels.path_propagate(
                 list(vmasks), list(wmasks), self._ends_idx(),
                 len(target.vertices), len(target.witnesses))
-            if any(m == 0 for m in vmasks):
-                vmasks = [0] * len(vmasks)
-                wmasks = [0] * len(wmasks)
         self.vmasks = tuple(vmasks)
         self.wmasks = tuple(wmasks)
         self._count = None
@@ -182,7 +182,7 @@ class HomProfile:
 
     @property
     def is_empty(self) -> bool:
-        return 0 in self.vmasks
+        return not self.vmasks[0]
 
     def _vertex_ids(self, mask: int) -> tuple[str, ...]:
         vs = self.target.vertices
@@ -451,28 +451,32 @@ def is_small(s: ExplicitHomSet) -> bool:
     """True iff the set is a finite union of tiny sets.
 
     Characterization: every member sends some gadget vertex into a bipartite
-    component (each such singleton is tiny, and singletons cover the set).
+    component (each such singleton is tiny, and singletons cover the set),
+    so position 0 decides: its projection misses the other components.
     """
-    nb = nonbipartite_vertices(s.target)
-    for hom in s.homs:
-        if all(img in nb for img in hom.vertex_images):
-            return False
-    return True
+    root = endpoint_label(s.gadget.level, 0)
+    return nonbipartite_vertices(s.target).isdisjoint(s.project(root))
 
 
 def is_large(p: HomProfile) -> LargeVerdict:
     """True iff some member avoids the 2-colorable components entirely.
 
-    The witness is the lexicographically least such member, the first one
-    the member generator yields; no count is taken.  When every vertex
-    domain already avoids the 2-colorable components (a pinned tower
-    level, say), the profile is its own restriction and is not swept again.
+    Position 0 decides, as for is_small: a normalized path profile is
+    backtrack-free.  The witness is the lexicographically least such
+    member, the first one the member generator yields from p cut to the
+    non-bipartite components; nothing is counted or swept.  Each support of
+    a vertex is a neighbour in its component, so the cut is a closed form
+    that stays normalized, and is p itself when position 0 lies inside
+    those components (a pinned tower level, say).
     """
     nbmask = sum(map(_bit, p.target.vertex_indices(nonbipartite_vertices(p.target))))
-    if reduce(or_, p.vmasks) & ~nbmask:
-        p = p.restricted([m & nbmask for m in p.vmasks], list(p.wmasks))
-    if p.is_empty:
+    if not p.vmasks[0] & nbmask:
         return LargeVerdict(False, None)
+    if p.vmasks[0] & ~nbmask:
+        # a witness's ends share a component, so one end places it
+        nbw = sum(_bit(w) for w, (a, _) in enumerate(p._ends_idx()) if nbmask >> a & 1)
+        p = HomProfile(p.gadget, p.target, [m & nbmask for m in p.vmasks],
+                       [m & nbw for m in p.wmasks], normalized=True)
     # a for loop, not next(), so that no frame is added above the
     # per-position recursion of _vertex_paths
     for hom in p._homs():

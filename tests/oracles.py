@@ -17,7 +17,9 @@ is rebuilt here as a dict from that list.
 Some are the straightforward forms of code the package now runs a faster
 way: gadgets replayed level by level from the root, homomorphism
 validation one vertex and one edge at a time, the un-memoized two-sweep
-propagation, tininess by one odd-walk BFS per gadget position, components
+propagation, tininess by one odd-walk BFS per gadget position, smallness
+by every image of every member, largeness by a propagation sweep of the
+profile cut to the non-bipartite components, components
 and component 2-colorings by a BFS of their own, exact-length walks from
 reach sets expanded step by step, the tower driver as a composition of
 profile operations, every tower level read off the top through the
@@ -365,6 +367,27 @@ def is_tiny_per_position(homs):
         if phi_bound(homs.target, homs.project(u)).no_odd_walk:
             return True, u
     return False, None
+
+
+def is_small_all_images(s) -> bool:
+    """homset.is_small by every image of every member: no member lies
+    wholly in the non-bipartite components."""
+    nb = nonbipartite_vertices(s.target)
+    for hom in s.homs:
+        if all(img in nb for img in hom.vertex_images):
+            return False
+    return True
+
+
+def large_witness_by_sweep(p):
+    """homset.is_large's witness by a propagation sweep: the first member
+    of p with every vertex mask cut to the non-bipartite components, or
+    None when that cut is empty."""
+    g = p.target
+    nb = nonbipartite_vertices(g)
+    nbmask = sum(1 << i for i, v in enumerate(g.vertices) if v in nb)
+    homs = p.restricted([m & nbmask for m in p.vmasks], p.wmasks).enumerate_homs(1)[0].homs
+    return homs[0] if homs else None
 
 
 def decide_via_profiles(g, depth: int, schedule=None):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from oddwalk import cli, parity
+from oddwalk import cli, kernels, parity
 from oddwalk.dichotomy import decide, parse_schedule
 from oddwalk.equiv import plan_equivalence
 from oddwalk.gadget import build_gadget, parse_prefix
@@ -861,6 +861,67 @@ def test_main_reads_argv_as_the_top_level_parser_did(tmp_path):
         assert got == run_main(*argv, main=oracles.main_through_top_level_parser), argv
         codes.add(got[0])
     assert codes == {0, 2}
+
+
+def test_no_command_but_check_runs_the_kernel(tmp_path, monkeypatch):
+    # a C7 beside a bipartite edge that holds the least vertex ids, so the
+    # full profile's least member is no largeness witness and is_large
+    # must cut the profile; and a bipartite target
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text("a b\n" + "".join(f"x{i} x{(i + 1) % 7}\n" for i in range(7)))
+    square = tmp_path / "square.txt"
+    square.write_text("a b\nb c\nc d\nd a\n")
+    argvs = [["homset", "--graph", str(g), "--c", "1,3", "--project", "p0.1",
+              "--project", "p1", "--enumerate", "5"] for g in (mixed, square)]
+    argvs += [["dichotomy", "--graph", str(mixed), "--depth", "4"],
+              ["dichotomy", "--graph", str(square)],
+              ["phi", "--graph", str(mixed), "--set", "x0", "--certificate"],
+              ["phi", "--graph", str(square), "--set", "a", "c", "--certificate"],
+              ["lc", "--c", "1,3", "--neighbors", "1:0::0"],
+              ["equiv", "--c", "1,3", "--d", "1,3,5,7", "--depth", "2"],
+              ["gadget", "--c", "1,3"],
+              ["render", "--graph", str(mixed)]]
+    want = [run_main(*argv) for argv in argvs]
+    assert json.loads(want[0][1])["large"]["witness"]["vertexAssignments"]["p0"] == "x0"
+    sweep = kernels.path_propagate
+
+    def refuse(*args):
+        raise AssertionError("kernels.path_propagate called")
+
+    monkeypatch.setattr(kernels, "path_propagate", refuse)
+    for argv, w in zip(argvs, want):
+        assert w[0] == 0, (argv, w[2])
+        assert run_main(*argv) == w, argv
+    calls = []
+    monkeypatch.setattr(kernels, "path_propagate",
+                        lambda *a: calls.append(1) or sweep(*a))
+    assert run_main("check", "--seed", "0")[0] == 0
+    assert calls
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+def test_input_too_large_for_memory_is_one_error_line(tmp_path):
+    import resource
+    cap = 400 << 20
+
+    def limit():
+        # in the child only: its address space, so that an input too large
+        # for memory fails fast and takes nothing from the machine
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    c5 = tmp_path / "c5.txt"
+    c5.write_text("a b\nb c\nc d\nd e\ne a\n")
+    for argv in (["gadget", "--c", "1000000000", "--format", "text"],
+                 ["lc", "--c", "1000000000", "--quotient"],
+                 ["homset", "--graph", str(c5), "--c", "1000000000"]):
+        # never without the limit: unbounded, each of these grows until
+        # the machine runs out
+        proc = subprocess.run([sys.executable, "-m", "oddwalk.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              preexec_fn=limit)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1, \
+            (argv, proc.stderr)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

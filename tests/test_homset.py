@@ -133,7 +133,7 @@ def test_smallness_characterization_matches_cover_search():
                 subset = tuple(sorted(rng.sample(full, size)))
                 s = ExplicitHomSet(gadget, g, subset)
                 want = bruteforce.small_by_cover_search(s)
-                assert is_small(s) == want
+                assert is_small(s) == want == oracles.is_small_all_images(s)
                 if bruteforce.tiny_by_definition(s):
                     assert want
 
@@ -627,35 +627,112 @@ def test_pin_masks_are_arc_consistent():
         assert pinned.enumerate_homs(2) == (ExplicitHomSet(p.gadget, g, (hom,)), 1)
 
 
-def test_is_large_skip_path_matches_restricted_witness(monkeypatch):
-    rng = random.Random(85)
-    skipped = 0
-    for _ in range(60):
+def normalized_profiles(rng, rounds):
+    """Random normalized profiles over mixed multigraphs, with the mask of
+    their target's non-bipartite vertices: full, cut to those components,
+    narrowed, one position held, doubled and pinned.  Half the targets get
+    a bipartite path that holds the least vertex ids."""
+    for _ in range(rounds):
         g = mixed_multigraph(rng)
-        full = all_homs(build_gadget(rng.choice(((), (1,), (1, 3), (3, 1)))), g)
+        if rng.random() < 0.5:
+            g = disjoint_union(path_graph(rng.randint(2, 4)), g)
+        n = len(g.vertices)
         nbmask = sum(1 << g.vertex_index(v) for v in nonbipartite_vertices(g))
+        lower = rng.choice(((), (1,), (3,)))
+        gadget = build_gadget(lower + (rng.choice((1, 3)),))
+        full = all_homs(gadget, g)
         inside = full.restricted([m & nbmask for m in full.vmasks], full.wmasks)
-        narrowed = inside.restricted(
-            [m & rng.randrange(1 << len(g.vertices)) for m in inside.vmasks],
-            inside.wmasks)
-        cases = [full, inside, narrowed]
-        homs = inside.enumerate_homs(20)[0].homs
-        cases += [pin(inside, hom) for hom in rng.sample(homs, min(2, len(homs)))]
+        at, v = rng.randrange(gadget.vertex_count), rng.randrange(n)
+        small = all_homs(build_gadget(lower), g)
+        cases = [full, inside,
+                 full.restricted([m & rng.randrange(1 << n) if rng.random() < 0.3 else m
+                                  for m in full.vmasks], full.wmasks),
+                 inside.restricted([m & rng.randrange(1 << n) for m in inside.vmasks],
+                                   inside.wmasks),
+                 full.restricted([m & (1 << v) if i == at else m
+                                  for i, m in enumerate(full.vmasks)], full.wmasks),
+                 double(small.restricted([m & rng.randrange(1 << n) for m in small.vmasks],
+                                         small.wmasks), gadget.prefix[-1])]
+        homs = full.enumerate_homs(20)[0].homs
+        cases += [pin(full, hom) for hom in rng.sample(homs, min(2, len(homs)))]
         for p in cases:
-            restricted = p.restricted([m & nbmask for m in p.vmasks], p.wmasks)
-            want = restricted.enumerate_homs(1)[0].homs
-            calls = []
-            monkeypatch.setattr(kernels, "path_propagate",
-                                lambda *a, f=kernels.path_propagate: calls.append(1) or f(*a))
-            got = is_large(p)
-            monkeypatch.undo()
-            assert (got.large, got.witness) == (bool(want), want[0] if want else None)
-            if all(m & ~nbmask == 0 for m in p.vmasks):
-                # every domain already avoids the 2-colorable components:
-                # no restriction is swept
-                assert calls == []
-                skipped += 1
-    assert skipped >= 100
+            yield p, nbmask
+
+
+def test_is_large_skip_path_matches_restricted_witness(monkeypatch):
+    # every verdict and witness is the one a sweep of the cut profile
+    # gives, and no case sweeps: a root inside the non-bipartite
+    # components keeps p, a root across them cuts p by closed form
+    calls = []
+    sweep = kernels.path_propagate
+    seen = {"not large": 0, "kept": 0, "cut": 0}
+    for p, nbmask in normalized_profiles(random.Random(85), 200):
+        want = oracles.large_witness_by_sweep(p)
+        monkeypatch.setattr(kernels, "path_propagate",
+                            lambda *a: calls.append(1) or sweep(*a))
+        got = is_large(p)
+        monkeypatch.undo()
+        assert (got.large, got.witness) == (want is not None, want)
+        assert calls == []
+        seen["not large" if want is None else "cut" if p.vmasks[0] & ~nbmask
+             else "kept"] += 1
+    assert sum(seen.values()) >= 1000 and min(seen.values()) >= 100, seen
+
+
+def test_one_root_decides_the_cut_and_the_components():
+    # on a normalized profile every domain lies in the components of
+    # position 0's, and the cut to the non-bipartite components by closed
+    # form equals the sweep of the masked profile
+    checked = 0
+    for p, nbmask in normalized_profiles(random.Random(86), 60):
+        g = p.target
+        ends = p._ends_idx()
+        nbw = sum(1 << i for i, w in enumerate(g.witnesses)
+                  if set(g.ends[w]) <= nonbipartite_vertices(g))
+        assert [w for w in range(len(ends)) if nbw >> w & 1] == \
+            [w for w, (a, b) in enumerate(ends) if nbmask >> a & nbmask >> b & 1]
+        swept = kernels.path_propagate([m & nbmask for m in p.vmasks], list(p.wmasks), ends,
+                                       len(g.vertices), len(g.witnesses))
+        assert swept == ([m & nbmask for m in p.vmasks], [m & nbw for m in p.wmasks])
+        assert (not p.vmasks[0] & nbmask) == all(not m & nbmask for m in p.vmasks)
+        assert (not p.vmasks[0] & ~nbmask) == all(not m & ~nbmask for m in p.vmasks)
+        checked += 1
+    assert checked >= 400
+
+
+def test_a_sweep_empties_every_domain_or_none():
+    rng = random.Random(87)
+    emptied = 0
+    for _ in range(2000):
+        n, w, t = rng.randint(1, 5), rng.randint(0, 6), rng.randint(1, 8)
+        ends = [tuple(rng.sample(range(n), 2)) if n > 1 else (0, 0) for _ in range(w)]
+        vmasks, wmasks = kernels.path_propagate(
+            [rng.randrange(1 << n) for _ in range(t)],
+            [rng.randrange(1 << w) if w else 0 for _ in range(t - 1)], ends, n, w)
+        if 0 in vmasks:
+            assert vmasks + wmasks == [0] * (2 * t - 1)
+            emptied += 1
+        else:
+            assert all(wmasks)
+    assert 200 <= emptied <= 1800
+
+
+def test_is_small_reads_the_root_as_every_image_did():
+    rng = random.Random(88)
+    sets = smalls = 0
+    for _ in range(120):
+        g = mixed_multigraph(rng)
+        gadget = build_gadget(rng.choice(((), (1,))))
+        every = bruteforce.explicit_homset(gadget, g).homs
+        for _ in range(5):
+            s = ExplicitHomSet(gadget, g, tuple(rng.sample(every, rng.randint(0, min(8, len(every))))))
+            got = is_small(s)
+            assert got == oracles.is_small_all_images(s)
+            if len(s.homs) <= 4:
+                assert got == bruteforce.small_by_cover_search(s)
+            sets += 1
+            smalls += got
+    assert sets >= 500 and 100 <= smalls <= sets - 100, (sets, smalls)
 
 
 def test_invalid_hom_named_without_materializing():
