@@ -24,28 +24,30 @@ them).  A generator stands for the array of the values it yields, and a
 render.JsonRows for an array or object whose member texts it makes at
 their final indentation, one at a time; _json joins them _BATCH at a time.
 
-main parses argv once.  When its first item names a subcommand, the rest
-is read by that subcommand's own parser, built once per process, and any
-item it leaves over is reported by the top-level parser as argparse
-reports it (its usage line, `unrecognized arguments`, exit 2).  The
-top-level parser, listing every subcommand, is built only for what is
-its own: no command, its help, an unknown command, options before the
-command (then the named subcommand gets its arguments too) and that
-error.  The check suites (oddwalk.check) are imported only when `check`
-is parsed or run.  A count can have more digits than CPython converts to
-text by default, so main lifts that limit while the command runs.
+main parses argv once.  When its first item names a subcommand and the
+rest is well-formed, _read takes it without argparse: each item an exact
+option string followed by its values (- or items that do not start with
+-, as many as the option takes), every required option given, at most one
+option of an exclusive group, every integer and choice valid.  It takes
+the options from the _<name>_arguments function that declares them to
+argparse too.  Help, usage errors and every other argv (abbreviations,
+--opt=value, --, a value that starts with -, options before the command,
+no command or an unknown one) go to the top-level parser, which lists
+every subcommand; only then is it built and argparse imported.  The
+check suites (oddwalk.check) are imported only when `check` is parsed or
+run.  A count can have more digits than CPython converts to text by
+default, so main lifts that limit while the command runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 from itertools import chain, islice, repeat
 from pathlib import Path
-from types import GeneratorType
+from types import GeneratorType, SimpleNamespace
 
 from .coloring import bipartite_superset_coloring
 from .dichotomy import decide, parse_schedule, verify_tower
@@ -163,6 +165,7 @@ def _int_arg(text: str) -> int:
     '-' (ascii_int), so 1_0, +2 and other scripts' digits are refused."""
     value = ascii_int(text)
     if value is None:
+        import argparse
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return value
 
@@ -422,23 +425,102 @@ _SUBCOMMANDS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _subcommand_parser(name: str) -> argparse.ArgumentParser:
-    """The named subcommand's own parser with its arguments: the object the
-    top-level parser's add_parser makes for it."""
-    parser = argparse.ArgumentParser(prog=f"oddwalk {name}")
-    _SUBCOMMANDS[name][1](parser)
-    return parser
+class _Options:
+    """The options a subcommand's _<name>_arguments function declares,
+    recorded in place of an argparse parser: the kinds that _read takes,
+    and a TypeError for any other, so that none is misread."""
+
+    def __init__(self, add_arguments):
+        # option string -> (dest, action, nargs, type, choices)
+        self.actions = {}
+        self.required = set()   # dests
+        self.groups = []        # the dests of each mutually exclusive group
+        self.defaults = {}      # dest -> its value when not given
+        add_arguments(self)
+
+    def add_argument(self, option, *, action="store", nargs=None, type=None,
+                     choices=None, required=False, default=None, help=None,
+                     metavar=None):
+        if not (option.startswith("--")
+                and action in ("store", "store_true", "append")
+                and nargs in (None, 2, "+") and type in (None, _int_arg)
+                and (action == "store" or nargs is None and default is None)
+                and not (type and isinstance(default, str))):
+            raise TypeError(f"_read cannot read the declaration of {option}")
+        dest = option.lstrip("-").replace("-", "_")
+        self.actions[option] = dest, action, nargs, type, choices
+        if required:
+            self.required.add(dest)
+        self.defaults[dest] = False if action == "store_true" else default
+        return dest
+
+    def add_mutually_exclusive_group(self):
+        group = set()
+        self.groups.append(group)
+        return SimpleNamespace(
+            add_argument=lambda *a, **kw: group.add(self.add_argument(*a, **kw)))
+
+    def set_defaults(self, **defaults):
+        self.defaults.update(defaults)
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
+def _options(name: str) -> _Options:
+    return _Options(_SUBCOMMANDS[name][1])
+
+
+def _read(name: str, args: list[str]) -> SimpleNamespace | None:
+    """args, what follows the subcommand name, read as argparse reads them,
+    if they are well-formed: each item an exact option string followed by
+    as many values as its nargs asks, a value being - or an item that does
+    not start with -, every required option given, at most one of an
+    exclusive group, every value of its type and among its choices; a
+    repeated option keeps its last value (append: every value).  None for
+    anything else, which argparse alone reads."""
+    opts = _options(name)
+    given = {}
+    i, end = 0, len(args)
+    while i < end:
+        if args[i] not in opts.actions:
+            return None
+        dest, action, nargs, type_, choices = opts.actions[args[i]]
+        j = i = i + 1
+        while j < end and (args[j] == "-" or not args[j].startswith("-")):
+            j += 1
+        values, i = args[i:j], j
+        count = 0 if action == "store_true" else nargs or 1
+        if len(values) != count and not (count == "+" and values):
+            return None
+        if type_ is not None:   # _int_arg, the one type _Options takes
+            try:
+                values = [ascii_int(v) for v in values]
+            except ValueError:   # more digits than int() converts
+                return None
+            if None in values:
+                return None
+        if choices is not None and not set(values) <= set(choices):
+            return None
+        if action == "store_true":
+            given[dest] = True
+        elif action == "append":
+            given[dest] = [*given.get(dest, ()), values[0]]
+        else:
+            given[dest] = values[0] if nargs is None else values
+    if not opts.required <= given.keys() or any(
+            len(group & given.keys()) > 1 for group in opts.groups):
+        return None
+    return SimpleNamespace(**{**opts.defaults, **given})
+
+
+@functools.lru_cache(maxsize=None)
+def _build_parser(command: str | None):
     """The top-level parser, listing every subcommand, with arguments added
     to the named subcommand only (None: to none of them).
 
     The top-level help and its usage errors read only the subcommand names
     and help lines, so they are the same whichever parser prints them.
     """
+    import argparse
     parser = argparse.ArgumentParser(
         prog="oddwalk",
         description="Finite workbench for the odd-walk coloring dichotomy.")
@@ -450,14 +532,14 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv read as the top-level parser reads it, in one parse."""
+def _parse(argv: list[str]):
+    """argv read as the top-level parser reads it, in one parse: by _read
+    when it names a subcommand and the rest is well-formed, else by the
+    top-level parser."""
     if argv and argv[0] in _SUBCOMMANDS:
-        args, extras = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
-        if extras:
-            _build_parser(None).error(f"unrecognized arguments: {' '.join(extras)}")
-        return args
-    # no command, help, an unknown command or options before the command:
+        args = _read(argv[0], argv[1:])
+        if args is not None:
+            return args
     # the subcommand is the first item that is not an option, since the
     # top-level parser has no option that takes a value
     command = next((arg for arg in argv if not arg.startswith("-")), None)

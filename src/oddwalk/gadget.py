@@ -110,8 +110,11 @@ def require_natural(value, name: str) -> None:
 
 
 def check_prefix(prefix) -> tuple[int, ...]:
-    """Validate a parameter prefix: a tuple of integers >= 1."""
+    """Validate a parameter prefix: a tuple of integers >= 1.  Checked in
+    bulk; walked only to name the first fault."""
     vals = tuple(prefix)
+    if set(map(type, vals)) <= {int} and (not vals or min(vals) >= 1):
+        return vals
     for c in vals:
         if not isinstance(c, int) or isinstance(c, bool) or c < 1:
             raise ParseError(f"prefix values must be integers >= 1, got {c!r}")
@@ -132,7 +135,7 @@ def parse_prefix(text: str) -> tuple[int, ...]:
     body = text.strip()
     if not body:
         return ()
-    vals = tuple(ascii_int(part.strip()) for part in body.split(","))
+    vals = tuple(map(ascii_int, map(str.strip, body.split(","))))
     if None in vals:
         raise ParseError(f"bad prefix {text!r}; expected e.g. 1,3,5")
     return check_prefix(vals)

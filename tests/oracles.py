@@ -623,13 +623,11 @@ def same_component_wide_scan(a, b) -> bool:
     return False
 
 
-def main_through_top_level_parser(argv) -> int:
-    """cli.main with every argv read by one top-level parser: it lists every
-    subcommand, the subcommand named by the first item that is not an
-    option gets its arguments, and argparse's sub-parser action hands that
-    subcommand's parser the rest.  The command then runs, and an
-    OddwalkError is one error line and exit 2; usage errors and help exit
-    as argparse makes them."""
+def parse_through_top_level_parser(argv):
+    """argv read by one top-level parser: it lists every subcommand, the
+    subcommand named by the first item that is not an option gets its
+    arguments, and argparse's sub-parser action hands that subcommand's
+    parser the rest.  Usage errors and help exit as argparse makes them."""
     command = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="oddwalk",
@@ -639,7 +637,13 @@ def main_through_top_level_parser(argv) -> int:
         subparser = sub.add_parser(name, help=help_line)
         if name == command:
             add_arguments(subparser)
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
+
+
+def main_through_top_level_parser(argv) -> int:
+    """cli.main with every argv read by parse_through_top_level_parser.  The
+    command then runs, and an OddwalkError is one error line and exit 2."""
+    args = parse_through_top_level_parser(argv)
     try:
         return args.fn(args)
     except OddwalkError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -760,29 +761,27 @@ def test_large_outputs_stream_in_bounded_memory():
 
 def test_parsers_are_built_once_and_reused(tmp_path):
     k3 = write_graph(tmp_path, complete_graph(3))
-    cli._subcommand_parser.cache_clear()
     cli._build_parser.cache_clear()
     code, out, _ = run_main("homset", "--graph", k3, "--c", "1", "--project", "p0")
     assert code == 0 and list(json.loads(out)["projections"]) == ["p0"]
     code, out, _ = run_main("homset", "--graph", k3, "--c", "1")
     assert code == 0 and "projections" not in json.loads(out)
-    # argparse usage errors, the subcommand's and the top level's, leave the
-    # cached parsers fit for the next call
+    code, out, err = run_main("lc", "--c", "1,3", "--sibling", "0:0")
+    assert code == 0 and err == "" and json.loads(out)["odd"] is True
+    # well-formed argv builds no parser
+    assert cli._build_parser.cache_info().currsize == 0
+    # argparse usage errors leave the cached parsers fit for the next call
     code, out, err = run_main("lc", "--c", "1,3", "--quotient", "--sibling", "0:0")
     assert code == 2 and out == "" and "not allowed with argument" in err
     code, out, err = run_main("lc", "--c", "1,3", "--sibling", "0:0", "--bogus")
     assert code == 2 and out == "" and "unrecognized arguments: --bogus" in err
-    code, out, err = run_main("lc", "--c", "1,3", "--sibling", "0:0")
-    assert code == 0 and err == "" and json.loads(out)["odd"] is True
-    code, out, err = run_main("lc", "--c", "1,3", "--quotient")
+    code, out, err = run_main("lc", "--c=1,3", "--quotient")
     assert code == 0 and err == "" and len(json.loads(out)["classes"]) == 12
     assert run_main("bogus")[0] == 2 and run_main("--help")[0] == 0
-    info = cli._subcommand_parser.cache_info()
-    assert (info.misses, info.hits) == (2, 4)   # homset and lc
-    # the top-level parser is built only for the leftover argument, the
-    # unknown command and the help
+    # help, errors and --c=1,3 build the top-level parser once per command:
+    # lc, then None for the unknown command and the help
     info = cli._build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 2)   # None
+    assert (info.misses, info.hits) == (2, 3)
 
 
 def test_top_level_help_is_the_same_from_every_parser():
@@ -793,10 +792,6 @@ def test_top_level_help_is_the_same_from_every_parser():
         assert run_main("-h", name) == (0, top, "")
         assert cli._build_parser(name).format_help() == top
         assert name in top
-        # a subcommand's own parser has the help of the one add_parser makes
-        own = cli._subcommand_parser(name).format_help()
-        assert run_main(name, "-h") == (0, own, "")
-        assert run_main("--bogus", name, "-h") == (0, own, "")
     # arguments a subcommand leaves over are reported under the top-level usage
     usage = top.split("\n\n", 1)[0]
     assert run_main("lc", "--c", "1,3", "--bogus") == (
@@ -861,6 +856,161 @@ def test_main_reads_argv_as_the_top_level_parser_did(tmp_path):
         assert got == run_main(*argv, main=oracles.main_through_top_level_parser), argv
         codes.add(got[0])
     assert codes == {0, 2}
+
+
+_INTS = ["0", "1", "2", "3"]
+_PREFIXES = ["", "1", "3", "1,3", "1,1,1", "3,1,5"]
+_LC_VERTICES = ["1:0::0", "0:0::", "1:1:1:0", "2:0:01:10", "0:0::1"]
+_LC_QUERIES = {"--quotient", "--neighbors", "--adjacent", "--same-component",
+               "--project", "--sibling"}
+# more digits than int() converts before main lifts CPython's limit
+_HUGE = "1" * 4301
+_BOUNDARY = ["0", "-1", "1_0", "\u0663", "", "-"]
+
+
+def _fuzz_spec(graph: str) -> dict:
+    """subcommand -> option -> (valid values, how many: 0 for a flag, "+"
+    for one to three, or "append" for one at a time, required)."""
+    g = ([graph, "-"], 1, True)
+    return {
+        "gadget": {"--c": (_PREFIXES, 1, True),
+                   "--format": (["dot", "tikz", "json", "text"], 1, False)},
+        "phi": {"--graph": g, "--set": (["k0", "k1", "k2", "zz"], "+", True),
+                "--k": (_INTS, 1, False), "--certificate": ([], 0, False)},
+        "homset": {"--c": (_PREFIXES, 1, True), "--graph": g,
+                   "--project": (["p0", "p1", "p0.1", "p9"], "append", False),
+                   "--enumerate": (_INTS, 1, False)},
+        "dichotomy": {"--graph": g, "--depth": (_INTS, 1, False),
+                      "--schedule": (["default", "3", "1,3,5,7", "0"], 1, False)},
+        "lc": {"--c": (_PREFIXES, 1, True), "--quotient": ([], 0, False),
+               "--neighbors": (_LC_VERTICES, 1, False),
+               "--adjacent": (_LC_VERTICES, 2, False),
+               "--same-component": (_LC_VERTICES, 2, False),
+               "--project": (_LC_VERTICES, 1, False),
+               "--sibling": (["0:0", "0:01", "1:1", "2:"], 1, False),
+               "--level": (_INTS, 1, False)},
+        "equiv": {"--c": (["1,3", "1", "3,1"], 1, True),
+                  "--d": (["1,3,5,7", "1,3", "1,1,1"], 1, True),
+                  "--depth": (_INTS, 1, True)},
+        "render": {"--graph": g, "--format": (["dot", "tikz"], 1, False)},
+        "check": {"--seed": (_INTS, 1, False), "--oracle": ([], 0, False),
+                  "--only": (["lc", "gadget", "bogus"], "append", False)},
+    }
+
+
+def _fuzz_option(rng, spec, option) -> list:
+    """option and valid values for it."""
+    pool, count, _ = spec[option]
+    n = rng.randint(1, 3) if count == "+" else 1 if count == "append" else count
+    return [option, *(rng.choice(pool) for _ in range(n))]
+
+
+def _fuzz_argv(rng, specs) -> list:
+    """A well-formed command of a random subcommand, its options in random
+    order and at most one lc query; then, eleven times in fifteen, one
+    near miss or boundary value."""
+    name = rng.choice(list(specs))
+    spec = specs[name]
+    options = [o for o, (_, _, required) in spec.items()
+               if required or rng.random() < 0.4]
+    queries = [o for o in options if o in _LC_QUERIES]
+    options = [o for o in options if o not in queries[1:]]
+    rng.shuffle(options)
+    groups = [_fuzz_option(rng, spec, o) for o in options]
+    kind = rng.randrange(15)
+    if kind == 0 and groups:     # a boundary value
+        group = rng.choice(groups)
+        if len(group) > 1:
+            # _HUGE only where argparse reads an integer: main lifts the
+            # digit limit before a command converts a prefix or schedule,
+            # and a gadget that long could not be built
+            huge = spec[group[0]][0] is _INTS
+            group[rng.randrange(1, len(group))] = rng.choice(
+                _BOUNDARY + [_HUGE] * huge)
+    elif kind == 1 and groups:   # an abbreviation
+        group = rng.choice(groups)
+        group[0] = group[0][:rng.randrange(2, len(group[0]))]
+    elif kind == 2:              # --opt=value
+        joinable = [gr for gr in groups if len(gr) == 2]
+        if joinable:
+            group = rng.choice(joinable)
+            group[:] = [f"{group[0]}={group[1]}"]
+    elif kind == 3:              # a repeated option
+        groups.append(_fuzz_option(rng, spec, rng.choice(list(spec))))
+    elif kind == 4 and name == "lc":   # two queries
+        first, second = rng.sample(sorted(_LC_QUERIES), 2)
+        groups += [_fuzz_option(rng, spec, first), _fuzz_option(rng, spec, second)]
+    elif kind == 5 and groups:   # a dropped option, often a required one
+        groups.pop(rng.randrange(len(groups)))
+    argv = [name, *itertools.chain.from_iterable(groups)]
+    if kind == 6:                # a leftover token
+        argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(["extra", "lc", "1"]))
+    elif kind == 7:              # --
+        argv.insert(rng.randrange(1, len(argv) + 1), "--")
+    elif kind == 8:              # help
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(["-h", "--help"]))
+    elif kind == 9 and len(argv) > 1:   # an option before the command
+        argv.insert(0, argv.pop(rng.randrange(1, len(argv))))
+    elif kind == 10:             # an unknown command
+        argv[0] = rng.choice(["bogus", "lcx", "", "-"])
+    return argv
+
+
+def _parse_only(parse):
+    """A main that prints the namespace parse makes of argv, without
+    command, and runs nothing."""
+    def main(argv):
+        args = vars(parse(argv))
+        args.pop("command", None)
+        print(sorted(args.items()))
+        return 0
+    return main
+
+
+def test_argv_fuzz_reads_as_the_top_level_parser(tmp_path, monkeypatch):
+    triangle = "k0 k1\nk1 k2\nk2 k0\n"
+    graph = tmp_path / "k3.txt"
+    graph.write_text(triangle, encoding="utf-8")
+    specs = _fuzz_spec(str(graph))
+    for name, (_, add_arguments) in cli._SUBCOMMANDS.items():
+        parser = argparse.ArgumentParser()
+        add_arguments(parser)
+        assert set(parser._option_string_actions) - {"-h", "--help"} == set(specs[name])
+
+    def run(argv, main):
+        # a fresh triangle on stdin for --graph -
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(triangle.encode()), encoding="utf-8"))
+        return run_main(*argv, main=main)
+
+    rng = random.Random(30)
+    read = {True: 0, False: 0}
+    for _ in range(1500):
+        argv = _fuzz_argv(rng, specs)
+        args = cli._read(argv[0], argv[1:]) if argv[0] in cli._SUBCOMMANDS else None
+        want = run(argv, _parse_only(oracles.parse_through_top_level_parser))
+        assert run(argv, _parse_only(cli._parse)) == want, argv
+        if args is not None:
+            args = vars(args)
+            assert want == (0, f"{sorted(args.items())}\n", ""), argv
+        read[args is not None] += 1
+        # check is compared by its namespace alone, its suites are not run
+        if next((a for a in argv if not a.startswith("-")), None) != "check":
+            got = run(argv, cli.main)
+            assert got == run(argv, oracles.main_through_top_level_parser), argv
+            assert got[0] in (0, 1, 2), argv
+    assert read[True] >= 300 and read[False] >= 300, read
+
+
+@pytest.mark.parametrize("option, kwargs", [
+    ("x", {}), ("-x", {}), ("--x", {"action": "count"}), ("--x", {"nargs": "*"}),
+    ("--x", {"type": int}), ("--x", {"dest": "y"}), ("--x", {"const": 1}),
+    ("--x", {"action": "append", "nargs": 2}), ("--x", {"action": "append", "default": []}),
+    ("--x", {"type": cli._int_arg, "default": "1"}),
+])
+def test_the_reader_refuses_declarations_it_cannot_read(option, kwargs):
+    with pytest.raises(TypeError):
+        cli._Options(lambda p: p.add_argument(option, **kwargs))
 
 
 def test_no_command_but_check_runs_the_kernel(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -156,10 +157,13 @@ def test_prefix_parsing():
         parse_prefix("1,x")
     with pytest.raises(ParseError):
         parse_prefix("0")
-    with pytest.raises(ParseError):
-        check_prefix((1, 0))
-    with pytest.raises(ParseError):
-        check_prefix((True,))
+    # checked in bulk, yet the first fault is named; bools and floats are
+    # refused
+    for prefix, fault in [((1, 0), "0"), ((True,), "True"), ((3, True, 0), "True"),
+                          ((1, 2.0), "2.0"), ((5, -1, 0), "-1"), (("1",), "'1'")]:
+        with pytest.raises(ParseError, match=f"got {re.escape(fault)}$"):
+            check_prefix(prefix)
+    assert check_prefix(iter([1, 3])) == (1, 3) and check_prefix([]) == ()
     assert parse_prefix(" 1, 3 ,5") == (1, 3, 5)
     # int() would read these as 10, 3 and the Arabic-Indic 3
     for text in ("1_0", "+3", "\u0663", "1,,3", "1, 3 5"):

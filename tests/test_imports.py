@@ -1,6 +1,7 @@
 """Every module-level import in the package and in the tests is read
 somewhere in its module, the check suites are imported only by what runs
-them, and no command imports dataclasses.
+them, no command imports dataclasses and a well-formed command other than
+check does not import argparse.
 
 The package's __init__.py is skipped by the dead-import scan: its imports
 are the public re-exports.
@@ -52,18 +53,19 @@ CHECK_ONLY = ("oddwalk.check", "oddwalk.bruteforce", "oddwalk.generators")
 NOT_IMPORTED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
-def imported_modules(*args):
-    """Modules a fresh `python -X importtime ARGS` imports, by name."""
+def imported_modules(*args, code=0):
+    """Modules a fresh `python -X importtime ARGS` imports, by name; it must
+    exit with code."""
     proc = subprocess.run([sys.executable, "-X", "importtime", *args],
                           capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
 
 
 # one op of every subcommand but check; GRAPH stands for a triangle's file.
 # bruteforce holds the package's only gadget vertex list, so none of these
-# may build one
+# may build one; each is well-formed, so none builds an argparse parser
 @pytest.mark.parametrize("args", [
     ["-c", "import oddwalk.cli"],
     ["-c", "import oddwalk"],
@@ -86,6 +88,13 @@ def test_check_suites_load_only_on_demand(args, tmp_path):
     assert "oddwalk.limitgraph" in modules
     assert not modules & set(CHECK_ONLY)
     assert not modules & set(NOT_IMPORTED)
+    assert "argparse" not in modules
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], 0), (["--c", "1", "--bogus"], 2)])
+def test_help_and_usage_errors_import_argparse(args, code):
+    # the control for the test above: argparse reads help and usage errors
+    assert "argparse" in imported_modules("-m", "oddwalk.cli", "lc", *args, code=code)
 
 
 def test_check_imports_its_suites():
