@@ -6,9 +6,10 @@ dichotomy driver, the symbolic limit graph, and equivalence-tower
 planning, plus a seeded property-check harness.
 
 The harness (run_checks) and the brute-force oracles and generators it
-runs are imported on first use of oddwalk.run_checks, not with the package;
-so is the gadget vertex list that check_odd_distance_lemma reads, which
-lives with the brute-force oracles.
+runs are imported on first use of oddwalk.run_checks, not with the package.
+So are the names that live with the brute-force oracles: the gadget vertex
+list that check_odd_distance_lemma reads, and the propagation sweep under
+double, pin and preserve_largeness, the doubling chain of the key lemma.
 """
 
 from .coloring import (bipartite_superset_coloring, greedy_coloring,
@@ -20,9 +21,8 @@ from .errors import OddwalkError, ParseError
 from .gadget import (GadgetVertex, PathGadget, build_gadget, endpoint_label,
                      endpoints, parse_prefix, vertex_at, vertex_position)
 from .graphs import Coloring, Walk, WitnessedGraph
-from .homset import (ExplicitHomSet, Hom, HomProfile, all_homs, double,
-                     extend_witness, is_large, is_small, is_tiny, pin,
-                     preserve_largeness)
+from .homset import (ExplicitHomSet, Hom, HomProfile, all_homs, extend_witness,
+                     is_large, is_small, is_tiny)
 from .limitgraph import (EpBits, LcVertex, adjacent, level_quotient,
                          neighbors, odd_sibling_obstruction, project_level,
                          same_component)
@@ -36,9 +36,9 @@ def __getattr__(name):
     if name == "run_checks":
         from .check import run_checks
         return run_checks
-    if name == "check_odd_distance_lemma":
-        from .bruteforce import check_odd_distance_lemma
-        return check_odd_distance_lemma
+    if name in ("check_odd_distance_lemma", "double", "pin", "preserve_largeness"):
+        from . import bruteforce
+        return getattr(bruteforce, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

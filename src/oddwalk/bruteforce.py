@@ -13,6 +13,15 @@ gadget_vertices doubles it level by level from the root, and
 gadget_positions inverts it, with none of the closed forms
 (PathGadget.require_vertex, vertex_at, copy_map) or the label recurrence
 (level_labels) that they check.
+
+So does the propagation sweep (kernels.path_propagate) and the doubling
+chain of the key lemma built on it: restricted sweeps any masks to a
+normalized profile, member tests a homomorphism against one, double builds
+the next level's profile from its two copies, pin cuts a profile to one
+member, and preserve_largeness checks that a doubled profile stays large.
+They are the oracle for the closed forms the commands use:
+HomProfile.full, HomProfile.pinned and the cut in homset.is_large.  The
+kernel is read through its module attribute, so a test can wrap it.
 """
 
 from __future__ import annotations
@@ -21,10 +30,14 @@ import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
+from . import kernels
 from .equiv import path_walk_exists
-from .gadget import GadgetVertex, PathGadget, check_odd_prefix, check_prefix
+from .errors import NotHomomorphism, NotMember, OddwalkError, ParseError
+from .gadget import (GadgetVertex, PathGadget, build_gadget, check_odd_prefix,
+                     check_prefix, is_natural)
 from .graphs import WitnessedGraph
-from .homset import ExplicitHomSet, Hom
+from .homset import (ExplicitHomSet, Hom, HomProfile, extend_witness, is_large,
+                     validate_hom)
 from .limitgraph import LcVertex, project_level
 
 
@@ -75,6 +88,72 @@ def check_odd_distance_lemma(g: PathGadget) -> SiblingReport:
         if d % 2 == 0:
             bad.append(f"{a.label} and {b.label} at even distance {d}")
     return SiblingReport(checked, tuple(bad))
+
+
+def restricted(p: HomProfile, vmasks, wmasks) -> HomProfile:
+    """The profile over p's gadget and target with these domains, swept
+    arc-consistent by the propagation kernel (the denoted set is the
+    homomorphisms whose images lie in the given domains)."""
+    return _swept(p.gadget, p, vmasks, wmasks)
+
+
+def _swept(gadget: PathGadget, p: HomProfile, vmasks, wmasks) -> HomProfile:
+    """The profile over gadget and p's target from one kernel sweep of
+    these masks."""
+    t = p.target
+    vmasks, wmasks = kernels.path_propagate(list(vmasks), list(wmasks), p._ends_idx(),
+                                            len(t.vertices), len(t.witnesses))
+    return HomProfile(gadget, t, vmasks, wmasks)
+
+
+def member(p: HomProfile, hom: Hom) -> bool:
+    """hom is a valid homomorphism whose images lie in p's domains."""
+    try:
+        validate_hom(p.gadget, p.target, hom)
+    except NotHomomorphism:
+        return False
+    return p._admits(hom)
+
+
+def double(p: HomProfile, join_length: int) -> HomProfile:
+    """Profile one level up whose copy restrictions both lie in p.
+
+    The two copies inherit p's domains; the fresh join path of join_length+2
+    edges is unconstrained.
+    """
+    if not (is_natural(join_length) and join_length >= 1):
+        raise ParseError(f"join length must be an integer >= 1, got {join_length!r}")
+    big = build_gadget(p.gadget.prefix + (join_length,))
+    allv = (1 << len(p.target.vertices)) - 1
+    allw = (1 << len(p.target.witnesses)) - 1
+    # level n+1 is copy 0, the join_length+1 join vertices, copy 1 reversed
+    vmasks = p.vmasks + (allv,) * (join_length + 1) + p.vmasks[::-1]
+    wmasks = p.wmasks + (allw,) * (join_length + 2) + p.wmasks[::-1]
+    return _swept(big, p, vmasks, wmasks)
+
+
+def pin(p: HomProfile, hom: Hom) -> HomProfile:
+    """The singleton profile denoting exactly {hom}.
+
+    A member is a valid homomorphism, so its singleton masks are not swept
+    again (HomProfile.pinned).
+    """
+    if not member(p, hom):
+        raise NotMember("homomorphism is not in the profile's denotation")
+    return HomProfile.pinned(p.gadget, p.target, hom)
+
+
+def preserve_largeness(p: HomProfile, n_bound: int) -> int:
+    """Odd join length >= n_bound whose doubled profile is again large.
+
+    Uses the gluing construction's join length; the glued homomorphism stays
+    inside the non-2-colorable components, so the doubled profile is large.
+    The largeness of the result is re-checked, not assumed.
+    """
+    d, _ = extend_witness(p, n_bound)
+    if not is_large(double(p, d)).large:
+        raise OddwalkError("doubled profile unexpectedly lost largeness")
+    return d
 
 
 def odd_walk_lengths(g: WitnessedGraph, a, max_len: int) -> list[int]:

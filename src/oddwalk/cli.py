@@ -294,7 +294,7 @@ def _cmd_lc(args) -> int:
     if args.sibling is not None:
         k_text, _, t_text = args.sibling.partition(":")
         k = ascii_int(k_text)
-        if k is None or not all(ch.isascii() and ch.isdigit() for ch in t_text):
+        if k is None or k < 0 or not all(ch.isascii() and ch.isdigit() for ch in t_text):
             raise ParseError(f"bad sibling spec {args.sibling!r}; "
                              f"expected K:BITS like 0:01")
         bits = tuple(map(int, t_text))

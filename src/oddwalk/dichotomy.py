@@ -21,8 +21,7 @@ from .errors import InvalidIndex, OutOfTruncation, ParseError
 from .gadget import (GadgetVertex, ascii_int, build_gadget, is_natural,
                      require_natural)
 from .graphs import Coloring, WitnessedGraph
-from .homset import (Hom, HomProfile, all_homs, edge_label, extend_witness,
-                     pin, validate_hom)
+from .homset import Hom, HomProfile, edge_label, extend_witness, validate_hom
 from .parity import nonbipartite_vertices, parity_classes
 
 
@@ -76,11 +75,11 @@ def decide(g: WitnessedGraph, depth: int, schedule=None):
     each vertex's distance from the least vertex of its component, and
     otherwise the root is the least vertex on an odd closed walk.
 
-    No profile is swept.  The root pins the full level-0 profile, which
-    HomProfile.full builds normalized, and each later level is pinned
-    straight from the glued homomorphism: extend_witness has checked that
-    it lies in double(profile, d), and pinning that doubled profile would
-    keep exactly this singleton, so the doubled profile is never built.
+    No profile is swept or doubled.  Every level is pinned straight from
+    its homomorphism (HomProfile.pinned): the root's is valid because its
+    image is a target vertex, and each later level's lies in the doubled
+    profile, as extend_witness has checked, so pinning that doubled profile
+    would keep exactly this singleton and it is never built.
     """
     require_natural(depth, "depth")
     if schedule is None:
@@ -90,7 +89,7 @@ def decide(g: WitnessedGraph, depth: int, schedule=None):
     if not odd:
         return Coloring({v: classes[v][1] for v in g.vertices})
     phi = Hom((odd[0],), ())
-    profile = pin(all_homs(build_gadget(()), g), phi)
+    profile = HomProfile.pinned(build_gadget(()), g, phi)
     prefix: list[int] = []
     bounds: list[int] = []
     for n in range(depth):

@@ -9,19 +9,20 @@ consistency) and ExplicitHomSet (a plain list, used as an oracle form).
 On top of these sit the odd-walk smallness notions (tiny, small, large),
 each read off the projection at position 0 (a member's images lie in one
 component): in this finite model the sigma-ideal of small sets is decided
-at the root.  Then come the doubling operator to the next gadget level and
-the gluing construction that extends a pinned homomorphism one level up
-along an odd closed walk.
+at the root.  Then comes the gluing construction that extends a pinned
+homomorphism one level up along an odd closed walk.
 
 validate_hom is one set pass over the edges against the target's oriented
 steps; it walks a hom edge by edge only to name the fault of an invalid
 one.  Pinning and the membership mask test read the target's index tables
 for all positions at once (vertex_indices, witness_indices).
 
-The full and pinned profiles are built normalized by closed form; only
-restricted and double run the propagation kernel, and only check and the
-tests call them.  A homomorphism is written as JSON only by the row
-writers (render.homs_to_json_rows, render.tower_to_json_rows).
+Every profile is built normalized by closed form (full, pinned and the cut
+in is_large); nothing here sweeps.  The propagation sweep and the doubling
+chain on top of it (restricted, member, double, pin, preserve_largeness)
+live in bruteforce, where they are the oracle for these closed forms.  A
+homomorphism is written as JSON only by the row writers
+(render.homs_to_json_rows, render.tower_to_json_rows).
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from functools import lru_cache
 from operator import and_, itemgetter, mul
 from typing import NamedTuple
 
-from . import kernels
-from .errors import NotHomomorphism, NotLarge, NotMember, OddwalkError, ParseError
+from .errors import NotHomomorphism, NotLarge, OddwalkError, ParseError
 from .gadget import (GadgetVertex, PathGadget, build_gadget, check_next_level,
-                     endpoint_label, is_natural, require_natural)
+                     endpoint_label, require_natural)
 from .graphs import Walk, WitnessedGraph, vertex_pair
 from .parity import (exact_walk, no_odd_walk_in, nonbipartite_vertices,
                      parity_classes, vertex_odd_girth)
@@ -122,21 +122,18 @@ class HomProfile:
 
     Denotes every homomorphism whose vertex image at each position lies in
     that position's domain and whose witness at each edge lies in the edge's
-    domain.  Profiles are normalized (arc-consistent) on construction, which
-    never changes the denoted set, makes projections exact because the
-    gadget is a path, and leaves every domain empty or none.
+    domain.  The constructor stores the masks as given, and they must be
+    normalized (arc-consistent): that makes projections exact because the
+    gadget is a path, and leaves every domain empty or none.  full, pinned
+    and the cut in is_large build such masks by closed form;
+    bruteforce.restricted builds them by a propagation sweep.
     """
 
     __slots__ = ("gadget", "target", "vmasks", "wmasks", "_count")
 
-    def __init__(self, gadget: PathGadget, target: WitnessedGraph,
-                 vmasks, wmasks, normalized: bool = False):
+    def __init__(self, gadget: PathGadget, target: WitnessedGraph, vmasks, wmasks):
         self.gadget = gadget
         self.target = target
-        if not normalized:
-            vmasks, wmasks = kernels.path_propagate(
-                list(vmasks), list(wmasks), self._ends_idx(),
-                len(target.vertices), len(target.witnesses))
         self.vmasks = tuple(vmasks)
         self.wmasks = tuple(wmasks)
         self._count = None
@@ -155,14 +152,13 @@ class HomProfile:
         ends lie in N.  With no witness N is empty, and so is every mask.
         """
         if not gadget.edge_count:
-            return cls(gadget, target, [(1 << len(target.vertices)) - 1], [],
-                       normalized=True)
+            return cls(gadget, target, [(1 << len(target.vertices)) - 1], [])
         ends_idx = _end_indices(target)
         witnessed = sum(map(_bit, set(itertools.chain.from_iterable(ends_idx))))
         allw = (1 << len(ends_idx)) - 1
         return cls(gadget, target,
                    [witnessed] * gadget.vertex_count,
-                   [allw] * gadget.edge_count, normalized=True)
+                   [allw] * gadget.edge_count)
 
     @classmethod
     def pinned(cls, gadget: PathGadget, target: WitnessedGraph,
@@ -175,8 +171,7 @@ class HomProfile:
         """
         return cls(gadget, target,
                    list(map(_bit, target.vertex_indices(hom.vertex_images))),
-                   list(map(_bit, target.witness_indices(hom.witness_images))),
-                   normalized=True)
+                   list(map(_bit, target.witness_indices(hom.witness_images))))
 
     # -- basic queries -----------------------------------------------------
 
@@ -205,11 +200,12 @@ class HomProfile:
 
         When the masks read the same from both ends, the reversed masks are
         the masks, so R = F_{E-h}: the forward sweep to h, continued one
-        edge further when E is odd.  Every full profile and every
-        double(p, d) reads so (level n+1 is copy 0, the join, then copy 1
-        reversed), and normalization keeps it (arc consistency has one
-        greatest fixed point, and reversing the path maps fixed points to
-        fixed points), so their counts sweep about E/2 edges, not E.
+        edge further when E is odd.  Every full profile and every doubled
+        profile (bruteforce.double) reads so (level n+1 is copy 0, the join,
+        then copy 1 reversed), and normalization keeps it (arc consistency
+        has one greatest fixed point, and reversing the path maps fixed
+        points to fixed points), so their counts sweep about E/2 edges, not
+        E.
 
         Computed once per profile; later calls return the stored total.
         """
@@ -303,20 +299,10 @@ class HomProfile:
         homs = tuple(itertools.islice(self._homs(), cap)) if total else ()
         return ExplicitHomSet(self.gadget, self.target, homs), total
 
-    # -- restriction and membership ---------------------------------------
-
-    def restricted(self, vmasks, wmasks) -> "HomProfile":
-        return HomProfile(self.gadget, self.target, vmasks, wmasks)
-
-    def member(self, hom: Hom) -> bool:
-        try:
-            validate_hom(self.gadget, self.target, hom)
-        except NotHomomorphism:
-            return False
-        return self._admits(hom)
+    # -- membership --------------------------------------------------------
 
     def _admits(self, hom: Hom) -> bool:
-        """The mask half of member: every image lies in its domain.
+        """The mask half of membership: every image lies in its domain.
 
         hom must already be a valid homomorphism over this gadget and target.
         """
@@ -476,41 +462,13 @@ def is_large(p: HomProfile) -> LargeVerdict:
         # a witness's ends share a component, so one end places it
         nbw = sum(_bit(w) for w, (a, _) in enumerate(p._ends_idx()) if nbmask >> a & 1)
         p = HomProfile(p.gadget, p.target, [m & nbmask for m in p.vmasks],
-                       [m & nbw for m in p.wmasks], normalized=True)
+                       [m & nbw for m in p.wmasks])
     # a for loop, not next(), so that no frame is added above the
     # per-position recursion of _vertex_paths
     for hom in p._homs():
         break
     validate_hom(p.gadget, p.target, hom)
     return LargeVerdict(True, hom)
-
-
-def double(p: HomProfile, join_length: int) -> HomProfile:
-    """Profile one level up whose copy restrictions both lie in p.
-
-    The two copies inherit p's domains; the fresh join path of join_length+2
-    edges is unconstrained.
-    """
-    if not (is_natural(join_length) and join_length >= 1):
-        raise ParseError(f"join length must be an integer >= 1, got {join_length!r}")
-    big = build_gadget(p.gadget.prefix + (join_length,))
-    allv = (1 << len(p.target.vertices)) - 1
-    allw = (1 << len(p.target.witnesses)) - 1
-    # level n+1 is copy 0, the join_length+1 join vertices, copy 1 reversed
-    vmasks = p.vmasks + (allv,) * (join_length + 1) + p.vmasks[::-1]
-    wmasks = p.wmasks + (allw,) * (join_length + 2) + p.wmasks[::-1]
-    return HomProfile(big, p.target, vmasks, wmasks)
-
-
-def pin(p: HomProfile, hom: Hom) -> HomProfile:
-    """The singleton profile denoting exactly {hom}.
-
-    A member is a valid homomorphism, so its singleton masks are not swept
-    again (HomProfile.pinned).
-    """
-    if not p.member(hom):
-        raise NotMember("homomorphism is not in the profile's denotation")
-    return HomProfile.pinned(p.gadget, p.target, hom)
 
 
 def glue_hom(p: HomProfile, phi0: Hom, join_length: int, walk: Walk) -> Hom:
@@ -533,17 +491,20 @@ def glue_hom(p: HomProfile, phi0: Hom, join_length: int, walk: Walk) -> Hom:
 def extend_witness(p: HomProfile, n_bound: int) -> tuple[int, Hom]:
     """Pick a largeness witness and glue two copies of it one level up.
 
-    Returns the chosen odd join length d >= n_bound and a homomorphism in
-    double(p, d) whose copy restrictions both equal the witness.  The join
-    length is the least odd value >= max(n_bound, m - 2) where m is the
-    least odd closed-walk length at the witness's gluing image; the join is
-    laid along the lexicographically least closed walk of length d + 2.
+    Returns the chosen odd join length d >= n_bound and a level-(n+1)
+    homomorphism whose copy restrictions both equal the witness: a member
+    of the doubled profile, which denotes the members whose copy
+    restrictions lie in p (bruteforce.double builds it by a sweep).  The
+    join length is the least odd value >= max(n_bound, m - 2) where m is
+    the least odd closed-walk length at the witness's gluing image; the
+    join is laid along the lexicographically least closed walk of length
+    d + 2.
 
-    Membership in double(p, d) is checked here, without building that
+    That membership is checked here, without building the doubled
     profile: glue_hom has validated the glued homomorphism, so each copy
     restriction, a sub-path of it, is valid too and only p's masks are
     tested.  A caller that pins the result may therefore build the pinned
-    profile directly (HomProfile.pinned) instead of pin(double(p, d), hom).
+    profile directly (HomProfile.pinned).
     """
     require_natural(n_bound, "bound")
     verdict = is_large(p)
@@ -561,21 +522,8 @@ def extend_witness(p: HomProfile, n_bound: int) -> tuple[int, Hom]:
     if walk is None:
         raise OddwalkError("no closed walk of the scheduled length")
     hom = glue_hom(p, phi0, d, walk)
-    # double(p, d) denotes the members whose copy restrictions lie in p
     big = build_gadget(p.gadget.prefix + (d,))
     if not all(p._admits(copy_restriction(big, p.gadget, hom, bit)) for bit in (0, 1)):
         raise OddwalkError("glued homomorphism fell outside the doubled profile")
     return d, hom
 
-
-def preserve_largeness(p: HomProfile, n_bound: int) -> int:
-    """Odd join length >= n_bound whose doubled profile is again large.
-
-    Uses the gluing construction's join length; the glued homomorphism stays
-    inside the non-2-colorable components, so the doubled profile is large.
-    The largeness of the result is re-checked, not assumed.
-    """
-    d, _ = extend_witness(p, n_bound)
-    if not is_large(double(p, d)).large:
-        raise OddwalkError("doubled profile unexpectedly lost largeness")
-    return d

@@ -1,15 +1,17 @@
 """Profile propagation kernel.
 
 Domains are bitmasks held in Python ints, so there is no size limit on the
-target graph.  Only HomProfile.restricted and homset.double call the kernel,
-and only the check suites and the tests call those; full and pinned
-profiles are built normalized and is_large cuts a profile by closed form.
+target graph.  The only caller is bruteforce (restricted and double), the
+sweep oracle that the check suites and the tests run; no other command
+sweeps, since full and pinned profiles are built normalized and is_large
+cuts a profile by closed form.
 
-path_propagate, backend_for and native_available are also the provenance
-interface that benchmarks/e2e reads: it wraps path_propagate with all five
-positional arguments and charges each call to the backend that backend_for
-names.  There is one backend, so backend_for always answers "pure" and
-native_available always answers False.
+The sweep stays a module of its own because it is also the provenance
+interface that benchmarks/e2e reads: it imports path_propagate,
+backend_for and native_available by name, wraps path_propagate with all
+five positional arguments and charges each call to the backend that
+backend_for names.  There is one backend, so backend_for always answers
+"pure" and native_available always answers False.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def path_propagate(vmasks, wmasks, wit_ends, n_vertices: int, n_witnesses: int):
     Each sweep step is a pure function of the masks it reads, so its result
     is memoized for the rest of the call: a doubled profile, whose copies
     repeat the same domains, decodes each distinct witness mask once.  Most
-    of a sweep is that decoding: double of a full profile at 3,070 positions
+    of a sweep is that decoding: doubling a full profile at 3,070 positions
     on the Petersen graph took 1.9 ms with the memo and 44 ms without (best
     of 5, CPython 3.11, a shared Xeon VM).
     """

@@ -38,6 +38,7 @@ import math
 import sys
 from collections import deque
 
+from oddwalk.bruteforce import double, pin, restricted
 from oddwalk.cli import _SUBCOMMANDS
 from oddwalk.dichotomy import unbounded_schedule_default
 from oddwalk.equiv import (EquivalenceTower, EquivReport, path_exact_walk,
@@ -46,7 +47,7 @@ from oddwalk.errors import (GapInsufficient, NotHomomorphism, OddwalkError,
                             ParseError)
 from oddwalk.gadget import GadgetVertex, build_gadget, check_odd_prefix, is_natural
 from oddwalk.graphs import Coloring, Walk, vertex_pair
-from oddwalk.homset import Hom, all_homs, double, extend_witness, pin
+from oddwalk.homset import Hom, all_homs, extend_witness
 from oddwalk.parity import bipartite_certificate, nonbipartite_vertices, phi_bound
 
 
@@ -255,7 +256,7 @@ def _parent_position(parents, v):
 
 
 def double_masks(p, join_length: int):
-    """Label-based homset.double: the level-(n+1) gadget and the masks it
+    """Label-based bruteforce.double: the level-(n+1) gadget and the masks it
     propagates.  Copy vertices take their parent's domain; join vertices and
     edges touching the join are unconstrained."""
     parents = gadget_positions_from_root(p.gadget.prefix)
@@ -386,7 +387,7 @@ def large_witness_by_sweep(p):
     g = p.target
     nb = nonbipartite_vertices(g)
     nbmask = sum(1 << i for i, v in enumerate(g.vertices) if v in nb)
-    homs = p.restricted([m & nbmask for m in p.vmasks], p.wmasks).enumerate_homs(1)[0].homs
+    homs = restricted(p, [m & nbmask for m in p.vmasks], p.wmasks).enumerate_homs(1)[0].homs
     return homs[0] if homs else None
 
 

@@ -216,6 +216,17 @@ def test_lc_project_and_sibling():
     assert data["distance"] == 11 and data["odd"] is True
 
 
+def test_lc_sibling_refuses_a_negative_k():
+    # K was passed on to the obstruction, which named a label never written
+    # (p-1.0, or p-1.00 for -1:0)
+    for spec, args in (("-1", ["--sibling", "-1"]), ("-1", ["--sibling=-1"]),
+                       ("-1:0", ["--sibling=-1:0"])):
+        code, out, err = run_main("lc", "--c", "1,3", *args)
+        assert (code, out) == (2, ""), args
+        assert err == (f"error: bad sibling spec {spec!r}; "
+                       f"expected K:BITS like 0:01\n"), args
+
+
 def test_lc_requires_a_mode():
     proc = run_cli("lc", "--c", "1")
     assert proc.returncode == 2

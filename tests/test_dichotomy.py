@@ -7,7 +7,7 @@ import random
 import pytest
 
 import oracles
-from oddwalk import cli, homset, kernels, parity
+from oddwalk import bruteforce, cli, homset, kernels, parity
 from oddwalk.dichotomy import (Tower, TowerReport, decide, evaluate,
                                parse_schedule, unbounded_schedule_default,
                                verify_tower)
@@ -19,7 +19,7 @@ from oddwalk.generators import (all_graphs_upto, complete_graph, cycle_graph,
                                 disjoint_union, path_graph, petersen_graph,
                                 random_bipartite_graph, random_graph)
 from oddwalk.graphs import Coloring, WitnessedGraph
-from oddwalk.homset import Hom, LargeVerdict, all_homs, extend_witness, pin
+from oddwalk.homset import Hom, LargeVerdict, all_homs, extend_witness
 from oddwalk.parity import is_bipartite, nonbipartite_vertices
 from oddwalk.render import tower_to_json_rows
 
@@ -174,7 +174,7 @@ def test_evaluate_errors():
 
 
 def _c5_root_profile():
-    return pin(all_homs(build_gadget(()), cycle_graph(5)), Hom(("c0",), ()))
+    return bruteforce.pin(all_homs(build_gadget(()), cycle_graph(5)), Hom(("c0",), ()))
 
 
 # every public count, index or length takes an int >= 0 that is not a bool;
@@ -188,7 +188,7 @@ _NATURAL_SITES = {
                    InvalidIndex, "m and k must be nonnegative"),
     "extend_witness": (lambda v: extend_witness(_c5_root_profile(), v),
                        ParseError, "bound must be a natural number"),
-    "double": (lambda v: homset.double(_c5_root_profile(), v), ParseError,
+    "double": (lambda v: bruteforce.double(_c5_root_profile(), v), ParseError,
                "join length must be an integer >= 1"),
     "enumerate_homs": (lambda v: _c5_root_profile().enumerate_homs(v),
                        ParseError, "cap must be a natural number"),
@@ -375,11 +375,11 @@ def test_decide_sweeps_only_the_root(monkeypatch):
         calls = []
         monkeypatch.setattr(kernels, "path_propagate",
                             lambda *a, f=kernels.path_propagate: calls.append(1) or f(*a))
-        monkeypatch.setattr(homset, "double", lambda *a: pytest.fail("double called"))
+        monkeypatch.setattr(bruteforce, "double", lambda *a: pytest.fail("double called"))
         got = decide(g, depth)
         monkeypatch.undo()
-        # the root is the full level-0 profile, built normalized, and every
-        # later level is pinned: the kernel never runs
+        # every level, the root included, is pinned straight from its
+        # homomorphism: the kernel never runs
         assert calls == []
         assert oracles.levels_form(got) == oracles.decide_via_profiles(g, depth)
         assert verify_tower(got, g).ok
@@ -388,15 +388,15 @@ def test_decide_sweeps_only_the_root(monkeypatch):
     # a witness outside p, at a vertex or only at a parallel witness, is
     # glued without complaint and then refused
     c5 = cycle_graph(5)
-    p = pin(all_homs(build_gadget(()), c5), Hom(("c0",), ()))
+    p = bruteforce.pin(all_homs(build_gadget(()), c5), Hom(("c0",), ()))
     _, level1 = extend_witness(p, 1)
-    p1 = pin(all_homs(build_gadget((3,)), c5), level1)
-    triangle = pin(all_homs(build_gadget((1,)), multi),
-                   Hom(("a", "b", "c", "a"), ("w0", "w1", "w2")))
+    p1 = bruteforce.pin(all_homs(build_gadget((3,)), c5), level1)
+    triangle = bruteforce.pin(all_homs(build_gadget((1,)), multi),
+                              Hom(("a", "b", "c", "a"), ("w0", "w1", "w2")))
     for q, outside in ((p, Hom(("c1",), ())),
                        (p1, Hom(level1.vertex_images[::-1], level1.witness_images[::-1])),
                        (triangle, Hom(("a", "b", "c", "a"), ("w3", "w1", "w2")))):
-        assert not q.member(outside)
+        assert not bruteforce.member(q, outside)
         with monkeypatch.context() as m:
             m.setattr(homset, "is_large", lambda _, h=outside: LargeVerdict(True, h))
             with pytest.raises(OddwalkError, match="outside the doubled profile"):

@@ -5,6 +5,8 @@ import pytest
 
 import oracles
 from oddwalk import bruteforce, cli, homset, kernels
+from oddwalk.bruteforce import (double, member, pin, preserve_largeness,
+                                restricted)
 from oddwalk.dichotomy import decide
 from oddwalk.errors import (NotHomomorphism, NotLarge, NotMember, ParseError,
                             PrefixMismatch)
@@ -14,10 +16,8 @@ from oddwalk.generators import (all_graphs_upto, complete_graph, cycle_graph,
                                 single_edge)
 from oddwalk.graphs import WitnessedGraph, Walk
 from oddwalk.homset import (ExplicitHomSet, Hom, HomProfile, all_homs,
-                            copy_restriction, double, edge_label,
-                            extend_witness, glue_hom,
-                            is_large, is_small, is_tiny, pin,
-                            preserve_largeness, validate_hom)
+                            copy_restriction, edge_label, extend_witness,
+                            glue_hom, is_large, is_small, is_tiny, validate_hom)
 from oddwalk.parity import exact_walk, nonbipartite_vertices
 from oddwalk.render import homs_to_json_rows
 
@@ -71,7 +71,7 @@ def test_enumerate_is_lex_least():
     # least vertex path walks k0-k1-k0-k1; each hop uses the only witness w0
     assert homs.homs[0] == Hom(("k0", "k1", "k0", "k1"), ("w0", "w0", "w0"))
     assert list(homs.homs) == sorted(homs.homs)
-    assert all(p.member(h) for h in homs.homs)
+    assert all(member(p, h) for h in homs.homs)
 
     none, total = p.enumerate_homs(0)
     assert len(none.homs) == 0 and total == 24
@@ -215,7 +215,8 @@ def test_layout_slices_match_label_oracles():
             full = all_homs(build_gadget(prefix), g)
             # drop one random vertex from some domains, so copy 1 is not
             # copy 0 read backwards
-            p = full.restricted(
+            p = restricted(
+                full,
                 [m & ~(1 << rng.randrange(len(g.vertices))) if rng.random() < 0.3
                  else m for m in full.vmasks],
                 full.wmasks)
@@ -223,7 +224,7 @@ def test_layout_slices_match_label_oracles():
             small_homs = p.enumerate_homs(2)[0].homs
             for c in (1, 2, 3):
                 big, vmasks, wmasks = oracles.double_masks(p, c)
-                want = HomProfile(big, g, vmasks, wmasks)
+                want = restricted(all_homs(big, g), vmasks, wmasks)
                 got = double(p, c)
                 assert got.gadget.prefix == big.prefix
                 assert (got.vmasks, got.wmasks) == (want.vmasks, want.wmasks)
@@ -261,7 +262,7 @@ def test_layout_slices_match_label_oracles():
             assert oracles.glue_images(small, phi0, t.prefix[level], walk) == \
                 (hom.vertex_images, hom.witness_images)
             big, vmasks, wmasks = oracles.double_masks(p, t.prefix[level])
-            want = HomProfile(big, g, vmasks, wmasks)
+            want = restricted(all_homs(big, g), vmasks, wmasks)
             got = double(p, t.prefix[level])
             assert (got.vmasks, got.wmasks) == (want.vmasks, want.wmasks)
 
@@ -306,7 +307,7 @@ def test_extend_witness_on_triangle():
     assert hom == Hom(("k0", "k1", "k2", "k0"), ("w0", "w2", "w1"))
     big = build_gadget((1,))
     validate_hom(big, k3(), hom)
-    assert double(p, d).member(hom)
+    assert member(double(p, d), hom)
     phi0 = is_large(p).witness
     assert copy_restriction(big, p.gadget, hom, 0) == phi0
     assert copy_restriction(big, p.gadget, hom, 1) == phi0
@@ -318,7 +319,7 @@ def test_extend_witness_join_lengths():
     d, hom = extend_witness(p, 1)
     # the shortest odd closed walk in the 5-cycle has length 5
     assert d == 3
-    assert double(p, 3).member(hom)
+    assert member(double(p, 3), hom)
 
     d, _ = extend_witness(all_homs(build_gadget(()), k3()), 4)
     # the bound 4 is even, so the join length rounds up to 5
@@ -475,8 +476,8 @@ def test_profile_agrees_with_enumeration_on_small_graphs():
                 assert witness == min(h for h in explicit.homs
                                       if all(v in nb for v in h.vertex_images))
                 nbmask = sum(1 << g.vertex_index(v) for v in nb)
-                restricted = p.restricted([m & nbmask for m in p.vmasks], p.wmasks)
-                assert witness == restricted.enumerate_homs(1)[0].homs[0]
+                cut = restricted(p, [m & nbmask for m in p.vmasks], p.wmasks)
+                assert witness == cut.enumerate_homs(1)[0].homs[0]
             else:
                 assert witness is None
 
@@ -514,23 +515,23 @@ def test_count_matches_explicit_members_on_both_halves(monkeypatch):
         gadget = build_gadget(lower + (rng.choice((1, 2, 3)),))
         small = all_homs(build_gadget(lower), g)
         full = all_homs(gadget, g)
-        narrowed = full.restricted([m & rng.randrange(1 << n) if rng.random() < 0.3 else m
-                                    for m in full.vmasks], full.wmasks)
+        narrowed = restricted(full, [m & rng.randrange(1 << n) if rng.random() < 0.3 else m
+                                     for m in full.vmasks], full.wmasks)
         at, v = rng.randrange(gadget.vertex_count), rng.randrange(n)
-        held = full.restricted([m & (1 << v) if i == at else m
-                                for i, m in enumerate(full.vmasks)], full.wmasks)
-        doubled = double(small.restricted([m & rng.randrange(1 << n) for m in small.vmasks],
-                                          small.wmasks), gadget.prefix[-1])
+        held = restricted(full, [m & (1 << v) if i == at else m
+                                 for i, m in enumerate(full.vmasks)], full.wmasks)
+        doubled = double(restricted(small, [m & rng.randrange(1 << n) for m in small.vmasks],
+                                    small.wmasks), gadget.prefix[-1])
         cases = [small, full, narrowed, held, doubled,
-                 doubled.restricted([m & (1 << v) if i == at else m
-                                     for i, m in enumerate(doubled.vmasks)], doubled.wmasks)]
+                 restricted(doubled, [m & (1 << v) if i == at else m
+                                      for i, m in enumerate(doubled.vmasks)], doubled.wmasks)]
         if full.count():
             cases.append(pin(full, full.enumerate_homs(1)[0].homs[0]))
         explicit = {p.gadget: bruteforce.explicit_homset(p.gadget, g)
                     for p in (small, full) if oracles.walk_count(g, p.gadget.edge_count) <= 3000}
         for q in cases:
             # a copy, so that no count stored on q is read back
-            p = HomProfile(q.gadget, g, q.vmasks, q.wmasks, normalized=True)
+            p = HomProfile(q.gadget, g, q.vmasks, q.wmasks)
             edges = p.gadget.edge_count
             palindromic = p.vmasks == p.vmasks[::-1] and p.wmasks == p.wmasks[::-1]
             swept.clear()
@@ -580,14 +581,14 @@ def test_is_tiny_matches_per_position_oracle():
         gadget = build_gadget(rng.choice(((), (1,), (1, 3), (3, 1))))
         full = all_homs(gadget, g)
         n = len(g.vertices)
-        narrowed = full.restricted(
-            [m & rng.choice((rng.randrange(1 << n), (1 << n) - 1))
-             for m in full.vmasks], full.wmasks)
+        narrowed = restricted(
+            full, [m & rng.choice((rng.randrange(1 << n), (1 << n) - 1))
+                   for m in full.vmasks], full.wmasks)
         # one position held to one vertex: one colour class per bipartite
         # component at every position
         at, v = rng.randrange(gadget.vertex_count), rng.randrange(n)
-        held = full.restricted([m & (1 << v) if i == at else m
-                                for i, m in enumerate(full.vmasks)], full.wmasks)
+        held = restricted(full, [m & (1 << v) if i == at else m
+                                 for i, m in enumerate(full.vmasks)], full.wmasks)
         cases = [full, narrowed, held]
         if full.count():
             first = full.enumerate_homs(1)[0].homs[0]
@@ -641,18 +642,18 @@ def normalized_profiles(rng, rounds):
         lower = rng.choice(((), (1,), (3,)))
         gadget = build_gadget(lower + (rng.choice((1, 3)),))
         full = all_homs(gadget, g)
-        inside = full.restricted([m & nbmask for m in full.vmasks], full.wmasks)
+        inside = restricted(full, [m & nbmask for m in full.vmasks], full.wmasks)
         at, v = rng.randrange(gadget.vertex_count), rng.randrange(n)
         small = all_homs(build_gadget(lower), g)
         cases = [full, inside,
-                 full.restricted([m & rng.randrange(1 << n) if rng.random() < 0.3 else m
-                                  for m in full.vmasks], full.wmasks),
-                 inside.restricted([m & rng.randrange(1 << n) for m in inside.vmasks],
-                                   inside.wmasks),
-                 full.restricted([m & (1 << v) if i == at else m
-                                  for i, m in enumerate(full.vmasks)], full.wmasks),
-                 double(small.restricted([m & rng.randrange(1 << n) for m in small.vmasks],
-                                         small.wmasks), gadget.prefix[-1])]
+                 restricted(full, [m & rng.randrange(1 << n) if rng.random() < 0.3 else m
+                                   for m in full.vmasks], full.wmasks),
+                 restricted(inside, [m & rng.randrange(1 << n) for m in inside.vmasks],
+                            inside.wmasks),
+                 restricted(full, [m & (1 << v) if i == at else m
+                                   for i, m in enumerate(full.vmasks)], full.wmasks),
+                 double(restricted(small, [m & rng.randrange(1 << n) for m in small.vmasks],
+                                   small.wmasks), gadget.prefix[-1])]
         homs = full.enumerate_homs(20)[0].homs
         cases += [pin(full, hom) for hom in rng.sample(homs, min(2, len(homs)))]
         for p in cases:
@@ -769,7 +770,7 @@ def test_profiles_and_gluing_materialize_no_gadget():
     for _ in range(4):
         d, hom = extend_witness(p, 1)
         p = HomProfile.pinned(build_gadget(p.gadget.prefix + (d,)), g, hom)
-        assert p.count() == 1 and p.member(hom)
+        assert p.count() == 1 and member(p, hom)
     assert [p.project(v) for v in oracles.gadget_vertices_from_root(p.gadget.prefix)] == [
         (img,) for img in hom.vertex_images]
 
@@ -796,7 +797,7 @@ def test_full_profile_closed_form_matches_kernel_sweep():
         for level in range(5):
             gad = build_gadget(tuple(rng.randint(1, 3) for _ in range(level)))
             got = HomProfile.full(gad, g)
-            want = HomProfile(gad, g, [allv] * gad.vertex_count,
+            want = restricted(got, [allv] * gad.vertex_count,
                               [allw] * gad.edge_count)
             assert (got.vmasks, got.wmasks) == (want.vmasks, want.wmasks), (g, gad)
             assert got.count() == oracles.walk_count(g, gad.edge_count)

@@ -1,7 +1,7 @@
 """Every module-level import in the package and in the tests is read
 somewhere in its module, the check suites are imported only by what runs
-them, no command imports dataclasses and a well-formed command other than
-check does not import argparse.
+them (the propagation kernel among them), no command imports dataclasses
+and a well-formed command other than check does not import argparse.
 
 The package's __init__.py is skipped by the dead-import scan: its imports
 are the public re-exports.
@@ -47,7 +47,8 @@ def test_package_has_no_dead_imports():
 
 
 # what only the check suites read; no other command may pay for importing it
-CHECK_ONLY = ("oddwalk.check", "oddwalk.bruteforce", "oddwalk.generators")
+CHECK_ONLY = ("oddwalk.check", "oddwalk.bruteforce", "oddwalk.generators",
+              "oddwalk.kernels")
 # dataclasses and the source tools it imports, which the records (named
 # tuples) do without; no command, check included, may pay for them
 NOT_IMPORTED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
@@ -64,8 +65,9 @@ def imported_modules(*args, code=0):
 
 
 # one op of every subcommand but check; GRAPH stands for a triangle's file.
-# bruteforce holds the package's only gadget vertex list, so none of these
-# may build one; each is well-formed, so none builds an argparse parser
+# bruteforce holds the package's only gadget vertex list and the only caller
+# of the propagation sweep, so none of these may build one or sweep; each is
+# well-formed, so none builds an argparse parser
 @pytest.mark.parametrize("args", [
     ["-c", "import oddwalk.cli"],
     ["-c", "import oddwalk"],
@@ -111,8 +113,10 @@ def test_import_scan_sees_dataclasses():
 
 def test_dict_builders_and_test_only_members_are_gone():
     # the row writers are the package's only JSON form of these objects, and
-    # their references live in tests/oracles.py
+    # their references live in tests/oracles.py; the sweep chain, the oracle
+    # of the profiles' closed forms, lives in bruteforce
     import oddwalk.bruteforce
+    import oddwalk.homset
     from oddwalk.dichotomy import Tower
     from oddwalk.equiv import EquivalenceTower
     from oddwalk.gadget import PathGadget
@@ -122,7 +126,10 @@ def test_dict_builders_and_test_only_members_are_gone():
             (HomProfile, "to_json_dict"), (EquivalenceTower, "to_json_dict"),
             (Hom, "labelled_json_dict"), (HomProfile, "project_edge"),
             (PathGadget, "birth_level"), (WitnessedGraph, "component_of"),
-            (oddwalk.bruteforce, "same_component_wide_scan")]
+            (oddwalk.bruteforce, "same_component_wide_scan"),
+            (HomProfile, "restricted"), (HomProfile, "member"),
+            (oddwalk.homset, "double"), (oddwalk.homset, "pin"),
+            (oddwalk.homset, "preserve_largeness")]
     assert [(owner.__name__, name) for owner, name in gone
             if hasattr(owner, name)] == []
 
@@ -133,6 +140,9 @@ def test_run_checks_stays_public():
     import oddwalk.check
     assert oddwalk.run_checks is oddwalk.check.run_checks
     assert oddwalk.check_odd_distance_lemma is oddwalk.bruteforce.check_odd_distance_lemma
+    assert oddwalk.double is oddwalk.bruteforce.double
+    assert oddwalk.pin is oddwalk.bruteforce.pin
+    assert oddwalk.preserve_largeness is oddwalk.bruteforce.preserve_largeness
     namespace = {}
     exec("from oddwalk import *", namespace)
     assert [name for name in oddwalk.__all__ if name not in namespace] == []
