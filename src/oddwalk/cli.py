@@ -56,7 +56,7 @@ from .errors import GapInsufficient, OddwalkError, ParseError
 from .gadget import (GadgetVertex, ascii_int, build_gadget, parse_prefix,
                      require_natural)
 from .graphs import Coloring, WitnessedGraph
-from .homset import all_homs, is_large, is_tiny
+from .homset import FullProfile, is_tiny
 from .limitgraph import (LcVertex, adjacent, level_quotient, neighbors,
                          odd_sibling_obstruction, project_level,
                          same_component, validate_vertex)
@@ -212,22 +212,24 @@ def _cmd_homset(args) -> int:
     projected = list(map(GadgetVertex.from_label, args.project or ()))
     for v in projected:
         gadget.require_vertex(v)
-    p = all_homs(gadget, g)
-    tiny = is_tiny(p)
-    large = is_large(p)
+    full = FullProfile(gadget, g)
+    tiny = is_tiny(full)
+    # the large witness before the count: on a gadget too large for memory
+    # the witness fails at once, the count only after minutes
+    large = full.is_large()
     out = {
         "formatVersion": 1,
         "c": list(gadget.prefix),
-        "count": p.count(),
+        "count": full.count(),
         "tiny": {"holds": tiny.tiny,
                  "vertex": tiny.vertex.label if tiny.vertex else None},
     }
     if args.project:
-        out["projections"] = {v.label: list(p.project(v)) for v in projected}
+        out["projections"] = {v.label: list(full.project(v)) for v in projected}
     homs = [large.witness] if large.witness else []
     if args.enumerate is not None:
-        explicit, out["total"] = p.enumerate_homs(args.enumerate)
-        homs += explicit.homs
+        out["total"] = out["count"]
+        homs += islice(full.homs(), args.enumerate)
     rows = homs_to_json_rows(gadget, homs)
     out["large"] = {"holds": large.large,
                     "witness": next(rows) if large.witness else None}

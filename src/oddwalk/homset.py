@@ -23,6 +23,12 @@ chain on top of it (restricted, member, double, pin, preserve_largeness)
 live in bruteforce, where they are the oracle for these closed forms.  A
 homomorphism is written as JSON only by the row writers
 (render.homs_to_json_rows, render.tower_to_json_rows).
+
+The full set, the one the homset command reads, needs no profile at all:
+FullProfile reads its projections, largeness witness, count and members
+off the target alone, without masks or recursion, and HomProfile.full with
+is_large is its oracle.  HomProfile serves decide, extend_witness and the
+check suites.
 """
 
 from __future__ import annotations
@@ -200,12 +206,14 @@ class HomProfile:
 
         When the masks read the same from both ends, the reversed masks are
         the masks, so R = F_{E-h}: the forward sweep to h, continued one
-        edge further when E is odd.  Every full profile and every doubled
-        profile (bruteforce.double) reads so (level n+1 is copy 0, the join,
+        edge further when E is odd.  A full profile and every doubled
+        profile (bruteforce.double) read so (level n+1 is copy 0, the join,
         then copy 1 reversed), and normalization keeps it (arc consistency
         has one greatest fixed point, and reversing the path maps fixed
         points to fixed points), so their counts sweep about E/2 edges, not
-        E.
+        E.  The homset command counts the full set by FullProfile.count,
+        the same meeting in the middle without masks; this count is its
+        oracle and serves the check suites.
 
         Computed once per profile; later calls return the stored total.
         """
@@ -416,13 +424,118 @@ def all_homs(gadget: PathGadget, target: WitnessedGraph) -> HomProfile:
     return HomProfile.full(gadget, target)
 
 
+class FullProfile(NamedTuple):
+    """Every homomorphism from gadget to target, read off the target alone.
+
+    HomProfile.full without its masks: every position projects onto the
+    same set, N (the vertices that have a witness) when the gadget has an
+    edge and every vertex at level 0, and every witness joins two vertices
+    of N.  So a vertex of N has a neighbour in N, every walk in N extends,
+    and a member is a walk of E steps, E the edge count, with one witness
+    per step.  Nothing is held per position.  is_tiny reads a FullProfile
+    as it reads a profile; HomProfile and is_large are the oracle.
+    """
+
+    gadget: PathGadget
+    target: WitnessedGraph
+
+    @property
+    def images(self) -> tuple[str, ...]:
+        """The projection at every position, in vertex order."""
+        t = self.target
+        if not self.gadget.edge_count:
+            return t.vertices
+        return t.memo("witnessed", lambda: tuple(filter(t.neighbors, t.vertices)))
+
+    def project(self, u: GadgetVertex) -> tuple[str, ...]:
+        self.gadget.require_vertex(u)
+        return self.images
+
+    def is_large(self) -> LargeVerdict:
+        """is_large(HomProfile.full(...)): the least member inside the
+        non-bipartite components is the least-neighbour walk from their
+        least vertex, each step along its least witness."""
+        nb = nonbipartite_vertices(self.target)
+        if not nb:
+            return LargeVerdict(False, None)
+        vs, ws = _least_walk(self.target, min(nb), self.gadget.edge_count)
+        return LargeVerdict(True, Hom(tuple(vs), tuple(ws)))
+
+    def count(self) -> int:
+        """The number of members, 1ᵀ W^E 1 with W the witness adjacency
+        of N, met in the middle as u_h · u_(E-h), where h = E // 2 and
+        u_k = W^k 1 (u_(h+1) = W u_h when E is odd)."""
+        images = self.images
+        index = {v: i for i, v in enumerate(images)}
+        zero = len(images)   # the slot of u that holds 0
+        preds = [[zero] for _ in images]
+        for a, b in self.target.ends.values():
+            preds[index[a]].append(index[b])
+            preds[index[b]].append(index[a])
+        # when E >= 1 each vertex of N has a witness, so each row reads two
+        # slots or more and returns a tuple; at level 0 no row is read
+        rows = [itemgetter(*ps) for ps in preds]
+        u = [1] * zero + [0]
+        for _ in range(self.gadget.edge_count // 2):
+            u = [sum(row(u)) for row in rows] + [0]
+        tail = [sum(row(u)) for row in rows] if self.gadget.edge_count % 2 else u
+        return sum(map(mul, u, tail))
+
+    def homs(self):
+        """Yield every member in (vertex images, witness images) lex order,
+        as HomProfile._homs does: an odometer over walks, which never
+        backtracks since every walk extends, and under each walk its
+        witness choices, each step's ascending."""
+        t, steps, images = self.target, self.gadget.edge_count, self.images
+        if not images:
+            return
+        vs = _least_walk(t, images[0], steps)[0]
+        while True:
+            yield from map(Hom, itertools.repeat(tuple(vs)), itertools.product(
+                *map(t.witnesses_between, vs, vs[1:])))
+            # the last position with a next option, then the least walk on
+            i = steps
+            while True:
+                options = t.neighbors(vs[i - 1]) if i else images
+                k = options.index(vs[i]) + 1
+                if k < len(options):
+                    break
+                if not i:
+                    return
+                i -= 1
+            vs[i:] = _least_walk(t, options[k], steps - i)[0]
+
+
+def _least_walk(t: WitnessedGraph, start: str, steps: int) -> tuple[list, list]:
+    """The vertices and witnesses of the walk of `steps` steps from start
+    that steps to the least neighbour along the least witness each time.
+
+    A vertex's least neighbour is at most the vertex before it, which is a
+    neighbour too, so the walk's even and odd positions descend until a
+    step returns to the vertex before; from there it alternates between
+    its last two vertices, and the rest is written at once.
+    """
+    vs, ws = [start], []
+    while len(ws) < steps:
+        a = vs[-1]
+        b = t.neighbors(a)[0]
+        if len(vs) > 1 and b == vs[-2]:
+            rest = steps - len(ws)
+            vs += [b, a] * (rest // 2) + [b] * (rest % 2)
+            ws += [ws[-1]] * rest
+            break
+        vs.append(b)
+        ws.append(t.witnesses_between(a, b)[0])
+    return vs, ws
+
+
 def is_tiny(homs) -> TinyVerdict:
     """Some position's projection admits no odd walk; position 0 is tested.
 
-    Accepts a HomProfile or an ExplicitHomSet.  One position decides every
-    other: along the path each step sends every image to a neighbour, in
-    the same component and, on a bipartite component, in the other colour
-    class.  So the projection at position i lies in the bipartite
+    Accepts a HomProfile, a FullProfile or an ExplicitHomSet.  One
+    position decides every other: along the path each step sends every
+    image to a neighbour, in the same component and, on a bipartite
+    component, in the other colour class.  So the projection at position i lies in the bipartite
     components, one colour class per component, exactly when the
     projection at position 0 does (an empty set is tiny everywhere).  The
     verdict names position 0 or no vertex.

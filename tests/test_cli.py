@@ -14,14 +14,14 @@ from pathlib import Path
 import pytest
 
 import oracles
-from oddwalk import cli, kernels, parity
+from oddwalk import cli, homset, kernels, parity
 from oddwalk.dichotomy import decide, parse_schedule
 from oddwalk.equiv import plan_equivalence
 from oddwalk.gadget import build_gadget, parse_prefix
 from oddwalk.generators import (complete_graph, cycle_graph, path_graph,
                                 petersen_graph, random_graph)
 from oddwalk.graphs import WitnessedGraph
-from oddwalk.homset import all_homs, is_large
+from oddwalk.homset import Hom, all_homs, is_large, validate_hom
 from oddwalk.limitgraph import level_quotient
 from oddwalk.parity import phi_bound
 from oddwalk.render import PALETTE, JsonRows
@@ -1060,6 +1060,28 @@ def test_no_command_but_check_runs_the_kernel(tmp_path, monkeypatch):
     assert calls
 
 
+def test_homset_builds_no_hom_profile(tmp_path, monkeypatch):
+    # homset reads the full profile off the target (homset.FullProfile); a
+    # C7 beside a bipartite edge that holds the least vertex ids, whose
+    # least member is no largeness witness, and a bipartite target
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text("a b\n" + "".join(f"x{i} x{(i + 1) % 7}\n" for i in range(7)))
+    square = tmp_path / "square.txt"
+    square.write_text("a b\nb c\nc d\nd a\n")
+    argvs = [["homset", "--graph", str(g), "--c", "1,3", "--project", "p0.1",
+              "--project", "p1", "--enumerate", "5"] for g in (mixed, square)]
+    want = [run_main(*argv) for argv in argvs]
+    assert json.loads(want[0][1])["large"]["witness"]["vertexAssignments"]["p0"] == "x0"
+
+    def refuse(*args):
+        raise AssertionError("HomProfile built")
+
+    monkeypatch.setattr(homset.HomProfile, "__init__", refuse)
+    for argv, w in zip(argvs, want):
+        assert w[0] == 0, (argv, w[2])
+        assert run_main(*argv) == w, argv
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
 def test_input_too_large_for_memory_is_one_error_line(tmp_path):
     import resource
@@ -1103,6 +1125,25 @@ def test_homset_count_of_any_size(tmp_path):
         assert int(digits) == 2 * 20 ** 6141
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_homset_runs_past_the_recursion_limit(tmp_path):
+    # 3,070 positions, three times CPython's default recursion limit: a
+    # profile enumeration that recursed per position raised RecursionError
+    c5 = tmp_path / "c5.txt"
+    c5.write_text("a b\nb c\nc d\nd e\ne a\n")
+    prefix = (1,) * 10
+    code, out, err = run_main("homset", "--graph", str(c5), "--c", ",".join(map(str, prefix)))
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["count"] == 5 * 2 ** 3069   # every walk of 3,069 steps
+    gadget = build_gadget(prefix)
+    labels = gadget.labels
+    witness = data["large"]["witness"]
+    validate_hom(gadget, WitnessedGraph.from_text(c5.read_text()), Hom(
+        tuple(map(witness["vertexAssignments"].__getitem__, labels)),
+        tuple(witness["witnessAssignments"][f"{a}--{b}"]
+              for a, b in zip(labels, labels[1:]))))
 
 
 def test_check_help_lists_the_suites():

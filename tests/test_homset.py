@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -15,9 +16,10 @@ from oddwalk.generators import (all_graphs_upto, complete_graph, cycle_graph,
                                 disjoint_union, path_graph, random_graph,
                                 single_edge)
 from oddwalk.graphs import WitnessedGraph, Walk
-from oddwalk.homset import (ExplicitHomSet, Hom, HomProfile, all_homs,
-                            copy_restriction, edge_label, extend_witness,
-                            glue_hom, is_large, is_small, is_tiny, validate_hom)
+from oddwalk.homset import (ExplicitHomSet, FullProfile, Hom, HomProfile,
+                            all_homs, copy_restriction, edge_label,
+                            extend_witness, glue_hom, is_large, is_small,
+                            is_tiny, validate_hom)
 from oddwalk.parity import exact_walk, nonbipartite_vertices
 from oddwalk.render import homs_to_json_rows
 
@@ -805,3 +807,52 @@ def test_full_profile_closed_form_matches_kernel_sweep():
     assert seen >= {("isolated", True), ("isolated", False), ("edgeless", True),
                     ("edgeless", False), ("kind", "bipartite"), ("kind", "mixed"),
                     ("kind", "odd")}
+
+
+def test_full_profile_reader_matches_the_profile():
+    # FullProfile reads Hom(gadget, target) off the target alone; the full
+    # HomProfile, with is_tiny, is_large, count, project and enumerate_homs,
+    # is its oracle
+    rng = random.Random(32)
+    # paths, whose least walks from the far end descend before they turn
+    files = [([], {}), (["a", "b", "c"], {})] + [
+        (g.vertices, g.ends) for g in map(path_graph, range(2, 6))]
+    for _ in range(420):
+        g = (mixed_multigraph(rng) if rng.random() < 0.6 else
+             random_graph(rng, rng.randint(1, 7), p=rng.random(), multi=0.4))
+        # random ids in shuffled order, so that the ids sort otherwise than
+        # the file lists them, parallel witnesses included
+        pairs = [g.ends[w] for w in g.witnesses]
+        rng.shuffle(pairs)
+        ids = rng.sample(range(10, 10 + 10 * len(pairs)), len(pairs))
+        files.append((g.vertices, {f"w{i}": p for i, p in zip(ids, pairs)}))
+    seen, caps, verdicts = set(), set(), []
+    for vertices, ends in files:
+        g = WitnessedGraph(vertices, ends)
+        gadget = build_gadget(tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 5))))
+        full, p = FullProfile(gadget, g), HomProfile.full(gadget, g)
+        cap = rng.randint(0, 30)
+        large = full.is_large()
+        assert is_tiny(full) == is_tiny(p), (g, gadget)
+        assert large == is_large(p), (g, gadget)
+        assert full.count() == p.count(), (g, gadget)
+        for pos in (0, rng.randrange(gadget.vertex_count), gadget.vertex_count - 1):
+            u = gadget.vertex_at(pos)
+            assert full.project(u) == p.project(u), (g, gadget, u)
+        assert list(itertools.islice(full.homs(), cap)) == list(
+            p.enumerate_homs(cap)[0].homs), (g, gadget, cap)
+        if p.count() <= 400:   # every member, so that walks restart deep
+            assert list(full.homs()) == list(p.enumerate_homs(400)[0].homs)
+        caps.add(cap)
+        verdicts.append(large.large)
+        seen.add(("isolated", any(not g.neighbors(v) for v in g.vertices)))
+        seen.add(("no witness", not ends))
+        seen.add(("parallel", len(set(g.ends.values())) < len(ends)))
+        seen.add(("ids out of file order", list(ends) != sorted(ends)))
+        seen.add(("cut", large.large and full.images[0] not in nonbipartite_vertices(g)))
+        seen.add(("level", gadget.level))
+    assert caps == set(range(31))
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+    assert seen >= {(kind, True) for kind in (
+        "isolated", "no witness", "parallel", "ids out of file order", "cut")}
+    assert seen >= {("level", level) for level in range(6)}
