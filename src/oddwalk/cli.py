@@ -3,26 +3,31 @@
 Exit codes: 0 success, 1 property failure (failed verification or check
 suite), 2 input error (also one too large for memory) or a closed stdout,
 also one closed mid-stream.
-Every subcommand checks its input and computes its result before it
-writes anything, then writes through _write, which joins the text pieces
+Every subcommand checks its input and computes its result, all but the
+streams below, before it writes anything, then writes through _write, which joins the text pieces
 it is given _BATCH at a time and writes each batch to stdout as it comes.
 DOT, TikZ and text are generators of lines (render).  JSON is _emit's
-walk of the output dict (_json), which equals json.dumps(data, indent=2,
-sort_keys=True) byte for byte but hands each flat container (no
-container among its items) to the standard library's C encoder in one
-call, which json.dumps gives up as soon as it is asked to indent; it
-recurses into the rest.  Keys are sorted, so a fixed invocation is
-byte-identical across runs.  Everything that doubles with the gadget
-level is made lazily, so no output is ever held whole: the gadget and
-quotient arrays of `gadget --format json` and `lc --quotient`
-(render.gadget_to_json_rows, render.quotient_to_json_rows), a
-`dichotomy` tower's levels (render.tower_to_json_rows), an `equiv`
-tower's maps (render.equivalence_to_json_rows) and the homomorphisms of
-`homset`, its `large` witness and every `--enumerate` member
-(render.homs_to_json_rows, one label sort and one id encoding for all of
-them).  A generator stands for the array of the values it yields, and a
+text of the output dict (_json), which equals json.dumps(data, indent=2,
+sort_keys=True) byte for byte.  _text writes a value as one string, by a
+plain recursion: a str by encode_basestring_ascii, an int by int.__repr__,
+True, False and None as literals, dicts, lists and tuples member by
+member, and every other value (floats, subclasses of int and str) and
+every key that is not a str by json.dumps, as the standard library writes
+them.  So an output that holds no stream is one write.  Keys are sorted,
+so a fixed invocation is byte-identical across runs.  Everything that
+doubles with the gadget level is a stream, made lazily, so no output is
+ever held whole: the gadget and quotient arrays of `gadget --format json`
+and `lc --quotient` (render.gadget_to_json_rows,
+render.quotient_to_json_rows), a `dichotomy` tower's levels
+(render.tower_to_json_rows), an `equiv` tower's maps
+(render.equivalence_to_json_rows) and the homomorphisms of `homset`, its
+`large` witness and every `--enumerate` member (render.homs_to_json_rows,
+one label sort for all of them, each member made as it is written).  A
+generator stands for the array of the values it yields, and a
 render.JsonRows for an array or object whose member texts it makes at
-their final indentation, one at a time; _json joins them _BATCH at a time.
+their final indentation, one at a time.  _text leaves a mark for each
+stream in the text around it, and _json writes the stream there, a
+JsonRows's rows _BATCH at a time, reading each stream once, in order.
 
 main parses argv once.  When its first item names a subcommand and the
 rest is well-formed, _read takes it without argparse: each item an exact
@@ -45,7 +50,8 @@ import functools
 import json
 import os
 import sys
-from itertools import chain, islice, repeat
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import GeneratorType, SimpleNamespace
 
@@ -82,9 +88,14 @@ def _load_graph(path: str) -> WitnessedGraph:
     return WitnessedGraph.from_text(_read_text(path))
 
 
-# a streamed array (a generator of values) or object (JsonRows) counts as
-# a container, so that no flat container holds one
-_CONTAINERS = (dict, list, tuple, JsonRows, GeneratorType)
+# a streamed array (a generator of the values it yields) or array or object
+# (a JsonRows, the texts of its members)
+_STREAMS = (JsonRows, GeneratorType)
+
+# stands for a stream in the text of the value that holds it: JSON text as
+# json.dumps writes it is ASCII with every control character escaped, so it
+# holds no NUL
+_MARK = "\x00"
 
 # rows joined into one piece, and pieces joined into one write, so a write
 # holds at most _BATCH ** 2 rows
@@ -97,54 +108,87 @@ def _batches(items):
     return iter(lambda: list(islice(items, _BATCH)), [])
 
 
-@functools.lru_cache(maxsize=None)
-def _encoder(item_sep: str):
-    """Compact sorted-key encoding with the given item separator; the C
-    encoder runs because no indent is set."""
-    return json.JSONEncoder(sort_keys=True, separators=(item_sep, ": ")).encode
+def _text(data, indent: str, streams: list) -> str:
+    """The text of json.dumps(data, indent=2, sort_keys=True) where data
+    starts on a line indented by indent (a newline and the line's spaces),
+    in one string, except that each stream in data is written as _MARK and
+    appended, with its indent, to streams.
 
-
-def _is_flat(data) -> bool:
-    """Whether no item (no value, for a dict) is a container; the container
-    test runs in C, once per distinct item type."""
-    items = data.values() if isinstance(data, dict) else data
-    return not any(map(issubclass, set(map(type, items)), repeat(_CONTAINERS)))
+    A str, an int, True, False and None are written here, and dicts, lists
+    and tuples recursed into.  Every other value, subclasses of int and str
+    included, goes to json.dumps, and so does every key that is not a str,
+    whose text is then written as a string, as json.dumps writes it.
+    """
+    cls = type(data)
+    if cls is str:
+        return encode_basestring_ascii(data)
+    if cls is int:
+        return int.__repr__(data)
+    if isinstance(data, dict):
+        if not data:
+            return "{}"
+        inner = indent + "  "
+        members = []
+        for key in sorted(data):
+            name = key if isinstance(key, str) else json.dumps(key)
+            members.append(encode_basestring_ascii(name) + ": "
+                           + _text(data[key], inner, streams))
+        return "{" + inner + ("," + inner).join(members) + indent + "}"
+    if isinstance(data, (list, tuple)):
+        if not data:
+            return "[]"
+        inner = indent + "  "
+        members = []
+        for value in data:
+            members.append(_text(value, inner, streams))
+        return "[" + inner + ("," + inner).join(members) + indent + "]"
+    if data is None:
+        return "null"
+    if data is True:
+        return "true"
+    if data is False:
+        return "false"
+    if isinstance(data, _STREAMS):
+        streams.append((data, indent))
+        return _MARK
+    return json.dumps(data)
 
 
 def _json(data, indent: str = "\n"):
     """The text of json.dumps(data, indent=2, sort_keys=True), byte for
-    byte, in pieces made as they are asked for; a generator stands for the
+    byte, in pieces: the text between streams (_text) one piece each, and
+    each stream's text made as it is asked for.  A generator stands for the
     array of the values it yields and a JsonRows for the array or object of
-    its rows.
+    its rows; each is read once, in order.
 
     indent is a newline plus the indentation of the line data starts on.
     """
+    streams = []
+    texts = _text(data, indent, streams).split(_MARK)
+    yield texts[0]
+    for (stream, inner), text in zip(streams, islice(texts, 1, None)):
+        yield from _stream(stream, inner)
+        yield text
+
+
+def _stream(data, indent: str):
+    """The text of a stream, in pieces made as they are asked for: a
+    JsonRows's rows _BATCH to a piece, a generator's values one at a time
+    (_json)."""
     inner = indent + "  "
-    if isinstance(data, JsonRows):
-        head, sep = data.opening + inner, "," + inner
+    rows = isinstance(data, JsonRows)
+    opening, closing = (data.opening, data.closing) if rows else ("[", "]")
+    head, sep = opening + inner, "," + inner
+    if rows:
         for batch in _batches(data.rows(inner)):
             yield head + sep.join(batch)
             head = sep
-        yield indent + data.closing if head == sep else data.opening + data.closing
-        return
-    if not isinstance(data, _CONTAINERS) or not data:   # a generator is true
-        yield _encoder(",")(data)
-        return
-    opening, closing = ("{", "}") if isinstance(data, dict) else ("[", "]")
-    if not isinstance(data, GeneratorType) and _is_flat(data):
-        yield opening + inner + _encoder("," + inner)(data)[1:-1] + indent + closing
-        return
-    if isinstance(data, dict):
-        members = ((_encoder(",")(k if isinstance(k, str) else _encoder(",")(k))
-                    + ": ", data[k]) for k in sorted(data))
     else:
-        members = zip(repeat(""), data)
-    head, sep = opening + inner, "," + inner
-    for key, value in members:
-        yield head + key
-        yield from _json(value, inner)
-        head = sep
-    # only a generator can have yielded nothing
+        for value in data:
+            yield head
+            yield from _json(value, inner)
+            head = sep
+    # only an empty stream leaves head as it was
     yield indent + closing if head == sep else opening + closing
 
 
@@ -226,10 +270,12 @@ def _cmd_homset(args) -> int:
     }
     if args.project:
         out["projections"] = {v.label: list(full.project(v)) for v in projected}
+    # one stream of rows for the witness and the members, so that the
+    # labels are sorted once; each member is made as it is written
     homs = [large.witness] if large.witness else []
     if args.enumerate is not None:
         out["total"] = out["count"]
-        homs += islice(full.homs(), args.enumerate)
+        homs = chain(homs, islice(full.homs(), args.enumerate))
     rows = homs_to_json_rows(gadget, homs)
     out["large"] = {"holds": large.large,
                     "witness": next(rows) if large.witness else None}

@@ -24,11 +24,14 @@ all.  The one whole-gadget list is its labels, kept once read, by the
 doubling from the root (level n+1 is level n with bit 0 appended, the join,
 then level n reversed with bit 1 appended): level_labels lists every
 level's labels, each from the previous level's, and PathGadget.labels keeps
-the last level on the gadget.  Every emitter that lists a whole gadget
-reads one of the two; GadgetVertex.label formats a single vertex, for
-messages and queries.  The vertex lists the closed forms are checked
-against are built by the independent checkers (bruteforce and the test
-oracles), with none of these closed forms or the label recurrence.
+the last level on the gadget.  births runs the same doubling on a text made
+once per vertex at its birth and its copy bits, and yields the top level as
+it is made, for the JSON rows that spell out a vertex's parts.  Every
+emitter that lists a whole gadget reads one of the three;
+GadgetVertex.label formats a single vertex, for messages and queries.  The
+vertex lists the closed forms are checked against are built by the
+independent checkers (bruteforce and the test oracles), with none of these
+closed forms or the label recurrence.
 
 The prefix rules live here once: check_prefix (integers >= 1),
 check_odd_prefix (every value odd) and check_next_level (one gadget is the
@@ -268,6 +271,37 @@ def level_labels(prefix):
         labels = ([lab + "0" for lab in base] + [f"p{k}" for k in range(c + 1)]
                   + [lab + "1" for lab in reversed(base)])
         yield labels
+
+
+def births(prefix, text):
+    """Yield (text(m, k), t) for each vertex of the gadget for the prefix,
+    in path order: m is its birth level, k its join index and t its copy
+    bits as a string of 0s and 1s.
+
+    The doubling of level_labels, with each vertex's text made once, at its
+    birth, and carried along with its bits: level m is level m-1 with bit 0
+    appended, the join k = 0..c born at level m, then level m-1 reversed
+    with bit 1 appended.  Only the level below the top is held, as two
+    lists; the top level is yielded as it is made.
+    """
+    prefix = check_prefix(prefix)
+    if not prefix:
+        yield text(0, 0), ""
+        return
+    texts, bits = [text(0, 0)], [""]
+    for m, c in enumerate(prefix[:-1], 1):
+        texts = texts + [text(m, k) for k in range(c + 1)] + texts[::-1]
+        bits = ([t + "0" for t in bits] + [""] * (c + 1)
+                + [t + "1" for t in reversed(bits)])
+    # the top join is listed before the first row too, as level_labels
+    # lists it, so that a join too large for memory fails before any row
+    join = [text(len(prefix), k) for k in range(prefix[-1] + 1)]
+    for head, t in zip(texts, bits):
+        yield head, t + "0"
+    for head in join:
+        yield head, ""
+    for head, t in zip(reversed(texts), reversed(bits)):
+        yield head, t + "1"
 
 
 def gadget_size(prefix) -> int:

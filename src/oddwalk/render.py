@@ -15,17 +15,22 @@ Every emitter is lazy: the DOT, TikZ and text renderers are generators of
 lines, and the JSON row writers give JsonRows, whose rows are made one at
 a time as cli._emit writes them.  No output is held whole.
 
-The gadget renderings and the JSON row writers read only the gadget's
-labels, which come from the doubling recurrence (gadget.level_labels), and
-build no vertex list: a label p<k>.<t> spells out the join index k and the
-copy history t, so the birth level is the gadget level less len(t).
-Each row is one f-string at its final indentation:
+The gadget renderings and the JSON row writers build no vertex list.  The
+DOT, TikZ and text renderings read the gadget's labels, which come from
+the doubling recurrence (gadget.level_labels): a label p<k>.<t> spells out
+the join index k and the copy history t, so the birth level is the gadget
+level less len(t).  The gadget and quotient rows come from the same
+doubling run on texts (gadget.births): each vertex's text, made once at
+its birth (level m, join index k), and its copy bits t, so no row reads a
+label back.  Each row is one f-string at its final indentation:
 gadget_to_json_rows and quotient_to_json_rows write the gadget and quotient
 arrays, tower_to_json_rows each tower level's vertex and witness
 assignments, homs_to_json_rows the vertex and witness assignments of
-homomorphisms over one gadget (sorting its labels once for all of them),
-and equivalence_to_json_rows each equivalence map; tower levels, the
-homomorphisms and equivalence maps come from generators too.
+homomorphisms over one gadget (sorting its labels once for all of them,
+and reading each as it is written), and equivalence_to_json_rows each
+equivalence map; tower levels, the homomorphisms and equivalence maps come
+from generators too.  A graph id is JSON-encoded the first time a row uses
+it.
 These writers are the only JSON form of a gadget, quotient, tower,
 homomorphism or equivalence tower in the package.  The dicts each is
 checked against are in the test oracles, built from a vertex list of
@@ -35,12 +40,12 @@ fail once output has begun.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import pairwise
 from json.encoder import encode_basestring_ascii
 
 from .dichotomy import Tower
 from .equiv import EquivalenceTower
-from .gadget import PathGadget, level_labels
+from .gadget import PathGadget, births, level_labels
 from .graphs import WitnessedGraph
 from .limitgraph import LevelQuotient
 
@@ -123,46 +128,45 @@ class JsonRows:
 
 
 # The row writers below put labels into JSON strings unescaped: a label is
-# "p", ASCII digits and, after a ".", copy bits 0/1 (level_labels), so it
-# holds nothing JSON escapes.  Its k and t are its own text.  Graph ids may
-# need escaping, so each is encoded once with the function json.dumps uses.
+# "p", ASCII digits and, after a ".", copy bits 0/1 (level_labels, births),
+# so it holds nothing JSON escapes.  Graph ids may need escaping, so each is
+# encoded once, with the function json.dumps uses (_Ids).
 
 def gadget_to_json_rows(g: PathGadget) -> dict:
     """The gadget's JSON: its scalars, with the vertices and edges written
-    as JsonRows from the labels."""
-    labels = g.labels
+    as JsonRows from the doubling (births); a vertex born below the top
+    level has copy bits, and its label a '.' before them."""
     n = g.level
+
+    def label_head(m: int, k: int) -> str:
+        return f"p{k}." if m < n else f"p{k}"
 
     def vertices(i: str):
         j = i + "  "
-        for label in labels:
-            head, _, t = label.partition(".")
-            yield (f'{{{j}"birthLevel": {n - len(t)},{j}"k": {head[1:]},'
-                   f'{j}"label": "{label}",{j}"t": "{t}"{i}}}')
+        mid, end = f'",{j}"t": "', f'"{i}}}'
+        return (f"{head}{t}{mid}{t}{end}" for head, t in births(
+            g.prefix, lambda m, k: (f'{{{j}"birthLevel": {m},{j}"k": {k},'
+                                    f'{j}"label": "{label_head(m, k)}')))
 
     def edges(i: str):
         j = i + "  "
-        return (f'[{j}"{a}",{j}"{b}"{i}]'
-                for a, b in zip(labels, islice(labels, 1, None)))
+        return (f'[{j}"{a}{t}",{j}"{b}{u}"{i}]'
+                for (a, t), (b, u) in pairwise(births(g.prefix, label_head)))
 
     return {**_gadget_json_scalars(g), "vertices": JsonRows("[", "]", vertices),
             "edges": JsonRows("[", "]", edges)}
 
 
 def quotient_to_json_rows(q: LevelQuotient) -> dict:
-    """The quotient's JSON, with the classes and edges written as JsonRows
-    from the gadget's labels: class (m, k, t) is the label p<k>.<t> with m
-    its birth level."""
+    """The quotient's JSON, with the classes and edges written as JsonRows:
+    class (m, k, t) is the gadget vertex born at level m with join index k
+    and copy bits t, in path order (births)."""
     g = q.gadget
-    labels = g.labels
-    n = g.level
 
     def classes(i: str):
         j = i + "  "
-        for label in labels:
-            head, _, t = label.partition(".")
-            yield (f'{{{j}"bits": "{t}",{j}"k": {head[1:]},'
-                   f'{j}"m": {n - len(t)}{i}}}')
+        return (f'{{{j}"bits": "{t}{tail}' for tail, t in births(
+            q.prefix, lambda m, k: f'",{j}"k": {k},{j}"m": {m}{i}}}'))
 
     def edges(i: str):
         j = i + "  "
@@ -172,10 +176,15 @@ def quotient_to_json_rows(q: LevelQuotient) -> dict:
             "edges": JsonRows("[", "]", edges)}
 
 
-def _encoded_ids(homs) -> dict:
-    """Each graph id the homs use, mapped to its JSON string."""
-    return {x: encode_basestring_ascii(x) for x in set(chain.from_iterable(
-        chain(hom.vertex_images, hom.witness_images) for hom in homs))}
+class _Ids(dict):
+    """Graph ids mapped to their JSON strings, each encoded the first time
+    it is looked up."""
+
+    __slots__ = ()
+
+    def __missing__(self, x: str) -> str:
+        self[x] = text = encode_basestring_ascii(x)
+        return text
 
 
 def _label_order(labels) -> tuple[list[int], list[int]]:
@@ -213,7 +222,7 @@ def tower_to_json_rows(t: Tower) -> dict:
     vertex and witness assignments (_assignment_rows) written as JsonRows
     from the doubling labels (level_labels), one level at a time; level n's
     row at position p reads top[p]."""
-    ids = _encoded_ids([t.top])
+    ids = _Ids()
     return {
         "c": list(t.prefix),
         "levels": (_assignment_rows(labels, _label_order(labels), t.top, ids)
@@ -224,11 +233,11 @@ def tower_to_json_rows(t: Tower) -> dict:
 
 def homs_to_json_rows(g: PathGadget, homs):
     """The vertex and witness assignments (_assignment_rows) of each hom
-    over the gadget g, one hom at a time: the labels are sorted once and
-    each graph id is encoded once for all of the homs."""
+    over the gadget g, one hom at a time as homs yields them: the labels
+    are sorted once and each graph id is encoded once for all of them."""
     labels = g.labels
     order = _label_order(labels)
-    ids = _encoded_ids(homs)
+    ids = _Ids()
     return (_assignment_rows(labels, order, hom, ids) for hom in homs)
 
 

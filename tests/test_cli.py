@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import enum
 import io
 import itertools
 import json
@@ -468,19 +469,61 @@ def _random_container(rng, kind, depth):
     return kind(items)
 
 
-def test_emit_matches_json_dumps(tmp_path, monkeypatch):
-    rng = random.Random(91)
-    trees = [{}, [], (), [[]], [{}], {"a": {}}, [[], {}], [[1], {}],
-             [{"a": 1}, [1]], [[1], [2, [3]]], [{"k": "]\x00["}, {"k": "}\x00{"}],
-             [["]", "\x00"], [",", ":"]], ({"x": (1, 2)}, {"y": ()}),
-             # json.dumps sorts other key types first and then writes them
-             # as strings
-             {2: [1], 10: {}}, {True: [1], False: []}, {None: [[]]},
-             {1.5: [{}], -0.5: [1]},
-             # more members than cli._BATCH, so rows and pieces span batches
-             list(range(150)), [[i] for i in range(150)],
-             {str(i): {"i": i} for i in range(150)}]
-    trees += [_random_tree(rng, rng.randint(1, 4)) for _ in range(500)]
+class _Small(enum.IntEnum):
+    ONE = 1
+
+
+class _Text(str):
+    pass
+
+
+# values that the plain writer writes itself or hands to the standard
+# library, each put at every depth of a seeded tree: bools beside the ints
+# they equal, an int of more than 4,300 digits, floats, None, strings JSON
+# escapes, empty containers, keys that are not str, and subclasses of int
+# and str
+_EDGE_VALUES = (
+    True, False, 1, 0, [True, 1, False, 0], {"t": True, "o": 1, "f": False, "z": 0},
+    10 ** 4400 + 1, -0.0, 1e300, None,
+    '"q" \\ \x00\x01\x1f\x7f\n\t \u00e9 \u2603 \U0001f600', {}, [], (),
+    {3: "a", 20: "b"}, {1.5: [], -0.0: {}, 2: (), True: None}, {True: 1, False: 0},
+    {None: [1]}, _Small.ONE, [_Small.ONE, 1], {"n": _Small.ONE}, {_Small.ONE: 1},
+    _Text('a"b'), {_Text("k"): _Text("v")},
+)
+
+
+def _at_depth(rng, value, depth):
+    """value inside depth dicts, lists or tuples, each with random plain
+    members before and after it."""
+    for _ in range(depth):
+        before = [_random_scalar(rng) for _ in range(rng.randint(0, 2))]
+        after = [_random_scalar(rng) for _ in range(rng.randint(0, 2))]
+        kind = rng.choice((dict, list, tuple))
+        if kind is dict:
+            value = {**{f"a{i}": v for i, v in enumerate(before)}, "m": value,
+                     **{f"z{i}": v for i, v in enumerate(after)}}
+        else:
+            value = kind([*before, value, *after])
+    return value
+
+
+@contextlib.contextmanager
+def _int_digits_unlimited():
+    """CPython's int-to-str digit limit lifted, as main lifts it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _check_json_trees(trees):
+    """cli._json of each tree, and of the same tree as a generator or a
+    JsonRows alone and nested, equals json.dumps(tree, indent=2,
+    sort_keys=True)."""
     for tree in trees:
         want = json.dumps(tree, indent=2, sort_keys=True)
         assert "".join(cli._json(tree)) == want, tree
@@ -504,6 +547,25 @@ def test_emit_matches_json_dumps(tmp_path, monkeypatch):
         assert "".join(cli._json(rows)) == want, tree
         assert "".join(cli._json([{"a": rows}, (x for x in [rows, rows])])) == json.dumps(
             [{"a": tree}, [tree, tree]], indent=2, sort_keys=True)
+
+
+def test_emit_matches_json_dumps(tmp_path, monkeypatch):
+    rng = random.Random(91)
+    trees = [{}, [], (), [[]], [{}], {"a": {}}, [[], {}], [[1], {}],
+             [{"a": 1}, [1]], [[1], [2, [3]]], [{"k": "]\x00["}, {"k": "}\x00{"}],
+             [["]", "\x00"], [",", ":"]], ({"x": (1, 2)}, {"y": ()}),
+             # json.dumps sorts other key types first and then writes them
+             # as strings
+             {2: [1], 10: {}}, {True: [1], False: []}, {None: [[]]},
+             {1.5: [{}], -0.5: [1]},
+             # more members than cli._BATCH, so rows and pieces span batches
+             list(range(150)), [[i] for i in range(150)],
+             {str(i): {"i": i} for i in range(150)}]
+    trees += [_random_tree(rng, rng.randint(1, 4)) for _ in range(500)]
+    trees += [_at_depth(rng, value, depth) for value in _EDGE_VALUES
+              for depth in range(4) for _ in range(3)]
+    with _int_digits_unlimited():
+        _check_json_trees(trees)
     with pytest.raises(TypeError):
         json.dumps({"a": JsonRows("[", "]", lambda inner: ["1"])})
 
@@ -539,6 +601,55 @@ def test_emit_matches_json_dumps(tmp_path, monkeypatch):
             assert cli.main([str(arg) for arg in argv]) == 0, argv
         assert out.getvalue() == _json_reference(argv, emitted[-1]), argv
     assert len(emitted) == len(commands)
+
+
+def _streams_among_plain(rng, depth, make, tags):
+    """(streamed, plain): a dict or list holding, depth levels down, a
+    one-shot generator and a JsonRows (make(kind, tag, values)) between
+    plain members, with plain members before and after the way down; and
+    the same tree with each stream's values in its place.  tags gets each
+    stream's tag in the order of the text."""
+    members = []
+    for kind in rng.sample(("generator", "rows"), 2) if depth == 1 else ("tree",):
+        plain = _random_tree(rng, 2)
+        members.append((plain, plain))
+        if kind == "tree":
+            members.append(_streams_among_plain(rng, depth - 1, make, tags))
+        else:
+            values = [_random_tree(rng, 2) for _ in range(rng.randint(0, 3))]
+            tags.append(len(tags))
+            members.append((make(kind, tags[-1], values), values))
+    plain = _random_tree(rng, 2)
+    members.append((plain, plain))
+    if rng.random() < 0.5:
+        return [m for m, _ in members], [p for _, p in members]
+    keys = [f"k{i:02}" for i in range(len(members))]   # sorted as made
+    return ({k: m for k, (m, _) in zip(keys, members)},
+            {k: p for k, (_, p) in zip(keys, members)})
+
+
+def test_streams_among_plain_members_are_read_once_in_order():
+    rng = random.Random(33)
+    for _ in range(300):
+        log = []
+
+        def make(kind, tag, values):
+            if kind == "generator":
+                def gen():
+                    log.append(tag)
+                    yield from values
+                return gen()
+
+            def rows(inner):
+                log.append(tag)
+                return (json.dumps(v, indent=2, sort_keys=True).replace("\n", inner)
+                        for v in values)
+            return JsonRows("[", "]", rows)
+
+        tags = []
+        streamed, plain = _streams_among_plain(rng, rng.randint(1, 3), make, tags)
+        assert "".join(cli._json(streamed)) == json.dumps(plain, indent=2, sort_keys=True)
+        assert log == tags
 
 
 def _json_reference(argv, emitted):
@@ -768,6 +879,20 @@ def test_large_outputs_stream_in_bounded_memory():
                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                               text=True, check=True)
         assert int(proc.stderr) < 64 * 1024, (argv, proc.stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status")
+def test_homset_members_stream_in_bounded_memory(tmp_path):
+    # 20,000 members of 95 positions each, written as they are made; holding
+    # them all before the first write peaked at 46 MB
+    c5 = tmp_path / "c5.txt"
+    c5.write_text("a b\nb c\nc d\nd e\ne a\n")
+    proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD, "homset", "--graph",
+                           str(c5), "--c", "1,1,1,1,1", "--enumerate", "20000"],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, check=True)
+    assert int(proc.stderr) < 32 * 1024, proc.stderr
 
 
 def test_parsers_are_built_once_and_reused(tmp_path):

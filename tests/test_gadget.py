@@ -11,7 +11,7 @@ from oddwalk.bruteforce import check_odd_distance_lemma, sibling_pairs
 from oddwalk.dichotomy import decide
 from oddwalk.errors import (NonOddPrefix, ParseError, PrefixMismatch,
                             UnknownVertex)
-from oddwalk.gadget import (GadgetVertex, PathGadget, build_gadget,
+from oddwalk.gadget import (GadgetVertex, PathGadget, births, build_gadget,
                             check_next_level, check_prefix, endpoint_label,
                             endpoints, gadget_distance, gadget_size,
                             parse_prefix, vertex_at, vertex_position)
@@ -217,6 +217,13 @@ def _assert_matches_replay(prefix):
     assert all(type(v) is GadgetVertex for v in bruteforce.gadget_vertices(prefix))
     assert bruteforce.gadget_positions(prefix) == {v: i for i, v in enumerate(want)}
     assert g.labels == tuple(v.label for v in want)
+    # births: each vertex's birth level and join index, as its text, made
+    # once per vertex born, and its copy bits
+    made = []
+    rows = list(births(prefix, lambda m, k: made.append((m, k)) or (m, k)))
+    n = len(prefix)
+    assert rows == [((n - len(v.t), v.k), "".join(map(str, v.t))) for v in want]
+    assert sorted(made) == sorted({text for text, _ in rows})
 
 
 def test_doubled_builds_match_replay_from_root():
