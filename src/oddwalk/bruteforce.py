@@ -14,14 +14,16 @@ gadget_positions inverts it, with none of the closed forms
 (PathGadget.require_vertex, vertex_at, copy_map) or the label recurrence
 (level_labels) that they check.
 
-So does the propagation sweep (kernels.path_propagate) and the doubling
-chain of the key lemma built on it: restricted sweeps any masks to a
-normalized profile, member tests a homomorphism against one, double builds
-the next level's profile from its two copies, pin cuts a profile to one
-member, and preserve_largeness checks that a doubled profile stays large.
-They are the oracle for the closed forms the commands use:
-HomProfile.full, HomProfile.pinned and the cut in homset.is_large.  The
-kernel is read through its module attribute, so a test can wrap it.
+So does the propagation sweep (kernels.path_propagate) and what is built
+on it: all_homs sweeps the all-ones masks to the profile of every
+homomorphism, restricted sweeps any masks to a normalized profile, and the
+doubling chain of the key lemma follows: member tests a homomorphism
+against a profile, double builds the next level's profile from its two
+copies, pin cuts a profile to one member, and preserve_largeness checks
+that a doubled profile stays large.  They are the oracle for the closed
+forms: homset.FullProfile, which the homset command reads, and
+HomProfile.pinned and the cut in homset.is_large, which dichotomy reads.
+The kernel is read through its module attribute, so a test can wrap it.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from .errors import NotHomomorphism, NotMember, OddwalkError, ParseError
 from .gadget import (GadgetVertex, PathGadget, build_gadget, check_odd_prefix,
                      check_prefix, is_natural)
 from .graphs import WitnessedGraph
-from .homset import (ExplicitHomSet, Hom, HomProfile, extend_witness, is_large,
-                     validate_hom)
+from .homset import (ExplicitHomSet, Hom, HomProfile, _end_indices,
+                     extend_witness, is_large, validate_hom)
 from .limitgraph import LcVertex, project_level
 
 
@@ -90,18 +92,24 @@ def check_odd_distance_lemma(g: PathGadget) -> SiblingReport:
     return SiblingReport(checked, tuple(bad))
 
 
+def all_homs(gadget: PathGadget, target: WitnessedGraph) -> HomProfile:
+    """The profile of every homomorphism: the all-ones masks, swept."""
+    allv = (1 << len(target.vertices)) - 1
+    allw = (1 << len(target.witnesses)) - 1
+    return _swept(gadget, target, [allv] * gadget.vertex_count,
+                  [allw] * gadget.edge_count)
+
+
 def restricted(p: HomProfile, vmasks, wmasks) -> HomProfile:
     """The profile over p's gadget and target with these domains, swept
     arc-consistent by the propagation kernel (the denoted set is the
     homomorphisms whose images lie in the given domains)."""
-    return _swept(p.gadget, p, vmasks, wmasks)
+    return _swept(p.gadget, p.target, vmasks, wmasks)
 
 
-def _swept(gadget: PathGadget, p: HomProfile, vmasks, wmasks) -> HomProfile:
-    """The profile over gadget and p's target from one kernel sweep of
-    these masks."""
-    t = p.target
-    vmasks, wmasks = kernels.path_propagate(list(vmasks), list(wmasks), p._ends_idx(),
+def _swept(gadget: PathGadget, t: WitnessedGraph, vmasks, wmasks) -> HomProfile:
+    """The profile over gadget and t from one kernel sweep of these masks."""
+    vmasks, wmasks = kernels.path_propagate(list(vmasks), list(wmasks), _end_indices(t),
                                             len(t.vertices), len(t.witnesses))
     return HomProfile(gadget, t, vmasks, wmasks)
 
@@ -129,7 +137,7 @@ def double(p: HomProfile, join_length: int) -> HomProfile:
     # level n+1 is copy 0, the join_length+1 join vertices, copy 1 reversed
     vmasks = p.vmasks + (allv,) * (join_length + 1) + p.vmasks[::-1]
     wmasks = p.wmasks + (allw,) * (join_length + 2) + p.wmasks[::-1]
-    return _swept(big, p, vmasks, wmasks)
+    return _swept(big, p.target, vmasks, wmasks)
 
 
 def pin(p: HomProfile, hom: Hom) -> HomProfile:

@@ -275,7 +275,9 @@ def _cmd_homset(args) -> int:
     homs = [large.witness] if large.witness else []
     if args.enumerate is not None:
         out["total"] = out["count"]
-        homs = chain(homs, islice(full.homs(), args.enumerate))
+        # islice refuses a stop past sys.maxsize, more members than any
+        # output can hold
+        homs = chain(homs, islice(full.homs(), min(args.enumerate, sys.maxsize)))
     rows = homs_to_json_rows(gadget, homs)
     out["large"] = {"holds": large.large,
                     "witness": next(rows) if large.witness else None}

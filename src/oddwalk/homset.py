@@ -17,23 +17,25 @@ steps; it walks a hom edge by edge only to name the fault of an invalid
 one.  Pinning and the membership mask test read the target's index tables
 for all positions at once (vertex_indices, witness_indices).
 
-Every profile is built normalized by closed form (full, pinned and the cut
-in is_large); nothing here sweeps.  The propagation sweep and the doubling
-chain on top of it (restricted, member, double, pin, preserve_largeness)
-live in bruteforce, where they are the oracle for these closed forms.  A
+Every profile here is built normalized by closed form (pinned and the cut
+in is_large); nothing here sweeps.  The propagation sweep and what is built
+on it (all_homs, restricted, member, double, pin, preserve_largeness) live
+in bruteforce, where they are the oracle for these closed forms.  A
 homomorphism is written as JSON only by the row writers
 (render.homs_to_json_rows, render.tower_to_json_rows).
 
 The full set, the one the homset command reads, needs no profile at all:
 FullProfile reads its projections, largeness witness, count and members
-off the target alone, without masks or recursion, and HomProfile.full with
-is_large is its oracle.  HomProfile serves decide, extend_witness and the
-check suites.
+off the target alone, without masks or recursion.  Its oracle is
+bruteforce.all_homs, the all-ones masks swept, with HomProfile.count (a
+plain forward path DP), is_large and enumerate_homs.  HomProfile serves
+decide, extend_witness and the check suites.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from functools import lru_cache
 from operator import and_, itemgetter, mul
 from typing import NamedTuple
@@ -130,41 +132,20 @@ class HomProfile:
     that position's domain and whose witness at each edge lies in the edge's
     domain.  The constructor stores the masks as given, and they must be
     normalized (arc-consistent): that makes projections exact because the
-    gadget is a path, and leaves every domain empty or none.  full, pinned
-    and the cut in is_large build such masks by closed form;
-    bruteforce.restricted builds them by a propagation sweep.
+    gadget is a path, and leaves every domain empty or none.  pinned and
+    the cut in is_large build such masks by closed form; bruteforce builds
+    them by a propagation sweep (all_homs, restricted, double).
     """
 
-    __slots__ = ("gadget", "target", "vmasks", "wmasks", "_count")
+    __slots__ = ("gadget", "target", "vmasks", "wmasks")
 
     def __init__(self, gadget: PathGadget, target: WitnessedGraph, vmasks, wmasks):
         self.gadget = gadget
         self.target = target
         self.vmasks = tuple(vmasks)
         self.wmasks = tuple(wmasks)
-        self._count = None
 
     # -- construction ------------------------------------------------------
-
-    @classmethod
-    def full(cls, gadget: PathGadget, target: WitnessedGraph) -> "HomProfile":
-        """The profile of every homomorphism, built normalized (no sweep).
-
-        At level 0 there is no edge and every target vertex is an image.
-        Above it, let N be the vertices that have a witness.  A vertex in N
-        has a neighbour in N (the other end of its witness), so from the
-        all-ones masks a sweep removes exactly the isolated vertices: every
-        position keeps N and every edge keeps every witness, both of whose
-        ends lie in N.  With no witness N is empty, and so is every mask.
-        """
-        if not gadget.edge_count:
-            return cls(gadget, target, [(1 << len(target.vertices)) - 1], [])
-        ends_idx = _end_indices(target)
-        witnessed = sum(map(_bit, set(itertools.chain.from_iterable(ends_idx))))
-        allw = (1 << len(ends_idx)) - 1
-        return cls(gadget, target,
-                   [witnessed] * gadget.vertex_count,
-                   [allw] * gadget.edge_count)
 
     @classmethod
     def pinned(cls, gadget: PathGadget, target: WitnessedGraph,
@@ -194,50 +175,18 @@ class HomProfile:
         return self._vertex_ids(self.vmasks[self.gadget.require_vertex(u)])
 
     def count(self) -> int:
-        """Exact size of the denoted set (big integers, path DP met in the
-        middle).
-
-        Let E be the edge count, h = E // 2, and F_k(x) the number of
-        partial homs on positions 0..k with image x at k.  A member is a
-        partial hom on 0..h and one on h..E that agree at h, so the count
-        is the sum over x of F_h(x) * R(x), where R(x) counts the partial
-        homs on h..E with image x at h.  R is F over the reversed masks,
-        taken E - h edges from position E.
-
-        When the masks read the same from both ends, the reversed masks are
-        the masks, so R = F_{E-h}: the forward sweep to h, continued one
-        edge further when E is odd.  A full profile and every doubled
-        profile (bruteforce.double) read so (level n+1 is copy 0, the join,
-        then copy 1 reversed), and normalization keeps it (arc consistency
-        has one greatest fixed point, and reversing the path maps fixed
-        points to fixed points), so their counts sweep about E/2 edges, not
-        E.  The homset command counts the full set by FullProfile.count,
-        the same meeting in the middle without masks; this count is its
-        oracle and serves the check suites.
-
-        Computed once per profile; later calls return the stored total.
-        """
-        if self._count is not None:
-            return self._count
-        total = 0
-        if not self.is_empty:
-            vm, wm = self.vmasks, self.wmasks
-            h = len(wm) // 2
-            rest = len(wm) - h
-            ends_idx = self._ends_idx()
-            tables: dict = {}    # (witness mask, right mask) -> _preds
-            ids = range(len(self.target.vertices))
-            head = _sweep([vm[0] >> x & 1 for x in ids],
-                          zip(wm[:h], vm[1:]), tables, ends_idx)
-            if vm == vm[::-1] and wm == wm[::-1]:
-                tail = _sweep(head, zip(wm[h:rest], vm[h + 1:]), tables, ends_idx)
-            else:
-                vm, wm = vm[::-1], wm[::-1]
-                tail = _sweep([vm[0] >> x & 1 for x in ids],
-                              zip(wm[:rest], vm[1:]), tables, ends_idx)
-            total = sum(map(mul, head, tail))
-        self._count = total
-        return total
+        """Exact size of the denoted set (big integers), by the forward
+        path DP: walk counts by target vertex, carried across one edge at a
+        time along its arcs (a step joined by several witnesses counts once
+        per witness)."""
+        ends_idx = self._ends_idx()
+        counts = [self.vmasks[0] >> x & 1 for x in range(len(self.target.vertices))]
+        for wmask, right in zip(self.wmasks, self.vmasks[1:]):
+            step = [0] * len(counts)
+            for a, b in _arcs(wmask, right, ends_idx):
+                step[b] += counts[a]
+            counts = step
+        return sum(counts)
 
     def _ends_idx(self) -> tuple[tuple[int, int], ...]:
         return _end_indices(self.target)
@@ -304,7 +253,10 @@ class HomProfile:
         order, plus the exact total count of the denoted set."""
         require_natural(cap, "cap")
         total = self.count()
-        homs = tuple(itertools.islice(self._homs(), cap)) if total else ()
+        # islice refuses a stop past sys.maxsize, more members than a
+        # tuple can hold
+        homs = (tuple(itertools.islice(self._homs(), min(cap, sys.maxsize)))
+                if total else ())
         return ExplicitHomSet(self.gadget, self.target, homs), total
 
     # -- membership --------------------------------------------------------
@@ -363,29 +315,6 @@ def _arcs(wmask: int, right: int, ends_idx) -> list[tuple[int, int]]:
     return out
 
 
-def _preds(wmask: int, right: int, ends_idx) -> tuple:
-    """(b, predecessors of b) across one edge, from _arcs; a predecessor
-    joined to b by several witnesses in wmask is listed once per witness."""
-    preds: dict[int, list[int]] = {}
-    for a, b in _arcs(wmask, right, ends_idx):
-        preds.setdefault(b, []).append(a)
-    return tuple((b, tuple(ps)) for b, ps in preds.items())
-
-
-def _sweep(counts: list[int], keys, tables: dict, ends_idx) -> list[int]:
-    """Walk counts by target vertex, carried across one edge per
-    (witness mask, right mask) key; tables memoizes _preds by key."""
-    for key in keys:
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = _preds(key[0], key[1], ends_idx)
-        get = counts.__getitem__
-        counts = [0] * len(counts)
-        for b, ps in table:
-            counts[b] = sum(map(get, ps))
-    return counts
-
-
 class _ExplicitFields(NamedTuple):
     gadget: PathGadget
     target: WitnessedGraph
@@ -419,21 +348,17 @@ class ExplicitHomSet(_ExplicitFields):
         return tuple(sorted({hom.vertex_images[pos] for hom in self.homs}))
 
 
-def all_homs(gadget: PathGadget, target: WitnessedGraph) -> HomProfile:
-    """The full (normalized) profile of every homomorphism."""
-    return HomProfile.full(gadget, target)
-
-
 class FullProfile(NamedTuple):
     """Every homomorphism from gadget to target, read off the target alone.
 
-    HomProfile.full without its masks: every position projects onto the
-    same set, N (the vertices that have a witness) when the gadget has an
-    edge and every vertex at level 0, and every witness joins two vertices
-    of N.  So a vertex of N has a neighbour in N, every walk in N extends,
-    and a member is a walk of E steps, E the edge count, with one witness
-    per step.  Nothing is held per position.  is_tiny reads a FullProfile
-    as it reads a profile; HomProfile and is_large are the oracle.
+    Every position projects onto the same set: every vertex at level 0,
+    and above it N, the vertices that have a witness.  Every witness joins
+    two vertices of N, so a vertex of N has a neighbour in N, every walk in
+    N extends, and a member is a walk of E steps, E the edge count, with
+    one witness per step.  Nothing is held per position.  is_tiny reads a
+    FullProfile as it reads a profile.  The oracle is bruteforce.all_homs,
+    the all-ones masks swept, read by HomProfile.count, is_large and
+    enumerate_homs.
     """
 
     gadget: PathGadget
@@ -452,7 +377,7 @@ class FullProfile(NamedTuple):
         return self.images
 
     def is_large(self) -> LargeVerdict:
-        """is_large(HomProfile.full(...)): the least member inside the
+        """is_large(bruteforce.all_homs(...)): the least member inside the
         non-bipartite components is the least-neighbour walk from their
         least vertex, each step along its least witness."""
         nb = nonbipartite_vertices(self.target)

@@ -1,9 +1,10 @@
 """Profile propagation kernel.
 
 Domains are bitmasks held in Python ints, so there is no size limit on the
-target graph.  The only caller is bruteforce (restricted and double), the
-sweep oracle that the check suites and the tests run; no other command
-sweeps, since full and pinned profiles are built normalized and is_large
+target graph.  The only caller is bruteforce (all_homs, restricted and
+double), the sweep oracle that the check suites and the tests run; no other
+command sweeps, since homset reads the full set off the target
+(homset.FullProfile), pinned profiles are built normalized and is_large
 cuts a profile by closed form.
 
 The sweep stays a module of its own because it is also the provenance

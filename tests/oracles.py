@@ -38,7 +38,7 @@ import math
 import sys
 from collections import deque
 
-from oddwalk.bruteforce import double, pin, restricted
+from oddwalk.bruteforce import all_homs, double, pin, restricted
 from oddwalk.cli import _SUBCOMMANDS
 from oddwalk.dichotomy import unbounded_schedule_default
 from oddwalk.equiv import (EquivalenceTower, EquivReport, path_exact_walk,
@@ -47,7 +47,7 @@ from oddwalk.errors import (GapInsufficient, NotHomomorphism, OddwalkError,
                             ParseError)
 from oddwalk.gadget import GadgetVertex, build_gadget, check_odd_prefix, is_natural
 from oddwalk.graphs import Coloring, Walk, vertex_pair
-from oddwalk.homset import Hom, all_homs, extend_witness
+from oddwalk.homset import Hom, extend_witness
 from oddwalk.parity import bipartite_certificate, nonbipartite_vertices, phi_bound
 
 

@@ -24,8 +24,7 @@ from oddwalk.generators import (all_graphs_upto, complete_graph, cycle_graph,
                                 random_bipartite_graph, random_ep_bits,
                                 random_graph, random_odd_prefix, single_edge)
 from oddwalk.graphs import Coloring
-from oddwalk.homset import (all_homs, extend_witness, is_large, is_tiny,
-                            validate_hom)
+from oddwalk.homset import extend_witness, is_large, is_tiny, validate_hom
 from oddwalk.limitgraph import EP_ZERO, LcVertex, adjacent, neighbors
 from oddwalk.parity import (is_bipartite, nonbipartite_vertices, phi_bound,
                             phi_holds)
@@ -168,7 +167,7 @@ def test_largeness_characterization():
     n = 0
     for g in all_graphs_upto(5):
         n += 1
-        got = is_large(all_homs(base, g)).large
+        got = is_large(bruteforce.all_homs(base, g)).large
         if got != (not is_bipartite(g)):
             bad.append(f"largeness {got} on a graph with bipartite "
                        f"= {is_bipartite(g)}")
@@ -187,7 +186,7 @@ def test_profile_oracle_equality():
     for g in graphs:
         for prefix in prefixes:
             gadget = build_gadget(prefix)
-            p = all_homs(gadget, g)
+            p = bruteforce.all_homs(gadget, g)
             total = p.count()
             profiles += 1
             if total != oracles.walk_count(g, gadget.edge_count):
@@ -211,7 +210,7 @@ def test_profile_oracle_equality():
                           for h in ex.homs)
             if is_large(p).large != by_scan:
                 bad.append(f"largeness off for {prefix}")
-    k3_count = all_homs(build_gadget((1,)), complete_graph(3)).count()
+    k3_count = bruteforce.all_homs(build_gadget((1,)), complete_graph(3)).count()
     if k3_count != 24:
         bad.append(f"triangle level-1 count {k3_count}, want 24")
     report("profile-oracle-equality", bad,
@@ -227,7 +226,7 @@ def test_witness_extension():
         if is_bipartite(g):
             continue
         n += 1
-        p = all_homs(base, g)
+        p = bruteforce.all_homs(base, g)
         try:
             d, hom = extend_witness(p, 1)
         except OddwalkError as exc:
@@ -246,7 +245,7 @@ def test_witness_extension():
             bad.append("largeness-preserving length differs")
         if not is_large(bruteforce.double(p, d)).large:
             bad.append("doubled profile lost largeness")
-    d5 = bruteforce.preserve_largeness(all_homs(base, cycle_graph(5)), 1)
+    d5 = bruteforce.preserve_largeness(bruteforce.all_homs(base, cycle_graph(5)), 1)
     if d5 != 3:
         bad.append(f"5-cycle join length {d5}, want 3")
     report("witness-extension", bad,

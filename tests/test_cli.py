@@ -15,14 +15,14 @@ from pathlib import Path
 import pytest
 
 import oracles
-from oddwalk import cli, homset, kernels, parity
+from oddwalk import bruteforce, cli, homset, kernels, parity
 from oddwalk.dichotomy import decide, parse_schedule
 from oddwalk.equiv import plan_equivalence
 from oddwalk.gadget import build_gadget, parse_prefix
 from oddwalk.generators import (complete_graph, cycle_graph, path_graph,
                                 petersen_graph, random_graph)
 from oddwalk.graphs import WitnessedGraph
-from oddwalk.homset import Hom, all_homs, is_large, validate_hom
+from oddwalk.homset import Hom, is_large, validate_hom
 from oddwalk.limitgraph import level_quotient
 from oddwalk.parity import phi_bound
 from oddwalk.render import PALETTE, JsonRows
@@ -300,6 +300,16 @@ def test_input_errors_write_nothing_to_stdout(tmp_path):
         code, out, err = run_main(*args)
         assert (code, out) == (2, ""), args
         assert err.startswith("error:") and err.count("\n") == 1, (args, err)
+
+
+def test_cap_past_sys_maxsize_takes_every_member(tmp_path):
+    # islice takes no stop past sys.maxsize: 2**63 ended in a traceback
+    k3 = write_graph(tmp_path, complete_graph(3))
+    want = run_main("homset", "--graph", k3, "--c", "1", "--enumerate", "24")
+    assert want[0] == 0 and len(json.loads(want[1])["enumerated"]) == 24
+    for cap in (2 ** 63, 10 ** 30):
+        assert run_main("homset", "--graph", k3, "--c", "1",
+                        "--enumerate", str(cap)) == want, cap
 
 
 def test_negative_cap_and_k_are_refused_before_any_work(tmp_path, monkeypatch):
@@ -672,7 +682,7 @@ def _json_reference(argv, emitted):
             else oracles.quotient_json_dict(level_quotient(prefix)))}
     elif argv[0] == "homset":
         prefix = parse_prefix(arg("--c"))
-        p = all_homs(build_gadget(prefix), graph())
+        p = bruteforce.all_homs(build_gadget(prefix), graph())
         witness = is_large(p).witness
         emitted = {**emitted, "large": {
             **emitted["large"],
@@ -1202,6 +1212,27 @@ def test_homset_builds_no_hom_profile(tmp_path, monkeypatch):
         raise AssertionError("HomProfile built")
 
     monkeypatch.setattr(homset.HomProfile, "__init__", refuse)
+    for argv, w in zip(argvs, want):
+        assert w[0] == 0, (argv, w[2])
+        assert run_main(*argv) == w, argv
+
+
+def test_no_command_reaches_the_profile_oracle(tmp_path, monkeypatch):
+    # the swept full profile and the profile count are oracles: homset reads
+    # the full set off the target and dichotomy pins every level, so
+    # neither command may call them
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text("a b\n" + "".join(f"x{i} x{(i + 1) % 7}\n" for i in range(7)))
+    argvs = [["homset", "--graph", str(mixed), "--c", "1,3", "--project", "p0.1",
+              "--project", "p1", "--enumerate", "5"],
+             ["dichotomy", "--graph", str(mixed), "--depth", "3"]]
+    want = [run_main(*argv) for argv in argvs]
+
+    def refuse(*args):
+        raise AssertionError("profile oracle called")
+
+    monkeypatch.setattr(homset.HomProfile, "count", refuse)
+    monkeypatch.setattr(bruteforce, "all_homs", refuse)
     for argv, w in zip(argvs, want):
         assert w[0] == 0, (argv, w[2])
         assert run_main(*argv) == w, argv

@@ -19,7 +19,7 @@ from oddwalk.generators import (all_graphs_upto, complete_graph, cycle_graph,
                                 disjoint_union, path_graph, petersen_graph,
                                 random_bipartite_graph, random_graph)
 from oddwalk.graphs import Coloring, WitnessedGraph
-from oddwalk.homset import Hom, LargeVerdict, all_homs, extend_witness
+from oddwalk.homset import Hom, LargeVerdict, extend_witness
 from oddwalk.parity import is_bipartite, nonbipartite_vertices
 from oddwalk.render import tower_to_json_rows
 
@@ -174,7 +174,7 @@ def test_evaluate_errors():
 
 
 def _c5_root_profile():
-    return bruteforce.pin(all_homs(build_gadget(()), cycle_graph(5)), Hom(("c0",), ()))
+    return bruteforce.pin(bruteforce.all_homs(build_gadget(()), cycle_graph(5)), Hom(("c0",), ()))
 
 
 # every public count, index or length takes an int >= 0 that is not a bool;
@@ -388,10 +388,10 @@ def test_decide_sweeps_only_the_root(monkeypatch):
     # a witness outside p, at a vertex or only at a parallel witness, is
     # glued without complaint and then refused
     c5 = cycle_graph(5)
-    p = bruteforce.pin(all_homs(build_gadget(()), c5), Hom(("c0",), ()))
+    p = bruteforce.pin(bruteforce.all_homs(build_gadget(()), c5), Hom(("c0",), ()))
     _, level1 = extend_witness(p, 1)
-    p1 = bruteforce.pin(all_homs(build_gadget((3,)), c5), level1)
-    triangle = bruteforce.pin(all_homs(build_gadget((1,)), multi),
+    p1 = bruteforce.pin(bruteforce.all_homs(build_gadget((3,)), c5), level1)
+    triangle = bruteforce.pin(bruteforce.all_homs(build_gadget((1,)), multi),
                               Hom(("a", "b", "c", "a"), ("w0", "w1", "w2")))
     for q, outside in ((p, Hom(("c1",), ())),
                        (p1, Hom(level1.vertex_images[::-1], level1.witness_images[::-1])),

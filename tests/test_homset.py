@@ -5,9 +5,9 @@ import random
 import pytest
 
 import oracles
-from oddwalk import bruteforce, cli, homset, kernels
-from oddwalk.bruteforce import (double, member, pin, preserve_largeness,
-                                restricted)
+from oddwalk import bruteforce, cli, kernels
+from oddwalk.bruteforce import (all_homs, double, member, pin,
+                                preserve_largeness, restricted)
 from oddwalk.dichotomy import decide
 from oddwalk.errors import (NotHomomorphism, NotLarge, NotMember, ParseError,
                             PrefixMismatch)
@@ -17,9 +17,9 @@ from oddwalk.generators import (all_graphs_upto, complete_graph, cycle_graph,
                                 single_edge)
 from oddwalk.graphs import WitnessedGraph, Walk
 from oddwalk.homset import (ExplicitHomSet, FullProfile, Hom, HomProfile,
-                            all_homs, copy_restriction, edge_label,
-                            extend_witness, glue_hom, is_large, is_small,
-                            is_tiny, validate_hom)
+                            copy_restriction, edge_label, extend_witness,
+                            glue_hom, is_large, is_small, is_tiny,
+                            validate_hom)
 from oddwalk.parity import exact_walk, nonbipartite_vertices
 from oddwalk.render import homs_to_json_rows
 
@@ -77,6 +77,8 @@ def test_enumerate_is_lex_least():
 
     none, total = p.enumerate_homs(0)
     assert len(none.homs) == 0 and total == 24
+    # a cap past sys.maxsize takes every member
+    assert p.enumerate_homs(10 ** 20) == p.enumerate_homs(24)
     with pytest.raises(ParseError):
         p.enumerate_homs(-1)
 
@@ -484,20 +486,9 @@ def test_profile_agrees_with_enumeration_on_small_graphs():
                 assert witness is None
 
 
-def test_count_matches_explicit_members_on_both_halves(monkeypatch):
-    # a palindromic profile meets its own forward sweep in the middle, any
-    # other meets a sweep of its reversed masks; both must count exactly
-    # the explicit homs inside the masks
-    swept = []
-    sweep = homset._sweep
-
-    def counting(counts, keys, *rest):
-        keys = list(keys)
-        swept.append(len(keys))
-        return sweep(counts, keys, *rest)
-
-    monkeypatch.setattr(homset, "_sweep", counting)
-
+def test_count_matches_explicit_members():
+    # the count of full, narrowed, held, doubled and pinned profiles must be
+    # exactly the explicit homs inside the masks
     def inside(masks, indices):
         return all(m >> i & 1 for m, i in zip(masks, indices))
 
@@ -508,7 +499,6 @@ def test_count_matches_explicit_members_on_both_halves(monkeypatch):
                    for h in explicit.homs)
 
     rng = random.Random(16)
-    seen = set()
     checked = 0
     for _ in range(60):
         g = mixed_multigraph(rng)
@@ -531,25 +521,14 @@ def test_count_matches_explicit_members_on_both_halves(monkeypatch):
             cases.append(pin(full, full.enumerate_homs(1)[0].homs[0]))
         explicit = {p.gadget: bruteforce.explicit_homset(p.gadget, g)
                     for p in (small, full) if oracles.walk_count(g, p.gadget.edge_count) <= 3000}
-        for q in cases:
-            # a copy, so that no count stored on q is read back
-            p = HomProfile(q.gadget, g, q.vmasks, q.wmasks)
-            edges = p.gadget.edge_count
-            palindromic = p.vmasks == p.vmasks[::-1] and p.wmasks == p.wmasks[::-1]
-            swept.clear()
+        for p in cases:
             total = p.count()
-            if q is full or q is small:
-                assert total == oracles.walk_count(g, edges)
+            if p is full or p is small:
+                assert total == oracles.walk_count(g, p.gadget.edge_count)
             if p.gadget in explicit:
                 assert total == members(p, explicit[p.gadget])
                 checked += 1
-            if not p.is_empty:
-                seen.add((palindromic, "odd" if edges % 2 else "even" if edges else "none"))
-                assert sum(swept) == ((edges + 1) // 2 if palindromic else edges)
     assert checked > 200
-    # both halves at odd and even edge counts, and the one-vertex gadget
-    assert seen == {(True, "none"), (True, "odd"), (True, "even"),
-                    (False, "odd"), (False, "even")}
 
 
 def mixed_multigraph(rng):
@@ -777,45 +756,13 @@ def test_profiles_and_gluing_materialize_no_gadget():
         (img,) for img in hom.vertex_images]
 
 
-def test_full_profile_closed_form_matches_kernel_sweep():
-    # HomProfile.full builds its masks without a sweep; the kernel's sweep
-    # of the all-ones masks must give the same masks, and the count is the
-    # number of walks as long as the gadget path
-    rng = random.Random(19)
-    graphs = [WitnessedGraph([], {}), WitnessedGraph(["a"], {}),
-              WitnessedGraph(["a", "b", "c"], {})]   # edgeless
-    graphs += [mixed_multigraph(rng) for _ in range(120)]
-    graphs += [random_graph(rng, rng.randint(1, 7), p=rng.random(), multi=0.4)
-               for _ in range(100)]
-    seen = set()
-    for g in graphs:
-        nb = nonbipartite_vertices(g)
-        seen.add(("isolated", any(not g.neighbors(v) for v in g.vertices)))
-        seen.add(("edgeless", not g.witnesses))
-        seen.add(("kind", "bipartite" if not nb else
-                  "mixed" if len(nb) < len(g.vertices) else "odd"))
-        allv = (1 << len(g.vertices)) - 1
-        allw = (1 << len(g.witnesses)) - 1
-        for level in range(5):
-            gad = build_gadget(tuple(rng.randint(1, 3) for _ in range(level)))
-            got = HomProfile.full(gad, g)
-            want = restricted(got, [allv] * gad.vertex_count,
-                              [allw] * gad.edge_count)
-            assert (got.vmasks, got.wmasks) == (want.vmasks, want.wmasks), (g, gad)
-            assert got.count() == oracles.walk_count(g, gad.edge_count)
-    assert len(graphs) >= 200
-    assert seen >= {("isolated", True), ("isolated", False), ("edgeless", True),
-                    ("edgeless", False), ("kind", "bipartite"), ("kind", "mixed"),
-                    ("kind", "odd")}
-
-
 def test_full_profile_reader_matches_the_profile():
-    # FullProfile reads Hom(gadget, target) off the target alone; the full
-    # HomProfile, with is_tiny, is_large, count, project and enumerate_homs,
-    # is its oracle
+    # FullProfile reads Hom(gadget, target) off the target alone; the
+    # kernel's sweep of the all-ones masks (bruteforce.all_homs), with
+    # is_tiny, is_large, count, project and enumerate_homs, is its oracle
     rng = random.Random(32)
     # paths, whose least walks from the far end descend before they turn
-    files = [([], {}), (["a", "b", "c"], {})] + [
+    files = [([], {}), (["a"], {}), (["a", "b", "c"], {})] + [
         (g.vertices, g.ends) for g in map(path_graph, range(2, 6))]
     for _ in range(420):
         g = (mixed_multigraph(rng) if rng.random() < 0.6 else
@@ -830,12 +777,17 @@ def test_full_profile_reader_matches_the_profile():
     for vertices, ends in files:
         g = WitnessedGraph(vertices, ends)
         gadget = build_gadget(tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 5))))
-        full, p = FullProfile(gadget, g), HomProfile.full(gadget, g)
+        full, p = FullProfile(gadget, g), all_homs(gadget, g)
         cap = rng.randint(0, 30)
         large = full.is_large()
+        # the same images at every position, and every witness at every edge
+        images = sum(1 << g.vertex_index(v) for v in full.images)
+        assert p.vmasks == (images,) * gadget.vertex_count, (g, gadget)
+        assert p.wmasks == ((1 << len(ends)) - 1,) * gadget.edge_count, (g, gadget)
         assert is_tiny(full) == is_tiny(p), (g, gadget)
         assert large == is_large(p), (g, gadget)
-        assert full.count() == p.count(), (g, gadget)
+        assert full.count() == p.count() == oracles.walk_count(g, gadget.edge_count), (
+            g, gadget)
         for pos in (0, rng.randrange(gadget.vertex_count), gadget.vertex_count - 1):
             u = gadget.vertex_at(pos)
             assert full.project(u) == p.project(u), (g, gadget, u)
@@ -845,14 +797,21 @@ def test_full_profile_reader_matches_the_profile():
             assert list(full.homs()) == list(p.enumerate_homs(400)[0].homs)
         caps.add(cap)
         verdicts.append(large.large)
+        nb = nonbipartite_vertices(g)
         seen.add(("isolated", any(not g.neighbors(v) for v in g.vertices)))
         seen.add(("no witness", not ends))
+        seen.add(("no witness above level 0", not ends and gadget.level > 0))
+        seen.add(("kind", "bipartite" if not nb else
+                  "mixed" if len(nb) < len(vertices) else "odd"))
         seen.add(("parallel", len(set(g.ends.values())) < len(ends)))
         seen.add(("ids out of file order", list(ends) != sorted(ends)))
-        seen.add(("cut", large.large and full.images[0] not in nonbipartite_vertices(g)))
+        seen.add(("cut", large.large and full.images[0] not in nb))
         seen.add(("level", gadget.level))
     assert caps == set(range(31))
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
     assert seen >= {(kind, True) for kind in (
-        "isolated", "no witness", "parallel", "ids out of file order", "cut")}
+        "isolated", "no witness", "no witness above level 0", "parallel",
+        "ids out of file order", "cut")}
+    assert seen >= {("isolated", False), ("no witness", False), ("kind", "bipartite"),
+                    ("kind", "mixed"), ("kind", "odd")}
     assert seen >= {("level", level) for level in range(6)}

@@ -5,9 +5,9 @@ import sys
 
 import oracles
 from oddwalk import kernels
+from oddwalk.bruteforce import all_homs
 from oddwalk.gadget import build_gadget
 from oddwalk.generators import cycle_graph, random_graph
-from oddwalk.homset import all_homs
 
 
 def random_instance(rng, n_vertices, n_witnesses, length):
@@ -95,7 +95,7 @@ def test_profile_counts_match_under_forced_pure_kernel():
     graphs = [random_graph(rng, 6, 0.5, multi=0.3) for _ in range(3)]
     script = (
         "from oddwalk import kernels\n"
-        "from oddwalk.homset import all_homs\n"
+        "from oddwalk.bruteforce import all_homs\n"
         "from oddwalk.gadget import build_gadget\n"
         "from oddwalk.graphs import WitnessedGraph\n"
         "import sys\n"
