@@ -18,20 +18,20 @@ with it, in O(level), and vertex_at is its inverse.
 So between modules a gadget vertex travels as its path position; a
 GadgetVertex is made only to name one.
 
-A PathGadget is its prefix and sizes: counts, vertex lookups and endpoints
-never build the path, and no vertex list is built here at
-all.  The one whole-gadget list is its labels, kept once read, by the
-doubling from the root (level n+1 is level n with bit 0 appended, the join,
-then level n reversed with bit 1 appended): level_labels lists every
-level's labels, each from the previous level's, and PathGadget.labels keeps
-the last level on the gadget.  births runs the same doubling on a text made
-once per vertex at its birth and its copy bits, and yields the top level as
-it is made, for the JSON rows that spell out a vertex's parts.  Every
-emitter that lists a whole gadget reads one of the three;
-GadgetVertex.label formats a single vertex, for messages and queries.  The
-vertex lists the closed forms are checked against are built by the
-independent checkers (bruteforce and the test oracles), with none of these
-closed forms or the label recurrence.
+A PathGadget is its prefix and sizes and holds nothing else: counts,
+vertex lookups and endpoints never build the path, and no vertex list is
+built here at all.  A whole gadget is listed by the doubling from the root
+(level n+1 is level n with bit 0 appended, the join, then level n reversed
+with bit 1 appended), in one of two forms, and each writer reads the one
+it needs.  level_labels lists every level's labels, each from the previous
+level's, and labels(prefix) is its last level.  births runs the same
+doubling on a text made once per vertex at its birth (level m, join index
+k) and its copy bits, and yields the top level as it is made, for the
+writers that read a vertex's parts; label_head is the text that spells a
+label's head there.  GadgetVertex.label formats a single vertex, for
+messages and queries.  The vertex lists the closed forms are checked
+against are built by the independent checkers (bruteforce and the test
+oracles), with none of these closed forms or the label recurrence.
 
 The prefix rules live here once: check_prefix (integers >= 1),
 check_odd_prefix (every value odd) and check_next_level (one gadget is the
@@ -145,14 +145,15 @@ def parse_prefix(text: str) -> tuple[int, ...]:
 
 
 class PathGadget:
-    """The level-n gadget: a labeled simple path.
+    """The level-n gadget: a labeled simple path, held as its prefix and
+    sizes alone.
 
     Equal, and hashed, by prefix.  Positions and vertices come from the
-    prefix and sizes by closed form (require_vertex, vertex_at); the labels
-    are built on first read and kept on this object.
+    prefix and sizes by closed form (require_vertex, vertex_at); the whole
+    path is listed by labels(prefix) or births, and kept by neither.
     """
 
-    __slots__ = ("prefix", "sizes", "_labels")
+    __slots__ = ("prefix", "sizes")
 
     def __init__(self, prefix: tuple[int, ...]):
         self.prefix = prefix
@@ -160,16 +161,6 @@ class PathGadget:
         self.sizes = sizes = [1]
         for c in prefix:
             sizes.append(2 * sizes[-1] + c + 1)
-        self._labels = None
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        """Vertex labels in path order: the last level of level_labels."""
-        if self._labels is None:
-            for labels in level_labels(self.prefix):
-                pass
-            self._labels = tuple(labels)
-        return self._labels
 
     @property
     def level(self) -> int:
@@ -251,8 +242,7 @@ class PathGadget:
 
 
 def build_gadget(prefix) -> PathGadget:
-    """The gadget for the given parameter prefix; nothing is listed until a
-    caller reads its labels."""
+    """The gadget for the given parameter prefix; nothing is listed."""
     return PathGadget(check_prefix(prefix))
 
 
@@ -271,6 +261,21 @@ def level_labels(prefix):
         labels = ([lab + "0" for lab in base] + [f"p{k}" for k in range(c + 1)]
                   + [lab + "1" for lab in reversed(base)])
         yield labels
+
+
+def labels(prefix) -> list[str]:
+    """The vertex labels of the gadget for the prefix, in path order: the
+    last level of level_labels."""
+    for top in level_labels(prefix):
+        pass
+    return top
+
+
+def label_head(level: int):
+    """The text(m, k) for births that spells the head of a label in the
+    level-`level` gadget: p<k>, then a '.' before the copy bits of a vertex
+    born below the top level."""
+    return lambda m, k: f"p{k}." if m < level else f"p{k}"
 
 
 def births(prefix, text):

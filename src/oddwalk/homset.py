@@ -438,8 +438,11 @@ def _least_walk(t: WitnessedGraph, start: str, steps: int) -> tuple[list, list]:
     A vertex's least neighbour is at most the vertex before it, which is a
     neighbour too, so the walk's even and odd positions descend until a
     step returns to the vertex before; from there it alternates between
-    its last two vertices, and the rest is written at once.
+    its last two vertices, and the rest is written at once.  A walk of
+    sys.maxsize steps or more fits in no list: MemoryError, at once.
     """
+    if steps >= sys.maxsize:
+        raise MemoryError
     vs, ws = [start], []
     while len(ws) < steps:
         a = vs[-1]

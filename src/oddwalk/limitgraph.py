@@ -11,7 +11,8 @@ and the test oracles) rather than assumed.
 
 Every query here reads gadget positions by closed form, and no vertex list
 is built.  A LevelQuotient numbers the depth-n classes by path position;
-its JSON is render.quotient_to_json_rows, written from the gadget's labels.
+its JSON is render.quotient_to_json_rows, written from the doubling
+(gadget.births).
 """
 
 from __future__ import annotations

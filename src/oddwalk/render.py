@@ -15,22 +15,25 @@ Every emitter is lazy: the DOT, TikZ and text renderers are generators of
 lines, and the JSON row writers give JsonRows, whose rows are made one at
 a time as cli._emit writes them.  No output is held whole.
 
-The gadget renderings and the JSON row writers build no vertex list.  The
-DOT, TikZ and text renderings read the gadget's labels, which come from
-the doubling recurrence (gadget.level_labels): a label p<k>.<t> spells out
-the join index k and the copy history t, so the birth level is the gadget
-level less len(t).  The gadget and quotient rows come from the same
+The gadget renderings and the JSON row writers build no vertex list and
+parse no label.  A writer that needs a vertex's birth level reads the
 doubling run on texts (gadget.births): each vertex's text, made once at
-its birth (level m, join index k), and its copy bits t, so no row reads a
-label back.  Each row is one f-string at its final indentation:
-gadget_to_json_rows and quotient_to_json_rows write the gadget and quotient
-arrays, tower_to_json_rows each tower level's vertex and witness
-assignments, homs_to_json_rows the vertex and witness assignments of
-homomorphisms over one gadget (sorting its labels once for all of them,
-and reading each as it is written), and equivalence_to_json_rows each
-equivalence map; tower levels, the homomorphisms and equivalence maps come
-from generators too.  A graph id is JSON-encoded the first time a row uses
-it.
+its birth (level m, join index k), and its copy bits t.  The DOT and TikZ
+renderings and the gadget and quotient rows are written so; all but the
+quotient rows spell a label's head (p<k>, and a '.' before any copy bits)
+with gadget.label_head.
+A writer that needs a list of labels reads the doubling recurrence
+(gadget.level_labels, gadget.labels): the text rendering, the tower and
+equivalence rows, and the homomorphism rows, which make and sort the
+labels only when their first row is read.  Each row is one f-string at
+its final indentation: gadget_to_json_rows and quotient_to_json_rows
+write the gadget and quotient arrays, tower_to_json_rows each tower
+level's vertex and witness assignments, homs_to_json_rows the vertex and
+witness assignments of homomorphisms over one gadget (sorting its labels
+once for all of them, and reading each as it is written), and
+equivalence_to_json_rows each equivalence map; tower levels, the
+homomorphisms and equivalence maps come from generators too.  A graph id
+is JSON-encoded the first time a row uses it.
 These writers are the only JSON form of a gadget, quotient, tower,
 homomorphism or equivalence tower in the package.  The dicts each is
 checked against are in the test oracles, built from a vertex list of
@@ -45,7 +48,7 @@ from json.encoder import encode_basestring_ascii
 
 from .dichotomy import Tower
 from .equiv import EquivalenceTower
-from .gadget import PathGadget, births, level_labels
+from .gadget import PathGadget, births, label_head, labels as gadget_labels, level_labels
 from .graphs import WitnessedGraph
 from .limitgraph import LevelQuotient
 
@@ -67,18 +70,15 @@ def _gadget_header(g: PathGadget, comment: str) -> tuple[str, str]:
     )
 
 
-def _birth_levels(g: PathGadget):
-    """Each vertex's birth level, in path order, read from its label."""
-    n = g.level
-    return (n - len(label.partition(".")[2]) for label in g.labels)
-
-
 def gadget_to_dot(g: PathGadget):
     yield from _gadget_header(g, "//")
     yield "graph gadget {\n  rankdir=LR;\n  node [style=filled, fontcolor=white];\n"
-    for i, (m, label) in enumerate(zip(_birth_levels(g), g.labels)):
-        color = PALETTE[m % len(PALETTE)]
-        yield f'  n{i} [label="{label}", fillcolor="{color}"];\n'
+    head = label_head(g.level)
+    tails = [f'", fillcolor="{PALETTE[m % len(PALETTE)]}"];\n'
+             for m in range(g.level + 1)]
+    for i, ((h, tail), t) in enumerate(births(
+            g.prefix, lambda m, k: (head(m, k), tails[m]))):
+        yield f'  n{i} [label="{h}{t}{tail}'
     for i in range(g.edge_count):
         yield f"  n{i} -- n{i + 1};\n"
     yield "}\n"
@@ -86,13 +86,17 @@ def gadget_to_dot(g: PathGadget):
 
 def gadget_to_tikz(g: PathGadget):
     yield from _gadget_header(g, "%")
-    for m in sorted(set(_birth_levels(g))):
+    # every level 0..n has a vertex born at it
+    for m in range(g.level + 1):
         color = PALETTE[m % len(PALETTE)].lstrip("#").upper()
         yield f"\\definecolor{{lvl{m}}}{{HTML}}{{{color}}}\n"
     yield "\\begin{tikzpicture}[x=0.9cm]\n"
-    for i, (m, label) in enumerate(zip(_birth_levels(g), g.labels)):
-        yield (f"  \\node[circle, draw, fill=lvl{m}, text=white, "
-               f"inner sep=1pt, font=\\tiny] (n{i}) at ({i}, 0) {{{label}}};\n")
+    head = label_head(g.level)
+    nodes = [f"  \\node[circle, draw, fill=lvl{m}, text=white, "
+             f"inner sep=1pt, font=\\tiny] (n" for m in range(g.level + 1)]
+    for i, ((node, h), t) in enumerate(births(
+            g.prefix, lambda m, k: (nodes[m], head(m, k)))):
+        yield f"{node}{i}) at ({i}, 0) {{{h}{t}}};\n"
     for i in range(g.edge_count):
         yield f"  \\draw (n{i}) -- (n{i + 1});\n"
     yield "\\end{tikzpicture}\n"
@@ -136,22 +140,19 @@ def gadget_to_json_rows(g: PathGadget) -> dict:
     """The gadget's JSON: its scalars, with the vertices and edges written
     as JsonRows from the doubling (births); a vertex born below the top
     level has copy bits, and its label a '.' before them."""
-    n = g.level
-
-    def label_head(m: int, k: int) -> str:
-        return f"p{k}." if m < n else f"p{k}"
+    head = label_head(g.level)
 
     def vertices(i: str):
         j = i + "  "
         mid, end = f'",{j}"t": "', f'"{i}}}'
-        return (f"{head}{t}{mid}{t}{end}" for head, t in births(
+        return (f"{front}{t}{mid}{t}{end}" for front, t in births(
             g.prefix, lambda m, k: (f'{{{j}"birthLevel": {m},{j}"k": {k},'
-                                    f'{j}"label": "{label_head(m, k)}')))
+                                    f'{j}"label": "{head(m, k)}')))
 
     def edges(i: str):
         j = i + "  "
         return (f'[{j}"{a}{t}",{j}"{b}{u}"{i}]'
-                for (a, t), (b, u) in pairwise(births(g.prefix, label_head)))
+                for (a, t), (b, u) in pairwise(births(g.prefix, head)))
 
     return {**_gadget_json_scalars(g), "vertices": JsonRows("[", "]", vertices),
             "edges": JsonRows("[", "]", edges)}
@@ -232,13 +233,16 @@ def tower_to_json_rows(t: Tower) -> dict:
 
 
 def homs_to_json_rows(g: PathGadget, homs):
-    """The vertex and witness assignments (_assignment_rows) of each hom
-    over the gadget g, one hom at a time as homs yields them: the labels
-    are sorted once and each graph id is encoded once for all of them."""
-    labels = g.labels
+    """Yield the vertex and witness assignments (_assignment_rows) of each
+    hom over the gadget g, one hom at a time as homs yields them.  The
+    labels are made and sorted when the first row is read, once for all of
+    them, so no labels are made when no row is read; each graph id is
+    encoded once."""
+    labels = gadget_labels(g.prefix)
     order = _label_order(labels)
     ids = _Ids()
-    return (_assignment_rows(labels, order, hom, ids) for hom in homs)
+    for hom in homs:
+        yield _assignment_rows(labels, order, hom, ids)
 
 
 def _map_rows(labels, targets, images) -> JsonRows:
@@ -268,7 +272,7 @@ def equivalence_to_json_rows(t: EquivalenceTower) -> dict:
 
 def gadget_to_text(g: PathGadget):
     yield from _gadget_header(g, "#")
-    labels = iter(g.labels)
+    labels = iter(gadget_labels(g.prefix))
     yield next(labels)
     yield from map(" -- ".__add__, labels)
     yield "\n"

@@ -18,7 +18,7 @@ import oracles
 from oddwalk import bruteforce, cli, homset, kernels, parity
 from oddwalk.dichotomy import decide, parse_schedule
 from oddwalk.equiv import plan_equivalence
-from oddwalk.gadget import build_gadget, parse_prefix
+from oddwalk.gadget import build_gadget, labels as gadget_labels, parse_prefix
 from oddwalk.generators import (complete_graph, cycle_graph, path_graph,
                                 petersen_graph, random_graph)
 from oddwalk.graphs import WitnessedGraph
@@ -813,22 +813,29 @@ def test_malformed_graph_json_is_one_error_line(tmp_path, witness):
 
 
 def test_gadget_and_quotient_output_materialize_nothing():
-    prefix = (1, 3, 10)
-    vertices = oracles.gadget_vertices_from_root(prefix)
-    c = ",".join(map(str, prefix))
-    outputs = {}
-    for argv in [["gadget", "--c", c, "--format", fmt]
-                 for fmt in ("json", "dot", "tikz", "text")] + [
-                     ["lc", "--c", c, "--quotient"]]:
-        code, outputs[argv[-1]], err = run_main(*argv)
-        assert (code, err) == (0, ""), argv
-    # the birth levels read from the labels are those of the vertex list
-    births = [len(prefix) - len(v.t) for v in vertices]
-    dot_colors = re.findall(r'fillcolor="(#\w+)"', outputs["dot"])
-    assert dot_colors == [PALETTE[m % len(PALETTE)] for m in births]
-    assert re.findall(r"fill=lvl(\d+)", outputs["tikz"]) == list(map(str, births))
-    assert re.findall(r"definecolor\{lvl(\d+)\}", outputs["tikz"]) == [
-        str(m) for m in sorted(set(births))]
+    # (1, 3, 10), and a sample of the prefixes the gadget tests replay from
+    # the root, even values and level 0 among them
+    for prefix in [(1, 3, 10), (), (2,), (5, 1), (1, 2, 3), (3, 5, 2, 1),
+                   (5, 3, 1, 2, 5)]:
+        vertices = oracles.gadget_vertices_from_root(prefix)
+        c = ",".join(map(str, prefix))
+        outputs = {}
+        for argv in [["gadget", "--c", c, "--format", fmt]
+                     for fmt in ("json", "dot", "tikz", "text")] + [
+                         ["lc", "--c", c, "--quotient"]]:
+            code, outputs[argv[-1]], err = run_main(*argv)
+            assert (code, err) == (0, ""), argv
+        # the birth levels and the labels are those of the vertex list
+        births = [len(prefix) - len(v.t) for v in vertices]
+        dot_colors = re.findall(r'fillcolor="(#\w+)"', outputs["dot"])
+        assert dot_colors == [PALETTE[m % len(PALETTE)] for m in births]
+        assert re.findall(r"fill=lvl(\d+)", outputs["tikz"]) == list(map(str, births))
+        assert re.findall(r"definecolor\{lvl(\d+)\}", outputs["tikz"]) == [
+            str(m) for m in sorted(set(births))]
+        names = [v.label for v in vertices]
+        assert re.findall(r'n\d+ \[label="([^"]*)"', outputs["dot"]) == names
+        assert re.findall(r"\) at \(\d+, 0\) \{([^}]*)\};", outputs["tikz"]) == names
+        assert outputs["text"].splitlines()[2] == " -- ".join(names)
 
 
 def test_closed_stdout_is_one_error_line():
@@ -889,6 +896,34 @@ def test_large_outputs_stream_in_bounded_memory():
                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                               text=True, check=True)
         assert int(proc.stderr) < 64 * 1024, (argv, proc.stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status")
+def test_gadget_drawings_stream_in_bounded_memory():
+    # about 16 MB of DOT and 29 MB of TikZ, from the doubling with no label
+    # list; reading the gadget's whole label tuple peaked at 42 MB
+    ones = ",".join("1" * 16)
+    for fmt in ("dot", "tikz"):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD, "gadget", "--c",
+                               ones, "--format", fmt],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                              text=True, check=True)
+        assert int(proc.stderr) < 32 * 1024, (fmt, proc.stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status")
+def test_homset_writing_no_member_makes_no_labels(tmp_path):
+    # C4 is bipartite, so no member is written: the gadget's 196,606 labels
+    # are not made, where making and sorting them peaked at 43 MB
+    c4 = tmp_path / "c4.txt"
+    c4.write_text("a b\nb c\nc d\nd a\n")
+    proc = subprocess.run([sys.executable, "-c", _PEAK_CHILD, "homset", "--graph",
+                           str(c4), "--c", ",".join("1" * 16)],
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, check=True)
+    assert int(proc.stderr) < 24 * 1024, proc.stderr
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
@@ -1263,6 +1298,21 @@ def test_input_too_large_for_memory_is_one_error_line(tmp_path):
             (argv, proc.stderr)
 
 
+def test_homset_witness_past_sys_maxsize_steps_is_one_error_line(tmp_path):
+    # a largeness witness of more than sys.maxsize steps fits in no list:
+    # one error line at once, as for any input too large for memory
+    c5 = tmp_path / "c5.txt"
+    c5.write_text("a b\nb c\nc d\nd e\ne a\n")
+    tri = tmp_path / "tri.txt"
+    tri.write_text("a b\nb c\nc a\n")
+    for argv in (["homset", "--graph", str(c5), "--c", ",".join("1" * 70)],
+                 ["homset", "--graph", str(tri), "--c", "99999999999999999999"]):
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout) == (2, ""), (argv, proc.stderr)
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1, \
+            (argv, proc.stderr)
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no int-to-str digit limit")
 def test_homset_count_of_any_size(tmp_path):
@@ -1294,7 +1344,7 @@ def test_homset_runs_past_the_recursion_limit(tmp_path):
     data = json.loads(out)
     assert data["count"] == 5 * 2 ** 3069   # every walk of 3,069 steps
     gadget = build_gadget(prefix)
-    labels = gadget.labels
+    labels = gadget_labels(prefix)
     witness = data["large"]["witness"]
     validate_hom(gadget, WitnessedGraph.from_text(c5.read_text()), Hom(
         tuple(map(witness["vertexAssignments"].__getitem__, labels)),

@@ -13,7 +13,7 @@ from oddwalk.errors import (NonOddPrefix, ParseError, PrefixMismatch,
                             UnknownVertex)
 from oddwalk.gadget import (GadgetVertex, PathGadget, births, build_gadget,
                             check_next_level, check_prefix, endpoint_label,
-                            endpoints, gadget_distance, gadget_size,
+                            endpoints, gadget_distance, gadget_size, labels,
                             parse_prefix, vertex_at, vertex_position)
 from oddwalk.generators import complete_graph, cycle_graph, petersen_graph
 from oddwalk.limitgraph import level_quotient
@@ -29,7 +29,7 @@ def test_base_gadget_is_single_vertex():
 def test_level_one_path():
     g = build_gadget((1,))
     assert [g.vertex_at(i).label for i in range(4)] == ["p0.0", "p0", "p1", "p0.1"]
-    assert g.labels == ("p0.0", "p0", "p1", "p0.1")
+    assert labels((1,)) == ["p0.0", "p0", "p1", "p0.1"]
     assert g.vertex_count == 4 and g.edge_count == 3
 
 
@@ -216,7 +216,7 @@ def _assert_matches_replay(prefix):
     assert bruteforce.gadget_vertices(prefix) == want
     assert all(type(v) is GadgetVertex for v in bruteforce.gadget_vertices(prefix))
     assert bruteforce.gadget_positions(prefix) == {v: i for i, v in enumerate(want)}
-    assert g.labels == tuple(v.label for v in want)
+    assert labels(prefix) == [v.label for v in want]
     # births: each vertex's birth level and join index, as its text, made
     # once per vertex born, and its copy bits
     made = []
@@ -240,7 +240,7 @@ def test_gadgets_equal_and_hash_by_prefix():
     for prefix in ((), (1,), (1, 3), (3, 1, 5)):
         a, b = build_gadget(prefix), build_gadget(list(prefix))
         assert a is not b and a == b and hash(a) == hash(b)
-        assert a.labels == b.labels
+        assert labels(prefix) == labels(list(prefix))
         assert level_quotient(prefix) == level_quotient(prefix)
     assert build_gadget((1, 3)) != build_gadget((3, 1))
     assert build_gadget((1,)) != (1,)
@@ -249,12 +249,12 @@ def test_gadgets_equal_and_hash_by_prefix():
 def test_traversal_order_copy_join_copy():
     c = 3
     small = oracles.gadget_vertices_from_root((1,))
-    big = build_gadget((1, c))
+    big = labels((1, c))
     k = len(small)
     # copy 0 first, in order; then the join; then copy 1 reversed
-    assert list(big.labels[:k]) == [v.append(0).label for v in small]
-    assert list(big.labels[k:k + c + 1]) == ["p0", "p1", "p2", "p3"]
-    assert list(big.labels[k + c + 1:]) == [
+    assert big[:k] == [v.append(0).label for v in small]
+    assert big[k:k + c + 1] == ["p0", "p1", "p2", "p3"]
+    assert big[k + c + 1:] == [
         v.append(1).label for v in reversed(small)]
 
 
@@ -263,7 +263,7 @@ def _assert_closed_forms_match(prefix):
     vertices = oracles.gadget_vertices_from_root(prefix)
     position = oracles.gadget_positions_from_root(prefix)
     assert gadget_size(prefix) == len(vertices)
-    assert g.labels == tuple(v.label for v in vertices)
+    assert labels(prefix) == [v.label for v in vertices]
     for v in vertices:
         assert vertex_position(prefix, v) == g.require_vertex(v) == position[v]
     for i in range(g.vertex_count):
@@ -361,8 +361,10 @@ def test_copy_position_matches_appended_labels():
 
 
 def test_gadget_keeps_no_vertex_list():
-    # a gadget is its prefix, sizes and labels; the vertex lists live with
-    # the independent checkers
+    # a gadget is its prefix and sizes; the vertex lists live with the
+    # independent checkers, and a label list is made by labels(prefix)
+    assert PathGadget.__slots__ == ("prefix", "sizes")
+    assert not hasattr(PathGadget, "labels")
     assert not hasattr(PathGadget, "vertices")
     assert not hasattr(PathGadget, "position")
     g = build_gadget((1, 3))

@@ -11,7 +11,7 @@ from oddwalk.bruteforce import (all_homs, double, member, pin,
 from oddwalk.dichotomy import decide
 from oddwalk.errors import (NotHomomorphism, NotLarge, NotMember, ParseError,
                             PrefixMismatch)
-from oddwalk.gadget import GadgetVertex, build_gadget
+from oddwalk.gadget import GadgetVertex, build_gadget, labels
 from oddwalk.generators import (all_graphs_upto, complete_graph, cycle_graph,
                                 disjoint_union, path_graph, random_graph,
                                 single_edge)
@@ -437,7 +437,7 @@ def test_explicit_homset_rejects_duplicates():
 def test_profile_json_shape():
     p = all_homs(build_gadget((1,)), k3())
     assert p.gadget.prefix == (1,)
-    assert set(p.gadget.labels) == {"p0.0", "p0", "p1", "p0.1"}
+    assert set(labels(p.gadget.prefix)) == {"p0.0", "p0", "p1", "p0.1"}
     assert [w for i, w in enumerate(p.target.witnesses)
             if p.wmasks[0] >> i & 1] == ["w0", "w1", "w2"]
     assert edge_label(p.gadget, 0) == "p0.0--p0"
