@@ -11,7 +11,11 @@ whole copy block (PathGadget.copy_map).  The planner sweeps up the target
 levels carrying only the positions the gluing image can reach within c(n)+2
 of either end (one further out never comes back), and stops where the
 first position joins its own mirror; no other pair joins first
-(_first_join).  The verifier re-checks everything edge by edge.
+(_first_join).  The join is laid along path_exact_walk, a step rule over
+walks.greedy_walk (down while the end stays in reach, else up), which past
+the path's vertex count reads only the parity of the steps left: O(V)
+steps for a join of any length, and MemoryError at once for one of
+sys.maxsize steps or more.  The verifier re-checks everything edge by edge.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import NamedTuple
 
 from .errors import GapInsufficient, ParseError
 from .gadget import build_gadget, check_odd_prefix, is_natural, require_natural
+from .walks import greedy_walk
 
 
 def path_walk_exists(distance: int, length: int) -> bool:
@@ -31,20 +36,14 @@ def path_walk_exists(distance: int, length: int) -> bool:
 
 
 def path_exact_walk(n_vertices: int, start: int, end: int, length: int) -> list[int]:
-    """Lexicographically least position walk of exact length along a path."""
-    if not path_walk_exists(abs(start - end), length):
+    """Lexicographically least position walk of exact length along a path:
+    down a step while end stays in reach, else up.  Past the path's vertex
+    count only the parity of the steps left is read, as greedy_walk asks."""
+    if not path_walk_exists(abs(start - end), length) or (length and n_vertices < 2):
         raise ParseError("no walk of that length exists")
-    walk = [start]
-    cur = start
-    for r in range(length, 0, -1):
-        for nxt in (cur - 1, cur + 1):
-            if 0 <= nxt < n_vertices and path_walk_exists(abs(nxt - end), r - 1):
-                walk.append(nxt)
-                cur = nxt
-                break
-        else:
-            raise AssertionError("parity feasibility promised a step")
-    return walk
+    return greedy_walk(start, length, lambda p, r: (
+        p - 1 if p and path_walk_exists(abs(p - 1 - end), r - 1) else p + 1,
+        None), n_vertices)[0]
 
 
 class EquivalenceTower(NamedTuple):

@@ -40,6 +40,7 @@ next level of another).
 
 from __future__ import annotations
 
+import sys
 from itertools import compress
 from typing import NamedTuple
 
@@ -252,14 +253,22 @@ def level_labels(prefix):
 
     Level n+1 is copy 0's labels with bit 0 appended, the join vertices
     p0..pc, then copy 1's labels reversed with bit 1 appended; the first
-    copy bit of a label follows a '.'.
+    copy bit of a label follows a '.', so only level n's own join block,
+    the one run of labels without a '.', takes one before its bit.
     """
+    prefix = _listable(prefix)
     labels = ["p0"]
     yield labels
-    for c in check_prefix(prefix):
-        base = [lab if "." in lab else lab + "." for lab in labels]
-        labels = ([lab + "0" for lab in base] + [f"p{k}" for k in range(c + 1)]
-                  + [lab + "1" for lab in reversed(base)])
+    lo, hi = 0, 1   # level n's join block is labels[lo:hi]
+    for c in prefix:
+        n = len(labels)
+        top = [lab + "0" for lab in labels]
+        top[lo:hi] = [lab + ".0" for lab in labels[lo:hi]]
+        top += [f"p{k}" for k in range(c + 1)]
+        one = [lab + "1" for lab in reversed(labels)]
+        one[n - hi:n - lo] = [lab + ".1" for lab in reversed(labels[lo:hi])]
+        top += one
+        labels, lo, hi = top, n, n + c + 1
         yield labels
 
 
@@ -289,7 +298,7 @@ def births(prefix, text):
     with bit 1 appended.  Only the level below the top is held, as two
     lists; the top level is yielded as it is made.
     """
-    prefix = check_prefix(prefix)
+    prefix = _listable(prefix)
     if not prefix:
         yield text(0, 0), ""
         return
@@ -298,8 +307,8 @@ def births(prefix, text):
         texts = texts + [text(m, k) for k in range(c + 1)] + texts[::-1]
         bits = ([t + "0" for t in bits] + [""] * (c + 1)
                 + [t + "1" for t in reversed(bits)])
-    # the top join is listed before the first row too, as level_labels
-    # lists it, so that a join too large for memory fails before any row
+    # the top join is listed before the first row too, so that a join
+    # too large for memory fails before any row
     join = [text(len(prefix), k) for k in range(prefix[-1] + 1)]
     for head, t in zip(texts, bits):
         yield head, t + "0"
@@ -307,6 +316,15 @@ def births(prefix, text):
         yield head, ""
     for head, t in zip(reversed(texts), reversed(bits)):
         yield head, t + "1"
+
+
+def _listable(prefix) -> tuple[int, ...]:
+    """check_prefix, then MemoryError, at once, for a join of sys.maxsize
+    vertices or more: no list can hold it."""
+    prefix = check_prefix(prefix)
+    if prefix and max(prefix) >= sys.maxsize:
+        raise MemoryError
+    return prefix
 
 
 def gadget_size(prefix) -> int:

@@ -26,7 +26,9 @@ homomorphism is written as JSON only by the row writers
 
 The full set, the one the homset command reads, needs no profile at all:
 FullProfile reads its projections, largeness witness, count and members
-off the target alone, without masks or recursion.  Its oracle is
+off the target alone, without masks or recursion.  Its least-neighbour
+walks (_least_walk) are a step rule over walks.greedy_walk with horizon 0,
+so each costs O(|V|) steps at any length.  Its oracle is
 bruteforce.all_homs, the all-ones masks swept, with HomProfile.count (a
 plain forward path DP), is_large and enumerate_homs.  HomProfile serves
 decide, extend_witness and the check suites.
@@ -44,8 +46,9 @@ from .errors import NotHomomorphism, NotLarge, OddwalkError, ParseError
 from .gadget import (GadgetVertex, PathGadget, build_gadget, check_next_level,
                      endpoint_label, require_natural)
 from .graphs import Walk, WitnessedGraph, vertex_pair
-from .parity import (exact_walk, no_odd_walk_in, nonbipartite_vertices,
-                     parity_classes, vertex_odd_girth)
+from .parity import (exact_walk, least_step, no_odd_walk_in,
+                     nonbipartite_vertices, parity_classes, vertex_odd_girth)
+from .walks import greedy_walk
 
 
 class Hom(NamedTuple):
@@ -433,28 +436,10 @@ class FullProfile(NamedTuple):
 
 def _least_walk(t: WitnessedGraph, start: str, steps: int) -> tuple[list, list]:
     """The vertices and witnesses of the walk of `steps` steps from start
-    that steps to the least neighbour along the least witness each time.
-
-    A vertex's least neighbour is at most the vertex before it, which is a
-    neighbour too, so the walk's even and odd positions descend until a
-    step returns to the vertex before; from there it alternates between
-    its last two vertices, and the rest is written at once.  A walk of
-    sys.maxsize steps or more fits in no list: MemoryError, at once.
-    """
-    if steps >= sys.maxsize:
-        raise MemoryError
-    vs, ws = [start], []
-    while len(ws) < steps:
-        a = vs[-1]
-        b = t.neighbors(a)[0]
-        if len(vs) > 1 and b == vs[-2]:
-            rest = steps - len(ws)
-            vs += [b, a] * (rest // 2) + [b] * (rest % 2)
-            ws += [ws[-1]] * rest
-            break
-        vs.append(b)
-        ws.append(t.witnesses_between(a, b)[0])
-    return vs, ws
+    that steps to the least neighbour along the least witness each time
+    (parity.least_step); the rule never reads the steps left, so
+    greedy_walk repeats its loop from the first step on."""
+    return greedy_walk(start, steps, lambda v, r: least_step(t, v), 0)
 
 
 def is_tiny(homs) -> TinyVerdict:

@@ -12,6 +12,12 @@ can be padded to any length m + 2j by bouncing on its first edge.  The
 operations here rely on that padding fact; the test suite checks it against
 brute-force walk enumeration rather than assuming it.
 
+exact_walk is a step rule over walks.greedy_walk, the builder of every
+least walk: the least neighbour (least_step) still within the steps left
+of the end at their parity.  Past D, the end table's largest distance,
+every neighbour is, so a walk of any length costs O(|V| + D) steps, and
+one of sys.maxsize steps or more raises MemoryError at once.
+
 A graph is immutable, so the facts of one graph are computed once and kept
 on it (WitnessedGraph.memo): parity_classes, nonbipartite_vertices, the
 parity table of each vertex asked about (vertex_odd_girth reads it at its
@@ -27,6 +33,7 @@ from typing import NamedTuple
 from .errors import ParseError
 from .gadget import is_natural, require_natural
 from .graphs import Coloring, Walk, WitnessedGraph
+from .walks import greedy_walk
 
 
 class PhiVerdict(NamedTuple):
@@ -211,22 +218,25 @@ def exact_walk_within(g: WitnessedGraph, a, length: int) -> Walk | None:
 def _exact_walk(g: WitnessedGraph, start: str, end: str, length: int) -> Walk | None:
     # A walk of exactly r steps leads from z to end iff a walk of length
     # r - 2j does (padding): iff z is within r of end at parity r mod 2,
-    # and end has a neighbour to bounce on when r > 0.
+    # and end has a neighbour to bounce on when r > 0.  Each neighbour z of
+    # v reaches end through v, so its entry at the other parity is there,
+    # and past the table's largest distance every one is in reach: the rule
+    # reads r only up to that horizon, as greedy_walk asks.
     dist = _vertex_table(g, end)
     if (dist.get((start, length % 2), length + 1) > length
             or (length and not g.neighbors(end))):
         return None
-    verts = [start]
-    wits = []
-    for r in range(length - 1, -1, -1):
-        cur = verts[-1]
-        z = next((z for z in g.neighbors(cur)
-                  if dist.get((z, r % 2), r + 1) <= r), None)
-        if z is None:
-            raise AssertionError("parity table promised a continuation")
-        wits.append(g.witnesses_between(cur, z)[0])
-        verts.append(z)
-    return Walk(tuple(verts), tuple(wits))
+    vs, ws = greedy_walk(start, length, lambda v, r: least_step(
+        g, v, lambda z: dist[z, (r - 1) % 2] < r), max(dist.values()))
+    return Walk(tuple(vs), tuple(ws))
+
+
+def least_step(g: WitnessedGraph, v: str, keep=None) -> tuple[str, str]:
+    """One step of a least walk: the least neighbour of v that keep
+    accepts (any, when keep is None: vertex ids are nonempty strings), and
+    the least witness joining the two."""
+    z = next(filter(keep, g.neighbors(v)))
+    return z, g.witnesses_between(v, z)[0]
 
 
 def min_odd_closed_walk(g: WitnessedGraph) -> Walk | None:

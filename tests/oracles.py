@@ -21,7 +21,9 @@ propagation, tininess by one odd-walk BFS per gadget position, smallness
 by every image of every member, largeness by a propagation sweep of the
 profile cut to the non-bipartite components, components
 and component 2-colorings by a BFS of their own, exact-length walks from
-reach sets expanded step by step, the tower driver as a composition of
+reach sets expanded step by step, every least walk (exact, along a path
+and least-neighbour) stepped one step at a time where the package repeats
+its loop (walks.greedy_walk), the tower driver as a composition of
 profile operations, every tower level read off the top through the
 vertex list, homomorphism, tower and equivalence-tower JSON with
 labels read off built gadgets, the limit-graph component test by a wide
@@ -41,14 +43,14 @@ from collections import deque
 from oddwalk.bruteforce import all_homs, double, pin, restricted
 from oddwalk.cli import _SUBCOMMANDS
 from oddwalk.dichotomy import unbounded_schedule_default
-from oddwalk.equiv import (EquivalenceTower, EquivReport, path_exact_walk,
-                           path_walk_exists)
+from oddwalk.equiv import EquivalenceTower, EquivReport, path_walk_exists
 from oddwalk.errors import (GapInsufficient, NotHomomorphism, OddwalkError,
                             ParseError)
 from oddwalk.gadget import GadgetVertex, build_gadget, check_odd_prefix, is_natural
 from oddwalk.graphs import Coloring, Walk, vertex_pair
 from oddwalk.homset import Hom, extend_witness
-from oddwalk.parity import bipartite_certificate, nonbipartite_vertices, phi_bound
+from oddwalk.parity import (bipartite_certificate, nonbipartite_vertices,
+                            parity_distances, phi_bound)
 
 
 def adjacency(g) -> dict:
@@ -83,6 +85,11 @@ def components(g) -> tuple:
     return tuple(comps)
 
 
+def _least_witness(g, u, v) -> str:
+    """The least witness id joining u and v, read off the ends map."""
+    return min(w for w, pair in g.ends.items() if pair == vertex_pair(u, v))
+
+
 def exact_walk_by_reach_sets(g, start, end, length: int):
     """parity.exact_walk by reach sets: reach[r] holds the vertices that
     start a walk of exactly r steps to end, each set expanded in full from
@@ -99,10 +106,53 @@ def exact_walk_by_reach_sets(g, start, end, length: int):
     for r in range(length - 1, -1, -1):
         cur = verts[-1]
         z = next(z for z in nbr[cur] if z in reach[r])
-        wits.append(min(w for w, pair in g.ends.items()
-                        if pair == vertex_pair(cur, z)))
+        wits.append(_least_witness(g, cur, z))
         verts.append(z)
     return Walk(tuple(verts), tuple(wits))
+
+
+def exact_walk_per_step(g, start, end, length: int):
+    """parity.exact_walk one step at a time, with end's parity table and
+    no loop skip: each step takes the least neighbour z within r of end at
+    parity r mod 2, r the steps left after it."""
+    nbr = adjacency(g)
+    dist = parity_distances(g, [end])
+    if (dist.get((start, length % 2), length + 1) > length
+            or (length and not nbr[end])):
+        return None
+    verts = [start]
+    wits = []
+    for r in range(length - 1, -1, -1):
+        cur = verts[-1]
+        z = next(z for z in nbr[cur] if dist.get((z, r % 2), r + 1) <= r)
+        wits.append(_least_witness(g, cur, z))
+        verts.append(z)
+    return Walk(tuple(verts), tuple(wits))
+
+
+def path_exact_walk_per_step(n_vertices: int, start: int, end: int,
+                             length: int) -> list[int]:
+    """equiv.path_exact_walk one step at a time, for a walk that exists:
+    each step goes down when end is still within the steps left at their
+    parity from there, else up."""
+    walk = [start]
+    for r in range(length - 1, -1, -1):
+        cur = walk[-1]
+        walk.append(next(p for p in (cur - 1, cur + 1) if 0 <= p < n_vertices
+                         and abs(p - end) <= r and (r - abs(p - end)) % 2 == 0))
+    return walk
+
+
+def least_walk_per_step(g, start, steps: int) -> tuple[list, list]:
+    """homset._least_walk one step at a time: to the least neighbour, along
+    the least witness, with no loop skip."""
+    nbr = adjacency(g)
+    verts, wits = [start], []
+    for _ in range(steps):
+        z = nbr[verts[-1]][0]
+        wits.append(_least_witness(g, verts[-1], z))
+        verts.append(z)
+    return verts, wits
 
 
 def odd_lengths(g, a, cap: int) -> list[int]:
@@ -523,7 +573,7 @@ def plan_equivalence_via_vertices(c, d, depth: int):
                 f"(join length {length} from image {glue_img.label})")
         mm, s0, s1, a0, a1 = found
         target = gadget_vertices_from_root(d[:mm])
-        walk = path_exact_walk(len(target), a0, a1, length)
+        walk = path_exact_walk_per_step(len(target), a0, a1, length)
         images = ([_append_suffix(img, s0) for img in maps[n]]
                   + [target[p] for p in walk[1:-1]]
                   + [_append_suffix(img, s1) for img in reversed(maps[n])])

@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -1294,6 +1295,45 @@ def test_input_too_large_for_memory_is_one_error_line(tmp_path):
                               capture_output=True, text=True, timeout=120,
                               preexec_fn=limit)
         assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1, \
+            (argv, proc.stderr)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+def test_walks_and_joins_too_long_for_a_list_fail_at_once(tmp_path):
+    # every walk is built in O(|V| + horizon) steps whatever its length and
+    # a join is listed before the first row, so each of these fails at once:
+    # a walk or join of sys.maxsize vertices or more at its first step, and a
+    # shorter walk when its repeated loop asks for more memory than there is
+    import resource
+    cap = 1000000 << 10
+
+    def limit():
+        # in the child only, so that a regression that steps or lists one
+        # vertex at a time runs out of memory here, not on the machine
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    tri = tmp_path / "tri.txt"
+    tri.write_text("a b\nb c\nc a\n")
+    huge = "99999999999999999999"
+    for argv in (["equiv", "--c", huge, "--d", "1", "--depth", "1"],
+                 ["equiv", "--c", "1000000000001", "--d", "1", "--depth", "1"],
+                 ["dichotomy", "--graph", str(tri), "--depth", "2",
+                  "--schedule", "99999999999999999999999,1"],
+                 ["dichotomy", "--graph", str(tri), "--depth", "1",
+                  "--schedule", "1000000000000001"],
+                 ["gadget", "--c", huge, "--format", "text"],
+                 ["gadget", "--c", huge, "--format", "json"],
+                 ["gadget", "--c", huge, "--format", "dot"],
+                 ["lc", "--c", huge, "--quotient"]):
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "oddwalk.cli", *argv],
+                              capture_output=True, text=True, timeout=10,
+                              preexec_fn=limit)
+        # stepped or listed one vertex at a time, each takes 4 s or more to
+        # fail under this limit
+        assert time.monotonic() - start < 3, argv
+        assert (proc.returncode, proc.stdout) == (2, ""), (argv, proc.stderr)
         assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1, \
             (argv, proc.stderr)
 

@@ -40,6 +40,8 @@ def test_path_exact_walk_examples():
         path_exact_walk(4, 0, 3, 4)
     with pytest.raises(ParseError):
         path_exact_walk(2, 0, 1, 0)
+    with pytest.raises(ParseError):
+        path_exact_walk(1, 0, 0, 2)   # no neighbour to bounce on
 
 
 def test_identity_towers():
